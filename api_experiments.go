@@ -23,12 +23,6 @@ type (
 // Table1 renders the machine parameters as in the paper's Table 1.
 func Table1() ExpTable { return exp.Table1() }
 
-// AutoShards is the automatic intra-run shard-width policy used when
-// ExpOptions.Shards is 0: the CPUs left over after a pool of jobs workers,
-// capped at the widest useful partition and narrowed for scaled-down runs.
-// Exported so CLIs can log what "-shards auto" resolved to.
-var AutoShards = exp.AutoShards
-
 // PlotFigure renders an ASCII chart of a figure's table in the style of the
 // paper's own presentation (log-log curves, grouped bars, scaling curves).
 var PlotFigure = exp.Plot

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramI64QuickStart(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := New()
 	data := []int{3, 1, 3, 7, 3, 1}
 	bins, res := HistogramI64(m, data, 8)
 	want := []int64{0, 2, 0, 3, 0, 0, 0, 1}
@@ -27,11 +27,11 @@ func TestHistogramI64RangeCheck(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	HistogramI64(NewMachine(DefaultConfig()), []int{9}, 8)
+	HistogramI64(New(), []int{9}, 8)
 }
 
 func TestScatterAddF64Helper(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := New()
 	ScatterAddF64(m, 100, []int{0, 2, 0}, []float64{1.5, 2.0, 2.5})
 	m.FlushCaches()
 	if got := m.Store().LoadF64(100); got != 4.0 {
@@ -48,7 +48,7 @@ func TestScatterAddF64LengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ScatterAddF64(NewMachine(DefaultConfig()), 0, []int{1}, nil)
+	ScatterAddF64(New(), 0, []int{1}, nil)
 }
 
 func TestFigureDispatch(t *testing.T) {
@@ -82,7 +82,7 @@ func TestAreaEstimatePublic(t *testing.T) {
 }
 
 func TestSoftwareMethodsPublic(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := New()
 	addrs := []Addr{10, 11, 10}
 	SortScan(m, AddI64, addrs, []Word{I64(2)}, 0)
 	m.FlushCaches()
@@ -107,7 +107,7 @@ func TestMultiNodePublic(t *testing.T) {
 }
 
 func TestPrefixSumI64(t *testing.T) {
-	m := NewMachine(ScanConfig())
+	m := New(WithConfig(ScanConfig()))
 	vals := []int64{5, -2, 7, 0, 3}
 	prefix, total, res := PrefixSumI64(m, vals)
 	want := []int64{0, 5, 3, 10, 10}
@@ -127,7 +127,7 @@ func TestPrefixSumRequiresScanConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PrefixSumI64(NewMachine(DefaultConfig()), []int64{1})
+	PrefixSumI64(New(), []int64{1})
 }
 
 // Property: the public helper matches a plain Go accumulation.
@@ -140,7 +140,7 @@ func TestScatterAddF64Property(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		m := NewMachine(DefaultConfig())
+		m := New()
 		ref := map[int]float64{}
 		ii := make([]int, n)
 		vv := make([]float64, n)

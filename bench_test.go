@@ -153,7 +153,7 @@ func BenchmarkScatterAddUnit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewMachine(DefaultConfig())
+		m := New()
 		if bins, _ := HistogramI64(m, data, 512); bins[0] < 0 {
 			b.Fatal("impossible")
 		}

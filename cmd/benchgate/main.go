@@ -13,12 +13,11 @@
 // on a branch has nothing to compare against); parse errors in the inputs
 // do not.
 //
-// A second gate compares two benchmarks within ONE summary — the shard
-// scheduler's speedup target, where the sequential twin is measured in the
-// same run rather than on the main branch:
+// A second gate compares two benchmarks within ONE summary — a speedup
+// target, where the baseline twin is measured in the same run rather than
+// on the main branch:
 //
-//	benchgate -in pr.txt -speedup BenchmarkFig13Shard1:BenchmarkFig13Sharded \
-//	          -min-speedup 2.0
+//	benchgate -in pr.txt -speedup BenchmarkSlow:BenchmarkFast -min-speedup 2.0
 //
 // The run fails unless median(base) / median(test) >= min-speedup. Either
 // side missing from the input is a hard failure: a speedup gate that

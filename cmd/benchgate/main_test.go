@@ -100,8 +100,8 @@ func TestGate(t *testing.T) {
 func TestSpeedupGate(t *testing.T) {
 	mk := func(baseNs, testNs float64) map[string]*Result {
 		return map[string]*Result{
-			"BenchmarkFig13Shard1":  {Name: "BenchmarkFig13Shard1", Median: baseNs},
-			"BenchmarkFig13Sharded": {Name: "BenchmarkFig13Sharded", Median: testNs},
+			"BenchmarkSlow": {Name: "BenchmarkSlow", Median: baseNs},
+			"BenchmarkFast": {Name: "BenchmarkFast", Median: testNs},
 		}
 	}
 	tests := []struct {
@@ -121,12 +121,12 @@ func TestSpeedupGate(t *testing.T) {
 	for _, tc := range tests {
 		sum := mk(tc.base, tc.test)
 		if tc.dropBase {
-			delete(sum, "BenchmarkFig13Shard1")
+			delete(sum, "BenchmarkSlow")
 		}
 		if tc.drop {
-			delete(sum, "BenchmarkFig13Sharded")
+			delete(sum, "BenchmarkFast")
 		}
-		msg, ok := SpeedupGate(sum, "BenchmarkFig13Shard1", "BenchmarkFig13Sharded", tc.min)
+		msg, ok := SpeedupGate(sum, "BenchmarkSlow", "BenchmarkFast", tc.min)
 		if ok != tc.want {
 			t.Errorf("%s: SpeedupGate = %v (%s), want %v", tc.name, ok, msg, tc.want)
 		}

@@ -12,16 +12,13 @@
 //	sabench -app spmv      -variant csr|ebehw|ebesw
 //	sabench -app moldyn    -variant nosa|hw|sw -mol 903 -cutoff 8
 //
-// Common flags: -trace FILE (dump the reference trace as CSV), -seed N,
-// -shards N (tick the machine's bank clusters on N parallel workers;
-// output is byte-identical for every N).
+// Common flags: -trace FILE (dump the reference trace as CSV), -seed N.
 //
 // Multi-node replay: -nodes N (N > 1) replays the histogram's scatter-add
 // reference stream on the N-node system instead of one machine, with
 // -topology selecting the interconnect (flat, flat+comb, hypercube, tree,
-// tree+comb, mesh, mesh+comb) and -fanin the tree switch fan-in; -shards
-// then partitions the nodes across workers. The bins are verified against
-// the sequential reference either way.
+// tree+comb, mesh, mesh+comb) and -fanin the tree switch fan-in. The bins
+// are verified against the sequential reference either way.
 //
 // Request-lifecycle spans: -span-out FILE samples 1 in -span-rate memory
 // operations and writes either a Perfetto/Chrome trace-event JSON
@@ -61,7 +58,6 @@ func main() {
 	mol := flag.Int("mol", 903, "moldyn molecule count")
 	cutoff := flag.Float64("cutoff", 8.0, "moldyn neighbor cutoff")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	shards := flag.Int("shards", 1, "bank-cluster shards ticking the machine in parallel (1 = sequential; output is byte-identical for every value)")
 	nodes := flag.Int("nodes", 1, "replay the histogram on an N-node system instead of one machine (N > 1)")
 	topology := flag.String("topology", "flat", "interconnect for -nodes: flat, flat+comb, hypercube, tree, tree+comb, mesh, mesh+comb")
 	fanin := flag.Int("fanin", 0, "tree switch fan-in for -nodes -topology tree* (0 = default 4)")
@@ -80,13 +76,9 @@ func main() {
 	if addr := sess.HTTPAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "sabench: pprof at http://%s/debug/pprof/\n", addr)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "sabench: -shards %d invalid (want >= 1)\n", *shards)
-		os.Exit(2)
-	}
 	sp := spanOpts{out: *spanOut, format: *spanFormat, rate: *spanRate}
 	if *nodes > 1 {
-		if err := runMultiNode(*app, *nodes, *topology, *fanin, *n, *rangeSize, *seed, *shards); err != nil {
+		if err := runMultiNode(*app, *nodes, *topology, *fanin, *n, *rangeSize, *seed); err != nil {
 			sess.Stop()
 			fmt.Fprintf(os.Stderr, "sabench: %v\n", err)
 			os.Exit(1)
@@ -97,7 +89,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*app, *variant, *n, *rangeSize, *batch, *mol, *cutoff, *seed, *shards, *traceOut, sp); err != nil {
+	if err := run(*app, *variant, *n, *rangeSize, *batch, *mol, *cutoff, *seed, *traceOut, sp); err != nil {
 		sess.Stop()
 		fmt.Fprintf(os.Stderr, "sabench: %v\n", err)
 		os.Exit(1)
@@ -108,11 +100,8 @@ func main() {
 	}
 }
 
-func run(app, variant string, n, rangeSize, batch, mol int, cutoff float64, seed uint64, shards int, traceOut string, sp spanOpts) error {
-	cfg := machine.DefaultConfig()
-	cfg.Shards = shards
-	m := machine.New(cfg)
-	defer m.Close()
+func run(app, variant string, n, rangeSize, batch, mol int, cutoff float64, seed uint64, traceOut string, sp spanOpts) error {
+	m := machine.New(machine.DefaultConfig())
 	rec := trace.NewRecorder(0)
 	if traceOut != "" {
 		m.SetTracer(rec.Observe)
@@ -222,7 +211,7 @@ func run(app, variant string, n, rangeSize, batch, mol int, cutoff float64, seed
 // runMultiNode replays the histogram's scatter-add reference stream on an
 // N-node system with the chosen interconnect, verifies the bins against the
 // sequential reference, and prints the fabric traffic counters.
-func runMultiNode(app string, nodes int, topoName string, fanIn, n, rangeSize int, seed uint64, shards int) error {
+func runMultiNode(app string, nodes int, topoName string, fanIn, n, rangeSize int, seed uint64) error {
 	if app != "histogram" {
 		return fmt.Errorf("-nodes replay supports -app histogram only (got %q)", app)
 	}
@@ -240,7 +229,6 @@ func runMultiNode(app string, nodes int, topoName string, fanIn, n, rangeSize in
 	ownerSpan := (mem.Addr(rangeSize)/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
 	cfg := multinode.DefaultConfig(nodes, 1, ownerSpan)
 	cfg.Topology = topo
-	cfg.Shards = shards
 	s := multinode.New(cfg, mem.AddI64)
 	res := s.RunTrace(refs)
 	addrs := make([]mem.Addr, rangeSize)

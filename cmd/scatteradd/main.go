@@ -12,14 +12,9 @@
 //
 //	-scale N      divide dataset sizes by N for a quick run (default 1 = paper scale)
 //	-jobs N       run up to N independent simulations concurrently (default NumCPU;
-//	              1 = sequential; output is byte-identical for every N)
-//	-shards N     split each simulation's compute across N worker shards
-//	              advancing in lockstep: multi-node figures shard per-node
-//	              engines, single-machine figures shard the machine's bank
-//	              clusters (output is byte-identical for every N; 1 =
-//	              sequential). The default "auto" picks a width from the
-//	              CPUs left over after the -jobs pool and logs the choice —
-//	              with the default one-worker-per-CPU -jobs it resolves to 1.
+//	              1 = sequential; output is byte-identical for every N). Each
+//	              simulation runs on one goroutine, so -jobs is the only
+//	              parallelism.
 //	-seed N       perturb every workload seed (default 0 = the paper's fixed seeds)
 //	-csv          emit CSV instead of aligned text
 //	-stats        append a hardware performance-counter appendix to each table
@@ -46,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"scatteradd"
@@ -56,7 +50,6 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "divide dataset sizes by N (1 = full paper scale)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations (1 = sequential)")
-	shards := flag.String("shards", "auto", "worker shards inside each simulation (N >= 1, or \"auto\" = CPUs left over after -jobs; 1 with the default -jobs)")
 	seed := flag.Uint64("seed", 0, "perturb workload seeds (0 = the paper's fixed seeds)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	doPlot := flag.Bool("plot", false, "also render ASCII charts of the figures")
@@ -78,11 +71,6 @@ func main() {
 	}
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "scatteradd: -jobs %d invalid (want >= 1)\n", *jobs)
-		os.Exit(2)
-	}
-	nShards, err := parseShards(*shards, *jobs, *scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scatteradd: %v\n", err)
 		os.Exit(2)
 	}
 	if *spanRate < 1 {
@@ -119,7 +107,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scatteradd: pprof at http://%s/debug/pprof/\n", addr)
 	}
 	o := scatteradd.ExpOptions{
-		Scale: *scale, Jobs: *jobs, Shards: nShards, Seed: *seed,
+		Scale: *scale, Jobs: *jobs, Seed: *seed,
 		CollectStats: *withStats, CollectSpans: *withSpans, SpanRate: *spanRate,
 		Legacy: *legacy,
 		Faults: fc, CheckpointDir: *checkpoint,
@@ -138,25 +126,8 @@ func main() {
 	}
 }
 
-// parseShards resolves the -shards flag: a positive integer passes through,
-// "auto" asks the experiment layer's policy for a width (logged, since the
-// choice depends on this host's CPU count and the -jobs pool).
-func parseShards(s string, jobs, scale int) (int, error) {
-	if s == "auto" {
-		n := scatteradd.AutoShards(jobs, scale)
-		fmt.Fprintf(os.Stderr, "scatteradd: -shards auto resolved to %d (%d CPUs, %d jobs)\n",
-			n, runtime.NumCPU(), jobs)
-		return n, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-shards %q invalid (want an integer >= 1 or \"auto\")", s)
-	}
-	return n, nil
-}
-
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: scatteradd [-scale N] [-jobs N] [-shards N|auto] [-seed N] [-csv] [-stats] [-spans] [-faults X] [-checkpoint DIR] <experiment>...
+	fmt.Fprintf(os.Stderr, `usage: scatteradd [-scale N] [-jobs N] [-seed N] [-csv] [-stats] [-spans] [-faults X] [-checkpoint DIR] <experiment>...
 
 experiments:
   table1           machine parameters (paper Table 1)

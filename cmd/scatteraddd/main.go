@@ -45,13 +45,12 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = NumCPU)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond the workers (0 = no waiting room)")
-	runJobs := flag.Int("run-jobs", 1, "parallel jobs within one simulation (exp -jobs)")
+	runJobs := flag.Int("run-jobs", 1, "concurrent simulations within one request (exp -jobs)")
 	cache := flag.Int("cache", 256, "result-cache entries (0 = disabled; identical in-flight requests still coalesce)")
 	cacheDir := flag.String("cache-dir", "", "persist the result-cache index here across restarts (optional)")
 	quotaRPS := flag.Float64("quota-rps", 0, "per-tenant request rate (0 = quotas off)")
 	quotaBurst := flag.Int("quota-burst", 10, "per-tenant token-bucket burst")
 	minScale := flag.Int("min-scale", 1, "reject specs with scale below this (larger scale = smaller datasets)")
-	maxShards := flag.Int("max-shards", 64, "reject specs with more shards than this")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "maximum time to wait for in-flight requests on shutdown")
 	telemetry := flag.Bool("telemetry", true, "RED metrics on /metrics, request tracing, /debug/slowz slow-trace capture")
 	slowTraces := flag.Int("slow-traces", 32, "slowest request traces retained for /debug/slowz (0 = none)")
@@ -88,7 +87,7 @@ func main() {
 		CacheDir:     *cacheDir,
 		QuotaRPS:     *quotaRPS,
 		QuotaBurst:   *quotaBurst,
-		Limits:       server.Limits{MinScale: *minScale, MaxShards: *maxShards},
+		Limits:       server.Limits{MinScale: *minScale},
 		Obs:          observer,
 	})
 

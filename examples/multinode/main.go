@@ -32,11 +32,11 @@ func main() {
 	configs := []struct {
 		label     string
 		bandwidth int
-		combining bool
+		topo      scatteradd.Topology
 	}{
-		{"high-bandwidth network (8 w/cyc)", 8, false},
-		{"low-bandwidth network (1 w/cyc)", 1, false},
-		{"low-bandwidth + cache combining", 1, true},
+		{"high-bandwidth network (8 w/cyc)", 8, scatteradd.FlatTopology()},
+		{"low-bandwidth network (1 w/cyc)", 1, scatteradd.FlatTopology()},
+		{"low-bandwidth + cache combining", 1, scatteradd.FlatCombiningTopology()},
 	}
 
 	fmt.Printf("narrow histogram trace: %d scatter-adds over %d bins\n\n", n, rangeSize)
@@ -46,7 +46,7 @@ func main() {
 		for _, nodes := range []int{1, 2, 4, 8} {
 			span := scatteradd.Addr((rangeSize/nodes + 8) &^ 7)
 			cfg := scatteradd.DefaultMultiNodeConfig(nodes, c.bandwidth, span)
-			cfg.Combining = c.combining
+			cfg.Topology = c.topo
 			s := scatteradd.NewMultiNode(cfg, scatteradd.AddI64)
 			res := s.RunTrace(refs)
 			fmt.Printf("  %8.1f", res.GBps())
@@ -66,7 +66,7 @@ func main() {
 	fmt.Println("\nresilience demo: low-bandwidth + combining, 8 nodes, chaos faults on")
 	span := scatteradd.Addr((rangeSize/8 + 8) &^ 7)
 	cfg := scatteradd.DefaultMultiNodeConfig(8, 1, span)
-	cfg.Combining = true
+	cfg.Topology = scatteradd.FlatCombiningTopology()
 	cfg.Faults = scatteradd.DefaultChaosFaults()
 	s := scatteradd.NewMultiNode(cfg, scatteradd.AddI64)
 	res := s.RunTrace(refs)

@@ -134,11 +134,23 @@ func render(fset *token.FileSet, n any) string {
 	return wsRE.ReplaceAllString(strings.TrimSpace(b.String()), " ")
 }
 
-// Format renders a surface as the canonical golden-file text: one
-// "name :: signature" line per declaration.
-func Format(decls []Decl) string {
+// Removal is a deliberate API break recorded in a golden file as a
+// "# removed: NAME (reason)" line. Compare accepts the removal of a recorded
+// symbol; the removal of any other symbol stays a breaking change.
+type Removal struct {
+	Name, Reason string
+}
+
+const removedPrefix = "# removed: "
+
+// Format renders a surface as the canonical golden-file text: the recorded
+// removals, then one "name :: signature" line per declaration.
+func Format(decls []Decl, removed ...Removal) string {
 	var b strings.Builder
-	b.WriteString("# Exported API surface. Regenerate with: go run ./cmd/apicheck -write\n")
+	b.WriteString("# Exported API surface. Regenerate with: go run ./cmd/apicheck -golden API.txt -write\n")
+	for _, r := range removed {
+		fmt.Fprintf(&b, "%s%s (%s)\n", removedPrefix, r.Name, r.Reason)
+	}
 	for _, d := range decls {
 		fmt.Fprintf(&b, "%s :: %s\n", d.Name, d.Sig)
 	}
@@ -163,10 +175,27 @@ func Parse(text string) []Decl {
 	return decls
 }
 
+// ParseRemovals reads the "# removed: NAME (reason)" records of a
+// golden-file text, in file order.
+func ParseRemovals(text string) []Removal {
+	var out []Removal
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(line), removedPrefix)
+		if !ok {
+			continue
+		}
+		name, reason, _ := strings.Cut(rest, " ")
+		reason = strings.TrimSuffix(strings.TrimPrefix(reason, "("), ")")
+		out = append(out, Removal{Name: name, Reason: reason})
+	}
+	return out
+}
+
 // Compare diffs a new surface against an old one under API-compatibility
-// rules: removals and signature changes are breaking, additions are fine.
-// It returns the breaking findings (empty = compatible) and the additions.
-func Compare(old, new []Decl) (breaking, additions []string) {
+// rules: removals and signature changes are breaking, additions are fine,
+// and so is the removal of a symbol listed in removed. It returns the
+// breaking findings (empty = compatible) and the additions.
+func Compare(old, new []Decl, removed ...Removal) (breaking, additions []string) {
 	oldBy := map[string]string{}
 	for _, d := range old {
 		oldBy[d.Name] = d.Sig
@@ -180,8 +209,12 @@ func Compare(old, new []Decl) (breaking, additions []string) {
 			breaking = append(breaking, fmt.Sprintf("changed: %s\n  old: %s\n  new: %s", d.Name, oldSig, d.Sig))
 		}
 	}
+	recorded := map[string]bool{}
+	for _, r := range removed {
+		recorded[r.Name] = true
+	}
 	for _, d := range old {
-		if _, ok := newBy[d.Name]; !ok {
+		if _, ok := newBy[d.Name]; !ok && !recorded[d.Name] {
 			breaking = append(breaking, fmt.Sprintf("removed: %s :: %s", d.Name, d.Sig))
 		}
 	}

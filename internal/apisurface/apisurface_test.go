@@ -91,3 +91,23 @@ func TestCompareRules(t *testing.T) {
 		t.Fatalf("additions = %v", additions)
 	}
 }
+
+// TestRemovalRecords: "# removed:" records round-trip through Format and
+// ParseRemovals, Parse ignores them, and Compare accepts exactly the
+// recorded removals.
+func TestRemovalRecords(t *testing.T) {
+	decls := []Decl{{Name: "Kept", Sig: "func Kept()"}}
+	rec := []Removal{{Name: "Gone", Reason: "superseded by Kept"}}
+	text := Format(decls, rec...)
+	if got := ParseRemovals(text); !reflect.DeepEqual(got, rec) {
+		t.Fatalf("removals round trip: %#v != %#v", got, rec)
+	}
+	if got := Parse(text); !reflect.DeepEqual(got, decls) {
+		t.Fatalf("Parse picked up a removal record: %#v", got)
+	}
+	old := []Decl{{Name: "Gone", Sig: "func Gone()"}, {Name: "Other", Sig: "func Other()"}, decls[0]}
+	breaking, _ := Compare(old, decls, rec...)
+	if len(breaking) != 1 || !strings.HasPrefix(breaking[0], "removed: Other") {
+		t.Fatalf("breaking = %v, want only the unrecorded removal of Other", breaking)
+	}
+}

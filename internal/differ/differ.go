@@ -10,13 +10,6 @@
 // Any divergence means a component's NextEvent contract is wrong: it
 // reported quiescence over a cycle in which it would have done observable
 // work, or its Skip failed to apply a per-cycle counter effect.
-//
-// The same machinery gates the intra-run shard scheduler (DiffSharded):
-// a figure generated with every multi-node simulation's compute phase
-// fanned across worker shards must be indistinguishable from the
-// sequential run — in both stepping modes and under fault injection. There
-// a divergence means the two-phase step let a compute-phase write escape
-// its shard (shared state that belonged in an exchange phase).
 package differ
 
 import (
@@ -73,32 +66,6 @@ func Diff(fig int, o exp.Options) error {
 	}
 	if err := Compare(ff, legacy); err != nil {
 		return fmt.Errorf("fig %d: fast-forward diverges from per-cycle stepping: %w", fig, err)
-	}
-	return nil
-}
-
-// DiffSharded runs figure fig with intra-run sharding (shards worker
-// shards per simulation) and sequentially, with full stats and span
-// collection, in the stepping mode selected by o.Legacy, and returns an
-// error describing the first divergence. It is the safety net of the
-// epoch-parallel engine: any difference means a compute-phase write leaked
-// across a shard boundary (state the two-phase step should have confined
-// to the exchange phases).
-func DiffSharded(fig, shards int, o exp.Options) error {
-	o.CollectStats = true
-	o.CollectSpans = true
-	o.Shards = shards
-	sharded, err := Run(fig, o)
-	if err != nil {
-		return err
-	}
-	o.Shards = 1
-	sequential, err := Run(fig, o)
-	if err != nil {
-		return err
-	}
-	if err := Compare(sharded, sequential); err != nil {
-		return fmt.Errorf("fig %d: %d-shard run diverges from sequential: %w", fig, shards, err)
 	}
 	return nil
 }

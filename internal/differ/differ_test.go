@@ -130,109 +130,6 @@ func TestFastForwardEquivalenceWithFaults(t *testing.T) {
 	}
 }
 
-// shardedFigsUnderTest returns the figure set for the sharded gates.
-// Under the race detector (with no explicit FFDIFF_FIGS) it narrows to
-// Fig. 6 and Fig. 13 — one single-machine figure exercising the bank-cluster
-// spin pool and the multi-node figure exercising the per-node worker pool:
-// race instrumentation makes the full-figure sweeps ~10x slower, and the
-// remaining single-machine figures run the same sharded machine code path
-// Fig. 6 does. The full matrix runs un-instrumented in the regular test job
-// and the sharded-equivalence CI job.
-func shardedFigsUnderTest(t *testing.T) []int {
-	if raceEnabled && os.Getenv("FFDIFF_FIGS") == "" {
-		return []int{6, 13}
-	}
-	return figsUnderTest(t)
-}
-
-// shardedScaleUnderTest shrinks the sharded gates' dataset under the race
-// detector (unless FFDIFF_SCALE pins one): the shard pool crosses two
-// channel hops per simulated cycle, which race instrumentation makes an
-// order of magnitude slower. Byte-equivalence is scale-independent — the
-// full-size sweep runs un-instrumented.
-func shardedScaleUnderTest(t *testing.T) int {
-	if raceEnabled && os.Getenv("FFDIFF_SCALE") == "" {
-		return 32
-	}
-	return scaleUnderTest(t)
-}
-
-// TestShardedEquivalence is the shard scheduler's differential gate: every
-// figure must produce byte-identical output — rendered table, raw counter
-// snapshot, span reports — whether each simulation runs sequentially or
-// fanned across 2 or 4 worker shards. Multi-node figures shard their
-// per-node engines; single-machine figures (6-12) shard the machine's bank
-// clusters, so the whole evaluation now exercises a parallel tick path that
-// this gate pins against its sequential twin.
-func TestShardedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential gate runs full figure suites")
-	}
-	scale := shardedScaleUnderTest(t)
-	for _, fig := range shardedFigsUnderTest(t) {
-		for _, shards := range []int{2, 4} {
-			fig, shards := fig, shards
-			t.Run(fmt.Sprintf("fig%d/shards%d", fig, shards), func(t *testing.T) {
-				t.Parallel()
-				if err := DiffSharded(fig, shards, exp.Options{Scale: scale, Jobs: 1}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// TestShardedEquivalenceLegacyStepping covers the other stepping mode: the
-// sharded step wrapped in per-cycle stepping (no fast-forward) must also
-// match its sequential twin on every figure. Fig. 13 is the only
-// multi-node figure, so it is the one that can actually diverge.
-func TestShardedEquivalenceLegacyStepping(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential gate runs full figure suites")
-	}
-	scale := shardedScaleUnderTest(t)
-	for _, fig := range shardedFigsUnderTest(t) {
-		fig := fig
-		t.Run(fmt.Sprintf("fig%d", fig), func(t *testing.T) {
-			t.Parallel()
-			o := exp.Options{Scale: figScale(fig, scale), Jobs: 1, Legacy: true}
-			if err := DiffSharded(fig, 4, o); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestShardedEquivalenceWithFaults is the hardest sharding gate: with every
-// injector firing at the default chaos rate — link drops and duplications,
-// retransmissions, dedup, combining-store scrubs and degradation — a
-// 4-shard run must not move a byte relative to sequential. Fault draws key
-// on (seed, component, event index), and the exchange/commit phases execute
-// in canonical order in both modes, so any divergence means compute-phase
-// state leaked across a shard boundary. Fig. 6 covers the sharded
-// single-machine memory system, Fig. 10 its async-overlap workload shape,
-// Fig. 13 the multi-node link layer, Fig. 14 the multi-hop switch fabrics.
-func TestShardedEquivalenceWithFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential gate runs full figure suites")
-	}
-	scale := shardedScaleUnderTest(t) * 2 // chaos runs are slower; shrink the data
-	figs := []int{6, 10, 13, 14}
-	if raceEnabled && os.Getenv("FFDIFF_FIGS") == "" {
-		figs = []int{6, 13} // see shardedFigsUnderTest
-	}
-	for _, fig := range figs {
-		fig := fig
-		t.Run(fmt.Sprintf("fig%d", fig), func(t *testing.T) {
-			t.Parallel()
-			o := exp.Options{Scale: figScale(fig, scale), Jobs: 1, Faults: fault.DefaultChaos()}
-			if err := DiffSharded(fig, 4, o); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestRunRejectsUnknownFigure covers the error path.
 func TestRunRejectsUnknownFigure(t *testing.T) {
 	if _, err := Run(99, exp.Options{Scale: 8}); err == nil {

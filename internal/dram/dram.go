@@ -122,34 +122,6 @@ type bank struct {
 	busyUntil uint64
 }
 
-// chanStats are one channel's cumulative activity counters. All transaction
-// accounting is confined to the owning channel so that parallel shard
-// workers ticking disjoint channel sets never share a counter; DRAM-wide
-// totals are folded from these at sequential points (Stats, FoldMetrics).
-type chanStats struct {
-	reads, writes       uint64
-	rowHits, rowMisses  uint64
-	precharges          uint64
-	busCycles           uint64
-	stalls              uint64 // Accept attempts refused on this channel
-	faultStalls         uint64
-	faultStallCycles    uint64
-	faultWindowsCrossed uint64
-}
-
-func (s *chanStats) add(o *chanStats) {
-	s.reads += o.reads
-	s.writes += o.writes
-	s.rowHits += o.rowHits
-	s.rowMisses += o.rowMisses
-	s.precharges += o.precharges
-	s.busCycles += o.busCycles
-	s.stalls += o.stalls
-	s.faultStalls += o.faultStalls
-	s.faultStallCycles += o.faultStallCycles
-	s.faultWindowsCrossed += o.faultWindowsCrossed
-}
-
 type channel struct {
 	queue   []chanReq
 	banks   []bank
@@ -163,8 +135,6 @@ type channel struct {
 	pendHead int
 	resps    []LineResp
 	respHead int
-
-	st chanStats
 
 	// Fault injection: a per-channel stall stream (so the Bernoulli draw
 	// order is a pure function of the channel's own issue sequence, not of
@@ -218,18 +188,16 @@ type DRAM struct {
 	cfg      Config
 	store    *mem.Store
 	channels []channel
-	queued   int // total requests queued across channels (unpartitioned mode)
+	queued   int    // total requests queued across channels
+	stalls   uint64 // Accept attempts refused because a queue was full
 	met      metrics
-	folded   chanStats // counter totals already folded into met (partitioned mode)
-	rrChan   int       // round-robin pointer for response draining
+	rrChan   int // round-robin pointer for response draining
 	tr       *span.Tracer
 	track    string
 
-	// partitioned marks the DRAM as channel-partitioned across parallel
-	// shard workers (SetPartitioned): global accounting (the queue-depth
-	// gauge, the met counters) moves off the per-transaction path onto
-	// sequential fold points so shard ticks never share a counter.
-	partitioned bool
+	// depthPerCycle moves the queue-depth gauge off the accept path onto
+	// the owner's once-per-cycle SyncQueueDepth (SampleQueueDepthPerCycle).
+	depthPerCycle bool
 
 	// Fault injection (zero when disabled).
 	stallCycles uint64
@@ -255,19 +223,15 @@ func New(cfg Config) *DRAM {
 // and result readback).
 func (d *DRAM) Store() *mem.Store { return d.store }
 
-// Stats returns a copy of the activity counters, folded across channels.
+// Stats returns a copy of the activity counters.
 func (d *DRAM) Stats() Stats {
-	var sum chanStats
-	for i := range d.channels {
-		sum.add(&d.channels[i].st)
-	}
 	return Stats{
-		Reads:     sum.reads,
-		Writes:    sum.writes,
-		RowHits:   sum.rowHits,
-		RowMisses: sum.rowMisses,
-		BusCycles: sum.busCycles,
-		Stalls:    sum.stalls,
+		Reads:     d.met.reads.Value(),
+		Writes:    d.met.writes.Value(),
+		RowHits:   d.met.rowHits.Value(),
+		RowMisses: d.met.rowMisses.Value(),
+		BusCycles: d.met.busBusy.Value(),
+		Stalls:    d.stalls,
 	}
 }
 
@@ -294,8 +258,8 @@ func (d *DRAM) SetSpanTracer(tr *span.Tracer, track string) {
 //     transaction times out and retries internally, charging DRAMStallCycles
 //     of extra latency. Each channel owns its own Bernoulli stream, drawn
 //     once per issued transaction, so the draw order is a pure function of
-//     the channel's issue sequence — identical under legacy stepping,
-//     fast-forward, and any shard partition of the channels.
+//     the channel's issue sequence — identical under legacy stepping and
+//     fast-forward, and independent of the order channels are ticked in.
 //
 //   - Channel outage windows: each channel owns a stateless fault.Windows
 //     schedule during which it issues nothing. The schedule is a pure
@@ -344,15 +308,15 @@ func (d *DRAM) Accept(now uint64, r LineReq) bool {
 	}
 	ch := &d.channels[d.channelOf(r.Line)]
 	if len(ch.queue) >= d.cfg.QueueDepth {
-		ch.st.stalls++
+		d.stalls++
 		return false
 	}
 	if r.Write {
 		d.store.StoreLine(r.Line, &r.Data)
 	}
 	ch.queue = append(ch.queue, chanReq{req: r, arrival: now})
-	if !d.partitioned {
-		d.queued++
+	d.queued++
+	if !d.depthPerCycle {
 		d.met.queueDepth.Set(int64(d.queued))
 	}
 	return true
@@ -398,34 +362,32 @@ func (d *DRAM) schedule(now uint64, ch *channel) int {
 	return pick
 }
 
-// Tick advances all channels by one cycle.
+// Tick advances all channels by one cycle, in channel order.
 func (d *DRAM) Tick(now uint64) {
 	for ci := range d.channels {
-		d.tickChannel(now, ci, d.tr)
+		d.tickChannel(now, ci)
 	}
-	d.FoldMetrics()
 }
 
-// SetPartitioned marks the DRAM as channel-partitioned across parallel shard
-// workers. The owner then drives channels with TickChannels/DrainResponses/
-// NextEventChannels and is responsible for calling FoldMetrics and
-// SyncQueueDepth at sequential points; the per-transaction global accounting
-// (queue-depth gauge updates in Accept) is suppressed so shard ticks never
-// write shared state.
-func (d *DRAM) SetPartitioned() { d.partitioned = true }
+// SampleQueueDepthPerCycle moves the queue-depth gauge off the accept path:
+// Accept stops updating it, and the owner calls SyncQueueDepth once per
+// cycle instead, so the gauge's high-water mark tracks end-of-cycle totals
+// rather than the peak between an accept and the same cycle's issue. The
+// single-node machine samples this way and multi-node systems keep the
+// per-accept gauge; the two yield different -stats bytes.
+func (d *DRAM) SampleQueueDepthPerCycle() { d.depthPerCycle = true }
 
-// TickChannels advances exactly the given channels by one cycle, recording
-// any spans on tr. Writes are confined to those channels (plus the
-// synchronized store), so disjoint channel sets may tick concurrently.
-func (d *DRAM) TickChannels(now uint64, chans []int, tr *span.Tracer) {
+// TickChannels advances exactly the given channels by one cycle, in list
+// order.
+func (d *DRAM) TickChannels(now uint64, chans []int) {
 	for _, ci := range chans {
-		d.tickChannel(now, ci, tr)
+		d.tickChannel(now, ci)
 	}
 }
 
 // DrainResponses pops every completed read on the given channels, in channel
 // list order, into fn. Unlike the round-robin PopResponse it never consults
-// other channels, so disjoint channel sets may drain concurrently.
+// other channels.
 func (d *DRAM) DrainResponses(chans []int, fn func(LineResp)) {
 	for _, ci := range chans {
 		ch := &d.channels[ci]
@@ -437,68 +399,12 @@ func (d *DRAM) DrainResponses(chans []int, fn func(LineResp)) {
 	}
 }
 
-// NextEventChannels is NextEvent restricted to the given channels.
-func (d *DRAM) NextEventChannels(now uint64, chans []int) uint64 {
-	ev := sim.Never
-	for _, ci := range chans {
-		ch := &d.channels[ci]
-		if ch.respHead < len(ch.resps) {
-			return now
-		}
-		if ch.pendHead < len(ch.pending) && ch.pending[ch.pendHead].ready < ev {
-			ev = ch.pending[ch.pendHead].ready
-		}
-		if len(ch.queue) > 0 {
-			if t := d.nextIssue(now, ch); t < ev {
-				ev = t
-			}
-		}
-	}
-	if ev < now {
-		return now
-	}
-	return ev
-}
-
-// FoldMetrics folds the per-channel accumulators into the performance-
-// counter group, adding only the delta since the previous fold. The whole-
-// DRAM Tick folds every cycle; a partitioned owner folds at sequential
-// points (the fold order is fixed, and counters are order-insensitive sums,
-// so the folded values are identical for any shard count).
-func (d *DRAM) FoldMetrics() {
-	var cur chanStats
-	for i := range d.channels {
-		cur.add(&d.channels[i].st)
-	}
-	d.met.rowHits.Add(cur.rowHits - d.folded.rowHits)
-	d.met.rowMisses.Add(cur.rowMisses - d.folded.rowMisses)
-	d.met.precharges.Add(cur.precharges - d.folded.precharges)
-	d.met.busBusy.Add(cur.busCycles - d.folded.busCycles)
-	d.met.reads.Add(cur.reads - d.folded.reads)
-	d.met.writes.Add(cur.writes - d.folded.writes)
-	d.met.faultStalls.Add(cur.faultStalls - d.folded.faultStalls)
-	d.met.faultStallCycles.Add(cur.faultStallCycles - d.folded.faultStallCycles)
-	d.met.faultWindows.Add(cur.faultWindowsCrossed - d.folded.faultWindowsCrossed)
-	d.folded = cur
-}
-
 // SyncQueueDepth samples the total queued requests across all channels into
-// the queue-depth gauge. A partitioned owner calls it once per cycle at a
-// sequential point (the gauge's high-water mark then tracks end-of-cycle
-// totals, which are scheduling-independent).
-func (d *DRAM) SyncQueueDepth() {
-	total := 0
-	for i := range d.channels {
-		total += len(d.channels[i].queue)
-	}
-	d.met.queueDepth.Set(int64(total))
-}
+// the queue-depth gauge (see SampleQueueDepthPerCycle).
+func (d *DRAM) SyncQueueDepth() { d.met.queueDepth.Set(int64(d.queued)) }
 
-// tickChannel advances one channel by one cycle. All writes are confined to
-// the channel itself (plus the synchronized store), so parallel shard
-// workers may tick disjoint channel sets concurrently. Spans are recorded on
-// tr — the caller's tracer for the shard that owns this channel.
-func (d *DRAM) tickChannel(now uint64, ci int, tr *span.Tracer) {
+// tickChannel advances one channel by one cycle.
+func (d *DRAM) tickChannel(now uint64, ci int) {
 	ch := &d.channels[ci]
 	// Retire pending reads whose data has arrived.
 	for ch.pendHead < len(ch.pending) && ch.pending[ch.pendHead].ready <= now {
@@ -515,32 +421,30 @@ func (d *DRAM) tickChannel(now uint64, ci int, tr *span.Tracer) {
 	}
 	cr := ch.queue[i]
 	ch.queue = append(ch.queue[:i], ch.queue[i+1:]...)
-	if !d.partitioned {
-		d.queued--
-	}
+	d.queued--
 	b, row := d.bankRowOf(cr.req.Line)
 	bk := &ch.banks[b]
 	lat := uint64(d.cfg.TCas)
 	if ch.windows != nil {
 		// Charge outage windows entered since the previous issue; both
 		// stepping modes issue at identical cycles, so counts match.
-		ch.st.faultWindowsCrossed += ch.windows.CountIn(ch.winCursor, now)
+		d.met.faultWindows.Add(ch.windows.CountIn(ch.winCursor, now))
 		ch.winCursor = now
 	}
 	if ch.stallInj.Fire() {
 		// Injected timeout: the transaction retries internally and
 		// completes late. One draw per issued transaction.
 		lat += d.stallCycles
-		ch.st.faultStalls++
-		ch.st.faultStallCycles += d.stallCycles
+		d.met.faultStalls.Inc()
+		d.met.faultStallCycles.Add(d.stallCycles)
 	}
 	rowHit := bk.openRow == row
 	if rowHit {
-		ch.st.rowHits++
+		d.met.rowHits.Inc()
 	} else {
-		ch.st.rowMisses++
+		d.met.rowMisses.Inc()
 		if bk.openRow >= 0 {
-			ch.st.precharges++
+			d.met.precharges.Inc()
 		}
 		lat += uint64(d.cfg.TRowMiss)
 		bk.openRow = row
@@ -548,8 +452,8 @@ func (d *DRAM) tickChannel(now uint64, ci int, tr *span.Tracer) {
 	bus := uint64(d.cfg.BusCyclesPerLn)
 	bk.busyUntil = now + lat + bus
 	ch.busFree = now + lat + bus // serialize transfers on the channel bus
-	ch.st.busCycles += bus
-	if tr != nil {
+	d.met.busBusy.Add(bus)
+	if d.tr != nil {
 		// One serialized service span per channel transaction, with
 		// the queueing delay and row outcome in the slice name.
 		rw, rowTag := "rd", "hit"
@@ -559,15 +463,15 @@ func (d *DRAM) tickChannel(now uint64, ci int, tr *span.Tracer) {
 		if !rowHit {
 			rowTag = "miss"
 		}
-		tr.Span(fmt.Sprintf("%s[%d]", d.track, ci),
+		d.tr.Span(fmt.Sprintf("%s[%d]", d.track, ci),
 			fmt.Sprintf("%s line=%d q=%d row-%s", rw, cr.req.Line, now-cr.arrival, rowTag),
 			now, now+lat+bus)
 	}
 	if cr.req.Write {
-		ch.st.writes++
+		d.met.writes.Inc()
 		return // data already in store; no response
 	}
-	ch.st.reads++
+	d.met.reads.Inc()
 	resp := LineResp{ID: cr.req.ID, Line: cr.req.Line}
 	d.store.LoadLine(cr.req.Line, &resp.Data)
 	ch.pending = append(ch.pending, pendingResp{resp: resp, ready: now + lat + bus})

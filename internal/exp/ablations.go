@@ -33,7 +33,6 @@ func ablationDRAMSched(o Options) Table {
 		cfg.DRAM.Policy = pol
 		cfg.LegacyStepping = o.Legacy
 		cfg.Faults = o.Faults
-		cfg.Shards = o.shards()
 		m := machine.New(cfg)
 		h := apps.NewHistogram(n, 1<<20, o.seed(0xAB1))
 		res := h.RunHW(m)
@@ -67,7 +66,6 @@ func ablationSAPlacement(o Options) Table {
 		cfg.SA.PortWidth = 8 / banks
 		cfg.LegacyStepping = o.Legacy
 		cfg.Faults = o.Faults
-		cfg.Shards = o.shards()
 		m := machine.New(cfg)
 		h := apps.NewHistogram(n, 2048, o.seed(0xAB2))
 		res := h.RunHW(m)
@@ -126,7 +124,6 @@ func ablationEagerCombine(o Options) Table {
 		cfg.SA.EagerCombine = eager
 		cfg.LegacyStepping = o.Legacy
 		cfg.Faults = o.Faults
-		cfg.Shards = o.shards()
 		m := machine.New(cfg)
 		h := apps.NewHistogram(n, 64, o.seed(0xAB4))
 		res := h.RunHW(m)
@@ -218,7 +215,6 @@ func ablationWritePolicy(o Options) Table {
 		cfg.Cache.WriteNoAllocate = noAlloc
 		cfg.LegacyStepping = o.Legacy
 		cfg.Faults = o.Faults
-		cfg.Shards = o.shards()
 		m := machine.New(cfg)
 		res := m.RunOp(machine.StoreStream("result", 0, vals))
 		m.FlushCaches()
@@ -274,11 +270,12 @@ func ablationHierarchical(o Options) Table {
 	t.Rows = mapN(o, len(points), func(i int) []string {
 		p := points[i]
 		cfg := multinode.DefaultConfig(p.nodes, 1, span)
-		cfg.Combining = true
-		cfg.Hierarchical = p.hier
+		cfg.Topology = multinode.FlatCombining()
+		if p.hier {
+			cfg.Topology = multinode.Hypercube()
+		}
 		cfg.LegacyStepping = o.Legacy
 		cfg.Faults = o.Faults
-		cfg.Shards = o.shards()
 		s := multinode.New(cfg, mem.AddI64)
 		res := s.RunTrace(refs)
 		label := "linear"
@@ -309,7 +306,6 @@ func ablationCombiningStore(o Options) Table {
 		cfg.SA.Entries = entries
 		cfg.LegacyStepping = o.Legacy
 		cfg.Faults = o.Faults
-		cfg.Shards = o.shards()
 		m := machine.New(cfg)
 		h := apps.NewHistogram(n, 65536, o.seed(0xAB5))
 		res := h.RunHW(m)

@@ -34,11 +34,11 @@ type checkpointFile struct {
 // Options or fault.Config field can neither spuriously invalidate a snapshot
 // nor (worse) silently keep serving one produced under different semantics.
 //
-// Jobs and Shards are deliberately absent: neither the worker count nor the
-// intra-run shard count ever changes rendered bytes (enforced by
-// TestReportDeterministicAcrossJobs, TestReportDeterministicAcrossShards,
-// and internal/differ), so a sequential resume of a parallel sweep still
-// hits its snapshots. Progress is a pure observer and is likewise absent.
+// Jobs is deliberately absent: the worker count never changes rendered
+// bytes (enforced by TestReportDeterministicAcrossJobs), so a sequential
+// resume of a parallel sweep still hits its snapshots. Progress is a pure
+// observer and is likewise absent. TestFingerprintGolden pins the exact
+// encoding of one fixed Options value.
 //
 // Beyond checkpoints, the fingerprint is the simulation service's result
 // cache and request-coalescing key (internal/server): two requests whose

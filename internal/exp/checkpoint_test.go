@@ -119,10 +119,10 @@ func TestFaultedFigureDeterministicAcrossJobs(t *testing.T) {
 
 // TestFingerprintSemantics pins which options participate in the snapshot
 // match: anything that changes rendered bytes (scale, seed, fault knobs,
-// stepping mode, appendix collection) must invalidate, while pure
-// parallelism knobs (Jobs, Shards) must not — output is byte-identical for
-// every value of either, so a sequential resume of a parallel sweep still
-// hits its snapshots.
+// stepping mode, appendix collection) must invalidate, while the pure
+// parallelism knob (Jobs) must not — output is byte-identical for every
+// value, so a sequential resume of a parallel sweep still hits its
+// snapshots.
 func TestFingerprintSemantics(t *testing.T) {
 	base := Options{Scale: 8, Seed: 1, Faults: fault.DefaultChaos()}
 	fp := base.Fingerprint()
@@ -160,9 +160,6 @@ func TestFingerprintSemantics(t *testing.T) {
 	o.Jobs = 8
 	hit["jobs"] = o
 	o = base
-	o.Shards = 4
-	hit["shards"] = o
-	o = base
 	o.CheckpointDir = "/elsewhere"
 	hit["checkpoint dir"] = o
 	o = base
@@ -175,16 +172,14 @@ func TestFingerprintSemantics(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeAcrossShards drives the fingerprint contract end to
-// end: a snapshot taken by a sharded sweep is served to a sequential resume
-// (and vice versa), while a changed fault seed forces a recompute.
-func TestCheckpointResumeAcrossShards(t *testing.T) {
+// TestCheckpointResumeAcrossJobs drives the fingerprint contract end to
+// end: a snapshot taken by a parallel sweep is served to a sequential
+// resume, while a changed fault seed forces a recompute.
+func TestCheckpointResumeAcrossJobs(t *testing.T) {
 	dir := t.TempDir()
 	// Scale 512 (Fig13 is heavy; the fingerprint contract is size-blind).
-	quick := func() Options { return Options{Scale: 512, Jobs: 2, CheckpointDir: dir} }
-	sharded := quick()
-	sharded.Shards = 4
-	t1 := Fig13(sharded)
+	quick := func(jobs int) Options { return Options{Scale: 512, Jobs: jobs, CheckpointDir: dir} }
+	Fig13(quick(4))
 
 	// Plant a sentinel so a snapshot hit is distinguishable from an
 	// identical recompute.
@@ -203,18 +198,41 @@ func TestCheckpointResumeAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sequential := quick() // Shards zero value
-	if t2 := Fig13(sequential); t2.Title != "SENTINEL" {
-		t.Fatal("sequential resume recomputed instead of hitting the sharded snapshot")
+	if t2 := Fig13(quick(1)); t2.Title != "SENTINEL" {
+		t.Fatal("sequential resume recomputed instead of hitting the parallel sweep's snapshot")
 	}
 
-	reseeded := quick()
+	reseeded := quick(1)
 	reseeded.Faults = fault.DefaultChaos()
 	reseeded.Faults.Seed = 0xFACE
 	if t3 := Fig13(reseeded); t3.Title == "SENTINEL" {
 		t.Fatal("changed fault seed was served the stale snapshot")
 	}
-	_ = t1
+}
+
+// TestFingerprintGolden pins the exact on-disk key of one fixed Options
+// value. Checkpoint files and the simulation server's persisted cache index
+// store this string, so any change to it — a new key, a renamed key, a
+// different encoding — silently orphans every existing snapshot. The
+// expected string was produced before Options lost its Shards field (it
+// never took part in the key), which is what keeps those snapshots valid.
+func TestFingerprintGolden(t *testing.T) {
+	o := Options{
+		Scale: 8, Jobs: 4, Seed: 7,
+		CollectStats: true, CollectSpans: true, SpanRate: 4,
+		Legacy: true, Faults: fault.DefaultChaos(),
+		Topology: "tree+comb", FanIn: 2,
+		CheckpointDir: "/ck",
+	}
+	const want = `{"fanin":2,"faults":{"cs-corrupt":0.001,"degrade-threshold":64,` +
+		`"dram-stall-cycles":300,"dram-stall-rate":0.002,"dram-window-every":50000,` +
+		`"dram-window-rate":0.5,"dram-window-span":500,"fu-error":0.001,"max-retries":24,` +
+		`"net-drop":0.01,"net-dup":0.005,"retry-backoff-cap":6,"retry-timeout":128,` +
+		`"seed":1592654359},"legacy":true,"rate":4,"scale":8,"seed":7,"spans":true,` +
+		`"stats":true,"topology":"tree+comb"}`
+	if got := o.Fingerprint(); got != want {
+		t.Fatalf("fingerprint drifted:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestFingerprintCoversFaultConfig is a tripwire for options-struct drift:
@@ -225,7 +243,7 @@ func TestFingerprintCoversFaultConfig(t *testing.T) {
 	if n := reflect.TypeOf(fault.Config{}).NumField(); n != knownFields {
 		t.Fatalf("fault.Config has %d fields (expected %d): add the new field to Options.fingerprint with a stable key, then update this count", n, knownFields)
 	}
-	if n := reflect.TypeOf(Options{}).NumField(); n != 13 {
+	if n := reflect.TypeOf(Options{}).NumField(); n != 12 {
 		t.Fatalf("Options has %d fields: decide whether the new option affects output, wire it into fingerprint if so, then update this count", n)
 	}
 }

@@ -113,23 +113,12 @@ type Options struct {
 	// Scale divides dataset sizes (1 = full paper scale; 4 = quarter data).
 	Scale int
 	// Jobs bounds the worker pool that runs a figure's independent
-	// (workload, machine) simulations concurrently. 0 means one worker per
-	// CPU (GOMAXPROCS); 1 runs everything sequentially on the caller's
-	// goroutine. Output is byte-identical for every value.
+	// (workload, machine) simulations concurrently; it is the only
+	// parallelism, since each simulation runs start to finish on one
+	// goroutine. 0 means one worker per CPU (GOMAXPROCS); 1 runs everything
+	// sequentially on the caller's goroutine. Output is byte-identical for
+	// every value.
 	Jobs int
-	// Shards partitions each simulation's component groups across a worker
-	// pool, parallelizing *within* one run the way Jobs parallelizes across
-	// runs: multi-node figures (Fig 13, hierarchical ablation) shard their
-	// per-node engines; single-machine figures (6-12) shard the machine's
-	// bank clusters (scatter-add units, cache banks, and the DRAM channels
-	// they own). Per-cycle component compute fans out between deterministic
-	// exchange points, so output is byte-identical for every value (enforced
-	// by internal/differ). 0 picks an automatic width from the CPUs left
-	// over after the Jobs pool claims its workers (see AutoShards) — with
-	// the default one-worker-per-CPU Jobs that resolves to 1; 1 keeps every
-	// run sequential; larger values pass through (component counts clamp
-	// inside the engines).
-	Shards int
 	// Seed perturbs every workload seed (0 = the paper's fixed seeds),
 	// regenerating all figures on statistically fresh datasets.
 	Seed uint64

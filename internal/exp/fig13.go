@@ -23,7 +23,7 @@ type trace struct {
 type traceConfig struct {
 	label     string
 	bandwidth int // words/cycle per node (1 = low, 8 = high)
-	combining bool
+	topo      multinode.Topology
 }
 
 // narrowTrace and wideTrace are the two histogram datasets of §4.5: 64K
@@ -91,10 +91,9 @@ type tracePointOut struct {
 func runTracePoint(o Options, tr trace, tc traceConfig, nodes int) tracePointOut {
 	ownerSpan := (tr.span/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
 	cfg := multinode.DefaultConfig(nodes, tc.bandwidth, ownerSpan)
-	cfg.Combining = tc.combining
+	cfg.Topology = tc.topo
 	cfg.LegacyStepping = o.Legacy
 	cfg.Faults = o.Faults
-	cfg.Shards = o.shards()
 	s := multinode.New(cfg, tr.kind)
 	sp := o.newTracer()
 	s.SetSpanTracer(sp)
@@ -145,16 +144,16 @@ func fig13(o Options) Table {
 		trace string
 		cfg   traceConfig
 	}{
-		{"narrow", traceConfig{"narrow-high", 8, false}},
-		{"narrow", traceConfig{"narrow-low", 1, false}},
-		{"narrow", traceConfig{"narrow-low-comb", 1, true}},
-		{"wide", traceConfig{"wide-high", 8, false}},
-		{"wide", traceConfig{"wide-low", 1, false}},
-		{"wide", traceConfig{"wide-low-comb", 1, true}},
-		{"mole", traceConfig{"mole-low-comb", 1, true}},
-		{"mole", traceConfig{"mole-high-comb", 8, true}},
-		{"spas", traceConfig{"spas-low-comb", 1, true}},
-		{"spas", traceConfig{"spas-high-comb", 8, true}},
+		{"narrow", traceConfig{"narrow-high", 8, multinode.Flat()}},
+		{"narrow", traceConfig{"narrow-low", 1, multinode.Flat()}},
+		{"narrow", traceConfig{"narrow-low-comb", 1, multinode.FlatCombining()}},
+		{"wide", traceConfig{"wide-high", 8, multinode.Flat()}},
+		{"wide", traceConfig{"wide-low", 1, multinode.Flat()}},
+		{"wide", traceConfig{"wide-low-comb", 1, multinode.FlatCombining()}},
+		{"mole", traceConfig{"mole-low-comb", 1, multinode.FlatCombining()}},
+		{"mole", traceConfig{"mole-high-comb", 8, multinode.FlatCombining()}},
+		{"spas", traceConfig{"spas-low-comb", 1, multinode.FlatCombining()}},
+		{"spas", traceConfig{"spas-high-comb", 8, multinode.FlatCombining()}},
 	}
 	// Every (line, node-count) point builds its own multinode.System; the
 	// trace reference streams are shared read-only across points.

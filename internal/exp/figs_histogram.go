@@ -14,7 +14,6 @@ func paperMachine(o Options) *machine.Machine {
 	cfg := machine.DefaultConfig()
 	cfg.LegacyStepping = o.Legacy
 	cfg.Faults = o.Faults
-	cfg.Shards = o.shards()
 	return machine.New(cfg)
 }
 

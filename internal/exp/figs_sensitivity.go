@@ -21,7 +21,6 @@ func sensitivityMachine(o Options, entries, fuLat, memLat, interval int) *machin
 	cfg.UniformMem = &machine.UniformMemConfig{Latency: memLat, Interval: interval}
 	cfg.LegacyStepping = o.Legacy
 	cfg.Faults = o.Faults
-	cfg.Shards = o.shards() // uniform memory runs sequentially; kept for uniformity
 	return machine.New(cfg)
 }
 

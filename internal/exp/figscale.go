@@ -55,7 +55,6 @@ func runScalePoint(o Options, tr trace, name string, nodes int) scalePointOut {
 	cfg.Net.WireDepth = 64
 	cfg.LegacyStepping = o.Legacy
 	cfg.Faults = o.Faults
-	cfg.Shards = o.shards()
 	s := multinode.New(cfg, tr.kind)
 	sp := o.newTracer()
 	s.SetSpanTracer(sp)

@@ -34,39 +34,6 @@ func (o Options) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// AutoShards picks an intra-run shard width for a pool of jobs concurrent
-// runs: the CPUs left over once every worker has one, bounded by the widest
-// useful partition (8 bank clusters / typical node counts), and reined in
-// for heavily scaled-down runs whose short cycles amortize the per-cycle
-// barrier less. Sharding never changes output (internal/differ enforces
-// byte-identity), so the policy is purely a throughput heuristic. Exposed so
-// CLIs can log the width "-shards auto" resolved to.
-func AutoShards(jobs, scale int) int {
-	if jobs < 1 {
-		jobs = 1
-	}
-	per := runtime.NumCPU() / jobs
-	if per < 1 {
-		per = 1
-	}
-	if per > 8 {
-		per = 8
-	}
-	if scale > 4 && per > 2 {
-		per = 2
-	}
-	return per
-}
-
-// shards resolves Options.Shards to the width handed to machine and
-// multinode configs: 0 picks automatically, anything else passes through.
-func (o Options) shards() int {
-	if o.Shards != 0 {
-		return o.Shards
-	}
-	return AutoShards(o.jobs(), o.Scale)
-}
-
 // taskPanic is one captured task panic, tagged with its index and worker
 // stack so forEach can re-raise deterministically.
 type taskPanic struct {

@@ -41,38 +41,6 @@ func TestTickSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestShardedTickSteadyStateAllocationFree is the same hot-path pin for the
-// sharded engine: once the spin pool and every per-shard scratch buffer are
-// warm, fanning a cycle out over 4 bank-cluster shards must allocate nothing
-// (the phase dispatch is an atomic bump, the shard closure is prebound, and
-// DRAM responses drain through head-indexed slabs).
-func TestShardedTickSteadyStateAllocationFree(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	m := New(cfg)
-	const n = 1 << 14
-	addrs := make([]mem.Addr, n)
-	for i := range addrs {
-		addrs[i] = mem.Addr((i * 61) % 8192)
-	}
-	op := ScatterAdd("alloc", mem.AddI64, addrs, []mem.Word{mem.I64(1)})
-	op.Async = true
-	m.RunOp(op)
-	for i := 0; i < 4096; i++ {
-		m.tick()
-	}
-	avg := testing.AllocsPerRun(2048, func() {
-		if len(m.active) == 0 {
-			m.RunOp(op)
-		}
-		m.tick()
-	})
-	if avg > 0.01 {
-		t.Fatalf("sharded steady-state tick allocates %.3f allocs/op, want ~0", avg)
-	}
-	m.Close()
-}
-
 // TestRunOpSteadyStateAllocationFree pins the op-grain arena contract
 // (ROADMAP: "arena-allocate requests"): once the stream slab, the prebound
 // RunUntil predicates, and every component scratch buffer are warm, a whole

@@ -69,36 +69,10 @@ type Config struct {
 	// for that comparison and as an escape hatch.
 	LegacyStepping bool
 
-	// Shards partitions the banked memory system — scatter-add units, cache
-	// banks, and the DRAM channels those banks own — across parallel workers
-	// inside one simulation, following the three-phase discipline of the
-	// multinode engine: sequential address-generator issue in canonical
-	// order, parallel per-shard unit/bank/channel ticks, sequential response
-	// routing and stream retirement. Results are byte-identical for any
-	// value (internal/differ enforces it). 0 or 1 runs sequentially; values
-	// above the bank count clamp to it; the uniform-memory configuration
-	// ignores it. Like LegacyStepping, it changes how the simulation is
-	// executed, never what it computes.
+	// Shards has no effect: a simulation runs on its caller's goroutine.
+	//
+	// Deprecated: Shards is ignored.
 	Shards int
-}
-
-// shardCount resolves Shards to the effective partition width. Sharding
-// needs the banked memory system (uniform mode stays sequential) and a
-// channel count that is a multiple of the bank count — channel c is owned by
-// bank c mod Banks, and a non-multiple would strand channels whose fills
-// target a bank in a different shard.
-func (c Config) shardCount() int {
-	if c.Shards <= 1 || c.UniformMem != nil {
-		return 1
-	}
-	if c.Cache.Banks < 1 || c.DRAM.Channels%c.Cache.Banks != 0 {
-		return 1
-	}
-	s := c.Shards
-	if s > c.Cache.Banks {
-		s = c.Cache.Banks
-	}
-	return s
 }
 
 // DefaultConfig returns the paper's Table 1 machine.
@@ -304,27 +278,10 @@ func newMetrics(g *stats.Group, ags int) metrics {
 	}
 }
 
-// machineShard is one bank-cluster partition of the memory system: a
-// contiguous range of scatter-add unit / cache bank indices plus the DRAM
-// channels those banks own. Channel c is owned by bank c mod Banks, so the
-// partition is closed: every line a shard's banks fetch lives on the shard's
-// own channels, and every fill those channels produce lands back in one of
-// the shard's banks.
-type machineShard struct {
-	lo, hi int   // unit/bank index range [lo, hi)
-	chans  []int // DRAM channels owned by banks [lo, hi), bank-major
-	// tr receives the shard's component spans during parallel ticks: the
-	// master tracer when the machine runs unsharded, a shard-private tracer
-	// (absorbed at op boundaries) when it does not.
-	tr *span.Tracer
-}
-
 // Machine is one simulated node. All components are driven by a sim.Engine
 // in consumer-before-producer order; the machine's own phases (address
 // generation, memory-system tick, response routing, stream retirement) are
-// engine tickers too. With Config.Shards > 1 the memory-system phase fans
-// its bank clusters out over a spin-barrier sim.ShardPool; everything else
-// stays sequential, so outputs are byte-identical at any shard count.
+// engine tickers too.
 type Machine struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -335,18 +292,17 @@ type Machine struct {
 	reg     *stats.Registry
 	met     metrics
 
-	shards    []machineShard
-	bankShard []int          // bank index -> owning shard index
-	pool      *sim.ShardPool // lazy; lives while async streams are in flight
-	tickNow   uint64         // cycle being fanned out (set before pool.Run)
+	// chans lists the DRAM channels in tick and fill-drain order: bank-major,
+	// each bank's owned channels (c mod Banks == bank) in turn — 0, 8, 1, 9,
+	// ... with 8 banks and 16 channels.
+	chans []int
 
 	active  []*memStream
 	nextTag uint64
 	tracer  func(cycle uint64, req mem.Request)
 
 	tr       *span.Tracer
-	unitTr   []*span.Tracer // per-unit tracer: the owning shard's (master when unsharded)
-	laneBusy []bool         // AG lane occupancy (span tracing only)
+	laneBusy []bool // AG lane occupancy (span tracing only)
 
 	// Prebound closures and the stream slab keep RunOp allocation-free.
 	streamSlab []memStream // one entry per AG, recycled in place
@@ -354,7 +310,6 @@ type Machine struct {
 	opDoneFn   func() bool
 	agFreeFn   func() bool
 	drainedFn  func() bool
-	shardRunFn func(int)
 	fillFn     func(dram.LineResp)
 
 	kernelFlops uint64
@@ -369,76 +324,27 @@ func (m *Machine) SetTracer(fn func(cycle uint64, req mem.Request)) { m.tracer =
 // every memory-system component, so sampled operations record their stage
 // transitions from address-generator issue to reply. Install it before
 // running ops; a nil tracer disables tracing everywhere.
-//
-// When the machine is sharded, each shard gets a private tracer so parallel
-// ticks never share the span state; a shard's components write to it, and
-// completed lifecycles are folded into the master at op boundaries (see
-// absorbShardSpans). Sampling decisions stay on the master tracer, made in
-// canonical issue order, so the sampled population is identical at any shard
-// count; and because an op's whole lifecycle — issue, bank, DRAM, reply — is
-// confined to the bank cluster its address maps to, no lifecycle ever spans
-// two shard tracers.
 func (m *Machine) SetSpanTracer(tr *span.Tracer) {
 	m.tr = tr
 	m.laneBusy = nil
-	m.unitTr = nil
-	for i := range m.shards {
-		m.shards[i].tr = tr
-	}
 	if tr != nil {
 		m.laneBusy = make([]bool, m.cfg.AGs)
-		m.unitTr = make([]*span.Tracer, len(m.sas))
-		if len(m.shards) > 1 {
-			for i := range m.shards {
-				m.shards[i].tr = span.New(tr.Rate())
-			}
-		}
-		for i := range m.sas {
-			m.unitTr[i] = tr
-			if len(m.bankShard) > 0 {
-				m.unitTr[i] = m.shards[m.bankShard[i]].tr
-			}
-		}
 	}
 	for i, sa := range m.sas {
-		var utr *span.Tracer
-		if m.unitTr != nil {
-			utr = m.unitTr[i]
-		}
-		sa.SetSpanTracer(utr, fmt.Sprintf("saunit[%d]", i))
+		sa.SetSpanTracer(tr, fmt.Sprintf("saunit[%d]", i))
 		if m.uniform != nil {
 			// No cache below the unit: bypasses go straight to memory.
 			sa.SetSpanDownstream(span.StageDRAM)
 		}
 	}
 	for i, b := range m.banks {
-		var utr *span.Tracer
-		if m.unitTr != nil {
-			utr = m.unitTr[i]
-		}
-		b.SetSpanTracer(utr, fmt.Sprintf("cache[%d]", i))
+		b.SetSpanTracer(tr, fmt.Sprintf("cache[%d]", i))
 	}
 	if m.dram != nil {
-		// The DRAM records its track name here; the per-cycle spans go to
-		// whichever tracer the ticking shard passes to TickChannels.
 		m.dram.SetSpanTracer(tr, "dram")
 	}
 	if m.uniform != nil {
 		m.uniform.SetSpanTracer(tr, "uniform")
-	}
-}
-
-// absorbShardSpans folds each shard tracer's completed op lifecycles and
-// component spans into the master tracer, in shard order. Called at op
-// boundaries (sequential points). Live ops stay on their shard tracer, where
-// the shard's components keep reporting stage transitions for in-flight
-// asynchronous streams.
-func (m *Machine) absorbShardSpans() {
-	if m.tr == nil || len(m.shards) <= 1 {
-		return
-	}
-	for i := range m.shards {
-		m.tr.AbsorbCompleted(m.shards[i].tr)
 	}
 }
 
@@ -465,7 +371,7 @@ func New(cfg Config) *Machine {
 		}
 	} else {
 		m.dram = dram.New(cfg.DRAM)
-		m.dram.SetPartitioned()
+		m.dram.SampleQueueDepthPerCycle()
 		if injecting {
 			m.dram.SetFaults(flt, "m")
 		}
@@ -478,25 +384,14 @@ func New(cfg Config) *Machine {
 				m.sas[i].SetFaults(flt, fmt.Sprintf("m.b%d", i))
 			}
 		}
-		// Partition the bank clusters (and the channels they own) into
-		// shards. A 1-shard machine uses the same partitioned tick path with
-		// a single all-covering shard, so shard counts share one code path
-		// and one canonical ordering of effects.
-		m.bankShard = make([]int, cfg.Cache.Banks)
-		for si, r := range sim.ShardRanges(cfg.Cache.Banks, cfg.shardCount()) {
-			sh := machineShard{lo: r[0], hi: r[1]}
-			for b := r[0]; b < r[1]; b++ {
-				m.bankShard[b] = si
-				for c := b; c < cfg.DRAM.Channels; c += cfg.Cache.Banks {
-					sh.chans = append(sh.chans, c)
-				}
+		for b := 0; b < cfg.Cache.Banks; b++ {
+			for c := b; c < cfg.DRAM.Channels; c += cfg.Cache.Banks {
+				m.chans = append(m.chans, c)
 			}
-			m.shards = append(m.shards, sh)
 		}
 		m.fillFn = func(r dram.LineResp) {
 			m.banks[cache.BankOf(r.Line, len(m.banks))].Fill(m.eng.Now(), r.Line, r.Data)
 		}
-		m.shardRunFn = func(s int) { m.shardTick(m.tickNow, s) }
 	}
 	for i, sa := range m.sas {
 		m.reg.Adopt(fmt.Sprintf("saunit[%d]", i), sa.StatsGroup())
@@ -510,7 +405,7 @@ func New(cfg Config) *Machine {
 
 	// Engine order mirrors the machine pipeline: issue, memory system
 	// (scatter-add units, cache banks, DRAM + fill delivery — one composite
-	// phase so it can fan out over shards), response routing, stream retire.
+	// phase), response routing, stream retire.
 	// The machine's own phases are named types rather than closures so they
 	// can implement sim.FastForwarder alongside sim.Ticker (and so phase
 	// registration captures nothing per tick).
@@ -539,17 +434,10 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Close releases the intra-run shard worker pool, if one is live. RunOp
-// releases it automatically whenever no streams remain active at an op
-// boundary, so Close only matters for a machine abandoned mid-flight with
-// asynchronous streams outstanding. The machine stays usable after Close: a
-// later sharded tick simply starts a fresh pool.
-func (m *Machine) Close() {
-	if m.pool != nil {
-		m.pool.Close()
-		m.pool = nil
-	}
-}
+// Close has no effect: a machine holds no goroutines or other resources.
+//
+// Deprecated: Close is a no-op.
+func (m *Machine) Close() {}
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -579,15 +467,7 @@ func (m *Machine) Now() uint64 { return m.eng.Now() }
 func (m *Machine) StatsRegistry() *stats.Registry { return m.reg }
 
 // StatsSnapshot returns the current values of every performance counter.
-// DRAM counters accumulate per channel on the partitioned tick path and are
-// folded into the registry here (the fold is delta-based and
-// order-insensitive, so snapshots are identical at any shard count).
-func (m *Machine) StatsSnapshot() stats.Snapshot {
-	if m.dram != nil {
-		m.dram.FoldMetrics()
-	}
-	return m.reg.Snapshot()
-}
+func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
 
 // StartTimeline begins recording a registry snapshot every interval cycles
 // and returns the timeline being filled. Sampling (the only per-cycle cost
@@ -662,27 +542,25 @@ func (p issuePhase) Skip(now, cycles uint64) {
 	}
 }
 
-// memPhase is the composite memory-system ticker of a banked machine: the
-// scatter-add units, cache banks, DRAM channels, and fill delivery, grouped
-// into one phase so a sharded machine can fan the cycle out over its bank
-// clusters. The fast-forward contract is the union of the members': the next
-// event is the minimum over every unit, bank, and channel, and Skip fans out
-// to all of them — both computed sequentially (they are pure reads and
-// per-component idle accounting; with at most a few dozen components there
-// is nothing to win by parallelizing them).
+// memPhase is the composite memory-system ticker of a banked machine. Each
+// cycle it ticks every scatter-add unit, then every cache bank, then the
+// DRAM channels in bank-major order (m.chans), and finally delivers
+// completed line reads to their banks in that same channel order. The
+// fast-forward contract is the union of the members': the next event is the
+// minimum over every unit, bank, and channel, and Skip fans out to all of
+// them.
 type memPhase struct{ m *Machine }
 
 func (p memPhase) Tick(now uint64) {
 	m := p.m
-	if len(m.shards) == 1 {
-		m.shardTick(now, 0)
-		return
+	for _, sa := range m.sas {
+		sa.Tick(now)
 	}
-	if m.pool == nil {
-		m.pool = sim.NewSpinShardPool(len(m.shards))
+	for _, b := range m.banks {
+		b.Tick(now)
 	}
-	m.tickNow = now
-	m.pool.Run(m.shardRunFn)
+	m.dram.TickChannels(now, m.chans)
+	m.dram.DrainResponses(m.chans, m.fillFn)
 }
 
 func (p memPhase) NextEvent(now uint64) uint64 {
@@ -719,27 +597,6 @@ func (p memPhase) Skip(now, cycles uint64) {
 		b.Skip(now, cycles)
 	}
 	m.dram.Skip(now, cycles)
-}
-
-// shardTick runs one cycle of shard si's slice of the memory system: its
-// scatter-add units, their cache banks, the DRAM channels those banks own,
-// and delivery of completed line reads back into the shard's banks. Within
-// the shard, components tick in the same consumer-before-producer order the
-// sequential engine uses, and every interaction stays inside the shard by
-// construction — unit i feeds bank i, bank i's misses go to channels
-// congruent to i mod Banks, and those channels' fills land back in bank i —
-// so parallel shards share no mutable state beyond the lock-protected
-// functional store.
-func (m *Machine) shardTick(now uint64, si int) {
-	sh := &m.shards[si]
-	for i := sh.lo; i < sh.hi; i++ {
-		m.sas[i].Tick(now)
-	}
-	for i := sh.lo; i < sh.hi; i++ {
-		m.banks[i].Tick(now)
-	}
-	m.dram.TickChannels(now, sh.chans, sh.tr)
-	m.dram.DrainResponses(sh.chans, m.fillFn)
 }
 
 // responsePhase routes scatter-add unit responses back to their streams. It
@@ -785,8 +642,7 @@ func (m *Machine) issueTick(now uint64) {
 		issuedBefore := s.issued
 		for w := 0; w < m.cfg.AGWidth && s.issued < s.n; w++ {
 			a := s.op.addr(s.issued)
-			ui := m.unitIndex(a)
-			u := m.sas[ui]
+			u := m.sas[m.unitIndex(a)]
 			if !u.CanAccept(now) {
 				break
 			}
@@ -800,12 +656,8 @@ func (m *Machine) issueTick(now uint64) {
 			if m.tracer != nil {
 				m.tracer(now, req)
 			}
-			// The sampling decision runs on the master tracer, in canonical
-			// issue order (identical at any shard count); the lifecycle is
-			// opened on the owning unit's tracer, where the unit's bank
-			// cluster will report its stage transitions.
 			if m.tr != nil && m.tr.SampleNext() {
-				m.unitTr[ui].OpBegin(0, req.ID, req.Kind, req.Addr, now)
+				m.tr.OpBegin(0, req.ID, req.Kind, req.Addr, now)
 			}
 			s.issued++
 			m.met.agIssued.Inc()
@@ -820,12 +672,11 @@ func (m *Machine) issueTick(now uint64) {
 }
 
 // responseTick routes scatter-add unit responses back to their streams by
-// ID tag, then samples the DRAM queue-depth gauge (the per-transaction gauge
-// update is suppressed on the partitioned tick path; end-of-cycle totals are
-// identical for any shard count and any stepping mode, since skipped cycles
-// leave the queues untouched).
+// ID tag, then samples the DRAM queue-depth gauge (once per cycle, see
+// dram.SampleQueueDepthPerCycle; end-of-cycle totals are identical in both
+// stepping modes, since skipped cycles leave the queues untouched).
 func (m *Machine) responseTick(now uint64) {
-	for i, sa := range m.sas {
+	for _, sa := range m.sas {
 		for {
 			r, ok := sa.PopResponse(now)
 			if !ok {
@@ -834,7 +685,7 @@ func (m *Machine) responseTick(now uint64) {
 			if s := m.streamByTag(r.ID >> 32); s != nil {
 				s.responses++
 				if m.tr != nil {
-					m.unitTr[i].OpEnd(0, r.ID, now)
+					m.tr.OpEnd(0, r.ID, now)
 				}
 				if s.op.OnResp != nil {
 					r.ID &= (1 << 32) - 1 // restore the caller's index
@@ -935,14 +786,6 @@ func (m *Machine) RunOp(op Op) Result {
 		panic(fmt.Sprintf("machine: unknown op kind %d", op.Kind))
 	}
 	saAfter := m.saStats()
-	// Op boundaries are sequential points: fold shard span state into the
-	// master tracer, and release the shard worker pool once nothing is in
-	// flight (the next sharded tick lazily starts a fresh one).
-	m.absorbShardSpans()
-	if m.pool != nil && len(m.active) == 0 {
-		m.pool.Close()
-		m.pool = nil
-	}
 	return Result{
 		Cycles:  m.eng.Now() - start,
 		FPOps:   uint64(op.Flops) + fpDelta(saBefore, saAfter),

@@ -11,6 +11,12 @@ import (
 	"scatteradd/internal/stats"
 )
 
+// Config.Shards and Machine.Close are deprecated no-ops: a machine ticks
+// on its caller's goroutine and holds nothing to release. The benchmark
+// harness still sets the one and calls the other, so the tests in this file
+// pin that neither moves a byte of any clock, result, counter, span report
+// or memory image. They go away together with the two members.
+
 // fig6Program is a histogram-shaped workload (figure 6): one large
 // scatter-add over a hot bin range, bracketed by a load of the input and a
 // readback of the bins. Collisions force combining-store residency.
@@ -32,8 +38,8 @@ func fig6Program(n, bins int) []Op {
 
 // fig10Program is a molecular-dynamics-shaped workload (figure 10): gather
 // positions, compute forces in a kernel, scatter-add them back
-// asynchronously under the next kernel, then fence — the async overlap is
-// what exercises streams in flight across op (and shard-absorb) boundaries.
+// asynchronously under the next kernel, then fence — the async overlap
+// keeps streams in flight across op boundaries.
 func fig10Program(n, sites int) []Op {
 	gAddrs := make([]mem.Addr, n)
 	sAddrs := make([]mem.Addr, n)
@@ -57,9 +63,10 @@ func fig10Program(n, sites int) []Op {
 	}
 }
 
-// shardTrace runs prog on a fresh machine and captures everything sharding
-// must not change: the clock after every op, per-op results, the final
-// counter snapshot, the span report, and the functional memory image.
+// shardTrace runs prog on a fresh machine and captures everything the
+// Shards setting must not change: the clock after every op, per-op
+// results, the final counter snapshot, the span report, and the functional
+// memory image.
 func shardTrace(cfg Config, prog []Op, words int) (nows []uint64, results []Result, snap stats.Snapshot, rep span.Report, image []int64) {
 	m := New(cfg)
 	tr := span.New(4)
@@ -72,11 +79,10 @@ func shardTrace(cfg Config, prog []Op, words int) (nows []uint64, results []Resu
 	return nows, results, m.StatsSnapshot(), span.Aggregate(tr.Ops()), m.Store().ReadI64Slice(0, words)
 }
 
-// TestShardedChaosExact is the machine-level sharded equivalence matrix,
-// mirroring multinode's TestSharded* coverage: figure-6- and
-// figure-10-shaped workloads, fault injection on, both stepping modes, with
-// shard counts 1 vs 3 (odd split) and 4. Everything observable — clocks,
-// per-op results, counters, span reports, memory — must be byte-identical.
+// TestShardedChaosExact: figure-6- and figure-10-shaped workloads, fault
+// injection on and off, both stepping modes, with Shards at 1, 3 and 4.
+// Everything observable — clocks, per-op results, counters, span reports,
+// memory — must be byte-identical.
 func TestShardedChaosExact(t *testing.T) {
 	progs := []struct {
 		name  string
@@ -117,12 +123,6 @@ func TestShardedChaosExact(t *testing.T) {
 							t.Fatalf("shards=%d: per-op results diverge", shards)
 						}
 						if !reflect.DeepEqual(snap, baseSnap) {
-							for i := range snap.Entries {
-								if i < len(baseSnap.Entries) && snap.Entries[i] != baseSnap.Entries[i] {
-									t.Errorf("shards=%d: counter %q: %d vs %d", shards,
-										snap.Entries[i].Key, snap.Entries[i].Val, baseSnap.Entries[i].Val)
-								}
-							}
 							t.Fatalf("shards=%d: counter snapshots diverge", shards)
 						}
 						if !reflect.DeepEqual(rep, baseRep) {
@@ -138,64 +138,103 @@ func TestShardedChaosExact(t *testing.T) {
 	}
 }
 
-// TestShardCountResolution pins the Shards -> effective-partition rules:
-// clamping to the bank count, sequential fallbacks for uniform memory and
-// non-multiple channel counts.
+// TestShardCountResolution: every Shards value — zero, in range, above the
+// bank count — on every memory layout, including the cache-less uniform
+// memory and a channel count that is not a multiple of the bank count,
+// runs exactly like the same config with Shards left at zero.
 func TestShardCountResolution(t *testing.T) {
 	base := DefaultConfig() // 8 banks, 16 channels
+	base.MemOpStartup = 4
 	cases := []struct {
-		name string
-		mut  func(*Config)
-		want int
+		name   string
+		layout func(*Config)
+		shards int
 	}{
-		{"zero", func(c *Config) { c.Shards = 0 }, 1},
-		{"one", func(c *Config) { c.Shards = 1 }, 1},
-		{"four", func(c *Config) { c.Shards = 4 }, 4},
-		{"clamped-to-banks", func(c *Config) { c.Shards = 64 }, 8},
+		{"zero", func(*Config) {}, 0},
+		{"one", func(*Config) {}, 1},
+		{"four", func(*Config) {}, 4},
+		{"clamped-to-banks", func(*Config) {}, 64},
 		{"uniform-ignores", func(c *Config) {
-			c.Shards = 4
 			c.UniformMem = &UniformMemConfig{Latency: 64, Interval: 2}
-		}, 1},
+		}, 4},
 		{"channels-not-multiple", func(c *Config) {
-			c.Shards = 4
-			c.DRAM.Channels = 12 // 12 % 8 != 0: ownership would straddle shards
-		}, 1},
+			c.DRAM.Channels = 12
+		}, 4},
 	}
+	prog := []Op{chaosOp(2048, 256), Fence()}
 	for _, tc := range cases {
 		cfg := base
-		tc.mut(&cfg)
-		if got := cfg.shardCount(); got != tc.want {
-			t.Errorf("%s: shardCount() = %d, want %d", tc.name, got, tc.want)
+		tc.layout(&cfg)
+		wantNows, wantRes, wantSnap, _, wantMem := shardTrace(cfg, prog, 256)
+		cfg.Shards = tc.shards
+		nows, res, snap, _, img := shardTrace(cfg, prog, 256)
+		if !reflect.DeepEqual(nows, wantNows) || !reflect.DeepEqual(res, wantRes) ||
+			!reflect.DeepEqual(snap, wantSnap) || !reflect.DeepEqual(img, wantMem) {
+			t.Errorf("%s: Shards=%d diverges from the zero value", tc.name, tc.shards)
 		}
 	}
 }
 
-// TestShardedMachinePoolLifecycle checks the worker pool is released at op
-// boundaries once nothing is in flight, and that Close is a safe no-op
-// anywhere else.
+// TestShardedMachinePoolLifecycle: Close is a no-op anywhere — after a
+// drained synchronous op, after a fence, and with an async stream still
+// issuing — and the machine stays usable after it, on the same clocks as a
+// twin that never calls Close.
 func TestShardedMachinePoolLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemOpStartup = 4
 	cfg.Shards = 4
-	m := New(cfg)
 	op := chaosOp(2048, 256)
-	m.RunOp(op)
-	if m.pool != nil {
-		t.Fatal("pool still live after a synchronous op drained")
-	}
 	async := op
 	async.Async = true
-	m.RunOp(async)
-	// The async stream is still issuing: if any parallel tick ran, the pool
-	// must stay alive for the next one.
-	m.RunOp(Fence())
-	if m.pool != nil {
-		t.Fatal("pool still live after fence drained the machine")
+	prog := []Op{op, async, Fence(), async, Fence()}
+	run := func(closing bool) ([]uint64, stats.Snapshot) {
+		m := New(cfg)
+		var nows []uint64
+		for _, o := range prog {
+			m.RunOp(o)
+			if closing {
+				m.Close()
+			}
+			nows = append(nows, m.Now())
+		}
+		return nows, m.StatsSnapshot()
 	}
-	m.RunOp(async)
-	m.Close() // abandoned mid-flight: Close reaps whatever pool exists
-	if m.pool != nil {
-		t.Fatal("Close left a live pool")
+	wantNows, wantSnap := run(false)
+	nows, snap := run(true)
+	if !reflect.DeepEqual(nows, wantNows) {
+		t.Fatalf("Close moved the clocks:\n%v\nvs\n%v", nows, wantNows)
 	}
-	m.RunOp(Fence()) // machine stays usable after Close
+	if !reflect.DeepEqual(snap, wantSnap) {
+		t.Fatal("Close changed the counters")
+	}
+}
+
+// TestShardedTickSteadyStateAllocationFree is TestTickSteadyStateAllocationFree
+// with Shards set and Close called: neither may put an allocation back on
+// the hot path.
+func TestShardedTickSteadyStateAllocationFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	m := New(cfg)
+	const n = 1 << 14
+	addrs := make([]mem.Addr, n)
+	for i := range addrs {
+		addrs[i] = mem.Addr((i * 61) % 8192)
+	}
+	op := ScatterAdd("alloc", mem.AddI64, addrs, []mem.Word{mem.I64(1)})
+	op.Async = true
+	m.RunOp(op)
+	for i := 0; i < 4096; i++ {
+		m.tick()
+	}
+	avg := testing.AllocsPerRun(2048, func() {
+		if len(m.active) == 0 {
+			m.RunOp(op)
+		}
+		m.tick()
+	})
+	if avg > 0.01 {
+		t.Fatalf("steady-state tick with Shards set allocates %.3f allocs/op, want ~0", avg)
+	}
+	m.Close()
 }

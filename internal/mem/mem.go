@@ -11,7 +11,6 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Word is the raw 64-bit contents of one memory word.
@@ -179,31 +178,14 @@ const pageWords = 4096
 // Store is the functional backing state of a memory: a sparse, word-granular
 // image of the address space. It has no timing; timing models (DRAM, cache)
 // hold or reference a Store for the actual data. Unwritten words read as 0.
-//
-// A Store is safe for concurrent use: the sharded single-machine engine ticks
-// DRAM channels on parallel shard workers, and two channels can touch the
-// same sparse page (pages span many lines). Only the page map needs the lock
-// — concurrent accesses to distinct words of one page are race-free — so
-// line and slice operations take it once, not per word.
 type Store struct {
-	mu    sync.RWMutex
 	pages map[Addr]*[pageWords]Word
 }
 
 // NewStore returns an empty store (all words zero).
 func NewStore() *Store { return &Store{pages: make(map[Addr]*[pageWords]Word)} }
 
-// load is Load without the lock; callers hold mu (either mode).
-func (s *Store) load(a Addr) Word {
-	p, ok := s.pages[a/pageWords]
-	if !ok {
-		return 0
-	}
-	return p[a%pageWords]
-}
-
-// page returns the page containing a, allocating it if needed; callers hold
-// mu exclusively.
+// page returns the page containing a, allocating it if needed.
 func (s *Store) page(a Addr) *[pageWords]Word {
 	pidx := a / pageWords
 	p, ok := s.pages[pidx]
@@ -216,40 +198,33 @@ func (s *Store) page(a Addr) *[pageWords]Word {
 
 // Load returns the word at address a.
 func (s *Store) Load(a Addr) Word {
-	s.mu.RLock()
-	v := s.load(a)
-	s.mu.RUnlock()
-	return v
+	p, ok := s.pages[a/pageWords]
+	if !ok {
+		return 0
+	}
+	return p[a%pageWords]
 }
 
 // StoreWord sets the word at address a.
-func (s *Store) StoreWord(a Addr, v Word) {
-	s.mu.Lock()
-	s.page(a)[a%pageWords] = v
-	s.mu.Unlock()
-}
+func (s *Store) StoreWord(a Addr, v Word) { s.page(a)[a%pageWords] = v }
 
 // LoadLine copies the 8-word line containing a into dst. A line is
 // 8-aligned inside an aligned page, so it never straddles two pages.
 func (s *Store) LoadLine(a Addr, dst *[LineWords]Word) {
 	base := a.Line()
-	s.mu.RLock()
 	if p, ok := s.pages[base/pageWords]; ok {
 		off := base % pageWords
 		copy(dst[:], p[off:off+LineWords])
 	} else {
 		*dst = [LineWords]Word{}
 	}
-	s.mu.RUnlock()
 }
 
 // StoreLine writes the 8-word line containing a from src.
 func (s *Store) StoreLine(a Addr, src *[LineWords]Word) {
 	base := a.Line()
-	s.mu.Lock()
 	off := base % pageWords
 	copy(s.page(base)[off:off+LineWords], src[:])
-	s.mu.Unlock()
 }
 
 // LoadF64 returns the float64 at address a.
@@ -266,42 +241,32 @@ func (s *Store) StoreI64(a Addr, i int64) { s.StoreWord(a, I64(i)) }
 
 // WriteF64Slice writes vals to consecutive addresses starting at base.
 func (s *Store) WriteF64Slice(base Addr, vals []float64) {
-	s.mu.Lock()
 	for i, v := range vals {
-		a := base + Addr(i)
-		s.page(a)[a%pageWords] = F64(v)
+		s.StoreWord(base+Addr(i), F64(v))
 	}
-	s.mu.Unlock()
 }
 
 // WriteI64Slice writes vals to consecutive addresses starting at base.
 func (s *Store) WriteI64Slice(base Addr, vals []int64) {
-	s.mu.Lock()
 	for i, v := range vals {
-		a := base + Addr(i)
-		s.page(a)[a%pageWords] = I64(v)
+		s.StoreWord(base+Addr(i), I64(v))
 	}
-	s.mu.Unlock()
 }
 
 // ReadF64Slice reads n float64 values from consecutive addresses at base.
 func (s *Store) ReadF64Slice(base Addr, n int) []float64 {
 	out := make([]float64, n)
-	s.mu.RLock()
 	for i := range out {
-		out[i] = AsF64(s.load(base + Addr(i)))
+		out[i] = AsF64(s.Load(base + Addr(i)))
 	}
-	s.mu.RUnlock()
 	return out
 }
 
 // ReadI64Slice reads n int64 values from consecutive addresses at base.
 func (s *Store) ReadI64Slice(base Addr, n int) []int64 {
 	out := make([]int64, n)
-	s.mu.RLock()
 	for i := range out {
-		out[i] = AsI64(s.load(base + Addr(i)))
+		out[i] = AsI64(s.Load(base + Addr(i)))
 	}
-	s.mu.RUnlock()
 	return out
 }

@@ -69,7 +69,7 @@ func TestChaosCombiningExact(t *testing.T) {
 func TestChaosHierarchicalExact(t *testing.T) {
 	const rng = 1024
 	cfg := chaosConfig(4, 1, mem.Addr((rng/4+mem.LineWords-1))&^(mem.LineWords-1), true)
-	cfg.Hierarchical = true
+	cfg.Topology = Hypercube()
 	s := New(cfg, mem.AddI64)
 	refs := uniformTrace(4096, rng, 23)
 	s.RunTrace(refs)

@@ -91,7 +91,8 @@ type Config struct {
 	// Topology selects the interconnect and combining placement (see
 	// topology.go). The zero value (TopoDefault) derives flat/hypercube
 	// from the two deprecated bools below, so existing configs keep their
-	// exact meaning.
+	// exact meaning; with both bools unset it is the paper's flat crossbar
+	// without combining.
 	Topology Topology
 
 	// Combining enables the local-combining + sum-back optimization.
@@ -101,11 +102,8 @@ type Config struct {
 	// panics.
 	Combining bool
 	// Hierarchical arranges the nodes in a logical hypercube so sum-backs
-	// combine across nodes in logarithmic instead of linear complexity —
-	// the optimization the paper proposes as future work (§5). Each
-	// evicted partial line travels one hypercube dimension toward its
-	// owner per flush round, merging with other nodes' partials at every
-	// hop. Requires Combining and a power-of-two node count.
+	// combine across nodes in logarithmic instead of linear complexity.
+	// Requires Combining and a power-of-two node count.
 	//
 	// Deprecated: set Topology to Hypercube(). Kept as a shim; mixing it
 	// with an explicit Topology.Kind panics.
@@ -116,12 +114,9 @@ type Config struct {
 	// fast-forward over dead cycles (kept for differential testing).
 	LegacyStepping bool
 
-	// Shards partitions the nodes across a worker pool so one simulation
-	// uses several cores: each cycle's node-local compute (scatter-add
-	// units, cache banks, DRAM) runs with per-shard parallelism between
-	// two sequential exchange points, so scheduling can never reorder
-	// observable events and output stays byte-identical to Shards == 1
-	// (the default). Values < 1 mean 1; values above Nodes are clamped.
+	// Shards has no effect: a simulation runs on its caller's goroutine.
+	//
+	// Deprecated: Shards is ignored.
 	Shards int
 
 	// Faults enables deterministic fault injection across the system (wire
@@ -177,18 +172,6 @@ type node struct {
 	seen     map[uint64]struct{} // delivered seqs, for duplicate-safe replay
 	ackbox   []ackOut            // acks awaiting network injection
 	degraded bool                // combining store tripped: fall back to direct
-
-	// wantDegrade stages a degradation detected during the parallel compute
-	// phase; the transition (shared counter, flush start) applies in the
-	// sequential phase that follows, in node order, so the sharded schedule
-	// cannot reorder it.
-	wantDegrade bool
-
-	// str is the tracer this node's components record into. Sequential runs
-	// alias the system tracer; sharded runs give every node its own so the
-	// compute phase stays race free (ops migrate between node tracers at the
-	// sequential inbox-injection point and all are absorbed at end of run).
-	str *span.Tracer
 }
 
 // Result reports a trace replay.
@@ -241,7 +224,7 @@ func newLinkMetrics(maxRetries int) linkMetrics {
 // System is the multi-node machine.
 type System struct {
 	cfg   Config
-	topo  Topology // normalized Topology (cfg.Topology resolved against the shims)
+	topo  Topology // cfg.Topology with defaults applied (see normalized)
 	kind  mem.Kind
 	nodes []*node
 	xbar  network.Fabric[frame]
@@ -249,14 +232,6 @@ type System struct {
 	now   uint64
 
 	ff bool // fast-forward over quiescent cycles
-
-	// Sharding: nodes are split into len(ranges) contiguous groups; the pool
-	// (live only inside RunTrace) runs the per-cycle compute phase of each
-	// group on its own worker. shardEv is per-shard scratch for the sharded
-	// next-event scan.
-	ranges  [][2]int
-	pool    *sim.ShardPool
-	shardEv []uint64
 
 	tr         *span.Tracer
 	sumBackSeq uint64
@@ -288,11 +263,6 @@ func New(cfg Config, kind mem.Kind) *System {
 		panic("multinode: Hierarchical requires Combining")
 	}
 	topo := cfg.Topology.normalized(cfg)
-	// Mirror the normalized topology back onto the legacy bools: the
-	// combining and hypercube machinery below keys off them, and this keeps
-	// either configuration surface driving identical behaviour.
-	cfg.Combining = topo.CombineCache
-	cfg.Hierarchical = topo.Kind == TopoHypercube
 	s := &System{cfg: cfg, topo: topo, kind: kind, reg: stats.NewRegistry(), ff: !cfg.LegacyStepping, routingNode: -1}
 	if topo.multiHop() {
 		mh := network.NewMultiHop[frame](network.MultiHopConfig{
@@ -311,8 +281,6 @@ func New(cfg Config, kind mem.Kind) *System {
 	} else {
 		s.xbar = network.New[frame](cfg.Net)
 	}
-	s.ranges = sim.ShardRanges(cfg.Nodes, cfg.Shards)
-	s.shardEv = make([]uint64, len(s.ranges))
 	injecting := cfg.Faults.Enabled()
 	if injecting {
 		s.flt = cfg.Faults.WithDefaults()
@@ -350,7 +318,7 @@ func New(cfg Config, kind mem.Kind) *System {
 			}
 			s.reg.Adopt(fmt.Sprintf("cache[%d.%d]", id, b), bank.StatsGroup())
 			s.reg.Adopt(fmt.Sprintf("saunit[%d.%d]", id, b), n.sas[b].StatsGroup())
-			if cfg.Combining {
+			if topo.CombineCache {
 				cb := cache.NewBank(cfg.Cache, b, nil, cache.CombineLocal)
 				cb.SetZeroKind(kind)
 				if injecting {
@@ -374,30 +342,17 @@ func (s *System) StatsSnapshot() stats.Snapshot { return s.reg.Snapshot() }
 // the crossbar plus every node's DRAM, cache banks, scatter-add units, and
 // (in combining mode) combining banks, each on a node-qualified track. A nil
 // tracer disables tracing.
-//
-// With Shards > 1 every node's components record into a node-private tracer
-// so the parallel compute phase never shares tracer state; sampling
-// decisions stay on tr (consumed in the sequential issue phase), sampled ops
-// migrate between node tracers when they cross the network (a sequential
-// phase), and everything is absorbed back into tr at end of run. Because
-// span.Aggregate is order-insensitive, the resulting reports are
-// byte-identical to a sequential run.
 func (s *System) SetSpanTracer(tr *span.Tracer) {
 	s.tr = tr
 	s.xbar.SetSpanTracer(tr)
 	for _, n := range s.nodes {
-		nt := tr
-		if tr != nil && len(s.ranges) > 1 {
-			nt = span.New(tr.Rate())
-		}
-		n.str = nt
-		n.dram.SetSpanTracer(nt, fmt.Sprintf("dram[%d]", n.id))
+		n.dram.SetSpanTracer(tr, fmt.Sprintf("dram[%d]", n.id))
 		for b := range n.banks {
-			n.banks[b].SetSpanTracer(nt, fmt.Sprintf("cache[%d.%d]", n.id, b))
-			n.sas[b].SetSpanTracer(nt, fmt.Sprintf("saunit[%d.%d]", n.id, b))
+			n.banks[b].SetSpanTracer(tr, fmt.Sprintf("cache[%d.%d]", n.id, b))
+			n.sas[b].SetSpanTracer(tr, fmt.Sprintf("saunit[%d.%d]", n.id, b))
 		}
 		for b := range n.comb {
-			n.comb[b].SetSpanTracer(nt, fmt.Sprintf("comb[%d.%d]", n.id, b))
+			n.comb[b].SetSpanTracer(tr, fmt.Sprintf("comb[%d.%d]", n.id, b))
 		}
 	}
 }
@@ -419,6 +374,9 @@ func (n *node) localUnit(a mem.Addr) *saunit.Unit {
 	return n.sas[cache.BankOf(a.Line(), len(n.banks))]
 }
 
+// hypercube reports whether sum-backs route along hypercube dimensions.
+func (s *System) hypercube() bool { return s.topo.Kind == TopoHypercube }
+
 // combBank returns node n's combining bank for address a.
 func (n *node) combBank(a mem.Addr) *cache.Bank {
 	return n.comb[cache.BankOf(a.Line(), len(n.comb))]
@@ -435,14 +393,6 @@ func (s *System) RunTrace(refs []Ref) Result {
 	for i, r := range refs {
 		n := s.nodes[i%len(s.nodes)]
 		n.trace = append(n.trace, r)
-	}
-	if len(s.ranges) > 1 {
-		pool := sim.NewShardPool(len(s.ranges))
-		s.pool = pool
-		defer func() {
-			s.pool = nil
-			pool.Close()
-		}()
 	}
 	start := s.now
 	limit := s.now + 2_000_000_000
@@ -470,13 +420,13 @@ func (s *System) RunTrace(refs []Ref) Result {
 	}
 	// Local phase: replay the trace.
 	runPhase()
-	if s.cfg.Combining {
+	if s.topo.CombineCache {
 		// Global phase: flush-with-sum-back. Direct combining needs one
 		// round (evictions go straight to the owner); hierarchical
 		// combining needs one round per hypercube dimension, each moving
 		// partial lines one hop closer to their owners while merging them.
 		rounds := 1
-		if s.cfg.Hierarchical {
+		if s.hypercube() {
 			rounds = log2(s.cfg.Nodes)
 		}
 		for r := 0; r < rounds; r++ {
@@ -495,13 +445,6 @@ func (s *System) RunTrace(refs []Ref) Result {
 						n.id, len(left), rounds))
 				}
 			}
-		}
-	}
-	// Fold the node-private shard tracers back into the system tracer (a
-	// no-op when they alias it) so callers see one coherent trace.
-	if s.tr != nil {
-		for _, n := range s.nodes {
-			s.tr.Absorb(n.str)
 		}
 	}
 	res := Result{
@@ -533,45 +476,19 @@ func (s *System) RunTrace(refs []Ref) Result {
 	return res
 }
 
-// runShards executes fn(shard) for every shard, on the pool when one is
-// live (inside a sharded RunTrace) and inline otherwise. fn must confine
-// its writes to the shard's node range (plus per-shard scratch).
-func (s *System) runShards(fn func(shard int)) {
-	if s.pool != nil {
-		s.pool.Run(fn)
-		return
-	}
-	for sh := range s.ranges {
-		fn(sh)
-	}
-}
-
 // nextEvent returns the earliest cycle at which any part of the system can
 // do work (the multi-node analogue of sim.Engine's horizon; the System owns
 // its own clock rather than a sim.Engine). Pending trace issue or staged
 // inbox/outbox traffic is work now; otherwise the minimum over every
-// component's NextEvent. The per-node scans fan out over the shard pool —
-// NextEvent is a pure read, and min is order-insensitive, so the sharded
-// scan returns exactly the sequential answer; a shard group fast-forwards
-// only to the min over all its members.
+// component's NextEvent.
 func (s *System) nextEvent() uint64 {
 	ev := s.xbar.NextEvent(s.now)
-	if ev <= s.now {
-		return s.now
-	}
-	s.runShards(func(sh int) {
-		r := s.ranges[sh]
-		e := sim.Never
-		for i := r[0]; i < r[1] && e > s.now; i++ {
-			if t := s.nodeNextEvent(s.nodes[i]); t < e {
-				e = t
-			}
+	for _, n := range s.nodes {
+		if ev <= s.now {
+			return s.now
 		}
-		s.shardEv[sh] = e
-	})
-	for _, e := range s.shardEv {
-		if e < ev {
-			ev = e
+		if t := s.nodeNextEvent(n); t < ev {
+			ev = t
 		}
 	}
 	if ev < s.now {
@@ -619,69 +536,42 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 }
 
 // skipTo jumps the clock to cycle h, applying every component's batch
-// skipped-cycle effects (per-cycle occupancy samples). The per-node Skip
-// fan-out shards: Skip touches only node-local occupancy counters.
+// skipped-cycle effects (per-cycle occupancy samples).
 func (s *System) skipTo(h uint64) {
 	cycles := h - s.now
 	s.xbar.Skip(s.now, cycles)
-	s.runShards(func(sh int) {
-		r := s.ranges[sh]
-		for i := r[0]; i < r[1]; i++ {
-			n := s.nodes[i]
-			for _, u := range n.sas {
-				u.Skip(s.now, cycles)
-			}
-			for _, b := range n.banks {
-				b.Skip(s.now, cycles)
-			}
-			for _, cb := range n.comb {
-				cb.Skip(s.now, cycles)
-			}
-			n.dram.Skip(s.now, cycles)
+	for _, n := range s.nodes {
+		for _, u := range n.sas {
+			u.Skip(s.now, cycles)
 		}
-	})
+		for _, b := range n.banks {
+			b.Skip(s.now, cycles)
+		}
+		for _, cb := range n.comb {
+			cb.Skip(s.now, cycles)
+		}
+		n.dram.Skip(s.now, cycles)
+	}
 	s.now = h
 }
 
-// step advances the whole system one cycle with a two-phase schedule:
-//
-//  1. Exchange (sequential, node order): everything that touches shared
-//     state — crossbar sends and receives, link sequence numbers, sum-back
-//     sequence numbers, sampling decisions, live-op migration between node
-//     tracers.
-//  2. Compute (parallel over shard node ranges): the node-local hardware —
-//     scatter-add units, cache and combining banks, DRAM — which within a
-//     cycle interacts only through the per-port crossbar queues exchanged
-//     in phase 1 and ticked in phase 3.
-//  3. Commit (sequential, node order): staged combining-to-direct
-//     degradations, then the crossbar tick that moves frames between ports.
-//
-// Node-internal part order matches the pre-sharding stepNode exactly, and
-// no compute-phase write is read by another node's exchange in the same
-// cycle, so this schedule is observably identical to the sequential one at
-// any shard count.
+// step advances the whole system one cycle: every node's exchange half in
+// node order, then every node's compute half in node order, then the
+// crossbar tick that moves frames between ports.
 func (s *System) step() {
 	for _, n := range s.nodes {
 		s.stepNodeExchange(n)
 	}
-	s.runShards(func(sh int) {
-		r := s.ranges[sh]
-		for i := r[0]; i < r[1]; i++ {
-			s.stepNodeCompute(s.nodes[i])
-		}
-	})
 	for _, n := range s.nodes {
-		s.applyDegrade(n)
+		s.stepNodeCompute(n)
 	}
 	s.xbar.Tick(s.now)
 	s.now++
 }
 
-// stepNodeExchange is the sequential half of a node's cycle: network
+// stepNodeExchange is the network-facing half of a node's cycle: network
 // arrivals, inbox injection, trace issue, sum-back draining, link
-// maintenance, and outbox draining — every part that reads or writes state
-// shared across nodes (the crossbar, link and sum-back sequence numbers,
-// link metrics, the sampling counter, other nodes' tracers).
+// maintenance, and outbox draining.
 func (s *System) stepNodeExchange(n *node) {
 	// Stage network arrivals. Ack frames are consumed unconditionally —
 	// they only shrink the sender's retransmission buffer, and holding them
@@ -727,20 +617,13 @@ func (s *System) stepNodeExchange(n *node) {
 		}
 		if s.owner(r.Addr) == n.id {
 			u := n.localUnit(r.Addr)
-			if s.tr != nil {
-				// The op crossed the network: move its live lifecycle from
-				// the sender's tracer to this node's before the unit can
-				// check Sampled. A no-op for unsampled ids and when the
-				// tracers alias (sequential runs).
-				s.nodes[r.Node].str.Transfer(n.str, r.Node, r.ID)
-			}
 			if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
 				break
 			}
 			// Remote request reached its owner: back in a bank queue.
-			n.str.OpStage(r.Node, r.ID, span.StageBankQ, s.now)
+			s.tr.OpStage(r.Node, r.ID, span.StageBankQ, s.now)
 		} else {
-			if !s.cfg.Hierarchical {
+			if !s.hypercube() {
 				panic(fmt.Sprintf("multinode: node %d received request for node %d without hierarchy",
 					n.id, s.owner(r.Addr)))
 			}
@@ -765,16 +648,14 @@ func (s *System) stepNodeExchange(n *node) {
 			break
 		}
 		if s.tr != nil && s.tr.SampleNext() {
-			// The sampling decision is the system tracer's (one global
-			// cadence); the lifecycle lives on the issuing node's tracer.
-			n.str.OpBegin(n.id, req.ID, req.Kind, req.Addr, s.now)
+			s.tr.OpBegin(n.id, req.ID, req.Kind, req.Addr, s.now)
 			if s.routingAbsorbed {
 				// Merged into another in-flight request at the injection
 				// switch: the op's whole life is this cycle.
-				n.str.OpEnd(n.id, req.ID, s.now)
-			} else if !s.cfg.Combining && s.owner(req.Addr) != n.id {
+				s.tr.OpEnd(n.id, req.ID, s.now)
+			} else if !s.topo.CombineCache && s.owner(req.Addr) != n.id {
 				// Direct mode: the request is already on the wire.
-				n.str.OpStage(n.id, req.ID, span.StageNet, s.now)
+				s.tr.OpStage(n.id, req.ID, span.StageNet, s.now)
 			}
 		}
 		n.issued++
@@ -829,10 +710,8 @@ func (s *System) stepNodeExchange(n *node) {
 	}
 }
 
-// stepNodeCompute is the parallel half of a node's cycle: ticking the
-// node-local hardware and moving its internal responses. It touches only
-// the node's own components, stats groups, fault injectors, and tracer, so
-// different nodes' compute halves commute and may run on different shards.
+// stepNodeCompute is the node-local half of a node's cycle: ticking the
+// node's hardware and moving its internal responses.
 func (s *System) stepNodeCompute(n *node) {
 	for _, u := range n.sas {
 		u.Tick(s.now)
@@ -845,12 +724,8 @@ func (s *System) stepNodeCompute(n *node) {
 	}
 	// The degradation check runs right after the combining banks tick — the
 	// cycle a scrub crosses the threshold is a worked cycle in both stepping
-	// modes, so the combining-to-direct transition lands identically. Only
-	// the detection happens here; the transition itself (a shared counter
-	// and the flush start) is staged for the sequential commit phase, which
-	// is equivalent because nothing later in this node's cycle reads
-	// combining-bank or degradation state.
-	s.detectDegrade(n)
+	// modes, so the combining-to-direct transition lands identically.
+	s.checkDegrade(n)
 	n.dram.Tick(s.now)
 	for {
 		r, ok := n.dram.PopResponse(s.now)
@@ -876,7 +751,7 @@ func (s *System) routeRequest(n *node, req mem.Request) bool {
 		u := n.localUnit(req.Addr)
 		return u.CanAccept(s.now) && u.Accept(s.now, req)
 	}
-	if s.cfg.Combining && !n.degraded {
+	if s.topo.CombineCache && !n.degraded {
 		// Local phase: combine into the node's own cache.
 		cb := n.combBank(req.Addr)
 		return cb.CanAccept(s.now) && cb.Accept(s.now, req)
@@ -919,11 +794,9 @@ func (s *System) switchCombiner() network.Combiner[frame] {
 				s.routingAbsorbed = true
 				return
 			}
-			// The absorbed request is complete the moment it merges. Its
-			// lifecycle still lives on the issuing node's tracer — it never
-			// reached the owner, so no Transfer happened. A no-op for
-			// unsampled ids (including every sum-back).
-			s.nodes[r.Node].str.OpEnd(r.Node, r.ID, s.now)
+			// The absorbed request is complete the moment it merges. A
+			// no-op for unsampled ids (including every sum-back).
+			s.tr.OpEnd(r.Node, r.ID, s.now)
 		},
 	}
 }
@@ -990,34 +863,21 @@ func (s *System) retransmit(n *node) {
 	}
 }
 
-// detectDegrade notices that a node's combining banks have scrubbed
-// DegradeThreshold parity faults — the store is deemed unreliable — and
-// stages the combining-to-direct fallback for the commit phase. Pure
-// node-local reads, so it is safe inside the parallel compute phase.
-func (s *System) detectDegrade(n *node) {
-	if n.degraded || n.wantDegrade || s.degradeAt == 0 || len(n.comb) == 0 {
+// checkDegrade falls a node back from combining to direct once its
+// combining banks have scrubbed DegradeThreshold parity faults — the store
+// is deemed unreliable: resident partials flush out to their owners and
+// every subsequent remote reference crosses the network directly.
+func (s *System) checkDegrade(n *node) {
+	if n.degraded || s.degradeAt == 0 || len(n.comb) == 0 {
 		return
 	}
 	var faults uint64
 	for _, cb := range n.comb {
 		faults += cb.FaultCount()
 	}
-	if faults >= s.degradeAt {
-		n.wantDegrade = true
-	}
-}
-
-// applyDegrade commits a staged degradation: resident partials flush out to
-// their owners and every subsequent remote reference crosses the network
-// directly. Runs in the sequential commit phase, in node order, because it
-// bumps a shared counter; the cycle a scrub crosses the threshold is a
-// worked cycle in both stepping modes, so the transition lands identically
-// with and without fast-forward and at any shard count.
-func (s *System) applyDegrade(n *node) {
-	if !n.wantDegrade {
+	if faults < s.degradeAt {
 		return
 	}
-	n.wantDegrade = false
 	n.degraded = true
 	s.lmet.degraded.Inc()
 	for _, cb := range n.comb {
@@ -1044,7 +904,7 @@ func (s *System) queueSumBack(n *node, ev cache.EvictedLine) {
 // (flip the lowest differing address bit), merging partials along the way.
 func (s *System) sumBackDst(from int, addr mem.Addr) int {
 	own := s.owner(addr)
-	if !s.cfg.Hierarchical || own == from {
+	if !s.hypercube() || own == from {
 		return own
 	}
 	diff := from ^ own

@@ -12,7 +12,9 @@ import (
 func smallConfig(nodes, bw int, span mem.Addr, combining bool) Config {
 	cfg := DefaultConfig(nodes, bw, span)
 	cfg.Cache.TotalLines = 256
-	cfg.Combining = combining
+	if combining {
+		cfg.Topology = FlatCombining()
+	}
 	return cfg
 }
 
@@ -187,7 +189,7 @@ func TestHierarchicalCombiningCorrect(t *testing.T) {
 	for _, nodes := range []int{2, 4, 8} {
 		span := mem.Addr((rng+nodes-1)/nodes+mem.LineWords-1) &^ (mem.LineWords - 1)
 		cfg := smallConfig(nodes, 1, span, true)
-		cfg.Hierarchical = true
+		cfg.Topology = Hypercube()
 		s := New(cfg, mem.AddI64)
 		refs := uniformTrace(4096, rng, uint64(500+nodes))
 		s.RunTrace(refs)
@@ -202,7 +204,7 @@ func TestHierarchicalRequiresCombining(t *testing.T) {
 		}
 	}()
 	cfg := smallConfig(4, 1, 64, false)
-	cfg.Hierarchical = true
+	cfg.Topology = Topology{Kind: TopoHypercube}
 	New(cfg, mem.AddI64)
 }
 
@@ -213,13 +215,13 @@ func TestHierarchicalRequiresPow2(t *testing.T) {
 		}
 	}()
 	cfg := smallConfig(6, 1, 64, true)
-	cfg.Hierarchical = true
+	cfg.Topology = Hypercube()
 	New(cfg, mem.AddI64)
 }
 
 func TestSumBackRouting(t *testing.T) {
 	cfg := smallConfig(8, 1, 64, true)
-	cfg.Hierarchical = true
+	cfg.Topology = Hypercube()
 	s := New(cfg, mem.AddI64)
 	// Owner of address 0 is node 0. From node 7 (111), hops flip the lowest
 	// differing bit each time: 7 -> 6 -> 4 -> 0.
@@ -248,7 +250,9 @@ func TestHierarchicalRelievesHotOwner(t *testing.T) {
 	span := mem.Addr(rng+mem.LineWords) &^ (mem.LineWords - 1)
 	run := func(hier bool) uint64 {
 		cfg := smallConfig(nodes, 1, span, true)
-		cfg.Hierarchical = hier
+		if hier {
+			cfg.Topology = Hypercube()
+		}
 		s := New(cfg, mem.AddI64)
 		refs := uniformTrace(16384, rng, 777)
 		res := s.RunTrace(refs)

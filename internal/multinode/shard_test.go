@@ -11,10 +11,15 @@ import (
 	"scatteradd/internal/stats"
 )
 
+// Config.Shards is a deprecated no-op: a simulation always runs on its
+// caller's goroutine. The benchmark harness still sets it, so the tests in
+// this file pin that no value of it — in range, out of range, or the
+// harness's 1 — moves a byte of any result, counter, span report or final
+// memory image. They go away together with the field.
+
 // shardOutcome is everything observable from one replay: the throughput
-// result, the full counter snapshot, and the aggregated span report. The
-// sharded-determinism tests require all three to be identical at every
-// shard count.
+// result, the full counter snapshot, the aggregated span report and the
+// final memory.
 type shardOutcome struct {
 	res    Result
 	snap   stats.Snapshot
@@ -43,8 +48,8 @@ func runSharded(t *testing.T, cfg Config, refs []Ref, rangeSize int) shardOutcom
 	}
 }
 
-// shardConfigs is the matrix the determinism tests sweep: both network
-// modes, both stepping modes, fault-free and DefaultChaos, direct and
+// shardConfigs is the matrix the byte-identity test sweeps: both stepping
+// modes, fault-free and DefaultChaos, direct, combining and hypercube
 // (hierarchical) combining.
 func shardConfigs() map[string]Config {
 	const rng = 1024
@@ -57,7 +62,7 @@ func shardConfigs() map[string]Config {
 			comb := smallConfig(4, 2, rng/4, true)
 			comb.LegacyStepping = legacy
 			hier := smallConfig(4, 2, rng/4, true)
-			hier.Hierarchical = true
+			hier.Topology = Hypercube()
 			hier.LegacyStepping = legacy
 			if faults {
 				direct.Faults = fault.DefaultChaos()
@@ -72,11 +77,11 @@ func shardConfigs() map[string]Config {
 	return cfgs
 }
 
-// TestShardedByteIdentical is the core tentpole gate at the multinode
-// layer: replaying the same trace with 1, 2, 3, and 4 shards produces the
-// same result struct, the same counter snapshot entry for entry, the same
-// span report, and the same final memory — in both stepping modes, with
-// and without chaos faults, in every network mode.
+// TestShardedByteIdentical: replaying the same trace with Shards set to 1,
+// 2, 3, 4 and 8 produces the same result struct, the same counter snapshot
+// entry for entry, the same span report and the same final memory — in
+// both stepping modes, with and without chaos faults, in every flat-crossbar
+// network mode.
 func TestShardedByteIdentical(t *testing.T) {
 	const rng = 1024
 	refs := uniformTrace(4096, rng, 11)
@@ -104,8 +109,8 @@ func TestShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesReference checks the sharded path still computes the
-// right histogram (not just the same one as shards=1).
+// TestShardedMatchesReference checks a run with Shards set still computes
+// the right histogram, not just the same one as Shards=1.
 func TestShardedMatchesReference(t *testing.T) {
 	const rng = 2048
 	refs := uniformTrace(8192, rng, 7)
@@ -121,10 +126,9 @@ func TestShardedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestShardedDegradeIdentical pins the staged (compute-detect,
-// commit-apply) degradation path: a fault config aggressive enough to trip
-// combining-to-direct fallback must degrade the same node count and yield
-// the same counters at every shard width.
+// TestShardedDegradeIdentical: a fault config aggressive enough to trip the
+// combining-to-direct fallback degrades the same node count and yields the
+// same counters whatever Shards says.
 func TestShardedDegradeIdentical(t *testing.T) {
 	const rng = 1024
 	refs := uniformTrace(8192, rng, 5)
@@ -150,8 +154,8 @@ func TestShardedDegradeIdentical(t *testing.T) {
 	}
 }
 
-// TestShardsClamped checks out-of-range shard counts normalize instead of
-// panicking: <= 0 behaves as 1, > Nodes clamps to Nodes.
+// TestShardsClamped checks out-of-range Shards values (negative, zero, above
+// the node count) are accepted without a panic and change nothing.
 func TestShardsClamped(t *testing.T) {
 	const rng = 512
 	refs := uniformTrace(1024, rng, 3)
@@ -166,11 +170,10 @@ func TestShardsClamped(t *testing.T) {
 	}
 }
 
-// TestShardedRace is the dedicated -race exercise of the parallel compute
-// phase on a small Fig 13 style configuration: 8 nodes, 4 shards, spans
-// on, faults on, fast-forward on — the maximal set of concurrently active
-// machinery. Correctness of the output is covered above; this test exists
-// so the race detector sweeps every cross-shard edge.
+// TestShardedRace runs a small Fig 13 style configuration with Shards set
+// and spans, faults and fast-forward all on — the maximal set of active
+// machinery — under the race detector when the suite runs with -race. The
+// system must start no goroutine of its own, so there is nothing to race.
 func TestShardedRace(t *testing.T) {
 	const rng = 2048
 	refs := uniformTrace(8192, rng, 13)
@@ -185,5 +188,41 @@ func TestShardedRace(t *testing.T) {
 			t.Fatalf("combining=%v short replay: %+v", combining, res)
 		}
 		verifyHistogram(t, s, refs, rng)
+	}
+}
+
+// TestTopologyShardedIdentical: on every multi-hop fabric, with and without
+// chaos faults, Shards set to 2 or 4 is byte-identical to Shards=1.
+func TestTopologyShardedIdentical(t *testing.T) {
+	const rng = 1024
+	refs := uniformTrace(4096, rng, 29)
+	for name, topo := range topoMatrix() {
+		t.Run(name, func(t *testing.T) {
+			for _, faults := range []bool{false, true} {
+				cfg := topoConfig(4, 2, lineSpan(rng, 4), topo)
+				if faults {
+					cfg.Faults = fault.DefaultChaos()
+				}
+				cfg.Shards = 1
+				want := runSharded(t, cfg, refs, rng)
+				for _, shards := range []int{2, 4} {
+					cfg.Shards = shards
+					got := runSharded(t, cfg, refs, rng)
+					if got.res != want.res {
+						t.Fatalf("faults=%v shards=%d result diverged:\n got %+v\nwant %+v",
+							faults, shards, got.res, want.res)
+					}
+					if !reflect.DeepEqual(got.snap, want.snap) {
+						t.Fatalf("faults=%v shards=%d counter snapshot diverged", faults, shards)
+					}
+					if got.report != want.report {
+						t.Fatalf("faults=%v shards=%d span report diverged", faults, shards)
+					}
+					if !reflect.DeepEqual(got.values, want.values) {
+						t.Fatalf("faults=%v shards=%d final memory diverged", faults, shards)
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,9 +2,11 @@ package multinode
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
 	"scatteradd/internal/span"
 )
@@ -100,6 +102,60 @@ func TestSpanTracerDoesNotPerturbMultiNode(t *testing.T) {
 		bare, traced := run(0), run(1)
 		if bare != traced {
 			t.Fatalf("combining=%v: tracing changed the result: %+v != %+v", combining, bare, traced)
+		}
+	}
+}
+
+// TestSpanOpsDrainAcrossConfigs: every sampled op closes its lifecycle by
+// the end of a drained replay, whatever path it took — direct remote
+// scatter-adds, cache combining with sum-backs, hypercube sum-back hops,
+// every multi-hop fabric with and without in-switch merging, a
+// combining-to-direct degradation mid-run — in both stepping modes and
+// under chaos faults (retransmitted, duplicated and dropped frames).
+func TestSpanOpsDrainAcrossConfigs(t *testing.T) {
+	const rng = 1024
+	refs := uniformTrace(4096, rng, 11)
+	cfgs := map[string]Config{
+		"direct":       topoConfig(4, 2, lineSpan(rng, 4), Flat()),
+		"combining":    topoConfig(4, 2, lineSpan(rng, 4), FlatCombining()),
+		"hierarchical": topoConfig(4, 2, lineSpan(rng, 4), Hypercube()),
+	}
+	for name, topo := range topoMatrix() {
+		cfgs[name] = topoConfig(4, 2, lineSpan(rng, 4), topo)
+	}
+	degrade := topoConfig(4, 2, lineSpan(rng, 4), FlatCombining())
+	degrade.Faults = fault.DefaultChaos()
+	degrade.Faults.CSCorruptRate = 0.2 // scrub storm
+	degrade.Faults.DegradeThreshold = 8
+	cfgs["degrade"] = degrade
+	for name, base := range cfgs {
+		for _, legacy := range []bool{false, true} {
+			for _, faults := range []bool{false, true} {
+				if name == "degrade" && !faults {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/legacy=%v/faults=%v", name, legacy, faults), func(t *testing.T) {
+					cfg := base
+					cfg.LegacyStepping = legacy
+					if faults && name != "degrade" {
+						cfg.Faults = fault.DefaultChaos()
+					}
+					s := New(cfg, mem.AddI64)
+					tr := span.New(16)
+					s.SetSpanTracer(tr)
+					res := s.RunTrace(refs)
+					if len(tr.Ops()) == 0 {
+						t.Fatal("no ops sampled")
+					}
+					if live := tr.Live(); live != 0 {
+						t.Fatalf("%d live ops after drain", live)
+					}
+					if name == "degrade" && res.Degraded == 0 {
+						t.Fatalf("scrub storm degraded no node: %+v", res)
+					}
+					verifyHistogram(t, s, refs, rng)
+				})
+			}
 		}
 	}
 }

@@ -19,13 +19,17 @@ const (
 	// TopoDefault derives the kind from the deprecated Config.Combining and
 	// Config.Hierarchical bools: hypercube when Hierarchical is set, flat
 	// otherwise. Zero-value configs keep their exact pre-Topology meaning.
+	// It takes no options.
 	TopoDefault TopologyKind = iota
 	// TopoFlat is the paper's single full crossbar (§4.5).
 	TopoFlat
 	// TopoHypercube keeps the flat crossbar but routes sum-backs along
-	// logical hypercube dimensions, merging partial lines at every hop —
-	// the paper's §5 future-work optimization. Requires cache combining and
-	// a power-of-two node count.
+	// logical hypercube dimensions so they combine across nodes in
+	// logarithmic instead of linear complexity — the paper's §5 future-work
+	// optimization. Each evicted partial line travels one hypercube
+	// dimension toward its owner per flush round, merging with other nodes'
+	// partials at every hop. Requires cache combining and a power-of-two
+	// node count.
 	TopoHypercube
 	// TopoTree is a multi-hop fat-tree of small crossbar switches with
 	// configurable fan-in.
@@ -62,7 +66,7 @@ type Topology struct {
 
 	// CombineCache enables the paper's local-combining + sum-back mode:
 	// remote references merge into the sending node's own cache and evicted
-	// partial lines sum back to their owners (the old Combining bool).
+	// partial lines sum back to their owners.
 	CombineCache bool
 	// CombineSwitch enables Ultracomputer-style combining inside every
 	// switch of a multi-hop topology: same-address scatter-add packets that
@@ -75,7 +79,7 @@ type Topology struct {
 func Flat() Topology { return Topology{Kind: TopoFlat} }
 
 // FlatCombining returns the flat crossbar with the paper's cache-combining
-// mode (the old Combining bool).
+// mode.
 func FlatCombining() Topology { return Topology{Kind: TopoFlat, CombineCache: true} }
 
 // Hypercube returns the hypercube sum-back topology (cache combining
@@ -135,7 +139,7 @@ func (t Topology) graphKind() network.GraphKind {
 // Config.
 func (t Topology) normalized(cfg Config) Topology {
 	if t.Kind == TopoDefault {
-		if t.FanIn != 0 || t.MeshX != 0 || t.MeshY != 0 || t.CombineCache || t.CombineSwitch {
+		if t != (Topology{}) {
 			panic("multinode: Topology options require an explicit Topology.Kind")
 		}
 		t.Kind = TopoFlat

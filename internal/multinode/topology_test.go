@@ -104,43 +104,6 @@ func TestTopologyFFMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestTopologyShardedIdentical: sharded compute over a multi-hop fabric is
-// byte-identical to the sequential run — the fabric only ever ticks in the
-// sequential commit phase, so this must hold exactly.
-func TestTopologyShardedIdentical(t *testing.T) {
-	const rng = 1024
-	refs := uniformTrace(4096, rng, 29)
-	for name, topo := range topoMatrix() {
-		t.Run(name, func(t *testing.T) {
-			for _, faults := range []bool{false, true} {
-				cfg := topoConfig(4, 2, lineSpan(rng, 4), topo)
-				if faults {
-					cfg.Faults = fault.DefaultChaos()
-				}
-				cfg.Shards = 1
-				want := runSharded(t, cfg, refs, rng)
-				for _, shards := range []int{2, 4} {
-					cfg.Shards = shards
-					got := runSharded(t, cfg, refs, rng)
-					if got.res != want.res {
-						t.Fatalf("faults=%v shards=%d result diverged:\n got %+v\nwant %+v",
-							faults, shards, got.res, want.res)
-					}
-					if !reflect.DeepEqual(got.snap, want.snap) {
-						t.Fatalf("faults=%v shards=%d counter snapshot diverged", faults, shards)
-					}
-					if got.report != want.report {
-						t.Fatalf("faults=%v shards=%d span report diverged", faults, shards)
-					}
-					if !reflect.DeepEqual(got.values, want.values) {
-						t.Fatalf("faults=%v shards=%d final memory diverged", faults, shards)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestTopologyChaosExact: per-hop seq/ack/retransmit recovers every injected
 // drop and duplicate on multi-hop fabrics — the histogram stays bit-exact
 // and the recovery shows up in the Result counters.

@@ -28,9 +28,6 @@
 // any switch are absorbed hop-locally instead of end-to-end. Retransmitted
 // frames bypass the staging window — they carry an already-assigned sequence
 // number and must not re-combine.
-//
-// Everything below runs in the multinode system's sequential commit phase,
-// so sharded runs stay byte-identical by construction.
 package network
 
 import (

@@ -62,8 +62,8 @@ func TestCacheIdenticalSpecsCoalesceToOneSimulation(t *testing.T) {
 }
 
 // TestCacheKeySemantics: differing fault seeds (and any output-affecting
-// option) miss; jobs/shards/format — which never change rendered bytes — hit
-// the same entry.
+// option) miss; format — which never changes rendered bytes — hits the same
+// entry.
 func TestCacheKeySemantics(t *testing.T) {
 	base := Spec{Figure: "fig13", Scale: 512, Faults: 1}
 	k := validated(t, base).CacheKey()
@@ -84,11 +84,6 @@ func TestCacheKeySemantics(t *testing.T) {
 		t.Fatal("differing figure produced the same cache key")
 	}
 
-	sharded := base
-	sharded.Shards = 4
-	if validated(t, sharded).CacheKey() != k {
-		t.Fatal("shards changed the cache key (they never change rendered bytes)")
-	}
 	formatted := base
 	formatted.Format = "csv"
 	if validated(t, formatted).CacheKey() != k {

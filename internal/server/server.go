@@ -27,9 +27,9 @@ type Config struct {
 	// a request arriving past Workers+Queue is answered 429 with
 	// Retry-After (0 = 64, negative = no waiting room).
 	Queue int
-	// RunJobs is exp.Options.Jobs for each simulation — per-request
-	// parallelism, multiplying with Workers (0 = 1: throughput over
-	// per-request latency).
+	// RunJobs is exp.Options.Jobs for each request — the figure's
+	// simulations that run concurrently, multiplying with Workers (0 = 1:
+	// throughput over per-request latency).
 	RunJobs int
 	// CacheEntries bounds the LRU result cache (0 = 256, negative =
 	// disabled; in-flight coalescing stays on regardless).
@@ -41,7 +41,7 @@ type Config struct {
 	// capacity (QuotaRPS <= 0 disables quotas).
 	QuotaRPS   float64
 	QuotaBurst int
-	// Limits bounds accepted specs (scale floor, shard cap).
+	// Limits bounds accepted specs (scale floor, fan-in cap).
 	Limits Limits
 	// Obs, when non-nil, enables service telemetry: RED metrics on /metrics,
 	// per-request stage tracing with slow-trace capture on /debug/slowz, and

@@ -108,6 +108,8 @@ func TestHTTPRunClientErrors(t *testing.T) {
 		{"POST", "/v1/run", `{"figure":"fig6","scale":2}`, "floor"},
 		{"GET", "/v1/run?figure=fig6&scale=banana", "", "banana"},
 		{"GET", "/v1/run?figure=fig6&bogus=1", "", "bogus"},
+		{"POST", "/v1/run", `{"figure":"fig13","scale":8,"shards":4}`, "shards"},
+		{"GET", "/v1/run?figure=fig13&scale=8&shards=4", "", "shards"},
 	}
 	for _, tc := range cases {
 		var resp *http.Response

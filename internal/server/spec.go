@@ -48,12 +48,6 @@ type Spec struct {
 	Scale int `json:"scale,omitempty"`
 	// Seed perturbs every workload seed (0 = the paper's fixed seeds).
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards partitions each simulation's compute across workers — per-node
-	// engines for multi-node figures, bank clusters for single-machine ones
-	// (0 or 1 = sequential; the server never auto-picks). Output is
-	// byte-identical for every value, so shards do not participate in the
-	// result-cache key.
-	Shards int `json:"shards,omitempty"`
 	// Stats appends the hardware performance-counter appendix.
 	Stats bool `json:"stats,omitempty"`
 	// Spans appends the request-lifecycle latency appendix.
@@ -86,8 +80,6 @@ type Limits struct {
 	// MinScale rejects specs with Scale below it (larger Scale = smaller
 	// datasets = cheaper runs). 0 means 1: even the paper's full sizes.
 	MinScale int
-	// MaxShards caps Spec.Shards (0 means 64).
-	MaxShards int
 	// MaxFanIn caps Spec.FanIn (0 means 16).
 	MaxFanIn int
 }
@@ -97,13 +89,6 @@ func (l Limits) minScale() int {
 		return 1
 	}
 	return l.MinScale
-}
-
-func (l Limits) maxShards() int {
-	if l.MaxShards < 1 {
-		return 64
-	}
-	return l.MaxShards
 }
 
 func (l Limits) maxFanIn() int {
@@ -179,13 +164,6 @@ func (sp Spec) Validate(l Limits) (Request, error) {
 	if scale < l.minScale() {
 		return Request{}, fmt.Errorf("scale %d below this server's floor %d (larger scale = smaller datasets)", scale, l.minScale())
 	}
-	shards := sp.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 1 || shards > l.maxShards() {
-		return Request{}, fmt.Errorf("shards %d invalid (want 1 .. %d)", sp.Shards, l.maxShards())
-	}
 	if sp.SpanRate < 0 {
 		return Request{}, fmt.Errorf("span_rate %d invalid (want >= 0; 0 = default 16)", sp.SpanRate)
 	}
@@ -222,7 +200,6 @@ func (sp Spec) Validate(l Limits) (Request, error) {
 		Format: format,
 		Opts: exp.Options{
 			Scale:        scale,
-			Shards:       shards,
 			Seed:         sp.Seed,
 			CollectStats: sp.Stats,
 			CollectSpans: sp.Spans,
@@ -238,9 +215,9 @@ func (sp Spec) Validate(l Limits) (Request, error) {
 
 // CacheKey is the request's result-cache and coalescing key: the figure name
 // plus the canonical-JSON options fingerprint shared with figure checkpoints
-// (internal/exp). Jobs, Shards, and Format are absent by construction — none
-// of them changes rendered bytes — so a -shards 4 request coalesces with the
-// -shards 1 request already in flight.
+// (internal/exp). Jobs and Format are absent by construction — neither
+// changes rendered bytes — so a csv request coalesces with the json request
+// for the same figure and options already in flight.
 func (r Request) CacheKey() string {
 	return r.Figure + "\x00" + r.Opts.Fingerprint()
 }
@@ -299,8 +276,6 @@ func specFromQuery(q url.Values) (Spec, error) {
 			sp.Scale, err = strconv.Atoi(v)
 		case "seed":
 			sp.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "shards":
-			sp.Shards, err = strconv.Atoi(v)
 		case "span_rate":
 			sp.SpanRate, err = strconv.Atoi(v)
 		case "stats":

@@ -21,8 +21,6 @@ func TestValidateRejections(t *testing.T) {
 		{"empty figure", Spec{}, Limits{}, "figure"},
 		{"negative scale", Spec{Figure: "fig6", Scale: -1}, Limits{}, "scale"},
 		{"scale under floor", Spec{Figure: "fig6", Scale: 4}, Limits{MinScale: 8}, "floor"},
-		{"negative shards", Spec{Figure: "fig13", Shards: -2}, Limits{}, "shards"},
-		{"shards over cap", Spec{Figure: "fig13", Shards: 9}, Limits{MaxShards: 8}, "shards"},
 		{"negative span rate", Spec{Figure: "fig6", SpanRate: -1}, Limits{}, "span_rate"},
 		{"faults over 1", Spec{Figure: "fig6", Faults: 1.5}, Limits{}, "faults"},
 		{"negative faults", Spec{Figure: "fig6", Faults: -0.1}, Limits{}, "faults"},
@@ -48,7 +46,7 @@ func TestValidateRejections(t *testing.T) {
 // TestValidateDefaults: the zero spec fields resolve to the CLI's defaults.
 func TestValidateDefaults(t *testing.T) {
 	req := validated(t, Spec{Figure: "fig6"})
-	if req.Opts.Scale != 1 || req.Opts.Shards != 1 || req.Format != "json" {
+	if req.Opts.Scale != 1 || req.Format != "json" {
 		t.Fatalf("defaults: %+v / format %q", req.Opts, req.Format)
 	}
 	if req.Opts.Jobs != 0 {
@@ -105,12 +103,11 @@ func TestRenderFormats(t *testing.T) {
 }
 
 // TestParseSpecQueryAndBody: GET query parameters and POST JSON produce the
-// same spec; unknown fields are rejected on both paths.
+// same spec.
 func TestParseSpecQueryAndBody(t *testing.T) {
 	q := url.Values{}
 	q.Set("figure", "fig13")
 	q.Set("scale", "8")
-	q.Set("shards", "4")
 	q.Set("faults", "0.5")
 	q.Set("stats", "true")
 	q.Set("format", "csv")
@@ -118,7 +115,7 @@ func TestParseSpecQueryAndBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := strings.NewReader(`{"figure":"fig13","scale":8,"shards":4,"faults":0.5,"stats":true,"format":"csv"}`)
+	body := strings.NewReader(`{"figure":"fig13","scale":8,"faults":0.5,"stats":true,"format":"csv"}`)
 	fromBody, err := ParseSpec("POST", nil, body)
 	if err != nil {
 		t.Fatal(err)
@@ -126,15 +123,34 @@ func TestParseSpecQueryAndBody(t *testing.T) {
 	if fromQuery != fromBody {
 		t.Fatalf("query %+v != body %+v", fromQuery, fromBody)
 	}
+}
 
-	if _, err := ParseSpec("GET", url.Values{"figrue": {"fig6"}}, nil); err == nil {
-		t.Fatal("typoed query parameter accepted")
+// TestParseSpecRejections: unknown fields — typos, and the retired shards
+// option — are rejected on both the query and the JSON path with an error
+// that names the field, as are malformed values.
+func TestParseSpecRejections(t *testing.T) {
+	cases := []struct {
+		name   string
+		method string
+		query  url.Values
+		body   string
+		want   string
+	}{
+		{"typoed query parameter", "GET", url.Values{"figrue": {"fig6"}}, "", "figrue"},
+		{"typoed JSON field", "POST", nil, `{"figrue":"fig6"}`, "figrue"},
+		{"shards query parameter", "GET", url.Values{"figure": {"fig13"}, "shards": {"4"}}, "", "shards"},
+		{"shards JSON field", "POST", nil, `{"figure":"fig13","shards":4}`, "shards"},
+		{"non-numeric scale", "GET", url.Values{"scale": {"lots"}}, "", "lots"},
 	}
-	if _, err := ParseSpec("POST", nil, strings.NewReader(`{"figrue":"fig6"}`)); err == nil {
-		t.Fatal("typoed JSON field accepted")
-	}
-	if _, err := ParseSpec("GET", url.Values{"scale": {"lots"}}, nil); err == nil {
-		t.Fatal("non-numeric scale accepted")
+	for _, tc := range cases {
+		_, err := ParseSpec(tc.method, tc.query, strings.NewReader(tc.body))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkEngineStep measures the bare per-cycle dispatch cost of the
 // engine over a representative set of queue-shuffling components, including
@@ -83,48 +80,6 @@ func (p *ffPulse) NextEvent(now uint64) uint64 {
 }
 
 func (p *ffPulse) Skip(now, cycles uint64) { p.idleSkipped += cycles }
-
-// BenchmarkEngineSharded measures the two-phase shard step at the sim layer:
-// a sequential exchange phase followed by a ShardPool compute phase over
-// per-shard component groups, the same structure the multinode system uses.
-// Sub-benchmarks vary the pool width so benchgate can compare the sharded
-// medians against the 1-shard twin on multi-core runners.
-func BenchmarkEngineSharded(b *testing.B) {
-	const groups = 4
-	const workPerGroup = 2048
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p := NewShardPool(shards)
-			defer p.Close()
-			ranges := ShardRanges(groups, p.Shards())
-			state := make([][workPerGroup]uint64, groups)
-			var exchanged uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				exchanged++ // sequential exchange phase stand-in
-				p.Run(func(s int) {
-					r := ranges[s]
-					for g := r[0]; g < r[1]; g++ {
-						st := &state[g]
-						for j := range st {
-							st[j] += exchanged
-						}
-					}
-				})
-			}
-			b.StopTimer()
-			// Each pass adds the running exchange counter, so every word
-			// must hold the triangular sum 1+2+...+N.
-			want := exchanged * (exchanged + 1) / 2
-			for g := range state {
-				if state[g][0] != want {
-					b.Fatalf("group %d advanced to %d, want %d", g, state[g][0], want)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkQueuePushPop(b *testing.B) {
 	q := NewQueue[int](64)

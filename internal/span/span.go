@@ -279,62 +279,6 @@ func (t *Tracer) Events() []Event {
 	return t.events
 }
 
-// Transfer moves the live op (node, id) from t to dst, preserving its
-// recorded transitions. Sharded systems use it when a sampled op crosses
-// from one shard-private tracer to another (a remote request landing in the
-// destination node's inbox); the move happens in a sequential exchange
-// phase, so neither tracer is touched concurrently. A no-op when the op is
-// not live in t (unsampled ids) or either tracer is nil.
-func (t *Tracer) Transfer(dst *Tracer, node int, id uint64) {
-	if t == nil || dst == nil || t == dst {
-		return
-	}
-	k := opKey{node, id}
-	op, ok := t.live[k]
-	if !ok {
-		return
-	}
-	delete(t.live, k)
-	dst.live[k] = op
-}
-
-// Absorb moves every completed op, event, and live lifecycle from src into
-// t and leaves src empty. Sharded systems run one tracer per shard during
-// parallel phases and absorb them into the master tracer at end of run;
-// because Aggregate is order-insensitive, the merged report is identical to
-// single-tracer collection. Absorbing preserves src's recording order
-// within each kind.
-func (t *Tracer) Absorb(src *Tracer) {
-	if t == nil || src == nil || t == src {
-		return
-	}
-	t.ops = append(t.ops, src.ops...)
-	t.events = append(t.events, src.events...)
-	for k, op := range src.live {
-		t.live[k] = op
-		delete(src.live, k)
-	}
-	src.ops = src.ops[:0]
-	src.events = src.events[:0]
-}
-
-// AbsorbCompleted moves src's completed ops and component events into t but
-// leaves src's live lifecycles in place. The sharded single-machine engine
-// folds its shard tracers into the master at every op boundary, where
-// asynchronous streams may still have sampled ops in flight; those must keep
-// accumulating stage transitions on the shard tracer that the shard's
-// components write to (Absorb would strand them: a moved live op no longer
-// receives OpStage/OpEnd calls made against src).
-func (t *Tracer) AbsorbCompleted(src *Tracer) {
-	if t == nil || src == nil || t == src {
-		return
-	}
-	t.ops = append(t.ops, src.ops...)
-	t.events = append(t.events, src.events...)
-	src.ops = src.ops[:0]
-	src.events = src.events[:0]
-}
-
 // Reset discards all recorded ops, events, and live lifecycles but keeps
 // the sampling rate and counter phase.
 func (t *Tracer) Reset() {

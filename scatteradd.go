@@ -301,8 +301,7 @@ func NewMultiNode(cfg MultiNodeConfig, kind Kind) *MultiNode {
 // MultiNodeOption customizes a MultiNode built with NewMultiNodeWith.
 type MultiNodeOption func(*MultiNodeConfig)
 
-// WithTopology selects the interconnect topology and combining placement,
-// replacing the deprecated Combining/Hierarchical bool pair:
+// WithTopology selects the interconnect topology and combining placement:
 //
 //	s := scatteradd.NewMultiNodeWith(cfg, scatteradd.AddI64,
 //		scatteradd.WithTopology(scatteradd.TreeTopology(4, true)))
