@@ -221,24 +221,16 @@ func runMultiNode(app string, nodes int, topoName string, fanIn, n, rangeSize in
 	}
 	idx := workload.UniformIndices(n, rangeSize, seed)
 	refs := make([]multinode.Ref, n)
-	want := make([]int64, rangeSize)
 	for i, x := range idx {
 		refs[i] = multinode.Ref{Addr: mem.Addr(x), Val: mem.I64(1)}
-		want[x]++
 	}
 	ownerSpan := (mem.Addr(rangeSize)/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
 	cfg := multinode.DefaultConfig(nodes, 1, ownerSpan)
 	cfg.Topology = topo
 	s := multinode.New(cfg, mem.AddI64)
 	res := s.RunTrace(refs)
-	addrs := make([]mem.Addr, rangeSize)
-	for i := range addrs {
-		addrs[i] = mem.Addr(i)
-	}
-	for i, w := range s.ReadResult(addrs) {
-		if mem.AsI64(w) != want[i] {
-			return fmt.Errorf("result verification FAILED: bin %d = %d, want %d", i, mem.AsI64(w), want[i])
-		}
+	if err := s.Verify(refs); err != nil {
+		return fmt.Errorf("result verification FAILED: %v", err)
 	}
 	fmt.Printf("histogram n=%d range=%d, %d nodes, topology %s\n", n, rangeSize, nodes, topoName)
 	fmt.Printf("  cycles        %12d  (%.1f us at %g GHz)\n",

@@ -87,7 +87,8 @@ type tracePointOut struct {
 }
 
 // runTracePoint replays one trace on one configuration and node count,
-// returning GB/s.
+// returning GB/s. The final memory is checked against the trace's
+// sequential sum after the counter and span snapshots are taken.
 func runTracePoint(o Options, tr trace, tc traceConfig, nodes int) tracePointOut {
 	ownerSpan := (tr.span/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
 	cfg := multinode.DefaultConfig(nodes, tc.bandwidth, ownerSpan)
@@ -104,6 +105,9 @@ func runTracePoint(o Options, tr trace, tc traceConfig, nodes int) tracePointOut
 	if o.CollectSpans {
 		out.rep = spanReport(sp)
 		out.label = fmt.Sprintf("%s nodes=%d", tc.label, nodes)
+	}
+	if err := s.Verify(tr.refs); err != nil {
+		panic(fmt.Sprintf("exp: fig13 %s nodes=%d failed verification: %v", tc.label, nodes, err))
 	}
 	return out
 }

@@ -37,7 +37,9 @@ type scalePointOut struct {
 // runScalePoint replays the hot histogram on one interconnect at one size.
 // The per-node machine is trimmed (small cache, 2 DRAM channels) so the
 // kilo-node points stay simulable; every configuration shares the identical
-// node, so the columns differ only by interconnect.
+// node, so the columns differ only by interconnect. The final memory is
+// checked against the trace's sequential sum after the counter and span
+// snapshots are taken.
 func runScalePoint(o Options, tr trace, name string, nodes int) scalePointOut {
 	topo, err := multinode.ParseTopology(name, o.FanIn)
 	if err != nil {
@@ -74,6 +76,9 @@ func runScalePoint(o Options, tr trace, name string, nodes int) scalePointOut {
 			Label:  fmt.Sprintf("%s nodes=%d", name, nodes),
 			Report: spanReport(sp),
 		}
+	}
+	if err := s.Verify(tr.refs); err != nil {
+		panic(fmt.Sprintf("exp: fig14 %s nodes=%d failed verification: %v", name, nodes, err))
 	}
 	return out
 }

@@ -1,0 +1,153 @@
+package multinode
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"scatteradd/internal/fault"
+	"scatteradd/internal/mem"
+	"scatteradd/internal/span"
+)
+
+// hotConfig is a Fig 14 style system: the trimmed node (2 cache banks, 2
+// DRAM channels, a small cache) on the given topology, owning span words per
+// node.
+func hotConfig(nodes int, span mem.Addr, topo Topology) Config {
+	cfg := DefaultConfig(nodes, 1, span)
+	cfg.Topology = topo
+	cfg.Cache.Banks = 2
+	cfg.Cache.TotalLines = 256
+	cfg.DRAM.Channels = 2
+	cfg.DRAM.BanksPerChannel = 4
+	cfg.Net.WireDepth = 64
+	return cfg
+}
+
+// activityRun is everything a replay exposes: its Result, counters (with
+// every histogram bucket), span report, and final memory.
+type activityRun struct {
+	res  Result
+	snap interface{}
+	rep  span.Report
+	mem  []mem.Word
+}
+
+func replayHot(cfg Config, refs []Ref, rng int) activityRun {
+	s := New(cfg, mem.AddI64)
+	tr := span.New(4)
+	s.SetSpanTracer(tr)
+	res := s.RunTrace(refs)
+	addrs := make([]mem.Addr, rng)
+	for i := range addrs {
+		addrs[i] = mem.Addr(i)
+	}
+	return activityRun{res: res, snap: s.StatsSnapshot(), rep: span.Aggregate(tr.Ops()), mem: s.ReadResult(addrs)}
+}
+
+// TestActivityMatchesLegacy: on 256 nodes replaying a hot histogram whose
+// 64 bins belong to the first 8 nodes, almost every node sleeps almost every
+// cycle, so activity-driven stepping defers nearly all node work to
+// catch-up Skips. Its Result, counters, span report and final memory must
+// equal per-cycle legacy stepping on every fabric, on the combining modes
+// that run flush rounds, and through a chaos run that degrades nodes from
+// combining to direct.
+func TestActivityMatchesLegacy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-node legacy replays")
+	}
+	const nodes, rng = 256, 64
+	refs := uniformTrace(4096, rng, 71)
+	span := lineSpan(rng, nodes)
+	chaos := hotConfig(nodes, span, FlatCombining())
+	chaos.Faults = fault.DefaultChaos()
+	chaos.Faults.CSCorruptRate = 0.05
+	chaos.Faults.DegradeThreshold = 1
+	cfgs := map[string]Config{
+		"flat":           hotConfig(nodes, span, Flat()),
+		"tree+comb":      hotConfig(nodes, span, Tree(4, true)),
+		"mesh":           hotConfig(nodes, span, Mesh(false)),
+		"flat+comb":      hotConfig(nodes, span, FlatCombining()),
+		"hypercube":      hotConfig(nodes, span, Hypercube()),
+		"chaos-degraded": chaos,
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			refs := refs
+			if name == "chaos-degraded" {
+				// Retransmission storms keep most nodes busy under chaos; a
+				// shorter trace still degrades dozens of them.
+				refs = refs[:1024]
+			}
+			ff := replayHot(cfg, refs, rng)
+			cfg.LegacyStepping = true
+			legacy := replayHot(cfg, refs, rng)
+			if ff.res != legacy.res {
+				t.Fatalf("FF result %+v != legacy %+v", ff.res, legacy.res)
+			}
+			if !reflect.DeepEqual(ff.snap, legacy.snap) {
+				t.Fatal("FF counters diverge from legacy stepping")
+			}
+			if !reflect.DeepEqual(ff.rep, legacy.rep) {
+				t.Fatalf("FF span report diverges from legacy:\n%s\nvs\n%s", ff.rep.Format("  "), legacy.rep.Format("  "))
+			}
+			if !reflect.DeepEqual(ff.mem, legacy.mem) {
+				t.Fatal("FF final memory diverges from legacy")
+			}
+			if name == "chaos-degraded" && ff.res.Degraded == 0 {
+				t.Fatalf("no node degraded at DegradeThreshold 1: %+v", ff.res)
+			}
+		})
+	}
+}
+
+// TestStepActiveDoesNotAllocate: once a replay has opened the fabric's
+// ports, a cycle of activity-driven stepping allocates nothing.
+func TestStepActiveDoesNotAllocate(t *testing.T) {
+	const nodes, rng = 64, 64
+	s := New(hotConfig(nodes, lineSpan(rng, nodes), Tree(4, true)), mem.AddI64)
+	s.RunTrace(uniformTrace(1024, rng, 5))
+	s.rescan()
+	if allocs := testing.AllocsPerRun(100, s.stepActive); allocs != 0 {
+		t.Fatalf("stepActive allocates %.1f times per cycle", allocs)
+	}
+}
+
+// TestVerify: Verify accepts a replay's final memory, and rejects it once a
+// single bin is corrupted behind the system's back.
+func TestVerify(t *testing.T) {
+	const nodes, rng = 4, 256
+	s := New(smallConfig(nodes, 1, lineSpan(rng, nodes), true), mem.AddI64)
+	refs := uniformTrace(2048, rng, 29)
+	s.RunTrace(refs)
+	if err := s.Verify(refs); err != nil {
+		t.Fatalf("clean replay failed verification: %v", err)
+	}
+	const bad = mem.Addr(200)
+	st := s.nodes[s.owner(bad)].dram.Store()
+	st.StoreI64(bad, st.LoadI64(bad)+1)
+	err := s.Verify(refs)
+	if err == nil || !strings.Contains(err.Error(), "address 200") {
+		t.Fatalf("corrupted bin 200 passed verification (err %v)", err)
+	}
+}
+
+// TestVerifyFloatTolerance: floating-point traces match within the 1e-9
+// relative tolerance that reordered combining needs, and no further.
+func TestVerifyFloatTolerance(t *testing.T) {
+	const nodes, rng = 2, 64
+	refs := make([]Ref, 512)
+	for i := range refs {
+		refs[i] = Ref{Addr: mem.Addr(i % rng), Val: mem.F64(0.1 * float64(i%7+1))}
+	}
+	s := New(smallConfig(nodes, 1, lineSpan(rng, nodes), true), mem.AddF64)
+	s.RunTrace(refs)
+	if err := s.Verify(refs); err != nil {
+		t.Fatalf("clean float replay failed verification: %v", err)
+	}
+	st := s.nodes[0].dram.Store()
+	st.StoreF64(3, st.LoadF64(3)*(1+1e-6))
+	if err := s.Verify(refs); err == nil {
+		t.Fatal("a 1e-6 relative error passed verification")
+	}
+}

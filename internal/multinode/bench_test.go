@@ -29,3 +29,28 @@ func BenchmarkFig13Tree1(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFig14Tree1024 replays Fig 14's hot histogram at its -scale 64
+// size (4096 references over 256 bins, owned by the first 32 nodes) on 1024
+// of the figure's trimmed nodes under a fan-in-4 fat-tree with in-switch
+// combining — the kilo-node path, where almost every node and switch sleeps
+// on almost every cycle. One System per iteration, like the Fig 14 runner
+// in internal/exp.
+func BenchmarkFig14Tree1024(b *testing.B) {
+	const (
+		nodes = 1024
+		rng   = 256
+		adds  = 4096
+	)
+	cfg := hotConfig(nodes, lineSpan(rng, nodes), Tree(4, true))
+	refs := uniformTrace(adds, rng, 0xF16_14)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(cfg, mem.AddI64)
+		res := s.RunTrace(refs)
+		if res.Adds != adds {
+			b.Fatalf("short replay: %+v", res)
+		}
+	}
+}

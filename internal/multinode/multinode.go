@@ -31,6 +31,7 @@ package multinode
 
 import (
 	"fmt"
+	"math"
 
 	"scatteradd/internal/cache"
 	"scatteradd/internal/dram"
@@ -172,6 +173,14 @@ type node struct {
 	seen     map[uint64]struct{} // delivered seqs, for duplicate-safe replay
 	ackbox   []ackOut            // acks awaiting network injection
 	degraded bool                // combining store tripped: fall back to direct
+
+	// Activity-driven stepping (fast-forward only; see stepActive). at is
+	// the cycle the node's components have advanced to; next caches
+	// nodeNextEvent and busy the node's share of done, both as of the last
+	// cycle the node worked. A node sleeps until next or a fabric arrival.
+	at   uint64
+	next uint64
+	busy bool
 }
 
 // Result reports a trace replay.
@@ -233,6 +242,11 @@ type System struct {
 
 	ff bool // fast-forward over quiescent cycles
 
+	// Activity-driven stepping state (fast-forward only).
+	active    []*node // nodes worked this cycle (stepActive scratch)
+	nodeMin   uint64  // earliest cached next over all nodes
+	busyNodes int     // nodes whose cached busy flag is set
+
 	tr         *span.Tracer
 	sumBackSeq uint64
 
@@ -264,6 +278,7 @@ func New(cfg Config, kind mem.Kind) *System {
 	}
 	topo := cfg.Topology.normalized(cfg)
 	s := &System{cfg: cfg, topo: topo, kind: kind, reg: stats.NewRegistry(), ff: !cfg.LegacyStepping, routingNode: -1}
+	s.active = make([]*node, 0, cfg.Nodes)
 	if topo.multiHop() {
 		mh := network.NewMultiHop[frame](network.MultiHopConfig{
 			Kind:    topo.graphKind(),
@@ -336,7 +351,10 @@ func New(cfg Config, kind mem.Kind) *System {
 // StatsSnapshot returns the current values of every performance counter in
 // the system (crossbar plus per-node DRAM, cache, combining, and scatter-add
 // groups).
-func (s *System) StatsSnapshot() stats.Snapshot { return s.reg.Snapshot() }
+func (s *System) StatsSnapshot() stats.Snapshot {
+	s.settle()
+	return s.reg.Snapshot()
+}
 
 // SetSpanTracer installs a request-lifecycle tracer across the whole system:
 // the crossbar plus every node's DRAM, cache banks, scatter-add units, and
@@ -397,6 +415,7 @@ func (s *System) RunTrace(refs []Ref) Result {
 	start := s.now
 	limit := s.now + 2_000_000_000
 	runPhase := func() {
+		s.rescan()
 		for !s.done() {
 			// Jump over quiescent stretches (all queues empty, every timer in
 			// the future); clamp to just past the limit so a drained-but-
@@ -410,6 +429,8 @@ func (s *System) RunTrace(refs []Ref) Result {
 					h = limit + 1
 				}
 				s.skipTo(h)
+			} else if s.ff {
+				s.stepActive()
 			} else {
 				s.step()
 			}
@@ -417,6 +438,7 @@ func (s *System) RunTrace(refs []Ref) Result {
 				panic("multinode: trace did not drain; flow-control deadlock")
 			}
 		}
+		s.settle()
 	}
 	// Local phase: replay the trace.
 	runPhase()
@@ -478,23 +500,14 @@ func (s *System) RunTrace(refs []Ref) Result {
 
 // nextEvent returns the earliest cycle at which any part of the system can
 // do work (the multi-node analogue of sim.Engine's horizon; the System owns
-// its own clock rather than a sim.Engine). Pending trace issue or staged
-// inbox/outbox traffic is work now; otherwise the minimum over every
-// component's NextEvent.
+// its own clock rather than a sim.Engine): the earliest cached node event,
+// or the fabric's, whichever comes first. A packet waiting at a sleeping
+// node is fabric work now.
 func (s *System) nextEvent() uint64 {
-	ev := s.xbar.NextEvent(s.now)
-	for _, n := range s.nodes {
-		if ev <= s.now {
-			return s.now
-		}
-		if t := s.nodeNextEvent(n); t < ev {
-			ev = t
-		}
-	}
-	if ev < s.now {
+	if s.nodeMin <= s.now {
 		return s.now
 	}
-	return ev
+	return max(s.now, min(s.nodeMin, s.xbar.NextEvent(s.now)))
 }
 
 // nodeNextEvent returns the earliest cycle at which one node can do work.
@@ -535,29 +548,110 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 	return ev
 }
 
-// skipTo jumps the clock to cycle h, applying every component's batch
-// skipped-cycle effects (per-cycle occupancy samples).
+// skipTo jumps the clock to cycle h. The nodes apply the skipped cycles'
+// batch effects (per-cycle occupancy samples) when they next catch up.
 func (s *System) skipTo(h uint64) {
-	cycles := h - s.now
-	s.xbar.Skip(s.now, cycles)
-	for _, n := range s.nodes {
-		for _, u := range n.sas {
-			u.Skip(s.now, cycles)
-		}
-		for _, b := range n.banks {
-			b.Skip(s.now, cycles)
-		}
-		for _, cb := range n.comb {
-			cb.Skip(s.now, cycles)
-		}
-		n.dram.Skip(s.now, cycles)
-	}
+	s.xbar.Skip(s.now, h-s.now)
 	s.now = h
 }
 
-// step advances the whole system one cycle: every node's exchange half in
-// node order, then every node's compute half in node order, then the
-// crossbar tick that moves frames between ports.
+// catchUp brings node n's components from the cycle they advanced to up to
+// s.now with one Skip each. Every cycle the node sat out was quiescent for
+// it — no fabric arrival and no due event — so its Tick would have been
+// exactly Skip(now, 1): the FastForwarder contract the whole-system jump
+// already relies on. Nodes interact only through the fabric, so the rest of
+// the machine moving meanwhile does not change that.
+func (s *System) catchUp(n *node) {
+	if n.at == s.now {
+		return
+	}
+	cycles := s.now - n.at
+	for _, u := range n.sas {
+		u.Skip(n.at, cycles)
+	}
+	for _, b := range n.banks {
+		b.Skip(n.at, cycles)
+	}
+	for _, cb := range n.comb {
+		cb.Skip(n.at, cycles)
+	}
+	n.dram.Skip(n.at, cycles)
+	n.at = s.now
+}
+
+// settle catches every node up to the system clock, so counters and memory
+// read exactly as under per-cycle stepping. RunTrace settles at the end of
+// every phase; StatsSnapshot and ReadResult settle before reading.
+func (s *System) settle() {
+	if !s.ff {
+		return
+	}
+	for _, n := range s.nodes {
+		s.catchUp(n)
+	}
+}
+
+// refresh recomputes node n's cached next event and busy flag.
+func (s *System) refresh(n *node) {
+	n.next = s.nodeNextEvent(n)
+	if b := s.nodeBusy(n); b != n.busy {
+		n.busy = b
+		if b {
+			s.busyNodes++
+		} else {
+			s.busyNodes--
+		}
+	}
+}
+
+// rescan refreshes every node at the start of a phase, after state changed
+// outside stepActive (a new trace share, a flush round).
+func (s *System) rescan() {
+	if !s.ff {
+		return
+	}
+	s.nodeMin = sim.Never
+	for _, n := range s.nodes {
+		s.refresh(n)
+		s.nodeMin = min(s.nodeMin, n.next)
+	}
+}
+
+// stepActive is step under fast-forward: only the nodes with a fabric
+// arrival or a due event work this cycle, in node order, with exchange
+// halves before compute halves as in step. Every other node's share of the
+// cycle would be a no-op exchange and a compute equal to Skip(now, 1), so
+// it is deferred to the node's next catch-up. The loop does not allocate.
+func (s *System) stepActive() {
+	act := s.active[:0]
+	nodeMin := sim.Never
+	for _, n := range s.nodes {
+		if n.next > s.now && !s.xbar.HasArrival(n.id) {
+			nodeMin = min(nodeMin, n.next)
+			continue
+		}
+		s.catchUp(n)
+		s.stepNodeExchange(n)
+		act = append(act, n)
+	}
+	for _, n := range act {
+		s.stepNodeCompute(n)
+	}
+	s.xbar.Tick(s.now)
+	s.now++
+	for _, n := range act {
+		n.at = s.now
+		s.refresh(n)
+		nodeMin = min(nodeMin, n.next)
+	}
+	s.active = act
+	s.nodeMin = nodeMin
+}
+
+// step advances the whole system one cycle under legacy stepping: every
+// node's exchange half in node order, then every node's compute half in
+// node order, then the crossbar tick that moves frames between ports. It is
+// the per-cycle reference that stepActive must match.
 func (s *System) step() {
 	for _, n := range s.nodes {
 		s.stepNodeExchange(n)
@@ -920,39 +1014,83 @@ func log2(n int) int {
 	return lg
 }
 
-// done reports quiescence of the current phase.
+// done reports quiescence of the current phase. Under fast-forward it reads
+// the nodes' cached busy flags, which only change on cycles a node works.
 func (s *System) done() bool {
+	if s.ff {
+		return s.busyNodes == 0 && !s.xbar.Busy()
+	}
 	if s.xbar.Busy() {
 		return false
 	}
 	for _, n := range s.nodes {
-		if n.issued < len(n.trace) || !n.inbox.Empty() || !n.outbox.Empty() {
-			return false
-		}
-		if s.reliable && (len(n.pending) > 0 || len(n.ackbox) > 0) {
-			return false
-		}
-		for _, u := range n.sas {
-			if u.Busy() {
-				return false
-			}
-		}
-		for _, cb := range n.comb {
-			if cb.Busy() || cb.Flushing() {
-				return false
-			}
-		}
-		if n.dram.Busy() {
+		if s.nodeBusy(n) {
 			return false
 		}
 	}
 	return true
 }
 
+// nodeBusy reports whether node n holds unfinished work of the current
+// phase.
+func (s *System) nodeBusy(n *node) bool {
+	if n.issued < len(n.trace) || !n.inbox.Empty() || !n.outbox.Empty() {
+		return true
+	}
+	if s.reliable && (len(n.pending) > 0 || len(n.ackbox) > 0) {
+		return true
+	}
+	for _, u := range n.sas {
+		if u.Busy() {
+			return true
+		}
+	}
+	for _, cb := range n.comb {
+		if cb.Busy() || cb.Flushing() {
+			return true
+		}
+	}
+	return n.dram.Busy()
+}
+
+// Verify checks the memory left by RunTrace(refs) against the sequential
+// reference: every address from 0 to the highest one refs touch must hold
+// the in-order fold of its references, starting from zero. Integer kinds
+// must match exactly. Floating-point kinds match within 1e-9 relative,
+// because combining reorders their additions.
+func (s *System) Verify(refs []Ref) error {
+	var span mem.Addr
+	for _, r := range refs {
+		span = max(span, r.Addr+1)
+	}
+	want := make([]mem.Word, span)
+	addrs := make([]mem.Addr, span)
+	for i := range addrs {
+		addrs[i] = mem.Addr(i)
+	}
+	for _, r := range refs {
+		want[r.Addr] = mem.Combine(s.kind, want[r.Addr], r.Val)
+	}
+	for a, got := range s.ReadResult(addrs) {
+		if !s.kind.IsFP() {
+			if got != want[a] {
+				return fmt.Errorf("multinode: address %d = %d, want %d", a, mem.AsI64(got), mem.AsI64(want[a]))
+			}
+			continue
+		}
+		g, w := mem.AsF64(got), mem.AsF64(want[a])
+		if math.Abs(g-w) > 1e-9*math.Max(1, math.Abs(w)) {
+			return fmt.Errorf("multinode: address %d = %g, want %g", a, g, w)
+		}
+	}
+	return nil
+}
+
 // ReadResult returns the final value at each address in addrs, flushing all
 // node caches functionally first. Use it to verify a replay against a
 // sequential reference.
 func (s *System) ReadResult(addrs []mem.Addr) []mem.Word {
+	s.settle()
 	for _, n := range s.nodes {
 		for _, b := range n.banks {
 			b.FlushFunctional()

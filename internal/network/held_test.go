@@ -1,0 +1,144 @@
+package network
+
+import (
+	"testing"
+
+	"scatteradd/internal/fault"
+)
+
+// heldCount counts the packets in a crossbar's opened ports the slow way.
+func heldCount[T any](x *Crossbar[T]) int {
+	n := 0
+	for i := range x.inputs {
+		if x.inputs[i] != nil {
+			n += x.inputs[i].Len()
+		}
+		if x.wires[i] != nil {
+			n += x.wires[i].Len()
+		}
+		if x.outputs[i] != nil {
+			n += x.outputs[i].Len()
+		}
+	}
+	return n
+}
+
+// xorshift returns a deterministic traffic generator over [0, n).
+func xorshift(seed uint64) func(n int) int {
+	return func(n int) int {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return int(seed % uint64(n))
+	}
+}
+
+// TestCrossbarHeldCount: under drop and dup faults and saturating traffic,
+// the crossbar's held-packet count equals the packets in its queues and
+// wires every cycle, Busy agrees with it, and both return to zero once the
+// traffic drains.
+func TestCrossbarHeldCount(t *testing.T) {
+	cfg := DefaultConfig(9)
+	cfg.OutputQDepth = 2
+	cfg.WireDepth = 3
+	x := New[int](cfg)
+	x.SetFaults(fault.Config{Seed: 3, NetDropRate: 0.1, NetDupRate: 0.1}.WithDefaults(), "held")
+	next := xorshift(777)
+	check := func(cycle uint64) {
+		t.Helper()
+		if want := heldCount(x); x.held != want || x.Busy() != (want > 0) {
+			t.Fatalf("cycle %d: held %d, busy %v; ports hold %d", cycle, x.held, x.Busy(), want)
+		}
+	}
+	cycle := uint64(0)
+	for ; cycle < 3000; cycle++ {
+		if cycle < 2000 {
+			for k := 0; k < 4; k++ {
+				dst := next(cfg.Nodes)
+				if k%2 == 0 {
+					dst = 0 // hot spot
+				}
+				x.Send(Packet[int]{Src: next(cfg.Nodes), Dst: dst, Payload: int(cycle)})
+				check(cycle)
+			}
+		}
+		x.Tick(cycle)
+		check(cycle)
+		for d := 0; d < cfg.Nodes; d++ {
+			if d%2 == 0 || cycle >= 2000 {
+				x.Recv(d)
+			}
+		}
+		check(cycle)
+	}
+	if x.held != 0 || x.Busy() {
+		t.Fatalf("after the drain: held %d, busy %v", x.held, x.Busy())
+	}
+	if st := x.Stats(); st.Dropped == 0 || st.Duped == 0 {
+		t.Fatalf("faults never fired: %+v", st)
+	}
+}
+
+// TestMultiHopHeldCounts: the same invariant per switch of a tree and a
+// mesh under per-hop reliability — crossbar held counts, staged and unacked
+// frame counts, and packets waiting at the endpoints all match the queues
+// they summarize every cycle, and all return to zero after the drain.
+func TestMultiHopHeldCounts(t *testing.T) {
+	for name, cfg := range map[string]MultiHopConfig{"tree": treeConfig(16, 4), "mesh": meshConfig(16)} {
+		t.Run(name, func(t *testing.T) {
+			m := NewMultiHop[int](cfg)
+			m.SetFaults(fault.Config{Seed: 11, NetDropRate: 0.1, NetDupRate: 0.05}.WithDefaults(), "held")
+			next := xorshift(4242)
+			check := func(cycle uint64) {
+				t.Helper()
+				busy := false
+				for si, s := range m.sws {
+					staged, unacked := 0, 0
+					for p := range s.stage {
+						staged += len(s.stage[p])
+						unacked += len(s.pending[p])
+					}
+					held := heldCount(s.xb)
+					if s.xb.held != held || s.staged != staged || s.unacked != unacked {
+						t.Fatalf("cycle %d switch %d: counted held/staged/unacked %d/%d/%d, queues hold %d/%d/%d",
+							cycle, si, s.xb.held, s.staged, s.unacked, held, staged, unacked)
+					}
+					busy = busy || held+staged+unacked > 0
+				}
+				waiting := 0
+				for _, q := range m.outq {
+					waiting += q.Len()
+				}
+				if m.waiting != waiting {
+					t.Fatalf("cycle %d: waiting %d, delivery queues hold %d", cycle, m.waiting, waiting)
+				}
+				if busy = busy || waiting > 0; m.Busy() != busy {
+					t.Fatalf("cycle %d: Busy %v, queues say %v", cycle, m.Busy(), busy)
+				}
+			}
+			cycle := uint64(0)
+			for ; cycle < 6000; cycle++ {
+				if cycle < 1500 {
+					for k := 0; k < 3; k++ {
+						m.Send(Packet[int]{Src: next(cfg.Nodes), Dst: next(cfg.Nodes), Payload: int(cycle)})
+					}
+					check(cycle)
+				}
+				m.Tick(cycle)
+				check(cycle)
+				for d := 0; d < cfg.Nodes; d++ {
+					if d%3 != 0 || cycle >= 1500 {
+						m.Recv(d)
+					}
+				}
+				check(cycle)
+			}
+			if m.Busy() {
+				t.Fatal("fabric still busy after the drain")
+			}
+			if st := m.Stats(); st.Dropped == 0 || st.Duped == 0 || st.HopRetrans == 0 {
+				t.Fatalf("faults never exercised recovery: %+v", st)
+			}
+		})
+	}
+}

@@ -144,7 +144,15 @@ type mhSwitch[T any] struct {
 	stage   [][]hopFrame[T]       // per input port: the combining window
 	pending [][]hopPending[T]     // per input port: unacked frames, in seq order
 	seen    []map[uint64]struct{} // per output port: delivered seqs (dedup)
+
+	staged  int // frames across every staging window
+	unacked int // frames across every retransmission buffer
 }
+
+// idle reports whether the switch holds no frame anywhere — nothing staged,
+// awaiting an ack, or inside its crossbar. An idle switch's share of a Tick
+// changes no state, so Tick, NextEvent and Busy pass over it.
+func (s *mhSwitch[T]) idle() bool { return s.staged == 0 && s.unacked == 0 && s.xb.held == 0 }
 
 // MultiHop is a switched multi-hop fabric satisfying Fabric.
 type MultiHop[T any] struct {
@@ -152,6 +160,8 @@ type MultiHop[T any] struct {
 	sws  []*mhSwitch[T]
 	inj  []hopLink               // per endpoint: injection point
 	outq []*sim.Queue[Packet[T]] // per endpoint: delivered packets
+
+	waiting int // packets across every endpoint's outq
 
 	comb  Combiner[T]
 	stats Stats
@@ -460,6 +470,7 @@ func (m *MultiHop[T]) stageIn(si, port int, p Packet[T]) bool {
 		return false
 	}
 	s.stage[port] = append(s.stage[port], hopFrame[T]{pkt: p, from: port})
+	s.staged++
 	m.stats.Hops++
 	m.met.hops.Inc()
 	if si == m.rootSw {
@@ -469,12 +480,21 @@ func (m *MultiHop[T]) stageIn(si, port int, p Packet[T]) bool {
 	return true
 }
 
+// HasArrival reports whether a delivered packet waits at endpoint dst.
+func (m *MultiHop[T]) HasArrival(dst int) bool { return !m.outq[dst].Empty() }
+
 // Peek returns the next deliverable packet at endpoint dst without consuming
 // it.
 func (m *MultiHop[T]) Peek(dst int) (Packet[T], bool) { return m.outq[dst].Peek() }
 
 // Recv pops one delivered packet at endpoint dst, if available.
-func (m *MultiHop[T]) Recv(dst int) (Packet[T], bool) { return m.outq[dst].Pop() }
+func (m *MultiHop[T]) Recv(dst int) (Packet[T], bool) {
+	p, ok := m.outq[dst].Pop()
+	if ok {
+		m.waiting--
+	}
+	return p, ok
+}
 
 // Tick advances the fabric one cycle in three phases: (A) overdue
 // retransmissions and staging windows drain into each switch's crossbar,
@@ -482,11 +502,16 @@ func (m *MultiHop[T]) Recv(dst int) (Packet[T], bool) { return m.outq[dst].Pop()
 // deduplicating, acknowledging, and either staging into the next switch or
 // delivering to the destination endpoint. All switches are visited in index
 // order; the phases keep a frame from traversing more than one switch per
-// cycle.
+// cycle. Each phase passes over idle switches, whose share of it is a no-op,
+// so a cycle costs little more than the work of the switches carrying
+// traffic.
 func (m *MultiHop[T]) Tick(now uint64) {
 	// Phase A: retransmissions first (they are the oldest traffic), then
 	// staged frames claim the remaining input bandwidth.
 	for si, s := range m.sws {
+		if s.idle() {
+			continue
+		}
 		if m.reliable {
 			m.retransmit(s, now)
 		}
@@ -505,6 +530,7 @@ func (m *MultiHop[T]) Tick(now uint64) {
 					s.pending[port] = append(s.pending[port], hopPending[T]{
 						f: f, dst: outp, deadline: now + m.flt.RetryTimeout,
 					})
+					s.unacked++
 				}
 				if m.tr != nil {
 					m.tr.SpanAsync(fmt.Sprintf("net.sw[%d]", si),
@@ -513,15 +539,20 @@ func (m *MultiHop[T]) Tick(now uint64) {
 				}
 				copy(s.stage[port], s.stage[port][1:])
 				s.stage[port] = s.stage[port][:len(s.stage[port])-1]
+				s.staged--
 			}
 		}
 	}
-	// Phase B: every switch's crossbar moves packets one cycle.
+	// Phase B: every switch's crossbar moves packets one cycle (an empty
+	// crossbar's Tick returns at once).
 	for _, s := range m.sws {
 		s.xb.Tick(now)
 	}
 	// Phase C: drain switch outputs across links.
 	for si, s := range m.sws {
+		if s.idle() {
+			continue
+		}
 		for port := 0; port < s.ports; port++ {
 			for {
 				p, ok := s.xb.Peek(port)
@@ -548,6 +579,7 @@ func (m *MultiHop[T]) Tick(now uint64) {
 					s.xb.Recv(port)
 					m.acceptHop(s, port, hf)
 					m.outq[link.node].MustPush(hf.pkt)
+					m.waiting++
 					m.stats.Delivered++
 					m.met.delivered.Inc()
 					continue
@@ -595,6 +627,7 @@ func (m *MultiHop[T]) ackHop(s *mhSwitch[T], hf hopFrame[T]) {
 			continue
 		}
 		s.pending[hf.from] = append(pend[:i], pend[i+1:]...)
+		s.unacked--
 		return
 	}
 }
@@ -635,12 +668,16 @@ func (m *MultiHop[T]) retransmit(s *mhSwitch[T], now uint64) {
 // work now; otherwise the earliest wire completion or retransmission
 // deadline.
 func (m *MultiHop[T]) NextEvent(now uint64) uint64 {
+	if m.waiting > 0 {
+		return now
+	}
 	ev := sim.Never
 	for _, s := range m.sws {
-		for port := range s.stage {
-			if len(s.stage[port]) > 0 {
-				return now
-			}
+		if s.idle() {
+			continue
+		}
+		if s.staged > 0 {
+			return now
 		}
 		if t := s.xb.NextEvent(now); t <= now {
 			return now
@@ -653,11 +690,6 @@ func (m *MultiHop[T]) NextEvent(now uint64) uint64 {
 					ev = d
 				}
 			}
-		}
-	}
-	for _, q := range m.outq {
-		if !q.Empty() {
-			return now
 		}
 	}
 	if ev < now {
@@ -673,18 +705,11 @@ func (m *MultiHop[T]) Skip(now, cycles uint64) {}
 // Busy reports whether any packet is staged, queued, in flight, awaiting an
 // ack, or undelivered.
 func (m *MultiHop[T]) Busy() bool {
-	for _, s := range m.sws {
-		for port := range s.stage {
-			if len(s.stage[port]) > 0 || len(s.pending[port]) > 0 {
-				return true
-			}
-		}
-		if s.xb.Busy() {
-			return true
-		}
+	if m.waiting > 0 {
+		return true
 	}
-	for _, q := range m.outq {
-		if !q.Empty() {
+	for _, s := range m.sws {
+		if !s.idle() {
 			return true
 		}
 	}

@@ -78,9 +78,12 @@ type Stats struct {
 // peeks, and receives happen in the system's sequential phases; Tick
 // advances one cycle; NextEvent and Skip implement the sim.FastForwarder
 // contract so quiescence fast-forward works across any topology.
+// HasArrival is the O(1) test a scheduler uses to wake an idle endpoint: it
+// reports whether a packet waits at dst without copying it.
 type Fabric[T any] interface {
 	CanSend(src int) bool
 	Send(p Packet[T]) bool
+	HasArrival(dst int) bool
 	Peek(dst int) (Packet[T], bool)
 	Recv(dst int) (Packet[T], bool)
 	Tick(now uint64)
@@ -122,11 +125,18 @@ func newMetrics() metrics {
 
 // Crossbar is the input-queued switch.
 type Crossbar[T any] struct {
-	cfg     Config
+	cfg       Config
+	wireDepth int
+
+	// Ports open on first use: an input queue at the port's first Send, an
+	// output's wire and delivery queue at its first grant. A port that never
+	// carries a packet costs a nil pointer, which matters in the kilo-node
+	// multi-hop fabrics, where most switch ports stay idle for a whole run.
 	inputs  []*sim.Queue[Packet[T]]
 	wires   []*sim.Delay[Packet[T]] // per-output in-flight packets
 	outputs []*sim.Queue[Packet[T]]
 	arb     []*sim.RoundRobin // per-output arbiter over inputs
+	held    int               // packets in inputs, wires and outputs
 	stats   Stats
 	met     metrics
 	tr      *span.Tracer
@@ -162,11 +172,11 @@ func New[T any](cfg Config) *Crossbar[T] {
 	if cfg.WireDepth > 0 {
 		wireDepth = cfg.WireDepth
 	}
-	x := &Crossbar[T]{cfg: cfg, met: newMetrics()}
+	x := &Crossbar[T]{cfg: cfg, wireDepth: wireDepth, met: newMetrics()}
+	x.inputs = make([]*sim.Queue[Packet[T]], cfg.Nodes)
+	x.wires = make([]*sim.Delay[Packet[T]], cfg.Nodes)
+	x.outputs = make([]*sim.Queue[Packet[T]], cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		x.inputs = append(x.inputs, sim.NewQueue[Packet[T]](cfg.InputQDepth))
-		x.wires = append(x.wires, sim.NewDelay[Packet[T]](cfg.Latency, wireDepth))
-		x.outputs = append(x.outputs, sim.NewQueue[Packet[T]](cfg.OutputQDepth))
 		x.arb = append(x.arb, sim.NewRoundRobin(cfg.Nodes))
 	}
 	x.granted = make([]int, cfg.Nodes)
@@ -198,7 +208,10 @@ func (x *Crossbar[T]) SetFaults(fc fault.Config, inst string) {
 }
 
 // CanSend reports whether node src can inject a packet this cycle.
-func (x *Crossbar[T]) CanSend(src int) bool { return !x.inputs[src].Full() }
+func (x *Crossbar[T]) CanSend(src int) bool {
+	in := x.inputs[src]
+	return in == nil || !in.Full()
+}
 
 // Send injects a packet at its source port. It reports false when the
 // input queue is full (back-pressure).
@@ -206,9 +219,15 @@ func (x *Crossbar[T]) Send(p Packet[T]) bool {
 	if p.Src < 0 || p.Src >= x.cfg.Nodes || p.Dst < 0 || p.Dst >= x.cfg.Nodes {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, x.cfg.Nodes))
 	}
-	if !x.inputs[p.Src].Push(p) {
+	in := x.inputs[p.Src]
+	if in == nil {
+		in = sim.NewQueue[Packet[T]](x.cfg.InputQDepth)
+		x.inputs[p.Src] = in
+	}
+	if !in.Push(p) {
 		return false
 	}
+	x.held++
 	x.stats.Sent++
 	x.stats.Hops++
 	x.stats.RootPkts++
@@ -216,27 +235,52 @@ func (x *Crossbar[T]) Send(p Packet[T]) bool {
 	return true
 }
 
+// HasArrival reports whether a delivered packet waits at node dst.
+func (x *Crossbar[T]) HasArrival(dst int) bool {
+	out := x.outputs[dst]
+	return out != nil && !out.Empty()
+}
+
 // Recv pops one delivered packet at node dst, if available.
 func (x *Crossbar[T]) Recv(dst int) (Packet[T], bool) {
-	p, ok := x.outputs[dst].Pop()
+	out := x.outputs[dst]
+	if out == nil {
+		return Packet[T]{}, false
+	}
+	p, ok := out.Pop()
+	if ok {
+		x.held--
+	}
 	return p, ok
 }
 
 // Peek returns the next deliverable packet at node dst without consuming it,
 // letting receivers inspect control traffic before committing buffer space.
 func (x *Crossbar[T]) Peek(dst int) (Packet[T], bool) {
-	return x.outputs[dst].Peek()
+	out := x.outputs[dst]
+	if out == nil {
+		return Packet[T]{}, false
+	}
+	return out.Peek()
 }
 
 // Tick moves packets: each input may forward up to WordsPerCyc head packets
 // whose output has room; each output claims arriving packets. Per-input
-// bandwidth enforces the paper's low/high network configurations.
+// bandwidth enforces the paper's low/high network configurations. A
+// crossbar holding no packet has nothing to move, stall or arbitrate, so
+// its Tick returns at once.
 func (x *Crossbar[T]) Tick(now uint64) {
+	if x.held == 0 {
+		return
+	}
 	// Deliver packets that finished crossing to output queues.
-	for o := 0; o < x.cfg.Nodes; o++ {
+	for o, w := range x.wires {
+		if w == nil {
+			continue
+		}
 		budget := x.cfg.WordsPerCyc // output port bandwidth
 		for budget > 0 && !x.outputs[o].Full() {
-			p, ok := x.wires[o].Pop(now)
+			p, ok := w.Pop(now)
 			if !ok {
 				break
 			}
@@ -259,8 +303,11 @@ func (x *Crossbar[T]) Tick(now uint64) {
 		for o := 0; o < x.cfg.Nodes; o++ {
 			for granted[o] < x.cfg.WordsPerCyc {
 				in := x.arb[o].Pick(func(i int) bool {
+					if x.inputs[i] == nil {
+						return false
+					}
 					p, ok := x.inputs[i].Peek()
-					return ok && p.Dst == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wires[o].Full()
+					return ok && p.Dst == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
 				})
 				if in < 0 {
 					break
@@ -271,12 +318,19 @@ func (x *Crossbar[T]) Tick(now uint64) {
 			}
 		}
 	}
-	for i := 0; i < x.cfg.Nodes; i++ {
-		if !x.inputs[i].Empty() && sentFrom[i] == 0 {
+	for i, in := range x.inputs {
+		if in != nil && !in.Empty() && sentFrom[i] == 0 {
 			x.stats.Stalled++
 			x.met.stalls.Inc()
 		}
 	}
+}
+
+// wireFull reports whether output o's wire refuses another packet; an
+// unopened wire is empty.
+func (x *Crossbar[T]) wireFull(o int) bool {
+	w := x.wires[o]
+	return w != nil && w.Full()
 }
 
 // arbitrateFast is the WordsPerCyc==1 arbitration path. With one word of
@@ -297,13 +351,16 @@ func (x *Crossbar[T]) arbitrateFast(now uint64) {
 	// Build ascending candidate lists by prepending from the highest input
 	// down.
 	for i := x.cfg.Nodes - 1; i >= 0; i-- {
+		if x.inputs[i] == nil {
+			continue
+		}
 		if p, ok := x.inputs[i].Peek(); ok {
 			next[i] = head[p.Dst]
 			head[p.Dst] = i
 		}
 	}
 	for o := 0; o < x.cfg.Nodes; o++ {
-		if head[o] < 0 || x.wires[o].Full() {
+		if head[o] < 0 || x.wireFull(o) {
 			continue
 		}
 		// Grant the candidate the rotating priority pointer reaches first.
@@ -326,22 +383,31 @@ func (x *Crossbar[T]) arbitrateFast(now uint64) {
 }
 
 // grantTo pops input in's head packet onto output o's wire, applying fault
-// injection and tracing — the shared tail of both arbitration paths.
+// injection and tracing — the shared tail of both arbitration paths. The
+// first grant to o opens its wire and delivery queue.
 func (x *Crossbar[T]) grantTo(o, in int, now uint64) {
 	p, _ := x.inputs[in].Pop()
 	x.met.grants.Inc()
 	if x.dropInj.Fire() {
 		// Injected wire fault: the packet vanishes (its bandwidth
 		// slot is still consumed). One draw per granted packet.
+		x.held--
 		x.stats.Dropped++
 		x.met.faultDrops.Inc()
 		return
 	}
-	x.wires[o].Push(now, p)
-	if x.dupInj.Fire() && !x.wires[o].Full() {
+	w := x.wires[o]
+	if w == nil {
+		w = sim.NewDelay[Packet[T]](x.cfg.Latency, x.wireDepth)
+		x.wires[o] = w
+		x.outputs[o] = sim.NewQueue[Packet[T]](x.cfg.OutputQDepth)
+	}
+	w.Push(now, p)
+	if x.dupInj.Fire() && !w.Full() {
 		// Injected duplication: the packet crosses twice. The
 		// receiver's sequence-number dedup makes replay idempotent.
-		x.wires[o].Push(now, p)
+		w.Push(now, p)
+		x.held++
 		x.stats.Duped++
 		x.met.faultDups.Inc()
 	}
@@ -356,13 +422,21 @@ func (x *Crossbar[T]) grantTo(o, in int, now uint64) {
 // (see sim.FastForwarder): queued input or undelivered output is work now;
 // otherwise the earliest wire-crossing completion.
 func (x *Crossbar[T]) NextEvent(now uint64) uint64 {
+	if x.held == 0 {
+		return sim.Never
+	}
 	ev := sim.Never
 	for i := 0; i < x.cfg.Nodes; i++ {
-		if !x.inputs[i].Empty() || !x.outputs[i].Empty() {
+		if in := x.inputs[i]; in != nil && !in.Empty() {
 			return now
 		}
-		if r := x.wires[i].NextReady(); r < ev {
-			ev = r
+		if x.HasArrival(i) {
+			return now
+		}
+		if w := x.wires[i]; w != nil {
+			if r := w.NextReady(); r < ev {
+				ev = r
+			}
 		}
 	}
 	if ev < now {
@@ -376,11 +450,4 @@ func (x *Crossbar[T]) NextEvent(now uint64) uint64 {
 func (x *Crossbar[T]) Skip(now, cycles uint64) {}
 
 // Busy reports whether any packet is queued or in flight.
-func (x *Crossbar[T]) Busy() bool {
-	for i := 0; i < x.cfg.Nodes; i++ {
-		if !x.inputs[i].Empty() || x.wires[i].Len() > 0 || !x.outputs[i].Empty() {
-			return true
-		}
-	}
-	return false
-}
+func (x *Crossbar[T]) Busy() bool { return x.held > 0 }

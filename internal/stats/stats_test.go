@@ -236,3 +236,31 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
+
+// TestObserveNMatchesObserve: ObserveN(v, n) leaves a histogram exactly as n
+// calls of Observe(v) do — buckets, count and sum — including negative
+// values clamped to bucket 0, overflow clamped to the last bucket with its
+// true value summed, and n = 0 recording nothing. Catch-up after an idle
+// stretch relies on this equivalence.
+func TestObserveNMatchesObserve(t *testing.T) {
+	for _, v := range []int{-3, 0, 2, 3, 4, 17} {
+		for _, n := range []uint64{0, 1, 5} {
+			bulk := NewGroup("x").Histogram("occ", 4)
+			loop := NewGroup("x").Histogram("occ", 4)
+			bulk.Observe(1) // a prior sample, so n = 0 must leave it alone
+			loop.Observe(1)
+			bulk.ObserveN(v, n)
+			for i := uint64(0); i < n; i++ {
+				loop.Observe(v)
+			}
+			if bulk.Count() != loop.Count() || bulk.Sum() != loop.Sum() {
+				t.Fatalf("v=%d n=%d: count/sum %d/%d, want %d/%d", v, n, bulk.Count(), bulk.Sum(), loop.Count(), loop.Sum())
+			}
+			for b := 0; b < bulk.Buckets(); b++ {
+				if bulk.Bucket(b) != loop.Bucket(b) {
+					t.Fatalf("v=%d n=%d: bucket %d = %d, want %d", v, n, b, bulk.Bucket(b), loop.Bucket(b))
+				}
+			}
+		}
+	}
+}

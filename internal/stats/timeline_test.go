@@ -78,3 +78,29 @@ func TestTimelineWriteJSONL(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 }
+
+// TestTimelineWrite: the format dispatcher routes "csv" and "jsonl" to
+// their writers byte for byte and rejects any other name.
+func TestTimelineWrite(t *testing.T) {
+	tl := sampleTimeline()
+	for format, direct := range map[string]func(*strings.Builder) error{
+		"csv":   func(b *strings.Builder) error { return tl.WriteCSV(b) },
+		"jsonl": func(b *strings.Builder) error { return tl.WriteJSONL(b) },
+	} {
+		var got, want strings.Builder
+		if err := tl.Write(&got, format); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if err := direct(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() || got.Len() == 0 {
+			t.Fatalf("%s: Write emitted\n%s\nwant\n%s", format, got.String(), want.String())
+		}
+	}
+	var b strings.Builder
+	err := tl.Write(&b, "xml")
+	if err == nil || !strings.Contains(err.Error(), `"xml"`) || b.Len() != 0 {
+		t.Fatalf("unknown format: err %v, wrote %q", err, b.String())
+	}
+}
