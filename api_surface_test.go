@@ -2,7 +2,6 @@ package scatteradd
 
 import (
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -27,17 +26,6 @@ func TestAPISurfaceGolden(t *testing.T) {
 	if msgs := append(breaking, additions...); len(msgs) > 0 {
 		t.Fatalf("exported API differs from API.txt:\n%s\nregenerate with: go run ./cmd/apicheck -golden API.txt -write",
 			strings.Join(msgs, "\n"))
-	}
-}
-
-// TestNewDefaultMatchesNewMachine: the zero-option New is the deprecated
-// constructor's default exactly.
-func TestNewDefaultMatchesNewMachine(t *testing.T) {
-	data := []int{3, 1, 3, 7, 3, 1}
-	b1, r1 := HistogramI64(New(), data, 8)
-	b2, r2 := HistogramI64(NewMachine(DefaultConfig()), data, 8)
-	if !reflect.DeepEqual(b1, b2) || r1 != r2 {
-		t.Fatalf("New() diverges from NewMachine(DefaultConfig()): %+v vs %+v", r1, r2)
 	}
 }
 

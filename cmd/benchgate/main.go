@@ -13,17 +13,7 @@
 // on a branch has nothing to compare against); parse errors in the inputs
 // do not.
 //
-// A second gate compares two benchmarks within ONE summary — a speedup
-// target, where the baseline twin is measured in the same run rather than
-// on the main branch:
-//
-//	benchgate -in pr.txt -speedup BenchmarkSlow:BenchmarkFast -min-speedup 2.0
-//
-// The run fails unless median(base) / median(test) >= min-speedup. Either
-// side missing from the input is a hard failure: a speedup gate that
-// silently skips when the benchmark is renamed gates nothing.
-//
-// A third mode gates a saload report instead of bench output — the
+// A second mode gates a saload report instead of bench output — the
 // server-load CI job's latency/availability bar:
 //
 //	benchgate -latency LOAD_PR.json -max-p99 2s -min-rps 10 -max-5xx 0
@@ -33,7 +23,7 @@
 // 503s are expected pushback and never gate. -latency skips the benchmark
 // parsing entirely.
 //
-// A fourth mode lints Prometheus /metrics scrapes — the server-smoke CI
+// A third mode lints Prometheus /metrics scrapes — the server-smoke CI
 // job's telemetry-hygiene bar:
 //
 //	benchgate -promlint scrape1.txt
@@ -67,8 +57,6 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline JSON summary to gate against (optional)")
 	gate := flag.String("gate", "BenchmarkEngineTick", "benchmark name the regression gate applies to")
 	maxRegress := flag.Float64("max-regress", 0.10, "maximum allowed fractional ns/op regression of the gate benchmark")
-	speedup := flag.String("speedup", "", "BASE:TEST benchmark pair within this summary; fail unless BASE/TEST >= -min-speedup")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "minimum required median speedup for the -speedup pair")
 	latency := flag.String("latency", "", "saload report to gate instead of bench output")
 	maxP99 := flag.Duration("max-p99", 0, "with -latency: maximum allowed p99 (0 = don't gate p99)")
 	minRPS := flag.Float64("min-rps", 0, "with -latency: minimum achieved 2xx rate (0 = don't gate)")
@@ -124,18 +112,6 @@ func main() {
 		os.Stdout.Write(js)
 	} else if err := os.WriteFile(*out, js, 0o644); err != nil {
 		fatal(err)
-	}
-
-	if *speedup != "" {
-		pair := strings.SplitN(*speedup, ":", 2)
-		if len(pair) != 2 || pair[0] == "" || pair[1] == "" {
-			fatal(fmt.Errorf("-speedup %q: want BASE:TEST", *speedup))
-		}
-		msg, ok := SpeedupGate(sum, pair[0], pair[1], *minSpeedup)
-		fmt.Fprintln(os.Stderr, msg)
-		if !ok {
-			os.Exit(1)
-		}
 	}
 
 	if *baseline == "" {
@@ -250,30 +226,6 @@ func loadBaseline(path string) (map[string]*Result, error) {
 		return nil, fmt.Errorf("baseline %s: %v", path, err)
 	}
 	return base, nil
-}
-
-// SpeedupGate compares two benchmarks measured in the same run and reports
-// whether median(base)/median(test) meets the minimum speedup. Unlike the
-// cross-branch regression Gate, both benchmarks must be present — the pair
-// travels together in one bench invocation, so an absent side means the
-// gate is misconfigured, not that there is nothing to compare.
-func SpeedupGate(sum map[string]*Result, baseName, testName string, minSpeedup float64) (string, bool) {
-	b, ok := sum[baseName]
-	if !ok || b.Median <= 0 {
-		return fmt.Sprintf("benchgate: FAIL: speedup base benchmark %s not found in input", baseName), false
-	}
-	tst, ok := sum[testName]
-	if !ok || tst.Median <= 0 {
-		return fmt.Sprintf("benchgate: FAIL: speedup test benchmark %s not found in input", testName), false
-	}
-	ratio := b.Median / tst.Median
-	verdict := "ok"
-	pass := ratio >= minSpeedup
-	if !pass {
-		verdict = fmt.Sprintf("FAIL (need >= %.2fx)", minSpeedup)
-	}
-	return fmt.Sprintf("benchgate: %s/%s: %.1f ns/op / %.1f ns/op = %.2fx %s",
-		baseName, testName, b.Median, tst.Median, ratio, verdict), pass
 }
 
 // LatencyGate holds a saload report against the server-load job's bars:

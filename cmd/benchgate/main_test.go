@@ -97,42 +97,6 @@ func TestGate(t *testing.T) {
 	}
 }
 
-func TestSpeedupGate(t *testing.T) {
-	mk := func(baseNs, testNs float64) map[string]*Result {
-		return map[string]*Result{
-			"BenchmarkSlow": {Name: "BenchmarkSlow", Median: baseNs},
-			"BenchmarkFast": {Name: "BenchmarkFast", Median: testNs},
-		}
-	}
-	tests := []struct {
-		name           string
-		base, test     float64
-		min            float64
-		dropBase, drop bool
-		want           bool
-	}{
-		{name: "meets target", base: 4000, test: 1800, min: 2.0, want: true},
-		{name: "exactly at target", base: 4000, test: 2000, min: 2.0, want: true},
-		{name: "below target", base: 4000, test: 2500, min: 2.0, want: false},
-		{name: "slowdown", base: 2000, test: 2500, min: 2.0, want: false},
-		{name: "missing base is hard fail", base: 4000, test: 2000, min: 2.0, dropBase: true, want: false},
-		{name: "missing test is hard fail", base: 4000, test: 2000, min: 2.0, drop: true, want: false},
-	}
-	for _, tc := range tests {
-		sum := mk(tc.base, tc.test)
-		if tc.dropBase {
-			delete(sum, "BenchmarkSlow")
-		}
-		if tc.drop {
-			delete(sum, "BenchmarkFast")
-		}
-		msg, ok := SpeedupGate(sum, "BenchmarkSlow", "BenchmarkFast", tc.min)
-		if ok != tc.want {
-			t.Errorf("%s: SpeedupGate = %v (%s), want %v", tc.name, ok, msg, tc.want)
-		}
-	}
-}
-
 func TestGateMissingInInput(t *testing.T) {
 	sum, base := gateFixtures(2000, 2000)
 	delete(sum, "BenchmarkEngineTick")

@@ -27,8 +27,9 @@
 //	-fault-seed N override the fault injector's seed (with -faults)
 //	-checkpoint D snapshot each completed figure under directory D and
 //	              resume an interrupted sweep from the snapshots
-//	-topology T   restrict fig14 to one interconnect configuration
-//	              (flat, tree, tree+comb, mesh, mesh+comb; default = sweep all)
+//	-topology T   restrict fig14 to one interconnect configuration: flat,
+//	              flat+comb, hypercube, tree, tree+comb, mesh or mesh+comb
+//	              (default = sweep flat, tree, tree+comb, mesh, mesh+comb)
 //	-fanin N      switch fan-in for fig14 tree topologies (default 0 = 4)
 //
 // Profiling the simulator itself: -pprof-http ADDR serves net/http/pprof,
@@ -60,7 +61,7 @@ func main() {
 	faults := flag.Float64("faults", 0, "inject the default chaos fault mix scaled by X in [0,1] (0 = off)")
 	faultSeed := flag.Uint64("fault-seed", 0, "override the fault injector seed (0 = default; needs -faults)")
 	checkpoint := flag.String("checkpoint", "", "directory for figure checkpoints (resume interrupted sweeps)")
-	topology := flag.String("topology", "", "restrict fig14 to one interconnect configuration (flat, tree, tree+comb, mesh, mesh+comb)")
+	topology := flag.String("topology", "", "restrict fig14 to one interconnect configuration (flat, flat+comb, hypercube, tree, tree+comb, mesh, mesh+comb)")
 	fanin := flag.Int("fanin", 0, "switch fan-in for fig14 tree topologies (0 = default 4)")
 	profCfg := prof.Flags(flag.CommandLine)
 	flag.Usage = usage

@@ -5,7 +5,6 @@ import (
 
 	"scatteradd/internal/mem"
 	"scatteradd/internal/multinode"
-	"scatteradd/internal/span"
 	"scatteradd/internal/stats"
 	"scatteradd/internal/workload"
 )
@@ -77,39 +76,59 @@ func spasTrace(o Options) trace {
 	return trace{name: "spas", kind: mem.AddF64, refs: refs, span: maxA + 1}
 }
 
-// tracePointOut is one Figure 13 point's rendered throughput plus (when
-// collecting) the system's performance-counter snapshot and span report.
-type tracePointOut struct {
-	cell  string
-	snap  stats.Snapshot
-	rep   span.Report
-	label string
+// ownerSpan returns the line-aligned block of the trace's index space each
+// of nodes owners holds.
+func (tr trace) ownerSpan(nodes int) mem.Addr {
+	return (tr.span/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
 }
 
-// runTracePoint replays one trace on one configuration and node count,
-// returning GB/s. The final memory is checked against the trace's
-// sequential sum after the counter and span snapshots are taken.
-func runTracePoint(o Options, tr trace, tc traceConfig, nodes int) tracePointOut {
-	ownerSpan := (tr.span/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
-	cfg := multinode.DefaultConfig(nodes, tc.bandwidth, ownerSpan)
-	cfg.Topology = tc.topo
+// pointOut is one multi-node figure point: the replay's Result plus, when
+// collecting, the system's counter snapshot and span row.
+type pointOut struct {
+	res  multinode.Result
+	snap stats.Snapshot
+	span SpanRow
+}
+
+// runPoint replays tr on the system cfg describes, under the options'
+// stepping and faults, for point "name nodes=N" of figure fig. The final
+// memory is checked against the trace's sequential sum after the counter
+// and span snapshots are taken.
+func runPoint(o Options, fig, name string, cfg multinode.Config, tr trace) pointOut {
 	cfg.LegacyStepping = o.Legacy
 	cfg.Faults = o.Faults
 	s := multinode.New(cfg, tr.kind)
 	sp := o.newTracer()
 	s.SetSpanTracer(sp)
-	out := tracePointOut{cell: fmt.Sprintf("%.2f", s.RunTrace(tr.refs).GBps())}
+	out := pointOut{res: s.RunTrace(tr.refs)}
+	label := fmt.Sprintf("%s nodes=%d", name, cfg.Nodes)
 	if o.CollectStats {
 		out.snap = s.StatsSnapshot()
 	}
 	if o.CollectSpans {
-		out.rep = spanReport(sp)
-		out.label = fmt.Sprintf("%s nodes=%d", tc.label, nodes)
+		out.span = SpanRow{Label: label, Report: spanReport(sp)}
 	}
 	if err := s.Verify(tr.refs); err != nil {
-		panic(fmt.Sprintf("exp: fig13 %s nodes=%d failed verification: %v", tc.label, nodes, err))
+		panic(fmt.Sprintf("exp: %s %s failed verification: %v", fig, label, err))
 	}
 	return out
+}
+
+// addPoints appends the points' span rows and merged counters to t, in
+// point order, when the options collect them.
+func (t *Table) addPoints(o Options, points []pointOut) {
+	if o.CollectSpans {
+		for _, p := range points {
+			t.Spans = append(t.Spans, p.span)
+		}
+	}
+	if o.CollectStats {
+		snaps := make([]stats.Snapshot, len(points))
+		for i, p := range points {
+			snaps[i] = p.snap
+		}
+		t.Counters = stats.MergeAll(snaps)
+	}
 }
 
 // Fig13 reproduces Figure 13: multi-node scatter-add throughput (GB/s) for
@@ -162,29 +181,21 @@ func fig13(o Options) Table {
 	// Every (line, node-count) point builds its own multinode.System; the
 	// trace reference streams are shared read-only across points.
 	nodeCounts := []int{1, 2, 4, 8}
-	points := mapN(o, len(lines)*len(nodeCounts), func(i int) tracePointOut {
+	points := mapN(o, len(lines)*len(nodeCounts), func(i int) pointOut {
 		ln := lines[i/len(nodeCounts)]
+		tr := traces[ln.trace]
 		nodes := nodeCounts[i%len(nodeCounts)]
-		return runTracePoint(o, traces[ln.trace], ln.cfg, nodes)
+		cfg := multinode.DefaultConfig(nodes, ln.cfg.bandwidth, tr.ownerSpan(nodes))
+		cfg.Topology = ln.cfg.topo
+		return runPoint(o, "fig13", ln.cfg.label, cfg, tr)
 	})
 	for r, ln := range lines {
 		row := []string{ln.cfg.label}
 		for c := 0; c < len(nodeCounts); c++ {
-			row = append(row, points[r*len(nodeCounts)+c].cell)
+			row = append(row, fmt.Sprintf("%.2f", points[r*len(nodeCounts)+c].res.GBps()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	if o.CollectSpans {
-		for _, p := range points {
-			t.Spans = append(t.Spans, SpanRow{Label: p.label, Report: p.rep})
-		}
-	}
-	if o.CollectStats {
-		snaps := make([]stats.Snapshot, len(points))
-		for i, p := range points {
-			snaps[i] = p.snap
-		}
-		t.Counters = stats.MergeAll(snaps)
-	}
+	t.addPoints(o, points)
 	return t
 }

@@ -3,9 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"scatteradd/internal/mem"
 	"scatteradd/internal/multinode"
-	"scatteradd/internal/stats"
 )
 
 // This file adds the interconnect scale-out family (Figure 14): the paper
@@ -27,26 +25,17 @@ var fig14Configs = []string{"flat", "tree", "tree+comb", "mesh", "mesh+comb"}
 // the fabric counters the scale-out argument is about.
 var fig14Metrics = []string{"gb/s", "cycles", "root-pkts", "hops", "combined"}
 
-// scalePointOut is one (configuration, node count) cell column.
-type scalePointOut struct {
-	cells [5]string // indexed like fig14Metrics
-	snap  stats.Snapshot
-	rep   SpanRow
-}
-
-// runScalePoint replays the hot histogram on one interconnect at one size.
-// The per-node machine is trimmed (small cache, 2 DRAM channels) so the
-// kilo-node points stay simulable; every configuration shares the identical
-// node, so the columns differ only by interconnect. The final memory is
-// checked against the trace's sequential sum after the counter and span
-// snapshots are taken.
-func runScalePoint(o Options, tr trace, name string, nodes int) scalePointOut {
+// scaleConfig is the system of one Fig 14 point: the hot histogram on one
+// interconnect at one size. The per-node machine is trimmed (small cache, 2
+// DRAM channels) so the kilo-node points stay simulable; every
+// configuration shares the identical node, so the columns differ only by
+// interconnect.
+func scaleConfig(o Options, tr trace, name string, nodes int) multinode.Config {
 	topo, err := multinode.ParseTopology(name, o.FanIn)
 	if err != nil {
 		panic(fmt.Sprintf("exp: fig14 config %q: %v", name, err))
 	}
-	ownerSpan := (tr.span/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
-	cfg := multinode.DefaultConfig(nodes, 1, ownerSpan)
+	cfg := multinode.DefaultConfig(nodes, 1, tr.ownerSpan(nodes))
 	cfg.Topology = topo
 	cfg.Cache.Banks = 2
 	cfg.Cache.TotalLines = 256
@@ -55,32 +44,18 @@ func runScalePoint(o Options, tr trace, name string, nodes int) scalePointOut {
 	// The default wire depth scales with the port count; a kilo-port flat
 	// crossbar doesn't need megabytes of modeled wire.
 	cfg.Net.WireDepth = 64
-	cfg.LegacyStepping = o.Legacy
-	cfg.Faults = o.Faults
-	s := multinode.New(cfg, tr.kind)
-	sp := o.newTracer()
-	s.SetSpanTracer(sp)
-	res := s.RunTrace(tr.refs)
-	out := scalePointOut{cells: [5]string{
+	return cfg
+}
+
+// scaleCells renders one point's column, indexed like fig14Metrics.
+func scaleCells(res multinode.Result) []string {
+	return []string{
 		fmt.Sprintf("%.2f", res.GBps()),
 		d(res.Cycles),
 		d(res.NetStats.RootPkts),
 		d(res.NetStats.Hops),
 		d(res.NetStats.Combined),
-	}}
-	if o.CollectStats {
-		out.snap = s.StatsSnapshot()
 	}
-	if o.CollectSpans {
-		out.rep = SpanRow{
-			Label:  fmt.Sprintf("%s nodes=%d", name, nodes),
-			Report: spanReport(sp),
-		}
-	}
-	if err := s.Verify(tr.refs); err != nil {
-		panic(fmt.Sprintf("exp: fig14 %s nodes=%d failed verification: %v", name, nodes, err))
-	}
-	return out
 }
 
 // fig14ConfigList resolves Options.Topology to the configurations swept.
@@ -120,30 +95,20 @@ func fig14(o Options) Table {
 		rng = 256
 	}
 	tr := histTrace("hot", n, rng, o.seed(0xF16_14))
-	points := mapN(o, len(configs)*len(fig14Nodes), func(i int) scalePointOut {
-		return runScalePoint(o, tr, configs[i/len(fig14Nodes)], fig14Nodes[i%len(fig14Nodes)])
+	points := mapN(o, len(configs)*len(fig14Nodes), func(i int) pointOut {
+		name := configs[i/len(fig14Nodes)]
+		return runPoint(o, "fig14", name, scaleConfig(o, tr, name, fig14Nodes[i%len(fig14Nodes)]), tr)
 	})
 	for r, name := range configs {
 		for m, metric := range fig14Metrics {
 			row := []string{name, metric}
 			for c := range fig14Nodes {
-				row = append(row, points[r*len(fig14Nodes)+c].cells[m])
+				row = append(row, scaleCells(points[r*len(fig14Nodes)+c].res)[m])
 			}
 			t.Rows = append(t.Rows, row)
 		}
 	}
-	if o.CollectSpans {
-		for _, p := range points {
-			t.Spans = append(t.Spans, p.rep)
-		}
-	}
-	if o.CollectStats {
-		snaps := make([]stats.Snapshot, len(points))
-		for i, p := range points {
-			snaps[i] = p.snap
-		}
-		t.Counters = stats.MergeAll(snaps)
-	}
+	t.addPoints(o, points)
 	return t
 }
 

@@ -1,7 +1,9 @@
 package multinode
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scatteradd/internal/fault"
@@ -159,5 +161,35 @@ func TestZeroFaultIdentical(t *testing.T) {
 	zr := New(cfg, mem.AddI64).RunTrace(refs)
 	if !reflect.DeepEqual(br, zr) {
 		t.Fatalf("zero fault config perturbed the run:\n%+v\n%+v", br, zr)
+	}
+}
+
+// TestGiveUp: with every packet dropped, each link layer — the flat
+// crossbar's end-to-end link and the multi-hop fabric's per-hop link —
+// resends on its capped backoff schedule and then gives up, panicking with
+// the unacked packet's sequence number and endpoints. RetryTimeout 4 with
+// the backoff capped at 2^1 puts the resend deadlines at cycles 4, 12 and
+// 20, and MaxRetries 3 gives up at the fourth deadline, cycle 28; uncapped,
+// the third resend would wait until 28 and the give-up until 60.
+func TestGiveUp(t *testing.T) {
+	for name, topo := range map[string]Topology{"end-to-end": Flat(), "per-hop": Tree(2, false)} {
+		for _, legacy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/legacy=%v", name, legacy), func(t *testing.T) {
+				cfg := topoConfig(2, 1, 64, topo)
+				cfg.LegacyStepping = legacy
+				cfg.Faults = fault.Config{Seed: 1, NetDropRate: 1, RetryTimeout: 4, RetryBackoffCap: 1, MaxRetries: 3}
+				s := New(cfg, mem.AddI64)
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "packet seq=1 0->1 unacked after 4 attempts") {
+						t.Fatalf("panic %q, want the unacked packet named", msg)
+					}
+					if s.now != 28 {
+						t.Fatalf("gave up at cycle %d, want 28", s.now)
+					}
+				}()
+				s.RunTrace([]Ref{{Addr: 64, Val: mem.I64(1)}}) // node 0 -> owner 1
+			})
+		}
 	}
 }

@@ -51,28 +51,8 @@ import (
 // internal memory traffic.
 const sumBackTag = uint64(1) << 62
 
-// frame is the link-layer envelope every network crossing uses. In the
-// default (fault-free) configuration a frame is just its request — seq stays
-// zero, no acks exist, and packet counts and timing are bit-identical to a
-// bare mem.Request network. With network faults injected, the link layer
-// activates: data frames carry a sequence number, receivers acknowledge and
-// deduplicate by seq (idempotent replay), and senders retransmit unacked
-// frames after a timeout with bounded exponential backoff.
-type frame struct {
-	req mem.Request
-	seq uint64 // link sequence (reliable mode only; 0 = unsequenced)
-	ack bool   // acknowledgment for seq; req is unused
-}
-
-// pendingFrame is a sent-but-unacked data frame held for retransmission.
-type pendingFrame struct {
-	f        frame
-	dst      int
-	deadline uint64 // cycle at which the frame retransmits
-	attempt  int    // transmissions so far beyond the first
-}
-
-// ackOut is a queued acknowledgment awaiting network injection.
+// ackOut is a queued acknowledgment awaiting network injection (16 bytes,
+// where a ready ack packet would be 72: the ackbox grows under chaos).
 type ackOut struct {
 	seq uint64
 	dst int
@@ -90,26 +70,11 @@ type Config struct {
 	OwnerSpan mem.Addr // words of address space owned per node (block partition)
 
 	// Topology selects the interconnect and combining placement (see
-	// topology.go). The zero value (TopoDefault) derives flat/hypercube
-	// from the two deprecated bools below, so existing configs keep their
-	// exact meaning; with both bools unset it is the paper's flat crossbar
-	// without combining.
+	// topology.go). The zero value is the paper's flat crossbar without
+	// combining.
 	Topology Topology
 
-	// Combining enables the local-combining + sum-back optimization.
-	//
-	// Deprecated: set Topology.CombineCache (or use FlatCombining /
-	// Hypercube). Kept as a shim; mixing it with an explicit Topology.Kind
-	// panics.
-	Combining bool
-	// Hierarchical arranges the nodes in a logical hypercube so sum-backs
-	// combine across nodes in logarithmic instead of linear complexity.
-	// Requires Combining and a power-of-two node count.
-	//
-	// Deprecated: set Topology to Hypercube(). Kept as a shim; mixing it
-	// with an explicit Topology.Kind panics.
-	Hierarchical bool
-	IssueRate    int // trace references issued per node per cycle
+	IssueRate int // trace references issued per node per cycle
 
 	// LegacyStepping forces per-cycle stepping, disabling the quiescence
 	// fast-forward over dead cycles (kept for differential testing).
@@ -164,15 +129,18 @@ type node struct {
 	inbox  *sim.Queue[mem.Request] // staged network arrivals
 	outbox *sim.Queue[mem.Request] // sum-backs and remote requests awaiting the network
 
-	// Reliable link layer (active only with network faults injected). The
-	// ackbox is deliberately unbounded: acks free sender resources rather
-	// than consume receiver ones, so bounding them would let data-plane
-	// back-pressure starve the very traffic that relieves it (an ack-credit
-	// deadlock, observed in practice under retransmission storms).
-	pending  []pendingFrame      // sent data frames awaiting acks, in seq order
-	seen     map[uint64]struct{} // delivered seqs, for duplicate-safe replay
-	ackbox   []ackOut            // acks awaiting network injection
-	degraded bool                // combining store tripped: fall back to direct
+	// Reliable link layer (active only with network faults injected; fault
+	// free, Seq stays zero and no acks exist): data packets carry a link
+	// sequence number, receivers acknowledge and deduplicate by it, and
+	// senders resend unacked packets. The ackbox is deliberately unbounded:
+	// acks free sender resources rather than consume receiver ones, so
+	// bounding them would let data-plane back-pressure starve the very
+	// traffic that relieves it (an ack-credit deadlock, observed in practice
+	// under retransmission storms).
+	unacked  network.RetransmitBuffer // sent data packets awaiting acks
+	seen     map[uint64]struct{}      // delivered seqs, for duplicate-safe replay
+	ackbox   []ackOut                 // acks awaiting network injection
+	degraded bool                     // combining store tripped: fall back to direct
 
 	// Activity-driven stepping (fast-forward only; see stepActive). at is
 	// the cycle the node's components have advanced to; next caches
@@ -236,7 +204,8 @@ type System struct {
 	topo  Topology // cfg.Topology with defaults applied (see normalized)
 	kind  mem.Kind
 	nodes []*node
-	xbar  network.Fabric[frame]
+	xbar  network.Fabric
+	mh    *network.MultiHop // xbar when it is a multi-hop fabric, else nil
 	reg   *stats.Registry
 	now   uint64
 
@@ -249,13 +218,6 @@ type System struct {
 
 	tr         *span.Tracer
 	sumBackSeq uint64
-
-	// Routing window for in-switch combining: the request currently inside
-	// routeRequest, whose span does not exist yet. routingNode is -1 outside
-	// the window.
-	routingNode     int
-	routingID       uint64
-	routingAbsorbed bool
 
 	// Fault injection and recovery (inactive on the zero config).
 	flt       fault.Config
@@ -273,14 +235,11 @@ func New(cfg Config, kind mem.Kind) *System {
 	if !kind.IsScatterAdd() || kind.IsFetch() {
 		panic(fmt.Sprintf("multinode: unsupported trace kind %v", kind))
 	}
-	if cfg.Hierarchical && !cfg.Combining {
-		panic("multinode: Hierarchical requires Combining")
-	}
-	topo := cfg.Topology.normalized(cfg)
-	s := &System{cfg: cfg, topo: topo, kind: kind, reg: stats.NewRegistry(), ff: !cfg.LegacyStepping, routingNode: -1}
+	topo := cfg.Topology.normalized(cfg.Nodes)
+	s := &System{cfg: cfg, topo: topo, kind: kind, reg: stats.NewRegistry(), ff: !cfg.LegacyStepping}
 	s.active = make([]*node, 0, cfg.Nodes)
 	if topo.multiHop() {
-		mh := network.NewMultiHop[frame](network.MultiHopConfig{
+		s.mh = network.NewMultiHop(network.MultiHopConfig{
 			Kind:    topo.graphKind(),
 			Nodes:   cfg.Nodes,
 			FanIn:   topo.FanIn,
@@ -289,12 +248,9 @@ func New(cfg Config, kind mem.Kind) *System {
 			Combine: topo.CombineSwitch,
 			Link:    cfg.Net,
 		})
-		if topo.CombineSwitch {
-			mh.SetCombiner(s.switchCombiner())
-		}
-		s.xbar = mh
+		s.xbar = s.mh
 	} else {
-		s.xbar = network.New[frame](cfg.Net)
+		s.xbar = network.New(cfg.Net)
 	}
 	injecting := cfg.Faults.Enabled()
 	if injecting {
@@ -520,12 +476,8 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 		if len(n.ackbox) > 0 {
 			return s.now
 		}
-		// Unacked frames wake the system at their retransmit deadlines.
-		for i := range n.pending {
-			if d := n.pending[i].deadline; d < ev {
-				ev = d
-			}
-		}
+		// Unacked packets wake the system at their resend deadlines.
+		ev = n.unacked.NextDeadline()
 	}
 	for _, u := range n.sas {
 		if t := u.NextEvent(s.now); t < ev {
@@ -667,21 +619,24 @@ func (s *System) step() {
 // arrivals, inbox injection, trace issue, sum-back draining, link
 // maintenance, and outbox draining.
 func (s *System) stepNodeExchange(n *node) {
-	// Stage network arrivals. Ack frames are consumed unconditionally —
-	// they only shrink the sender's retransmission buffer, and holding them
-	// behind data-plane back-pressure would deadlock the link (the sender
-	// retransmits into the congestion the unread acks would clear). Data
-	// frames wait for inbox room, which drains through the scatter-add
-	// pipeline independently of the network.
+	// Stage network arrivals. Acks are consumed unconditionally — they only
+	// shrink the sender's retransmission buffer, and holding them behind
+	// data-plane back-pressure would deadlock the link (the sender resends
+	// into the congestion the unread acks would clear). Data packets wait
+	// for inbox room, which drains through the scatter-add pipeline
+	// independently of the network.
 	for {
 		p, ok := s.xbar.Peek(n.id)
 		if !ok {
 			break
 		}
-		f := p.Payload
-		if f.ack {
+		if p.Ack {
 			s.xbar.Recv(n.id)
-			s.handleAck(n, f.seq)
+			// Acks for packets already released (duplicated acks, or acks
+			// racing a resend) are ignored.
+			if resends, ok := n.unacked.Ack(p.Seq); ok {
+				s.lmet.retries.Observe(resends)
+			}
 			continue
 		}
 		if n.inbox.Full() {
@@ -689,17 +644,17 @@ func (s *System) stepNodeExchange(n *node) {
 		}
 		s.xbar.Recv(n.id)
 		if s.reliable {
-			// Always ack — the sender may be retrying a frame whose first
+			// Always ack — the sender may be resending a packet whose first
 			// ack was lost — but deliver each sequence number exactly once,
 			// which is what makes replayed scatter-adds idempotent.
-			n.ackbox = append(n.ackbox, ackOut{seq: f.seq, dst: p.Src})
-			if _, dup := n.seen[f.seq]; dup {
+			n.ackbox = append(n.ackbox, ackOut{seq: p.Seq, dst: int(p.Src)})
+			if _, dup := n.seen[p.Seq]; dup {
 				s.lmet.dupRecv.Inc()
 				continue
 			}
-			n.seen[f.seq] = struct{}{}
+			n.seen[p.Seq] = struct{}{}
 		}
-		n.inbox.MustPush(f.req)
+		n.inbox.MustPush(p.Req)
 	}
 	// Inject staged arrivals: owned addresses go to the local scatter-add
 	// path; in hierarchical combining, in-transit partials for other owners
@@ -733,17 +688,14 @@ func (s *System) stepNodeExchange(n *node) {
 		ref := n.trace[n.issued]
 		req := mem.Request{ID: uint64(n.issued), Kind: s.kind, Addr: ref.Addr, Val: ref.Val, Node: n.id}
 		// A combining switch can absorb the request inside routeRequest —
-		// before its span exists. Mark the routing window so OnAbsorb can
-		// flag that instead of issuing an OpEnd nothing would receive.
-		s.routingNode, s.routingID, s.routingAbsorbed = n.id, req.ID, false
-		routed := s.routeRequest(n, req)
-		s.routingNode = -1
-		if !routed {
+		// before its span exists, so the fabric cannot end it.
+		merged := s.merged()
+		if !s.routeRequest(n, req) {
 			break
 		}
 		if s.tr != nil && s.tr.SampleNext() {
 			s.tr.OpBegin(n.id, req.ID, req.Kind, req.Addr, s.now)
-			if s.routingAbsorbed {
+			if s.merged() != merged {
 				// Merged into another in-flight request at the injection
 				// switch: the op's whole life is this cycle.
 				s.tr.OpEnd(n.id, req.ID, s.now)
@@ -766,13 +718,13 @@ func (s *System) stepNodeExchange(n *node) {
 		}
 	}
 	// Reliable link maintenance: acks leave first (a starved ack path would
-	// turn every in-flight frame into a spurious retransmission), then
-	// overdue frames retransmit.
+	// turn every in-flight packet into a spurious resend), then overdue
+	// packets are sent again.
 	if s.reliable {
 		k := 0
 		for k < len(n.ackbox) {
 			a := n.ackbox[k]
-			if !s.xbar.Send(network.Packet[frame]{Src: n.id, Dst: a.dst, Payload: frame{seq: a.seq, ack: true}}) {
+			if !s.xbar.Send(network.Packet{Src: int32(n.id), Dst: int32(a.dst), Seq: a.seq, Ack: true}) {
 				break
 			}
 			s.lmet.acks.Inc()
@@ -781,7 +733,7 @@ func (s *System) stepNodeExchange(n *node) {
 		if k > 0 {
 			n.ackbox = n.ackbox[:copy(n.ackbox, n.ackbox[k:])]
 		}
-		s.retransmit(n)
+		s.lmet.retrans.Add(uint64(n.unacked.Resend(s.now, &s.flt, s.xbar.Send)))
 	}
 	// Drain the outbox into the network (or locally, for own addresses).
 	for {
@@ -853,108 +805,33 @@ func (s *System) routeRequest(n *node, req mem.Request) bool {
 	return s.sendRemote(n, dst, req)
 }
 
-// switchCombiner tells a combining multi-hop fabric how scatter-add frames
-// merge in a switch's staging window: same address and kind (never acks,
-// never fetch variants — a merged fetch reply would be ambiguous). Sum-back
-// frames carry scatter-add kinds too, so evicted partial lines from
-// different nodes cascade together on their way to the owner. Merging
-// reorders additions exactly like the combining caches do: bit-exact for
-// the integer kinds, paper-semantics (associativity assumed) for floats.
-func (s *System) switchCombiner() network.Combiner[frame] {
-	return network.Combiner[frame]{
-		Key: func(f frame) (uint64, bool) {
-			if f.ack || f.seq != 0 {
-				return 0, false
-			}
-			r := f.req
-			if !r.Kind.IsScatterAdd() || r.Kind.IsFetch() {
-				return 0, false
-			}
-			return uint64(r.Addr)<<8 | uint64(r.Kind), true
-		},
-		Merge: func(into, absorb frame) frame {
-			into.req.Val = mem.Combine(into.req.Kind, into.req.Val, absorb.req.Val)
-			return into
-		},
-		OnAbsorb: func(absorbed frame) {
-			if s.tr == nil {
-				return
-			}
-			r := absorbed.req
-			if r.Node == s.routingNode && r.ID == s.routingID {
-				// Absorbed at the injection switch, mid-routeRequest: the
-				// issue loop hasn't decided sampling yet, so flag it and let
-				// the loop close the span right after OpBegin.
-				s.routingAbsorbed = true
-				return
-			}
-			// The absorbed request is complete the moment it merges. A
-			// no-op for unsampled ids (including every sum-back).
-			s.tr.OpEnd(r.Node, r.ID, s.now)
-		},
+// merged returns the packets in-switch combining has absorbed so far (0 on
+// fabrics without it). Read around routeRequest, it tells whether the
+// injection switch absorbed the request.
+func (s *System) merged() uint64 {
+	if s.mh == nil {
+		return 0
 	}
+	return s.mh.Combined()
 }
 
-// sendRemote injects a data frame for req toward dst. In reliable mode the
-// frame gets the next link sequence number and is held for retransmission
-// until acked; the number is only consumed when the network accepts the
-// frame, so back-pressure never perforates the sequence space.
+// sendRemote injects a data packet for req toward dst. In reliable mode the
+// packet gets the next link sequence number and is held for resending until
+// acked; the number is only consumed when the network accepts the packet,
+// so back-pressure never perforates the sequence space.
 func (s *System) sendRemote(n *node, dst int, req mem.Request) bool {
-	f := frame{req: req}
+	p := network.Packet{Src: int32(n.id), Dst: int32(dst), Req: req}
 	if s.reliable {
-		f.seq = s.linkSeq + 1
+		p.Seq = s.linkSeq + 1
 	}
-	if !s.xbar.Send(network.Packet[frame]{Src: n.id, Dst: dst, Payload: f}) {
+	if !s.xbar.Send(p) {
 		return false
 	}
 	if s.reliable {
 		s.linkSeq++
-		n.pending = append(n.pending, pendingFrame{
-			f: f, dst: dst, deadline: s.now + s.flt.RetryTimeout,
-		})
+		n.unacked.Hold(p.Seq, p, s.now+s.flt.RetryTimeout)
 	}
 	return true
-}
-
-// handleAck clears the acked frame from the node's retransmission buffer
-// and records how many transmissions it took. Acks for already-cleared
-// frames (duplicated acks, or acks racing a retransmission) are ignored.
-func (s *System) handleAck(n *node, seq uint64) {
-	for i := range n.pending {
-		if n.pending[i].f.seq != seq {
-			continue
-		}
-		s.lmet.retries.Observe(n.pending[i].attempt)
-		n.pending = append(n.pending[:i], n.pending[i+1:]...)
-		return
-	}
-}
-
-// retransmit re-sends every pending frame whose ack deadline has passed,
-// backing off exponentially (RetryTimeout << attempt, capped) and giving up
-// the run past MaxRetries — at that point the loss is not transient and no
-// bounded protocol recovers it.
-func (s *System) retransmit(n *node) {
-	for i := range n.pending {
-		pf := &n.pending[i]
-		if s.now < pf.deadline {
-			continue
-		}
-		if pf.attempt >= s.flt.MaxRetries {
-			panic(fmt.Sprintf("multinode: frame seq=%d to node %d unacked after %d attempts",
-				pf.f.seq, pf.dst, pf.attempt+1))
-		}
-		if !s.xbar.Send(network.Packet[frame]{Src: n.id, Dst: pf.dst, Payload: pf.f}) {
-			return // network back-pressure: retry next cycle, oldest first
-		}
-		pf.attempt++
-		s.lmet.retrans.Inc()
-		shift := pf.attempt
-		if shift > s.flt.RetryBackoffCap {
-			shift = s.flt.RetryBackoffCap
-		}
-		pf.deadline = s.now + s.flt.RetryTimeout<<uint(shift)
-	}
 }
 
 // checkDegrade falls a node back from combining to direct once its
@@ -1037,7 +914,7 @@ func (s *System) nodeBusy(n *node) bool {
 	if n.issued < len(n.trace) || !n.inbox.Empty() || !n.outbox.Empty() {
 		return true
 	}
-	if s.reliable && (len(n.pending) > 0 || len(n.ackbox) > 0) {
+	if s.reliable && (n.unacked.Len() > 0 || len(n.ackbox) > 0) {
 		return true
 	}
 	for _, u := range n.sas {

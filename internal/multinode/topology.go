@@ -1,9 +1,6 @@
-// Topology is the first-class interconnect surface that replaced the ad-hoc
-// Combining/Hierarchical bool pair: one value names the switch graph the
-// nodes sit on and where scatter-add combining happens (in the sending
-// node's cache, inside every switch, both, or nowhere). The deprecated bools
-// still work — TopoDefault maps them onto the equivalent Topology — but
-// mixing the two surfaces is a configuration error.
+// Topology is the interconnect surface: one value names the switch graph
+// the nodes sit on and where scatter-add combining happens (in the sending
+// node's cache, inside every switch, both, or nowhere).
 package multinode
 
 import (
@@ -16,10 +13,8 @@ import (
 type TopologyKind int
 
 const (
-	// TopoDefault derives the kind from the deprecated Config.Combining and
-	// Config.Hierarchical bools: hypercube when Hierarchical is set, flat
-	// otherwise. Zero-value configs keep their exact pre-Topology meaning.
-	// It takes no options.
+	// TopoDefault is the zero value: the paper's flat crossbar without
+	// combining. It takes no options.
 	TopoDefault TopologyKind = iota
 	// TopoFlat is the paper's single full crossbar (§4.5).
 	TopoFlat
@@ -133,22 +128,16 @@ func (t Topology) graphKind() network.GraphKind {
 	return network.TreeGraph
 }
 
-// normalized resolves TopoDefault against the deprecated bools, applies
-// defaults, and validates the combination. It panics on conflicts —
-// topology selection is construction-time configuration, like the rest of
-// Config.
-func (t Topology) normalized(cfg Config) Topology {
+// normalized resolves TopoDefault to the flat crossbar, applies defaults,
+// and validates the combination for a system of the given node count. It
+// panics on conflicts — topology selection is construction-time
+// configuration, like the rest of Config.
+func (t Topology) normalized(nodes int) Topology {
 	if t.Kind == TopoDefault {
 		if t != (Topology{}) {
 			panic("multinode: Topology options require an explicit Topology.Kind")
 		}
 		t.Kind = TopoFlat
-		if cfg.Hierarchical {
-			t.Kind = TopoHypercube
-		}
-		t.CombineCache = cfg.Combining
-	} else if cfg.Combining || cfg.Hierarchical {
-		panic("multinode: set Config.Topology or the deprecated Combining/Hierarchical bools, not both")
 	}
 	switch t.Kind {
 	case TopoFlat, TopoHypercube:
@@ -162,8 +151,8 @@ func (t Topology) normalized(cfg Config) Topology {
 			if !t.CombineCache {
 				panic("multinode: hypercube topology requires cache combining (the hierarchy routes sum-backs)")
 			}
-			if cfg.Nodes&(cfg.Nodes-1) != 0 {
-				panic(fmt.Sprintf("multinode: hypercube topology requires a power-of-two node count, got %d", cfg.Nodes))
+			if nodes&(nodes-1) != 0 {
+				panic(fmt.Sprintf("multinode: hypercube topology requires a power-of-two node count, got %d", nodes))
 			}
 		}
 	case TopoTree:
@@ -183,8 +172,8 @@ func (t Topology) normalized(cfg Config) Topology {
 		if (t.MeshX == 0) != (t.MeshY == 0) {
 			panic("multinode: set both mesh dimensions or neither")
 		}
-		if t.MeshX != 0 && t.MeshX*t.MeshY != cfg.Nodes {
-			panic(fmt.Sprintf("multinode: mesh %dx%d does not cover %d nodes", t.MeshX, t.MeshY, cfg.Nodes))
+		if t.MeshX != 0 && t.MeshX*t.MeshY != nodes {
+			panic(fmt.Sprintf("multinode: mesh %dx%d does not cover %d nodes", t.MeshX, t.MeshY, nodes))
 		}
 	default:
 		panic(fmt.Sprintf("multinode: unknown topology kind %v", t.Kind))

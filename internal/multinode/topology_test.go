@@ -9,8 +9,7 @@ import (
 	"scatteradd/internal/mem"
 )
 
-// topoConfig builds a small system on an explicit Topology (the deprecated
-// bools stay zero — mixing the surfaces is a panic, tested below).
+// topoConfig builds a small system on an explicit Topology.
 func topoConfig(nodes, bw int, span mem.Addr, topo Topology) Config {
 	cfg := DefaultConfig(nodes, bw, span)
 	cfg.Cache.TotalLines = 256
@@ -178,41 +177,6 @@ func TestInSwitchCombiningReducesRootTraffic(t *testing.T) {
 	}
 }
 
-// TestDeprecatedBoolShims: the old Combining/Hierarchical bool surface maps
-// onto the exact same machine as the equivalent explicit Topology.
-func TestDeprecatedBoolShims(t *testing.T) {
-	const rng = 1024
-	refs := uniformTrace(2048, rng, 67)
-	cases := []struct {
-		name                    string
-		combining, hierarchical bool
-		topo                    Topology
-	}{
-		{"flat", false, false, Flat()},
-		{"flat+comb", true, false, FlatCombining()},
-		{"hypercube", true, true, Hypercube()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			old := DefaultConfig(4, 1, lineSpan(rng, 4))
-			old.Cache.TotalLines = 256
-			old.Combining = tc.combining
-			old.Hierarchical = tc.hierarchical
-			so := New(old, mem.AddI64)
-			ro := so.RunTrace(refs)
-
-			sn := New(topoConfig(4, 1, lineSpan(rng, 4), tc.topo), mem.AddI64)
-			rn := sn.RunTrace(refs)
-			if ro != rn {
-				t.Fatalf("bool shim diverged from Topology:\n old %+v\n new %+v", ro, rn)
-			}
-			if !reflect.DeepEqual(so.StatsSnapshot(), sn.StatsSnapshot()) {
-				t.Fatal("bool shim counters diverge from Topology counters")
-			}
-		})
-	}
-}
-
 // TestParseTopology covers the CLI/server name surface.
 func TestParseTopology(t *testing.T) {
 	for name, want := range map[string]Topology{
@@ -241,11 +205,6 @@ func TestParseTopology(t *testing.T) {
 func TestTopologyConfigPanics(t *testing.T) {
 	const rng = 512
 	cases := map[string]func(){
-		"mixed surfaces": func() {
-			cfg := topoConfig(4, 1, lineSpan(rng, 4), Tree(4, false))
-			cfg.Combining = true
-			New(cfg, mem.AddI64)
-		},
 		"options without kind": func() {
 			New(topoConfig(4, 1, lineSpan(rng, 4), Topology{FanIn: 4}), mem.AddI64)
 		},

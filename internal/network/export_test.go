@@ -2,4 +2,4 @@ package network
 
 // DisableFastPath forces the general arbitration loop even at
 // WordsPerCyc==1, so tests can prove the fast path bit-equivalent.
-func (x *Crossbar[T]) DisableFastPath() { x.noFastPath = true }
+func (x *Crossbar) DisableFastPath() { x.noFastPath = true }

@@ -18,8 +18,8 @@ func TestFastPathEquivalence(t *testing.T) {
 		cfg := DefaultConfig(9)
 		cfg.OutputQDepth = 2 // force output back-pressure and full wires
 		cfg.WireDepth = 3
-		fast := New[int](cfg)
-		slow := New[int](cfg)
+		fast := New(cfg)
+		slow := New(cfg)
 		slow.DisableFastPath()
 		if faults {
 			fc := fault.Config{Seed: 99, NetDropRate: 0.1, NetDupRate: 0.1}.WithDefaults()
@@ -41,7 +41,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				if k%2 == 0 {
 					dst = 0 // hot spot
 				}
-				p := Packet[int]{Src: src, Dst: dst, Payload: int(cycle)<<8 | k}
+				p := tagged(src, dst, int(cycle)<<8|k)
 				okF := fast.Send(p)
 				okS := slow.Send(p)
 				if okF != okS {

@@ -7,7 +7,7 @@ import (
 )
 
 // heldCount counts the packets in a crossbar's opened ports the slow way.
-func heldCount[T any](x *Crossbar[T]) int {
+func heldCount(x *Crossbar) int {
 	n := 0
 	for i := range x.inputs {
 		if x.inputs[i] != nil {
@@ -41,7 +41,7 @@ func TestCrossbarHeldCount(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.OutputQDepth = 2
 	cfg.WireDepth = 3
-	x := New[int](cfg)
+	x := New(cfg)
 	x.SetFaults(fault.Config{Seed: 3, NetDropRate: 0.1, NetDupRate: 0.1}.WithDefaults(), "held")
 	next := xorshift(777)
 	check := func(cycle uint64) {
@@ -58,7 +58,7 @@ func TestCrossbarHeldCount(t *testing.T) {
 				if k%2 == 0 {
 					dst = 0 // hot spot
 				}
-				x.Send(Packet[int]{Src: next(cfg.Nodes), Dst: dst, Payload: int(cycle)})
+				x.Send(tagged(next(cfg.Nodes), dst, int(cycle)))
 				check(cycle)
 			}
 		}
@@ -86,7 +86,7 @@ func TestCrossbarHeldCount(t *testing.T) {
 func TestMultiHopHeldCounts(t *testing.T) {
 	for name, cfg := range map[string]MultiHopConfig{"tree": treeConfig(16, 4), "mesh": meshConfig(16)} {
 		t.Run(name, func(t *testing.T) {
-			m := NewMultiHop[int](cfg)
+			m := NewMultiHop(cfg)
 			m.SetFaults(fault.Config{Seed: 11, NetDropRate: 0.1, NetDupRate: 0.05}.WithDefaults(), "held")
 			next := xorshift(4242)
 			check := func(cycle uint64) {
@@ -96,7 +96,7 @@ func TestMultiHopHeldCounts(t *testing.T) {
 					staged, unacked := 0, 0
 					for p := range s.stage {
 						staged += len(s.stage[p])
-						unacked += len(s.pending[p])
+						unacked += s.retx[p].Len()
 					}
 					held := heldCount(s.xb)
 					if s.xb.held != held || s.staged != staged || s.unacked != unacked {
@@ -120,7 +120,7 @@ func TestMultiHopHeldCounts(t *testing.T) {
 			for ; cycle < 6000; cycle++ {
 				if cycle < 1500 {
 					for k := 0; k < 3; k++ {
-						m.Send(Packet[int]{Src: next(cfg.Nodes), Dst: next(cfg.Nodes), Payload: int(cycle)})
+						m.Send(tagged(next(cfg.Nodes), next(cfg.Nodes), int(cycle)))
 					}
 					check(cycle)
 				}

@@ -10,30 +10,33 @@
 // X-first, then Y — deterministic dimension-order routing.
 //
 // Combining. In front of every switch input port sits a staging window (the
-// combine table). When combining is on, an arriving packet first scans the
-// switch's staged packets for one with the same combining key and
-// destination; a hit merges the payloads (Combiner.Merge) and the arrival is
-// absorbed — it never consumes link bandwidth again. Staged packets drain
-// into the switch each cycle as bandwidth allows, and a drained packet has
-// left the window: combining opportunity exists exactly while traffic is
-// queued, which is precisely when relief is needed (the NYU Ultracomputer's
-// rationale for switch-level fetch-and-add combining).
+// combine table). When combining is on, an arriving scatter-add packet first
+// scans the switch's staged packets for one with the same destination,
+// address and kind; a hit adds its operand into the staged packet and the
+// arrival is absorbed — it never consumes link bandwidth again. Staged
+// packets drain into the switch each cycle as bandwidth allows, and a
+// drained packet has left the window: combining opportunity exists exactly
+// while traffic is queued, which is precisely when relief is needed (the
+// NYU Ultracomputer's rationale for switch-level fetch-and-add combining).
 //
-// Reliability. The PR 5 link layer is reused per hop: every frame entering a
-// switch gets a fabric-wide sequence number and is held by its input port
-// for retransmission (exponential backoff, capped; a frame unacked after
-// MaxRetries attempts panics the run as unrecoverable). The switch's output
-// side deduplicates by sequence number and acknowledges on successful
-// handoff to the next stage, so injected wire drops and duplications inside
-// any switch are absorbed hop-locally instead of end-to-end. Retransmitted
-// frames bypass the staging window — they carry an already-assigned sequence
-// number and must not re-combine.
+// Reliability. Every packet entering a switch gets a fabric-wide hop
+// sequence number and is held by its input port's RetransmitBuffer — the
+// same buffer the multinode end-to-end link uses — for retransmission
+// (exponential backoff, capped; a packet unacked after MaxRetries resends
+// panics the run as unrecoverable). The switch's output side deduplicates
+// by hop sequence number and acknowledges on successful handoff to the next
+// stage, so injected wire drops and duplications inside any switch are
+// absorbed hop-locally instead of end-to-end. Retransmitted packets bypass
+// the staging window — they carry an already-assigned hop sequence number
+// and must not re-combine.
 package network
 
 import (
 	"fmt"
+	"math"
 
 	"scatteradd/internal/fault"
+	"scatteradd/internal/mem"
 	"scatteradd/internal/sim"
 	"scatteradd/internal/span"
 	"scatteradd/internal/stats"
@@ -71,9 +74,7 @@ type MultiHopConfig struct {
 	// equal Nodes).
 	MeshX, MeshY int
 
-	// Combine enables the in-switch combining window at every hop. The
-	// fabric also needs a Combiner (SetCombiner) to know which payloads may
-	// merge.
+	// Combine enables the in-switch combining window at every hop.
 	Combine bool
 
 	// Link configures every switch's internal crossbar: per-port bandwidth,
@@ -88,28 +89,6 @@ func DefaultMultiHopConfig(nodes int) MultiHopConfig {
 	return MultiHopConfig{Kind: TreeGraph, Nodes: nodes, FanIn: 4, Link: DefaultConfig(nodes)}
 }
 
-// Combiner tells a combining fabric which payloads may merge and how. Key
-// reports a payload's combining key, or ok=false for uncombinable traffic
-// (acks, fetch variants); two packets merge when their keys and destinations
-// match. Merge folds absorb into into and returns the merged payload.
-// OnAbsorb, when non-nil, is called once per absorbed packet so the caller
-// can settle request-lifecycle accounting (the absorbed request is complete
-// the instant it merges).
-type Combiner[T any] struct {
-	Key      func(p T) (key uint64, ok bool)
-	Merge    func(into, absorb T) T
-	OnAbsorb func(absorb T)
-}
-
-// hopFrame wraps a packet for one switch traversal: seq is the per-hop
-// reliability sequence number (0 when faults are off), from the input port
-// holding the retransmission copy.
-type hopFrame[T any] struct {
-	pkt  Packet[T]
-	seq  uint64
-	from int
-}
-
 // hopLink is where a switch output port (or a node injection) leads: a
 // destination node's delivery queue, or another switch's input staging.
 type hopLink struct {
@@ -118,19 +97,10 @@ type hopLink struct {
 	port int // ... at this input port
 }
 
-// hopPending is a sent-but-unacked frame held at its input port for
-// retransmission, mirroring the multinode end-to-end link layer per hop.
-type hopPending[T any] struct {
-	f        hopFrame[T]
-	dst      int    // output port within the switch
-	deadline uint64 // cycle at which the frame retransmits
-	attempt  int    // transmissions so far beyond the first
-}
-
 // mhSwitch is one switch: a crossbar plus per-port staging (the combining
 // window), retransmission buffers, and receive-side dedup state.
-type mhSwitch[T any] struct {
-	xb    *Crossbar[hopFrame[T]]
+type mhSwitch struct {
+	xb    *Crossbar
 	ports int
 	out   []hopLink // where each output port leads
 
@@ -141,32 +111,33 @@ type mhSwitch[T any] struct {
 	parent           int
 	x, y             int
 
-	stage   [][]hopFrame[T]       // per input port: the combining window
-	pending [][]hopPending[T]     // per input port: unacked frames, in seq order
-	seen    []map[uint64]struct{} // per output port: delivered seqs (dedup)
-
-	staged  int // frames across every staging window
-	unacked int // frames across every retransmission buffer
+	stage   [][]Packet            // per input port: the combining window
+	retx    []RetransmitBuffer    // per input port: unacked hop packets
+	seen    []map[uint64]struct{} // per output port: delivered hop seqs (dedup)
+	staged  int                   // packets across every staging window
+	unacked int                   // packets across every retransmission buffer
 }
 
-// idle reports whether the switch holds no frame anywhere — nothing staged,
-// awaiting an ack, or inside its crossbar. An idle switch's share of a Tick
-// changes no state, so Tick, NextEvent and Busy pass over it.
-func (s *mhSwitch[T]) idle() bool { return s.staged == 0 && s.unacked == 0 && s.xb.held == 0 }
+// idle reports whether the switch holds no packet anywhere — nothing
+// staged, awaiting an ack, or inside its crossbar. An idle switch's share of
+// a Tick changes no state, so Tick, NextEvent and Busy pass over it.
+func (s *mhSwitch) idle() bool { return s.staged == 0 && s.unacked == 0 && s.xb.held == 0 }
+
+// resend re-enqueues a held hop packet at the input port it left from; it
+// keeps the output port and hop sequence number it was first sent with.
+func (s *mhSwitch) resend(p Packet) bool { return s.xb.enqueue(int(p.in), p) }
 
 // MultiHop is a switched multi-hop fabric satisfying Fabric.
-type MultiHop[T any] struct {
+type MultiHop struct {
 	cfg  MultiHopConfig
-	sws  []*mhSwitch[T]
-	inj  []hopLink               // per endpoint: injection point
-	outq []*sim.Queue[Packet[T]] // per endpoint: delivered packets
+	sws  []*mhSwitch
+	inj  []hopLink            // per endpoint: injection point
+	outq []*sim.Queue[Packet] // per endpoint: delivered packets
 
 	waiting int // packets across every endpoint's outq
 
-	comb  Combiner[T]
-	stats Stats
-	met   mhMetrics
-	tr    *span.Tracer
+	met mhMetrics
+	tr  *span.Tracer
 
 	// Per-hop reliability (engaged by SetFaults when network faults are
 	// configured).
@@ -188,7 +159,7 @@ type mhMetrics struct {
 	combined  *stats.Counter // packets absorbed by in-switch combining
 	rootPkts  *stats.Counter // root-switch / bisection crossings
 	retrans   *stats.Counter // per-hop retransmissions
-	dups      *stats.Counter // duplicate hop frames discarded
+	dups      *stats.Counter // duplicate hop packets discarded
 }
 
 func newMHMetrics() mhMetrics {
@@ -207,14 +178,14 @@ func newMHMetrics() mhMetrics {
 
 // NewMultiHop builds the switch graph. Panics on invalid configuration —
 // construction errors are programming errors, matching New.
-func NewMultiHop[T any](cfg MultiHopConfig) *MultiHop[T] {
+func NewMultiHop(cfg MultiHopConfig) *MultiHop {
 	if cfg.Nodes < 1 {
 		panic(fmt.Sprintf("network: multihop needs >= 1 node, got %d", cfg.Nodes))
 	}
-	m := &MultiHop[T]{cfg: cfg, met: newMHMetrics(), rootSw: -1}
+	m := &MultiHop{cfg: cfg, met: newMHMetrics(), rootSw: -1}
 	m.inj = make([]hopLink, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		m.outq = append(m.outq, sim.NewQueue[Packet[T]](max(1, cfg.Link.OutputQDepth)))
+		m.outq = append(m.outq, sim.NewQueue[Packet](max(1, cfg.Link.OutputQDepth)))
 	}
 	switch cfg.Kind {
 	case TreeGraph:
@@ -229,17 +200,20 @@ func NewMultiHop[T any](cfg MultiHopConfig) *MultiHop[T] {
 
 // addSwitch appends a switch with the given port count, sizing its crossbar
 // from the per-link config.
-func (m *MultiHop[T]) addSwitch(ports int) *mhSwitch[T] {
+func (m *MultiHop) addSwitch(ports int) *mhSwitch {
+	if ports > math.MaxUint16 {
+		panic(fmt.Sprintf("network: a switch of %d ports exceeds the packet's 16-bit input port", ports))
+	}
 	link := m.cfg.Link
 	link.Nodes = ports
-	s := &mhSwitch[T]{
-		xb:     New[hopFrame[T]](link),
+	s := &mhSwitch{
+		xb:     New(link),
 		ports:  ports,
 		out:    make([]hopLink, ports),
 		parent: -1,
 	}
-	s.stage = make([][]hopFrame[T], ports)
-	s.pending = make([][]hopPending[T], ports)
+	s.stage = make([][]Packet, ports)
+	s.retx = make([]RetransmitBuffer, ports)
 	s.seen = make([]map[uint64]struct{}, ports)
 	m.sws = append(m.sws, s)
 	return s
@@ -247,7 +221,7 @@ func (m *MultiHop[T]) addSwitch(ports int) *mhSwitch[T] {
 
 // buildTree constructs the fan-in-F tree bottom-up: contiguous leaf ranges,
 // then F-way groups of switches until a single root remains.
-func (m *MultiHop[T]) buildTree() {
+func (m *MultiHop) buildTree() {
 	f := m.cfg.FanIn
 	if f < 2 {
 		panic(fmt.Sprintf("network: tree fan-in must be >= 2, got %d", f))
@@ -305,7 +279,7 @@ func (m *MultiHop[T]) buildTree() {
 
 // buildMesh constructs the X×Y grid: one switch per endpoint, five ports
 // each (node, east, west, north, south), neighbours cross-linked.
-func (m *MultiHop[T]) buildMesh() {
+func (m *MultiHop) buildMesh() {
 	x, y := m.cfg.MeshX, m.cfg.MeshY
 	if x == 0 && y == 0 {
 		x, y = squarest(m.cfg.Nodes)
@@ -351,7 +325,7 @@ func squarest(n int) (w, h int) {
 }
 
 // route returns the output port of switch si toward endpoint dst.
-func (m *MultiHop[T]) route(si, dst int) int {
+func (m *MultiHop) route(si, dst int) int {
 	s := m.sws[si]
 	if m.cfg.Kind == MeshGraph {
 		dx, dy := dst%m.meshX, dst/m.meshX
@@ -375,33 +349,43 @@ func (m *MultiHop[T]) route(si, dst int) int {
 	return s.parent // up toward the lowest common ancestor
 }
 
-// SetCombiner installs the payload merge hooks used when Combine is on.
-func (m *MultiHop[T]) SetCombiner(c Combiner[T]) { m.comb = c }
-
-// Stats returns a copy of the counters. Wire-level fault and stall activity
-// lives inside the per-switch crossbars and is aggregated here.
-func (m *MultiHop[T]) Stats() Stats {
-	st := m.stats
+// Stats reads the counters. Wire-level fault and stall activity lives in
+// the per-switch crossbars and is summed here.
+func (m *MultiHop) Stats() Stats {
+	st := Stats{
+		Sent:       m.met.sent.Value(),
+		Delivered:  m.met.delivered.Value(),
+		Hops:       m.met.hops.Value(),
+		RootPkts:   m.met.rootPkts.Value(),
+		Combined:   m.met.combined.Value(),
+		HopRetrans: m.met.retrans.Value(),
+		HopDups:    m.met.dups.Value(),
+	}
 	for _, s := range m.sws {
-		xs := s.xb.Stats()
-		st.Stalled += xs.Stalled
-		st.Dropped += xs.Dropped
-		st.Duped += xs.Duped
+		st.Stalled += s.xb.met.stalls.Value()
+		st.Dropped += s.xb.met.faultDrops.Value()
+		st.Duped += s.xb.met.faultDups.Value()
 	}
 	return st
 }
 
-// StatsGroup returns the fabric's performance-counter group.
-func (m *MultiHop[T]) StatsGroup() *stats.Group { return m.met.group }
+// Combined returns the packets in-switch combining has absorbed so far, in
+// O(1). A sender reads it around Send to tell whether the injection switch
+// absorbed its packet.
+func (m *MultiHop) Combined() uint64 { return m.met.combined.Value() }
 
-// SetSpanTracer installs a request-lifecycle tracer: every frame admitted to
-// a switch crossbar becomes an async span on that switch's track.
-func (m *MultiHop[T]) SetSpanTracer(tr *span.Tracer) { m.tr = tr }
+// StatsGroup returns the fabric's performance-counter group.
+func (m *MultiHop) StatsGroup() *stats.Group { return m.met.group }
+
+// SetSpanTracer installs a request-lifecycle tracer: every packet admitted
+// to a switch crossbar becomes an async span on that switch's track, and a
+// request absorbed by combining inside the fabric ends its sampled op there.
+func (m *MultiHop) SetSpanTracer(tr *span.Tracer) { m.tr = tr }
 
 // SetFaults arms per-switch wire fault injection (each switch salts its own
 // deterministic streams) and, when network faults are configured, engages
 // the per-hop reliability layer.
-func (m *MultiHop[T]) SetFaults(fc fault.Config, inst string) {
+func (m *MultiHop) SetFaults(fc fault.Config, inst string) {
 	m.flt = fc
 	m.reliable = fc.NetFaults()
 	for i, s := range m.sws {
@@ -417,78 +401,79 @@ func (m *MultiHop[T]) SetFaults(fc fault.Config, inst string) {
 // CanSend reports whether endpoint src can inject a packet this cycle. A
 // full staging window may still absorb a combinable packet, so this is
 // conservative, exactly like the flat crossbar's full-input check.
-func (m *MultiHop[T]) CanSend(src int) bool {
+func (m *MultiHop) CanSend(src int) bool {
 	l := m.inj[src]
 	return len(m.sws[l.sw].stage[l.port]) < m.cfg.Link.InputQDepth
 }
 
 // Send injects a packet at its source endpoint. It reports false when the
 // first switch's staging window is full and the packet cannot combine
-// (back-pressure).
-func (m *MultiHop[T]) Send(p Packet[T]) bool {
-	if p.Src < 0 || p.Src >= m.cfg.Nodes || p.Dst < 0 || p.Dst >= m.cfg.Nodes {
+// (back-pressure). A packet absorbed at the injection switch is the
+// sender's to account for: its request's op has not begun when it merges
+// (see Combined).
+func (m *MultiHop) Send(p Packet) bool {
+	if p.Src < 0 || int(p.Src) >= m.cfg.Nodes || p.Dst < 0 || int(p.Dst) >= m.cfg.Nodes {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, m.cfg.Nodes))
 	}
 	l := m.inj[p.Src]
-	if !m.stageIn(l.sw, l.port, p) {
+	if ok, _ := m.stageIn(l.sw, l.port, p); !ok {
 		return false
 	}
-	m.stats.Sent++
 	m.met.sent.Inc()
 	return true
 }
 
+// combinable reports whether p may merge in a switch: a scatter-add that
+// expects no reply (a merged fetch reply would be ambiguous), carrying no
+// link acknowledgment or link sequence number of its own.
+func combinable(p *Packet) bool {
+	return !p.Ack && p.Seq == 0 && p.Req.Kind.IsScatterAdd() && !p.Req.Kind.IsFetch()
+}
+
 // stageIn admits a packet into switch si's combining window at the given
-// input port: merge into a staged same-key packet if combining allows,
-// otherwise append (false when the window is full). Appends count as switch
-// traversals; merges by design do not — the absorbed packet stops consuming
-// bandwidth.
-func (m *MultiHop[T]) stageIn(si, port int, p Packet[T]) bool {
+// input port. With combining on, a packet that finds a staged packet of the
+// same destination, address and kind merges into it (merged) and stops
+// consuming bandwidth; sum-backs are scatter-adds too, so evicted partial
+// lines from different nodes cascade together on their way to the owner.
+// Merging reorders additions exactly like the combining caches do:
+// bit-exact for the integer kinds, paper semantics (associativity assumed)
+// for floats. Otherwise the packet is appended (ok=false when the window is
+// full); appends count as switch traversals, merges by design do not.
+func (m *MultiHop) stageIn(si, port int, p Packet) (ok, merged bool) {
 	s := m.sws[si]
-	if m.cfg.Combine && m.comb.Key != nil {
-		if key, ok := m.comb.Key(p.Payload); ok {
-			for q := range s.stage {
-				for i := range s.stage[q] {
-					st := &s.stage[q][i]
-					if st.pkt.Dst != p.Dst {
-						continue
-					}
-					if k2, ok2 := m.comb.Key(st.pkt.Payload); ok2 && k2 == key {
-						st.pkt.Payload = m.comb.Merge(st.pkt.Payload, p.Payload)
-						m.stats.Combined++
-						m.met.combined.Inc()
-						if m.comb.OnAbsorb != nil {
-							m.comb.OnAbsorb(p.Payload)
-						}
-						return true
-					}
+	if m.cfg.Combine && combinable(&p) {
+		for q := range s.stage {
+			for i := range s.stage[q] {
+				st := &s.stage[q][i]
+				if st.Dst == p.Dst && st.Req.Addr == p.Req.Addr && st.Req.Kind == p.Req.Kind && combinable(st) {
+					st.Req.Val = mem.Combine(st.Req.Kind, st.Req.Val, p.Req.Val)
+					m.met.combined.Inc()
+					return true, true
 				}
 			}
 		}
 	}
 	if len(s.stage[port]) >= m.cfg.Link.InputQDepth {
-		return false
+		return false, false
 	}
-	s.stage[port] = append(s.stage[port], hopFrame[T]{pkt: p, from: port})
+	s.stage[port] = append(s.stage[port], p)
 	s.staged++
-	m.stats.Hops++
 	m.met.hops.Inc()
 	if si == m.rootSw {
-		m.stats.RootPkts++
 		m.met.rootPkts.Inc()
 	}
-	return true
+	return true, false
 }
 
 // HasArrival reports whether a delivered packet waits at endpoint dst.
-func (m *MultiHop[T]) HasArrival(dst int) bool { return !m.outq[dst].Empty() }
+func (m *MultiHop) HasArrival(dst int) bool { return !m.outq[dst].Empty() }
 
 // Peek returns the next deliverable packet at endpoint dst without consuming
 // it.
-func (m *MultiHop[T]) Peek(dst int) (Packet[T], bool) { return m.outq[dst].Peek() }
+func (m *MultiHop) Peek(dst int) (Packet, bool) { return m.outq[dst].Peek() }
 
 // Recv pops one delivered packet at endpoint dst, if available.
-func (m *MultiHop[T]) Recv(dst int) (Packet[T], bool) {
+func (m *MultiHop) Recv(dst int) (Packet, bool) {
 	p, ok := m.outq[dst].Pop()
 	if ok {
 		m.waiting--
@@ -501,40 +486,40 @@ func (m *MultiHop[T]) Recv(dst int) (Packet[T], bool) {
 // (B) every crossbar moves packets, (C) switch outputs drain across links —
 // deduplicating, acknowledging, and either staging into the next switch or
 // delivering to the destination endpoint. All switches are visited in index
-// order; the phases keep a frame from traversing more than one switch per
+// order; the phases keep a packet from traversing more than one switch per
 // cycle. Each phase passes over idle switches, whose share of it is a no-op,
 // so a cycle costs little more than the work of the switches carrying
 // traffic.
-func (m *MultiHop[T]) Tick(now uint64) {
+func (m *MultiHop) Tick(now uint64) {
 	// Phase A: retransmissions first (they are the oldest traffic), then
-	// staged frames claim the remaining input bandwidth.
+	// staged packets claim the remaining input bandwidth.
 	for si, s := range m.sws {
 		if s.idle() {
 			continue
 		}
 		if m.reliable {
-			m.retransmit(s, now)
+			for port := range s.retx {
+				m.met.retrans.Add(uint64(s.retx[port].Resend(now, &m.flt, s.resend)))
+			}
 		}
 		for port := range s.stage {
 			for len(s.stage[port]) > 0 {
-				f := s.stage[port][0]
-				outp := m.route(si, f.pkt.Dst)
+				p := s.stage[port][0]
+				p.out, p.in = int32(m.route(si, int(p.Dst))), uint16(port)
 				if m.reliable {
-					f.seq = m.seqCtr + 1
+					p.hopSeq = m.seqCtr + 1
 				}
-				if !s.xb.Send(Packet[hopFrame[T]]{Src: port, Dst: outp, Payload: f}) {
+				if !s.xb.enqueue(port, p) {
 					break
 				}
 				if m.reliable {
 					m.seqCtr++
-					s.pending[port] = append(s.pending[port], hopPending[T]{
-						f: f, dst: outp, deadline: now + m.flt.RetryTimeout,
-					})
+					s.retx[port].Hold(p.hopSeq, p, now+m.flt.RetryTimeout)
 					s.unacked++
 				}
 				if m.tr != nil {
 					m.tr.SpanAsync(fmt.Sprintf("net.sw[%d]", si),
-						fmt.Sprintf("pkt %d->%d", f.pkt.Src, f.pkt.Dst),
+						fmt.Sprintf("pkt %d->%d", p.Src, p.Dst),
 						now, now+uint64(m.cfg.Link.Latency))
 				}
 				copy(s.stage[port], s.stage[port][1:])
@@ -559,14 +544,12 @@ func (m *MultiHop[T]) Tick(now uint64) {
 				if !ok {
 					break
 				}
-				hf := p.Payload
 				if m.reliable {
-					if _, dup := s.seen[port][hf.seq]; dup {
-						// A retransmission (or injected duplicate) of a frame
+					if _, dup := s.seen[port][p.hopSeq]; dup {
+						// A retransmission (or injected duplicate) of a packet
 						// already forwarded: consume, re-ack, drop.
 						s.xb.Recv(port)
-						m.ackHop(s, hf)
-						m.stats.HopDups++
+						m.ackHop(s, &p)
 						m.met.dups.Inc()
 						continue
 					}
@@ -577,26 +560,30 @@ func (m *MultiHop[T]) Tick(now uint64) {
 						break
 					}
 					s.xb.Recv(port)
-					m.acceptHop(s, port, hf)
-					m.outq[link.node].MustPush(hf.pkt)
+					m.acceptHop(s, port, &p)
+					m.outq[link.node].MustPush(p)
 					m.waiting++
-					m.stats.Delivered++
 					m.met.delivered.Inc()
 					continue
 				}
 				if link.sw < 0 {
 					panic(fmt.Sprintf("network: switch %d routed out an unwired port %d", si, port))
 				}
-				if !m.stageIn(link.sw, link.port, hf.pkt) {
+				ok, merged := m.stageIn(link.sw, link.port, p)
+				if !ok {
 					break // downstream staging full: back-pressure
 				}
+				if merged {
+					// The absorbed request is complete the moment it
+					// merges (a no-op unless its op is sampled).
+					m.tr.OpEnd(p.Req.Node, p.Req.ID, now)
+				}
 				s.xb.Recv(port)
-				m.acceptHop(s, port, hf)
+				m.acceptHop(s, port, &p)
 				if m.cfg.Kind == MeshGraph {
 					// Bisection accounting: crossings between columns
 					// meshCut-1 and meshCut are the mesh's "root link".
 					if (port == 1 && s.x == m.meshCut-1) || (port == 2 && s.x == m.meshCut) {
-						m.stats.RootPkts++
 						m.met.rootPkts.Inc()
 					}
 				}
@@ -605,61 +592,26 @@ func (m *MultiHop[T]) Tick(now uint64) {
 	}
 }
 
-// acceptHop settles reliability state for a frame that cleared switch s:
-// mark its sequence delivered at the output port and acknowledge the input
-// port's retransmission copy. Hop acks are internal switch state, so they
-// settle the same cycle (no ack packets compete for bandwidth — consistent
-// with real combining networks, whose switch acks ride dedicated wires).
-func (m *MultiHop[T]) acceptHop(s *mhSwitch[T], port int, hf hopFrame[T]) {
+// acceptHop settles reliability state for a packet that cleared switch s:
+// mark its hop sequence delivered at the output port and acknowledge the
+// input port's retransmission copy. Hop acks are internal switch state, so
+// they settle the same cycle (no ack packets compete for bandwidth —
+// consistent with real combining networks, whose switch acks ride dedicated
+// wires).
+func (m *MultiHop) acceptHop(s *mhSwitch, port int, p *Packet) {
 	if !m.reliable {
 		return
 	}
-	s.seen[port][hf.seq] = struct{}{}
-	m.ackHop(s, hf)
+	s.seen[port][p.hopSeq] = struct{}{}
+	m.ackHop(s, p)
 }
 
-// ackHop removes the frame's retransmission copy at its input port. Already
-// acked frames (duplicates racing a retransmission) are ignored.
-func (m *MultiHop[T]) ackHop(s *mhSwitch[T], hf hopFrame[T]) {
-	pend := s.pending[hf.from]
-	for i := range pend {
-		if pend[i].f.seq != hf.seq {
-			continue
-		}
-		s.pending[hf.from] = append(pend[:i], pend[i+1:]...)
+// ackHop releases the packet's retransmission copy at its input port.
+// Already released packets (duplicates racing a retransmission) are
+// ignored.
+func (m *MultiHop) ackHop(s *mhSwitch, p *Packet) {
+	if _, ok := s.retx[p.in].Ack(p.hopSeq); ok {
 		s.unacked--
-		return
-	}
-}
-
-// retransmit re-sends every pending frame of switch s whose ack deadline has
-// passed, backing off exponentially (RetryTimeout << attempt, capped) and
-// giving up — loudly — after MaxRetries. Oldest frames go first; a full
-// crossbar input stops that port's sweep (the younger frames would only pile
-// into the same congestion).
-func (m *MultiHop[T]) retransmit(s *mhSwitch[T], now uint64) {
-	for port := range s.pending {
-		for i := range s.pending[port] {
-			pf := &s.pending[port][i]
-			if now < pf.deadline {
-				continue
-			}
-			if pf.attempt >= m.flt.MaxRetries {
-				panic(fmt.Sprintf("network: hop frame seq=%d unacked after %d attempts",
-					pf.f.seq, pf.attempt+1))
-			}
-			if !s.xb.Send(Packet[hopFrame[T]]{Src: port, Dst: pf.dst, Payload: pf.f}) {
-				break
-			}
-			pf.attempt++
-			m.stats.HopRetrans++
-			m.met.retrans.Inc()
-			shift := pf.attempt
-			if shift > m.flt.RetryBackoffCap {
-				shift = m.flt.RetryBackoffCap
-			}
-			pf.deadline = now + m.flt.RetryTimeout<<uint(shift)
-		}
 	}
 }
 
@@ -667,7 +619,7 @@ func (m *MultiHop[T]) retransmit(s *mhSwitch[T], now uint64) {
 // progress (sim.FastForwarder): staged, queued, or deliverable traffic is
 // work now; otherwise the earliest wire completion or retransmission
 // deadline.
-func (m *MultiHop[T]) NextEvent(now uint64) uint64 {
+func (m *MultiHop) NextEvent(now uint64) uint64 {
 	if m.waiting > 0 {
 		return now
 	}
@@ -684,12 +636,8 @@ func (m *MultiHop[T]) NextEvent(now uint64) uint64 {
 		} else if t < ev {
 			ev = t
 		}
-		for port := range s.pending {
-			for i := range s.pending[port] {
-				if d := s.pending[port][i].deadline; d < ev {
-					ev = d
-				}
-			}
+		for port := range s.retx {
+			ev = min(ev, s.retx[port].NextDeadline())
 		}
 	}
 	if ev < now {
@@ -700,11 +648,11 @@ func (m *MultiHop[T]) NextEvent(now uint64) uint64 {
 
 // Skip is a no-op: every state change in the fabric is reported by
 // NextEvent as work, so skipped cycles carry no batch effects.
-func (m *MultiHop[T]) Skip(now, cycles uint64) {}
+func (m *MultiHop) Skip(now, cycles uint64) {}
 
 // Busy reports whether any packet is staged, queued, in flight, awaiting an
 // ack, or undelivered.
-func (m *MultiHop[T]) Busy() bool {
+func (m *MultiHop) Busy() bool {
 	if m.waiting > 0 {
 		return true
 	}

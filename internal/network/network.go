@@ -3,30 +3,44 @@
 // bandwidth limit (the paper's low configuration is 1 word/cycle per node,
 // the high configuration 8 words/cycle).
 //
-// Payloads are generic; the multi-node system sends scatter-add requests
-// and acknowledgments. A packet occupies one word-slot of its input port's
-// bandwidth per cycle of transfer.
+// Every fabric carries one concrete Packet: a scatter-add request (or a
+// link-layer acknowledgment) plus the sequence numbers and ports the
+// reliability layers and switches need. A packet occupies one word-slot of
+// its input port's bandwidth per cycle of transfer.
 //
 // Beyond the paper's flat crossbar, MultiHop (multihop.go) composes many
 // small Crossbar switches into a fat-tree or 2D mesh with optional
 // Ultracomputer-style in-switch combining and per-hop reliability. Both
 // fabrics satisfy the Fabric interface that internal/multinode programs
-// against.
+// against, and both reliability layers — the multinode end-to-end link and
+// the per-hop link inside MultiHop — keep their unacknowledged packets in a
+// RetransmitBuffer (retransmit.go).
 package network
 
 import (
 	"fmt"
 
 	"scatteradd/internal/fault"
+	"scatteradd/internal/mem"
 	"scatteradd/internal/sim"
 	"scatteradd/internal/span"
 	"scatteradd/internal/stats"
 )
 
-// Packet is one message in flight.
-type Packet[T any] struct {
-	Src, Dst int
-	Payload  T
+// Packet is one message in flight. The multi-node system sends scatter-add
+// requests to their owners and, under network faults, acknowledgments back.
+// Endpoints are 32-bit and the switch input port 16-bit so that the whole
+// packet stays at 72 bytes: it is copied by value through every queue.
+type Packet struct {
+	Src, Dst int32       // endpoints
+	Req      mem.Request // the request carried (unused by acknowledgments)
+	Seq      uint64      // end-to-end link sequence number (0 = unsequenced)
+
+	hopSeq uint64 // per-hop sequence number inside a switch (0 = unsequenced)
+	out    int32  // crossbar output port the packet is queued for
+	in     uint16 // switch input port holding the hop retransmission copy
+
+	Ack bool // link acknowledgment of Seq
 }
 
 // Config describes the crossbar.
@@ -80,12 +94,12 @@ type Stats struct {
 // contract so quiescence fast-forward works across any topology.
 // HasArrival is the O(1) test a scheduler uses to wake an idle endpoint: it
 // reports whether a packet waits at dst without copying it.
-type Fabric[T any] interface {
+type Fabric interface {
 	CanSend(src int) bool
-	Send(p Packet[T]) bool
+	Send(p Packet) bool
 	HasArrival(dst int) bool
-	Peek(dst int) (Packet[T], bool)
-	Recv(dst int) (Packet[T], bool)
+	Peek(dst int) (Packet, bool)
+	Recv(dst int) (Packet, bool)
 	Tick(now uint64)
 	NextEvent(now uint64) uint64
 	Skip(now, cycles uint64)
@@ -123,8 +137,10 @@ func newMetrics() metrics {
 	}
 }
 
-// Crossbar is the input-queued switch.
-type Crossbar[T any] struct {
+// Crossbar is the input-queued switch. It routes every packet on its out
+// field: the destination endpoint for a packet sent on a flat crossbar, the
+// output port its switch chose inside a multi-hop fabric.
+type Crossbar struct {
 	cfg       Config
 	wireDepth int
 
@@ -132,12 +148,11 @@ type Crossbar[T any] struct {
 	// output's wire and delivery queue at its first grant. A port that never
 	// carries a packet costs a nil pointer, which matters in the kilo-node
 	// multi-hop fabrics, where most switch ports stay idle for a whole run.
-	inputs  []*sim.Queue[Packet[T]]
-	wires   []*sim.Delay[Packet[T]] // per-output in-flight packets
-	outputs []*sim.Queue[Packet[T]]
+	inputs  []*sim.Queue[Packet]
+	wires   []*sim.Delay[Packet] // per-output in-flight packets
+	outputs []*sim.Queue[Packet]
 	arb     []*sim.RoundRobin // per-output arbiter over inputs
 	held    int               // packets in inputs, wires and outputs
-	stats   Stats
 	met     metrics
 	tr      *span.Tracer
 
@@ -164,7 +179,7 @@ type Crossbar[T any] struct {
 }
 
 // New returns a crossbar with the given configuration.
-func New[T any](cfg Config) *Crossbar[T] {
+func New(cfg Config) *Crossbar {
 	if cfg.Nodes < 1 || cfg.WordsPerCyc < 1 || cfg.InputQDepth < 1 || cfg.OutputQDepth < 1 || cfg.WireDepth < 0 {
 		panic(fmt.Sprintf("network: invalid config %+v", cfg))
 	}
@@ -172,10 +187,10 @@ func New[T any](cfg Config) *Crossbar[T] {
 	if cfg.WireDepth > 0 {
 		wireDepth = cfg.WireDepth
 	}
-	x := &Crossbar[T]{cfg: cfg, wireDepth: wireDepth, met: newMetrics()}
-	x.inputs = make([]*sim.Queue[Packet[T]], cfg.Nodes)
-	x.wires = make([]*sim.Delay[Packet[T]], cfg.Nodes)
-	x.outputs = make([]*sim.Queue[Packet[T]], cfg.Nodes)
+	x := &Crossbar{cfg: cfg, wireDepth: wireDepth, met: newMetrics()}
+	x.inputs = make([]*sim.Queue[Packet], cfg.Nodes)
+	x.wires = make([]*sim.Delay[Packet], cfg.Nodes)
+	x.outputs = make([]*sim.Queue[Packet], cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		x.arb = append(x.arb, sim.NewRoundRobin(cfg.Nodes))
 	}
@@ -186,66 +201,81 @@ func New[T any](cfg Config) *Crossbar[T] {
 	return x
 }
 
-// Stats returns a copy of the counters.
-func (x *Crossbar[T]) Stats() Stats { return x.stats }
+// Stats reads the counters. A flat crossbar is a single switch, so every
+// accepted packet is one hop and one root crossing.
+func (x *Crossbar) Stats() Stats {
+	sent := x.met.sent.Value()
+	return Stats{
+		Sent:      sent,
+		Delivered: x.met.delivered.Value(),
+		Stalled:   x.met.stalls.Value(),
+		Dropped:   x.met.faultDrops.Value(),
+		Duped:     x.met.faultDups.Value(),
+		Hops:      sent,
+		RootPkts:  sent,
+	}
+}
 
 // StatsGroup returns the crossbar's performance-counter group, for adoption
 // into a system-level registry.
-func (x *Crossbar[T]) StatsGroup() *stats.Group { return x.met.group }
+func (x *Crossbar) StatsGroup() *stats.Group { return x.met.group }
 
 // SetSpanTracer installs a request-lifecycle tracer. Each granted wire
 // crossing becomes an async span on the output port's track. A nil tracer
 // disables tracing.
-func (x *Crossbar[T]) SetSpanTracer(tr *span.Tracer) { x.tr = tr }
+func (x *Crossbar) SetSpanTracer(tr *span.Tracer) { x.tr = tr }
 
 // SetFaults installs wire fault injection: granted packets are dropped or
 // duplicated with the configured per-packet probabilities. inst salts the
 // injector streams. Loss is recovered end-to-end by the multinode link
 // layer, not by the crossbar itself.
-func (x *Crossbar[T]) SetFaults(fc fault.Config, inst string) {
+func (x *Crossbar) SetFaults(fc fault.Config, inst string) {
 	x.dropInj = fault.NewInjector(fc.Seed, inst+".net.drop", fc.NetDropRate)
 	x.dupInj = fault.NewInjector(fc.Seed, inst+".net.dup", fc.NetDupRate)
 }
 
 // CanSend reports whether node src can inject a packet this cycle.
-func (x *Crossbar[T]) CanSend(src int) bool {
+func (x *Crossbar) CanSend(src int) bool {
 	in := x.inputs[src]
 	return in == nil || !in.Full()
 }
 
-// Send injects a packet at its source port. It reports false when the
-// input queue is full (back-pressure).
-func (x *Crossbar[T]) Send(p Packet[T]) bool {
-	if p.Src < 0 || p.Src >= x.cfg.Nodes || p.Dst < 0 || p.Dst >= x.cfg.Nodes {
+// Send injects a packet at its source port, bound for its destination
+// port. It reports false when the input queue is full (back-pressure).
+func (x *Crossbar) Send(p Packet) bool {
+	if p.Src < 0 || int(p.Src) >= x.cfg.Nodes || p.Dst < 0 || int(p.Dst) >= x.cfg.Nodes {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, x.cfg.Nodes))
 	}
-	in := x.inputs[p.Src]
-	if in == nil {
-		in = sim.NewQueue[Packet[T]](x.cfg.InputQDepth)
-		x.inputs[p.Src] = in
+	p.out = p.Dst
+	return x.enqueue(int(p.Src), p)
+}
+
+// enqueue queues p, already routed to output p.out, at input port in.
+func (x *Crossbar) enqueue(in int, p Packet) bool {
+	q := x.inputs[in]
+	if q == nil {
+		q = sim.NewQueue[Packet](x.cfg.InputQDepth)
+		x.inputs[in] = q
 	}
-	if !in.Push(p) {
+	if !q.Push(p) {
 		return false
 	}
 	x.held++
-	x.stats.Sent++
-	x.stats.Hops++
-	x.stats.RootPkts++
 	x.met.sent.Inc()
 	return true
 }
 
 // HasArrival reports whether a delivered packet waits at node dst.
-func (x *Crossbar[T]) HasArrival(dst int) bool {
+func (x *Crossbar) HasArrival(dst int) bool {
 	out := x.outputs[dst]
 	return out != nil && !out.Empty()
 }
 
 // Recv pops one delivered packet at node dst, if available.
-func (x *Crossbar[T]) Recv(dst int) (Packet[T], bool) {
+func (x *Crossbar) Recv(dst int) (Packet, bool) {
 	out := x.outputs[dst]
 	if out == nil {
-		return Packet[T]{}, false
+		return Packet{}, false
 	}
 	p, ok := out.Pop()
 	if ok {
@@ -256,10 +286,10 @@ func (x *Crossbar[T]) Recv(dst int) (Packet[T], bool) {
 
 // Peek returns the next deliverable packet at node dst without consuming it,
 // letting receivers inspect control traffic before committing buffer space.
-func (x *Crossbar[T]) Peek(dst int) (Packet[T], bool) {
+func (x *Crossbar) Peek(dst int) (Packet, bool) {
 	out := x.outputs[dst]
 	if out == nil {
-		return Packet[T]{}, false
+		return Packet{}, false
 	}
 	return out.Peek()
 }
@@ -269,7 +299,7 @@ func (x *Crossbar[T]) Peek(dst int) (Packet[T], bool) {
 // bandwidth enforces the paper's low/high network configurations. A
 // crossbar holding no packet has nothing to move, stall or arbitrate, so
 // its Tick returns at once.
-func (x *Crossbar[T]) Tick(now uint64) {
+func (x *Crossbar) Tick(now uint64) {
 	if x.held == 0 {
 		return
 	}
@@ -285,7 +315,6 @@ func (x *Crossbar[T]) Tick(now uint64) {
 				break
 			}
 			x.outputs[o].MustPush(p)
-			x.stats.Delivered++
 			x.met.delivered.Inc()
 			budget--
 		}
@@ -307,7 +336,7 @@ func (x *Crossbar[T]) Tick(now uint64) {
 						return false
 					}
 					p, ok := x.inputs[i].Peek()
-					return ok && p.Dst == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
+					return ok && int(p.out) == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
 				})
 				if in < 0 {
 					break
@@ -320,7 +349,6 @@ func (x *Crossbar[T]) Tick(now uint64) {
 	}
 	for i, in := range x.inputs {
 		if in != nil && !in.Empty() && sentFrom[i] == 0 {
-			x.stats.Stalled++
 			x.met.stalls.Inc()
 		}
 	}
@@ -328,7 +356,7 @@ func (x *Crossbar[T]) Tick(now uint64) {
 
 // wireFull reports whether output o's wire refuses another packet; an
 // unopened wire is empty.
-func (x *Crossbar[T]) wireFull(o int) bool {
+func (x *Crossbar) wireFull(o int) bool {
 	w := x.wires[o]
 	return w != nil && w.Full()
 }
@@ -343,7 +371,7 @@ func (x *Crossbar[T]) wireFull(o int) bool {
 // grants — and its round-robin pointer updates — bit-for-bit, while the
 // cycle's cost drops from O(ports²) predicate probes to O(ports). That is
 // what makes the kilo-port flat crossbar of the scale-out figure simulable.
-func (x *Crossbar[T]) arbitrateFast(now uint64) {
+func (x *Crossbar) arbitrateFast(now uint64) {
 	head, next := x.candHead, x.candNext
 	for o := range head {
 		head[o] = -1
@@ -355,8 +383,8 @@ func (x *Crossbar[T]) arbitrateFast(now uint64) {
 			continue
 		}
 		if p, ok := x.inputs[i].Peek(); ok {
-			next[i] = head[p.Dst]
-			head[p.Dst] = i
+			next[i] = head[p.out]
+			head[p.out] = i
 		}
 	}
 	for o := 0; o < x.cfg.Nodes; o++ {
@@ -385,22 +413,21 @@ func (x *Crossbar[T]) arbitrateFast(now uint64) {
 // grantTo pops input in's head packet onto output o's wire, applying fault
 // injection and tracing — the shared tail of both arbitration paths. The
 // first grant to o opens its wire and delivery queue.
-func (x *Crossbar[T]) grantTo(o, in int, now uint64) {
+func (x *Crossbar) grantTo(o, in int, now uint64) {
 	p, _ := x.inputs[in].Pop()
 	x.met.grants.Inc()
 	if x.dropInj.Fire() {
 		// Injected wire fault: the packet vanishes (its bandwidth
 		// slot is still consumed). One draw per granted packet.
 		x.held--
-		x.stats.Dropped++
 		x.met.faultDrops.Inc()
 		return
 	}
 	w := x.wires[o]
 	if w == nil {
-		w = sim.NewDelay[Packet[T]](x.cfg.Latency, x.wireDepth)
+		w = sim.NewDelay[Packet](x.cfg.Latency, x.wireDepth)
 		x.wires[o] = w
-		x.outputs[o] = sim.NewQueue[Packet[T]](x.cfg.OutputQDepth)
+		x.outputs[o] = sim.NewQueue[Packet](x.cfg.OutputQDepth)
 	}
 	w.Push(now, p)
 	if x.dupInj.Fire() && !w.Full() {
@@ -408,12 +435,11 @@ func (x *Crossbar[T]) grantTo(o, in int, now uint64) {
 		// receiver's sequence-number dedup makes replay idempotent.
 		w.Push(now, p)
 		x.held++
-		x.stats.Duped++
 		x.met.faultDups.Inc()
 	}
 	if x.tr != nil {
 		x.tr.SpanAsync(fmt.Sprintf("net.out[%d]", o),
-			fmt.Sprintf("pkt %d->%d", p.Src, p.Dst),
+			fmt.Sprintf("pkt %d->%d", in, o),
 			now, now+uint64(x.cfg.Latency))
 	}
 }
@@ -421,7 +447,7 @@ func (x *Crossbar[T]) grantTo(o, in int, now uint64) {
 // NextEvent reports the earliest cycle at which the crossbar can do work
 // (see sim.FastForwarder): queued input or undelivered output is work now;
 // otherwise the earliest wire-crossing completion.
-func (x *Crossbar[T]) NextEvent(now uint64) uint64 {
+func (x *Crossbar) NextEvent(now uint64) uint64 {
 	if x.held == 0 {
 		return sim.Never
 	}
@@ -447,7 +473,7 @@ func (x *Crossbar[T]) NextEvent(now uint64) uint64 {
 
 // Skip is a no-op: back-pressure stalls only accrue while an input queue is
 // non-empty, which NextEvent reports as work.
-func (x *Crossbar[T]) Skip(now, cycles uint64) {}
+func (x *Crossbar) Skip(now, cycles uint64) {}
 
 // Busy reports whether any packet is queued or in flight.
-func (x *Crossbar[T]) Busy() bool { return x.held > 0 }
+func (x *Crossbar) Busy() bool { return x.held > 0 }

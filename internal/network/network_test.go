@@ -3,9 +3,29 @@ package network
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"scatteradd/internal/mem"
 )
 
-func pump[T any](x *Crossbar[T], now *uint64, cycles int, recv func(dst int, p Packet[T])) {
+// tagged returns a src->dst packet whose request ID carries tag.
+func tagged(src, dst, tag int) Packet {
+	return Packet{Src: int32(src), Dst: int32(dst), Req: mem.Request{ID: uint64(tag)}}
+}
+
+// tag returns the tag a packet was built with.
+func tag(p Packet) int { return int(p.Req.ID) }
+
+// TestPacketSize: the packet is copied by value through every queue, wire
+// and retransmission buffer, so it must stay within 72 bytes; wrapping it
+// in a per-hop envelope would fail here.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 72 {
+		t.Fatalf("Packet is %d bytes, want <= 72", n)
+	}
+}
+
+func pump(x *Crossbar, now *uint64, cycles int, recv func(dst int, p Packet)) {
 	for c := 0; c < cycles; c++ {
 		x.Tick(*now)
 		for d := 0; d < x.cfg.Nodes; d++ {
@@ -24,19 +44,19 @@ func pump[T any](x *Crossbar[T], now *uint64, cycles int, recv func(dst int, p P
 }
 
 func TestDelivery(t *testing.T) {
-	x := New[int](DefaultConfig(4))
-	if !x.Send(Packet[int]{Src: 0, Dst: 3, Payload: 42}) {
+	x := New(DefaultConfig(4))
+	if !x.Send(tagged(0, 3, 42)) {
 		t.Fatal("send failed")
 	}
-	var got []Packet[int]
+	var got []Packet
 	now := uint64(0)
-	pump(x, &now, 50, func(d int, p Packet[int]) {
+	pump(x, &now, 50, func(d int, p Packet) {
 		if d != 3 {
 			t.Fatalf("delivered to node %d", d)
 		}
 		got = append(got, p)
 	})
-	if len(got) != 1 || got[0].Payload != 42 {
+	if len(got) != 1 || tag(got[0]) != 42 {
 		t.Fatalf("got %+v", got)
 	}
 	if x.Busy() {
@@ -47,8 +67,8 @@ func TestDelivery(t *testing.T) {
 func TestLatency(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Latency = 10
-	x := New[int](cfg)
-	x.Send(Packet[int]{Src: 0, Dst: 1, Payload: 1})
+	x := New(cfg)
+	x.Send(tagged(0, 1, 1))
 	now := uint64(0)
 	arrived := int64(-1)
 	for c := 0; c < 40 && arrived < 0; c++ {
@@ -68,9 +88,9 @@ func TestBandwidthLimitLow(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.InputQDepth = 128
 	cfg.OutputQDepth = 128
-	x := New[int](cfg)
+	x := New(cfg)
 	for i := 0; i < 100; i++ {
-		if !x.Send(Packet[int]{Src: 0, Dst: 1, Payload: i}) {
+		if !x.Send(tagged(0, 1, i)) {
 			t.Fatalf("send %d failed", i)
 		}
 	}
@@ -100,9 +120,9 @@ func TestHighBandwidthFaster(t *testing.T) {
 		cfg.WordsPerCyc = words
 		cfg.InputQDepth = 256
 		cfg.OutputQDepth = 256
-		x := New[int](cfg)
+		x := New(cfg)
 		for i := 0; i < 200; i++ {
-			x.Send(Packet[int]{Src: 0, Dst: 1, Payload: i})
+			x.Send(tagged(0, 1, i))
 		}
 		now := uint64(0)
 		count := 0
@@ -130,11 +150,11 @@ func TestHighBandwidthFaster(t *testing.T) {
 func TestBackpressure(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.InputQDepth = 2
-	x := New[int](cfg)
-	if !x.Send(Packet[int]{Src: 0, Dst: 1}) || !x.Send(Packet[int]{Src: 0, Dst: 1}) {
+	x := New(cfg)
+	if !x.Send(Packet{Src: 0, Dst: 1}) || !x.Send(Packet{Src: 0, Dst: 1}) {
 		t.Fatal("sends failed")
 	}
-	if x.CanSend(0) || x.Send(Packet[int]{Src: 0, Dst: 1}) {
+	if x.CanSend(0) || x.Send(Packet{Src: 0, Dst: 1}) {
 		t.Fatal("send succeeded on full input queue")
 	}
 	if !x.CanSend(1) {
@@ -148,10 +168,10 @@ func TestFairnessAcrossInputs(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.InputQDepth = 64
 	cfg.OutputQDepth = 4
-	x := New[int](cfg)
+	x := New(cfg)
 	for i := 0; i < 50; i++ {
-		x.Send(Packet[int]{Src: 0, Dst: 2, Payload: 0})
-		x.Send(Packet[int]{Src: 1, Dst: 2, Payload: 1})
+		x.Send(tagged(0, 2, 0))
+		x.Send(tagged(1, 2, 1))
 	}
 	now := uint64(0)
 	first40 := []int{}
@@ -163,7 +183,7 @@ func TestFairnessAcrossInputs(t *testing.T) {
 				break
 			}
 			if len(first40) < 40 {
-				first40 = append(first40, p.Payload)
+				first40 = append(first40, tag(p))
 			}
 		}
 		now++
@@ -188,8 +208,8 @@ func TestInvalidDestPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	x := New[int](DefaultConfig(2))
-	x.Send(Packet[int]{Src: 0, Dst: 5})
+	x := New(DefaultConfig(2))
+	x.Send(Packet{Src: 0, Dst: 5})
 }
 
 // Property: every sent packet is delivered exactly once to its destination,
@@ -199,19 +219,19 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 		const nodes = 4
 		cfg := DefaultConfig(nodes)
 		cfg.InputQDepth = 8
-		x := New[uint8](cfg)
+		x := New(cfg)
 		sent := map[[3]uint8]int{}
 		now := uint64(0)
 		recvd := map[[3]uint8]int{}
-		collect := func(d int, p Packet[uint8]) {
-			recvd[[3]uint8{uint8(p.Src), uint8(d), p.Payload}]++
+		collect := func(d int, p Packet) {
+			recvd[[3]uint8{uint8(p.Src), uint8(d), uint8(tag(p))}]++
 		}
 		for _, fl := range flows {
-			p := Packet[uint8]{Src: int(fl.S % nodes), Dst: int(fl.D % nodes), Payload: fl.P}
+			p := tagged(int(fl.S%nodes), int(fl.D%nodes), int(fl.P))
 			for !x.Send(p) {
 				pump(x, &now, 1, collect)
 			}
-			sent[[3]uint8{uint8(p.Src), uint8(p.Dst), p.Payload}]++
+			sent[[3]uint8{uint8(p.Src), uint8(p.Dst), fl.P}]++
 		}
 		for i := 0; i < 10000 && x.Busy(); i++ {
 			pump(x, &now, 1, collect)

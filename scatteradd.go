@@ -187,13 +187,6 @@ func New(opts ...Option) *Machine {
 	return m
 }
 
-// NewMachine constructs a simulated node from a raw Config.
-//
-// Deprecated: use New with WithConfig (or no options for the Table 1
-// default). NewMachine is kept for source compatibility and is exactly
-// New(WithConfig(cfg)).
-func NewMachine(cfg Config) *Machine { return New(WithConfig(cfg)) }
-
 // Software scatter-add methods (§2.1).
 var (
 	// SortScan performs scatter-add by batched bitonic sort + segmented
@@ -286,8 +279,11 @@ var (
 // Set Faults on the returned config to inject network, DRAM, and
 // combining-store faults; the link layer recovers them with acknowledged,
 // sequence-numbered retransmission and bit-exact idempotent replay. Set
-// Topology (or build with NewMultiNodeWith(WithTopology(...))) to replace
-// the flat crossbar with a multi-hop fabric.
+// Topology to replace the flat crossbar with a multi-hop fabric:
+//
+//	cfg := scatteradd.DefaultMultiNodeConfig(64, 1, span)
+//	cfg.Topology = scatteradd.TreeTopology(4, true)
+//	s := scatteradd.NewMultiNode(cfg, scatteradd.AddI64)
 func DefaultMultiNodeConfig(nodes, wordsPerCyc int, span Addr) MultiNodeConfig {
 	return multinode.DefaultConfig(nodes, wordsPerCyc, span)
 }
@@ -295,33 +291,6 @@ func DefaultMultiNodeConfig(nodes, wordsPerCyc int, span Addr) MultiNodeConfig {
 // NewMultiNode constructs the multi-node system for traces of the given
 // combine kind.
 func NewMultiNode(cfg MultiNodeConfig, kind Kind) *MultiNode {
-	return multinode.New(cfg, kind)
-}
-
-// MultiNodeOption customizes a MultiNode built with NewMultiNodeWith.
-type MultiNodeOption func(*MultiNodeConfig)
-
-// WithTopology selects the interconnect topology and combining placement:
-//
-//	s := scatteradd.NewMultiNodeWith(cfg, scatteradd.AddI64,
-//		scatteradd.WithTopology(scatteradd.TreeTopology(4, true)))
-func WithTopology(t Topology) MultiNodeOption {
-	return func(cfg *MultiNodeConfig) { cfg.Topology = t }
-}
-
-// WithMultiNodeFaults enables deterministic fault injection on the
-// multi-node system (per-hop packet drops and duplications, DRAM stalls,
-// combining-store parity scrubs); recovery keeps every reduction bit-exact.
-func WithMultiNodeFaults(fc FaultConfig) MultiNodeOption {
-	return func(cfg *MultiNodeConfig) { cfg.Faults = fc }
-}
-
-// NewMultiNodeWith constructs the multi-node system after applying opts to
-// cfg — the option-style twin of NewMultiNode.
-func NewMultiNodeWith(cfg MultiNodeConfig, kind Kind, opts ...MultiNodeOption) *MultiNode {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	return multinode.New(cfg, kind)
 }
 
