@@ -40,25 +40,8 @@ var Report = exp.Report
 // With o.CheckpointDir set, a completed figure is snapshotted there and a
 // repeat request with matching options is served from the snapshot.
 func Figure(n int, o ExpOptions) (ExpTable, error) {
-	switch n {
-	case 6:
-		return exp.Fig6(o), nil
-	case 7:
-		return exp.Fig7(o), nil
-	case 8:
-		return exp.Fig8(o), nil
-	case 9:
-		return exp.Fig9(o), nil
-	case 10:
-		return exp.Fig10(o), nil
-	case 11:
-		return exp.Fig11(o), nil
-	case 12:
-		return exp.Fig12(o), nil
-	case 13:
-		return exp.Fig13(o), nil
-	case 14:
-		return exp.Fig14(o), nil
+	if f, ok := exp.FigureNumber(n); ok {
+		return f.Gen(o), nil
 	}
 	return ExpTable{}, fmt.Errorf("scatteradd: no figure %d in the paper's evaluation", n)
 }

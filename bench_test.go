@@ -107,6 +107,10 @@ func BenchmarkFig12(b *testing.B) { benchFigure(b, 12) }
 // BenchmarkFig13 regenerates Figure 13 (multi-node scaling).
 func BenchmarkFig13(b *testing.B) { benchFigure(b, 13) }
 
+// BenchmarkFig14 regenerates Figure 14 (interconnect scale-out, 16-1024
+// nodes on every topology).
+func BenchmarkFig14(b *testing.B) { benchFigure(b, 14) }
+
 // BenchmarkAblationDRAMSched compares FR-FCFS vs FIFO DRAM scheduling.
 func BenchmarkAblationDRAMSched(b *testing.B) { benchAblation(b, AblationDRAMSched) }
 

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"scatteradd"
+	"scatteradd/internal/exp"
 	"scatteradd/internal/prof"
 )
 
@@ -150,42 +151,20 @@ func run(name string, o scatteradd.ExpOptions, csv, doPlot bool) error {
 			fmt.Println(t)
 		}
 	}
-	figure := func(n int) error {
+	figure := func(f exp.Figure) {
 		start := time.Now()
-		t, err := scatteradd.Figure(n, o)
-		if err != nil {
-			return err
-		}
+		t := f.Gen(o)
 		emit(t)
 		if doPlot {
-			fmt.Println(scatteradd.PlotFigure(n, t))
+			fmt.Println(exp.Plot(f.Number, t))
 		}
 		if !csv {
 			fmt.Printf("(regenerated in %.1fs)\n\n", time.Since(start).Seconds())
 		}
-		return nil
 	}
 	switch name {
 	case "table1":
 		emit(scatteradd.Table1())
-	case "fig6":
-		return figure(6)
-	case "fig7":
-		return figure(7)
-	case "fig8":
-		return figure(8)
-	case "fig9":
-		return figure(9)
-	case "fig10":
-		return figure(10)
-	case "fig11":
-		return figure(11)
-	case "fig12":
-		return figure(12)
-	case "fig13":
-		return figure(13)
-	case "fig14":
-		return figure(14)
 	case "ablations":
 		for _, t := range scatteradd.Ablations(o) {
 			emit(t)
@@ -205,16 +184,18 @@ func run(name string, o scatteradd.ExpOptions, csv, doPlot bool) error {
 		fmt.Fprintf(os.Stderr, "all %d claim checks passed\n", len(checks))
 	case "all":
 		emit(scatteradd.Table1())
-		for n := 6; n <= 14; n++ {
-			if err := figure(n); err != nil {
-				return err
-			}
+		for _, f := range exp.Figures {
+			figure(f)
 		}
 		for _, t := range scatteradd.Ablations(o) {
 			emit(t)
 		}
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1, fig6..fig14, ablations, all)", name)
+		f, ok := exp.LookupFigure(name)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (want table1, fig6..fig14, ablations, all)", name)
+		}
+		figure(f)
 	}
 	return nil
 }

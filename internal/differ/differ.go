@@ -19,33 +19,24 @@ import (
 	"scatteradd/internal/stats"
 )
 
-// Figures lists every figure the harness can diff.
-var Figures = []int{6, 7, 8, 9, 10, 11, 12, 13, 14}
+// Figures lists every figure the harness can diff: the numbers of the
+// figure registry, in paper order.
+var Figures = func() []int {
+	var ns []int
+	for _, f := range exp.Figures {
+		ns = append(ns, f.Number)
+	}
+	return ns
+}()
 
 // Run regenerates figure fig with the given options. Options.Legacy selects
 // the stepping mode.
 func Run(fig int, o exp.Options) (exp.Table, error) {
-	switch fig {
-	case 6:
-		return exp.Fig6(o), nil
-	case 7:
-		return exp.Fig7(o), nil
-	case 8:
-		return exp.Fig8(o), nil
-	case 9:
-		return exp.Fig9(o), nil
-	case 10:
-		return exp.Fig10(o), nil
-	case 11:
-		return exp.Fig11(o), nil
-	case 12:
-		return exp.Fig12(o), nil
-	case 13:
-		return exp.Fig13(o), nil
-	case 14:
-		return exp.Fig14(o), nil
+	f, ok := exp.FigureNumber(fig)
+	if !ok {
+		return exp.Table{}, fmt.Errorf("differ: no figure %d", fig)
 	}
-	return exp.Table{}, fmt.Errorf("differ: no figure %d", fig)
+	return f.Gen(o), nil
 }
 
 // Diff runs figure fig in both stepping modes with full stats and span

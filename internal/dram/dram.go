@@ -377,19 +377,11 @@ func (d *DRAM) Tick(now uint64) {
 // per-accept gauge; the two yield different -stats bytes.
 func (d *DRAM) SampleQueueDepthPerCycle() { d.depthPerCycle = true }
 
-// TickChannels advances exactly the given channels by one cycle, in list
-// order.
-func (d *DRAM) TickChannels(now uint64, chans []int) {
-	for _, ci := range chans {
-		d.tickChannel(now, ci)
-	}
-}
-
-// DrainResponses pops every completed read on the given channels, in channel
-// list order, into fn. Unlike the round-robin PopResponse it never consults
-// other channels.
-func (d *DRAM) DrainResponses(chans []int, fn func(LineResp)) {
-	for _, ci := range chans {
+// DrainResponses pops every completed read into fn, channel by channel in
+// channel order. Unlike the round-robin PopResponse it empties every channel
+// in one call.
+func (d *DRAM) DrainResponses(fn func(LineResp)) {
+	for ci := range d.channels {
 		ch := &d.channels[ci]
 		for i := ch.respHead; i < len(ch.resps); i++ {
 			fn(ch.resps[i])

@@ -12,7 +12,9 @@ import (
 // Ablations beyond the paper's figures, exercising the design choices
 // DESIGN.md calls out. Each returns a Table like the figure runners, and
 // each fans its independent (workload, machine) runs out across the worker
-// pool; every run builds its own workload and machine.
+// pool; every run builds its own workload, and its own machine through
+// newMachine or newSystem. Ablation tables carry no counter or span
+// appendix.
 
 // AblationDRAMSched compares FR-FCFS memory access scheduling (the paper's
 // cited mechanism) against strict FIFO on a cache-hostile histogram.
@@ -31,9 +33,7 @@ func ablationDRAMSched(o Options) Table {
 		pol := pols[i]
 		cfg := machine.DefaultConfig()
 		cfg.DRAM.Policy = pol
-		cfg.LegacyStepping = o.Legacy
-		cfg.Faults = o.Faults
-		m := machine.New(cfg)
+		m, _ := o.newMachine(cfg)
 		h := apps.NewHistogram(n, 1<<20, o.seed(0xAB1))
 		res := h.RunHW(m)
 		mustVerify(m, h, "ablation dram histogram")
@@ -64,9 +64,7 @@ func ablationSAPlacement(o Options) Table {
 		cfg.Cache.Banks = banks
 		cfg.Cache.PortWidth = 8 / banks // keep total cache bandwidth fixed
 		cfg.SA.PortWidth = 8 / banks
-		cfg.LegacyStepping = o.Legacy
-		cfg.Faults = o.Faults
-		m := machine.New(cfg)
+		m, _ := o.newMachine(cfg)
 		h := apps.NewHistogram(n, 2048, o.seed(0xAB2))
 		res := h.RunHW(m)
 		mustVerify(m, h, "ablation placement histogram")
@@ -96,7 +94,7 @@ func ablationBatchSize(o Options) Table {
 	t.Rows = mapN(o, len(batches), func(i int) []string {
 		batch := batches[i]
 		h := apps.NewHistogram(n, 2048, o.seed(0xAB3))
-		m := paperMachine(o)
+		m, _ := o.newMachine(machine.DefaultConfig())
 		res := h.RunSortScan(m, batch)
 		mustVerify(m, h, "ablation batch histogram")
 		return []string{d(uint64(batch)), f(us(res.Cycles))}
@@ -122,9 +120,7 @@ func ablationEagerCombine(o Options) Table {
 		eager := modes[i]
 		cfg := machine.DefaultConfig()
 		cfg.SA.EagerCombine = eager
-		cfg.LegacyStepping = o.Legacy
-		cfg.Faults = o.Faults
-		m := machine.New(cfg)
+		m, _ := o.newMachine(cfg)
 		h := apps.NewHistogram(n, 64, o.seed(0xAB4))
 		res := h.RunHW(m)
 		mustVerify(m, h, "ablation eager histogram")
@@ -182,7 +178,7 @@ func ablationOverlap(o Options) Table {
 	t.Rows = mapN(o, len(schedules), func(i int) []string {
 		h := apps.NewHistogram(n, 2048, o.seed(0xAB6))
 		equalize := machine.Kernel("equalize", float64(8*n), float64(2*n))
-		m := paperMachine(o)
+		m, _ := o.newMachine(machine.DefaultConfig())
 		res := schedules[i].run(h, m, equalize)
 		mustVerify(m, h, schedules[i].what)
 		return []string{schedules[i].label, f(us(res.Cycles))}
@@ -213,9 +209,7 @@ func ablationWritePolicy(o Options) Table {
 		}
 		cfg := machine.DefaultConfig()
 		cfg.Cache.WriteNoAllocate = noAlloc
-		cfg.LegacyStepping = o.Legacy
-		cfg.Faults = o.Faults
-		m := machine.New(cfg)
+		m, _ := o.newMachine(cfg)
 		res := m.RunOp(machine.StoreStream("result", 0, vals))
 		m.FlushCaches()
 		for i := 0; i < n; i += n / 16 {
@@ -274,9 +268,7 @@ func ablationHierarchical(o Options) Table {
 		if p.hier {
 			cfg.Topology = multinode.Hypercube()
 		}
-		cfg.LegacyStepping = o.Legacy
-		cfg.Faults = o.Faults
-		s := multinode.New(cfg, mem.AddI64)
+		s, _ := o.newSystem(cfg, mem.AddI64)
 		res := s.RunTrace(refs)
 		label := "linear"
 		if p.hier {
@@ -304,9 +296,7 @@ func ablationCombiningStore(o Options) Table {
 		entries := sizes[i]
 		cfg := machine.DefaultConfig()
 		cfg.SA.Entries = entries
-		cfg.LegacyStepping = o.Legacy
-		cfg.Faults = o.Faults
-		m := machine.New(cfg)
+		m, _ := o.newMachine(cfg)
 		h := apps.NewHistogram(n, 65536, o.seed(0xAB5))
 		res := h.RunHW(m)
 		mustVerify(m, h, "ablation cs histogram")

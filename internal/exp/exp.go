@@ -1,8 +1,8 @@
 // Package exp contains the experiment runners that regenerate every table
 // and figure of the paper's evaluation (§4). Each Fig* function returns a
 // Table whose rows correspond to the points of the original figure; the
-// cmd/scatteradd CLI prints them and bench_test.go wraps them as Go
-// benchmarks.
+// figure registry (Figures) lists them for the CLI, the daemon and the
+// differential gate, and bench_test.go wraps them as Go benchmarks.
 //
 // Options.Scale shrinks dataset sizes for quick runs (1 = the paper's full
 // sizes); the shapes are preserved at reduced scales. Options.Jobs bounds

@@ -313,3 +313,19 @@ func TestAblationCombiningStoreMonotone(t *testing.T) {
 		t.Fatalf("more combining-store entries should help: %f -> %f", first, last)
 	}
 }
+
+// TestAblationsCarryNoAppendices: ablation runs are built like figure
+// points, under the options' tracer too, but their tables stay without a
+// counter or span appendix when the options collect both.
+func TestAblationsCarryNoAppendices(t *testing.T) {
+	o := Options{Scale: 16, Jobs: 2, CollectStats: true, CollectSpans: true}
+	for _, gen := range []func(Options) Table{
+		AblationDRAMSched, AblationSAPlacement, AblationBatchSize, AblationEagerCombine,
+		AblationCombiningStore, AblationOverlap, AblationHierarchical, AblationWritePolicy,
+	} {
+		tab := gen(o)
+		if tab.Counters.Len() > 0 || len(tab.Spans) > 0 || strings.Contains(tab.String(), "appendix") {
+			t.Errorf("%s: ablation table carries an appendix", tab.Title)
+		}
+	}
+}

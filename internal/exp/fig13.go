@@ -5,7 +5,6 @@ import (
 
 	"scatteradd/internal/mem"
 	"scatteradd/internal/multinode"
-	"scatteradd/internal/stats"
 	"scatteradd/internal/workload"
 )
 
@@ -82,53 +81,19 @@ func (tr trace) ownerSpan(nodes int) mem.Addr {
 	return (tr.span/mem.Addr(nodes) + mem.LineWords) &^ (mem.LineWords - 1)
 }
 
-// pointOut is one multi-node figure point: the replay's Result plus, when
-// collecting, the system's counter snapshot and span row.
-type pointOut struct {
-	res  multinode.Result
-	snap stats.Snapshot
-	span SpanRow
-}
-
-// runPoint replays tr on the system cfg describes, under the options'
-// stepping and faults, for point "name nodes=N" of figure fig. The final
-// memory is checked against the trace's sequential sum after the counter
-// and span snapshots are taken.
-func runPoint(o Options, fig, name string, cfg multinode.Config, tr trace) pointOut {
-	cfg.LegacyStepping = o.Legacy
-	cfg.Faults = o.Faults
-	s := multinode.New(cfg, tr.kind)
-	sp := o.newTracer()
-	s.SetSpanTracer(sp)
-	out := pointOut{res: s.RunTrace(tr.refs)}
+// replay is the multi-node point: it replays tr on the system cfg
+// describes, for point "name nodes=N" of figure fig, and returns the
+// replay's Result and point record. The final memory is checked against the
+// trace's sequential sum after the record is taken.
+func (tr trace) replay(o Options, fig, name string, cfg multinode.Config) (multinode.Result, pointRecord) {
+	s, sp := o.newSystem(cfg, tr.kind)
+	res := s.RunTrace(tr.refs)
 	label := fmt.Sprintf("%s nodes=%d", name, cfg.Nodes)
-	if o.CollectStats {
-		out.snap = s.StatsSnapshot()
-	}
-	if o.CollectSpans {
-		out.span = SpanRow{Label: label, Report: spanReport(sp)}
-	}
+	p := o.record(label, s, sp)
 	if err := s.Verify(tr.refs); err != nil {
 		panic(fmt.Sprintf("exp: %s %s failed verification: %v", fig, label, err))
 	}
-	return out
-}
-
-// addPoints appends the points' span rows and merged counters to t, in
-// point order, when the options collect them.
-func (t *Table) addPoints(o Options, points []pointOut) {
-	if o.CollectSpans {
-		for _, p := range points {
-			t.Spans = append(t.Spans, p.span)
-		}
-	}
-	if o.CollectStats {
-		snaps := make([]stats.Snapshot, len(points))
-		for i, p := range points {
-			snaps[i] = p.snap
-		}
-		t.Counters = stats.MergeAll(snaps)
-	}
+	return res, p
 }
 
 // Fig13 reproduces Figure 13: multi-node scatter-add throughput (GB/s) for
@@ -181,21 +146,20 @@ func fig13(o Options) Table {
 	// Every (line, node-count) point builds its own multinode.System; the
 	// trace reference streams are shared read-only across points.
 	nodeCounts := []int{1, 2, 4, 8}
-	points := mapN(o, len(lines)*len(nodeCounts), func(i int) pointOut {
+	res := runPoints(o, &t, len(lines)*len(nodeCounts), func(i int) (multinode.Result, pointRecord) {
 		ln := lines[i/len(nodeCounts)]
 		tr := traces[ln.trace]
 		nodes := nodeCounts[i%len(nodeCounts)]
 		cfg := multinode.DefaultConfig(nodes, ln.cfg.bandwidth, tr.ownerSpan(nodes))
 		cfg.Topology = ln.cfg.topo
-		return runPoint(o, "fig13", ln.cfg.label, cfg, tr)
+		return tr.replay(o, "fig13", ln.cfg.label, cfg)
 	})
 	for r, ln := range lines {
 		row := []string{ln.cfg.label}
 		for c := 0; c < len(nodeCounts); c++ {
-			row = append(row, fmt.Sprintf("%.2f", points[r*len(nodeCounts)+c].res.GBps()))
+			row = append(row, fmt.Sprintf("%.2f", res[r*len(nodeCounts)+c].GBps()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.addPoints(o, points)
 	return t
 }

@@ -3,47 +3,30 @@ package exp
 import (
 	"scatteradd/internal/apps"
 	"scatteradd/internal/machine"
-	"scatteradd/internal/span"
-	"scatteradd/internal/stats"
 )
 
-// appOut is one application run's rendered row plus (when collecting) the
-// run's performance-counter snapshot and span report.
-type appOut struct {
-	row  []string
-	snap stats.Snapshot
-	rep  span.Report
+// appVariant is one bar of Figures 9 and 10: a run of the application
+// workload W on the paper's machine.
+type appVariant[W any] struct {
+	label, what string
+	run         func(W, *machine.Machine) machine.Result
 }
 
-// collectApp fans variant runs out and assembles rows in input order,
-// attaching the merged counter snapshot and per-run span reports to the
-// table when requested. Span rows are labeled by the variant (the row's
-// first cell).
-func collectApp(o Options, t *Table, n int, run func(i int, m *machine.Machine) []string) {
-	outs := mapN(o, n, func(i int) appOut {
-		m := paperMachine(o)
-		tr := o.newTracer()
-		m.SetSpanTracer(tr)
-		out := appOut{row: run(i, m)}
-		if o.CollectStats {
-			out.snap = m.StatsSnapshot()
-		}
-		if o.CollectSpans {
-			out.rep = spanReport(tr)
-		}
-		return out
+// appRows runs every variant on its own clone of w and its own machine,
+// verifies it, and sets t's rows in variant order. Span rows are labeled by
+// the variant.
+func appRows[W interface {
+	Clone() W
+	Verify(*machine.Machine) error
+}](o Options, t *Table, w W, variants []appVariant[W]) {
+	t.Rows = runPoints(o, t, len(variants), func(i int) ([]string, pointRecord) {
+		v := variants[i]
+		m, tr := o.newMachine(machine.DefaultConfig())
+		c := w.Clone()
+		res := v.run(c, m)
+		mustVerify(m, c, v.what)
+		return appRow(v.label, res), o.record(v.label, m, tr)
 	})
-	snaps := make([]stats.Snapshot, n)
-	for i, x := range outs {
-		t.Rows = append(t.Rows, x.row)
-		snaps[i] = x.snap
-		if o.CollectSpans {
-			t.Spans = append(t.Spans, SpanRow{Label: x.row[0], Report: x.rep})
-		}
-	}
-	if o.CollectStats {
-		t.Counters = stats.MergeAll(snaps)
-	}
 }
 
 // appRow renders the three Figure 9/10 metrics (millions, as the paper
@@ -85,23 +68,13 @@ func fig9(o Options) Table {
 	}
 	// The mesh assembly is expensive, so the workload is built once and each
 	// concurrent variant run gets its own clone and its own machine.
-	s := Fig9Input(o)
-	variants := []struct {
-		label, what string
-		run         func(*apps.SpMV, *machine.Machine) machine.Result
-	}{
+	appRows(o, &t, Fig9Input(o), []appVariant[*apps.SpMV]{
 		{"CSR", "fig9 CSR",
 			func(w *apps.SpMV, m *machine.Machine) machine.Result { return w.RunCSR(m) }},
 		{"EBE SW scatter-add", "fig9 EBE-SW",
 			func(w *apps.SpMV, m *machine.Machine) machine.Result { return w.RunEBESW(m, 0) }},
 		{"EBE HW scatter-add", "fig9 EBE-HW",
 			func(w *apps.SpMV, m *machine.Machine) machine.Result { return w.RunEBEHW(m) }},
-	}
-	collectApp(o, &t, len(variants), func(i int, m *machine.Machine) []string {
-		w := s.Clone()
-		res := variants[i].run(w, m)
-		mustVerify(m, w, variants[i].what)
-		return appRow(variants[i].label, res)
 	})
 	return t
 }
@@ -134,23 +107,13 @@ func fig10(o Options) Table {
 			"HW scatter-add beats the best software (~1.76x)",
 		},
 	}
-	md := Fig10Input(o)
-	variants := []struct {
-		label, what string
-		run         func(*apps.MolDyn, *machine.Machine) machine.Result
-	}{
+	appRows(o, &t, Fig10Input(o), []appVariant[*apps.MolDyn]{
 		{"no scatter-add", "fig10 no-SA",
 			func(w *apps.MolDyn, m *machine.Machine) machine.Result { return w.RunNoSA(m) }},
 		{"SW scatter-add", "fig10 SW-SA",
 			func(w *apps.MolDyn, m *machine.Machine) machine.Result { return w.RunSWSA(m, 0) }},
 		{"HW scatter-add", "fig10 HW-SA",
 			func(w *apps.MolDyn, m *machine.Machine) machine.Result { return w.RunHWSA(m) }},
-	}
-	collectApp(o, &t, len(variants), func(i int, m *machine.Machine) []string {
-		w := md.Clone()
-		res := variants[i].run(w, m)
-		mustVerify(m, w, variants[i].what)
-		return appRow(variants[i].label, res)
 	})
 	return t
 }

@@ -5,17 +5,7 @@ import (
 
 	"scatteradd/internal/apps"
 	"scatteradd/internal/machine"
-	"scatteradd/internal/span"
-	"scatteradd/internal/stats"
 )
-
-// paperMachine returns the Table 1 configuration.
-func paperMachine(o Options) *machine.Machine {
-	cfg := machine.DefaultConfig()
-	cfg.LegacyStepping = o.Legacy
-	cfg.Faults = o.Faults
-	return machine.New(cfg)
-}
 
 // mustVerify panics when an application run produced a wrong result — every
 // experiment doubles as a correctness check.
@@ -39,53 +29,14 @@ func runHW(h *apps.Histogram, m *machine.Machine) machine.Result   { return h.Ru
 func runSort(h *apps.Histogram, m *machine.Machine) machine.Result { return h.RunSortScan(m, 0) }
 func runPriv(h *apps.Histogram, m *machine.Machine) machine.Result { return h.RunPrivatization(m, 0) }
 
-// histOut is one histogram run's cycle count plus (when collecting) the
-// run's performance-counter snapshot and span report.
-type histOut struct {
-	cycles uint64
-	snap   stats.Snapshot
-	rep    span.Report
-}
-
-// runHistograms fans the runs out across the worker pool and returns their
-// cycle counts in input order, plus the merged counter snapshot and the
-// per-run span reports when Options.CollectStats / CollectSpans are set.
-// Each run's machine owns its own registry and its own tracer, so the
-// parallel workers never share state; assembling in input order keeps the
-// result identical for every worker count.
-func runHistograms(o Options, runs []histRun) ([]uint64, stats.Snapshot, []SpanRow) {
-	outs := mapN(o, len(runs), func(i int) histOut {
-		r := runs[i]
-		h := apps.NewHistogram(r.n, r.rng, r.seed)
-		m := paperMachine(o)
-		tr := o.newTracer()
-		m.SetSpanTracer(tr)
-		res := r.run(h, m)
-		mustVerify(m, h, r.what)
-		out := histOut{cycles: res.Cycles}
-		if o.CollectStats {
-			out.snap = m.StatsSnapshot()
-		}
-		if o.CollectSpans {
-			out.rep = spanReport(tr)
-		}
-		return out
-	})
-	cyc := make([]uint64, len(outs))
-	snaps := make([]stats.Snapshot, len(outs))
-	var spanRows []SpanRow
-	for i, x := range outs {
-		cyc[i] = x.cycles
-		snaps[i] = x.snap
-		if o.CollectSpans {
-			label := fmt.Sprintf("%s n=%d rng=%d", runs[i].what, runs[i].n, runs[i].rng)
-			spanRows = append(spanRows, SpanRow{Label: label, Report: x.rep})
-		}
-	}
-	if !o.CollectStats {
-		return cyc, stats.Snapshot{}, spanRows
-	}
-	return cyc, stats.MergeAll(snaps), spanRows
+// simulate runs the histogram on the paper's Table 1 machine, verifies it,
+// and returns its cycle count and point record.
+func (r histRun) simulate(o Options) (uint64, pointRecord) {
+	h := apps.NewHistogram(r.n, r.rng, r.seed)
+	m, tr := o.newMachine(machine.DefaultConfig())
+	res := r.run(h, m)
+	mustVerify(m, h, r.what)
+	return res.Cycles, o.record(fmt.Sprintf("%s n=%d rng=%d", r.what, r.n, r.rng), m, tr)
 }
 
 // Fig6 reproduces Figure 6: histogram execution time for input lengths
@@ -120,8 +71,7 @@ func fig6(o Options) Table {
 			histRun{n, rng, seed, "fig6 SW histogram", runSort},
 		)
 	}
-	cyc, snap, spans := runHistograms(o, runs)
-	t.Counters, t.Spans = snap, spans
+	cyc := runPoints(o, &t, len(runs), func(i int) (uint64, pointRecord) { return runs[i].simulate(o) })
 	for r, n := range ns {
 		hw, sw := cyc[2*r], cyc[2*r+1]
 		t.Rows = append(t.Rows, []string{
@@ -157,8 +107,7 @@ func fig7(o Options) Table {
 			histRun{n, rng, seed, "fig7 SW histogram", runSort},
 		)
 	}
-	cyc, snap, spans := runHistograms(o, runs)
-	t.Counters, t.Spans = snap, spans
+	cyc := runPoints(o, &t, len(runs), func(i int) (uint64, pointRecord) { return runs[i].simulate(o) })
 	for r, rng := range ranges {
 		t.Rows = append(t.Rows, []string{d(uint64(rng)), f(us(cyc[2*r])), f(us(cyc[2*r+1]))})
 	}
@@ -193,8 +142,7 @@ func fig8(o Options) Table {
 			)
 		}
 	}
-	cyc, snap, spans := runHistograms(o, runs)
-	t.Counters, t.Spans = snap, spans
+	cyc := runPoints(o, &t, len(runs), func(i int) (uint64, pointRecord) { return runs[i].simulate(o) })
 	for r, p := range points {
 		hw, pr := cyc[2*r], cyc[2*r+1]
 		t.Rows = append(t.Rows, []string{

@@ -5,95 +5,50 @@ import (
 
 	"scatteradd/internal/apps"
 	"scatteradd/internal/machine"
-	"scatteradd/internal/span"
-	"scatteradd/internal/stats"
 )
-
-// sensitivityMachine builds the §4.4 configuration: no cache, one
-// scatter-add unit with the given combining-store size and FU latency, in
-// front of a uniform memory with the given latency and word interval.
-func sensitivityMachine(o Options, entries, fuLat, memLat, interval int) *machine.Machine {
-	cfg := machine.DefaultConfig()
-	cfg.SA.Entries = entries
-	cfg.SA.FULatency = fuLat
-	// Let the input queue keep the single unit fed regardless of store size.
-	cfg.SA.InQDepth = 16
-	cfg.UniformMem = &machine.UniformMemConfig{Latency: memLat, Interval: interval}
-	cfg.LegacyStepping = o.Legacy
-	cfg.Faults = o.Faults
-	return machine.New(cfg)
-}
 
 // sensPoint is one point of the §4.4 sensitivity grid.
 type sensPoint struct {
-	entries, fuLat, memLat, interval int
+	entries, fuLat, memLat, interval, bins int
 }
 
-// sensOut is one sensitivity point's runtime plus (when collecting) the
-// run's performance-counter snapshot and span report.
-type sensOut struct {
-	us    float64
-	snap  stats.Snapshot
-	rep   span.Report
-	label string
-}
-
-// runSensitivity times one histogram scatter-add on the simplified system;
-// each call builds its own workload and machine, so points are independent.
-func runSensitivity(o Options, p sensPoint, n, rng int) sensOut {
-	h := apps.NewHistogram(n, rng, o.seed(0xF16_11))
-	m := sensitivityMachine(o, p.entries, p.fuLat, p.memLat, p.interval)
-	tr := o.newTracer()
-	m.SetSpanTracer(tr)
+// simulate times one histogram scatter-add of n inputs over the point's bins
+// on the §4.4 configuration: no cache, one scatter-add unit with the point's
+// combining-store size and FU latency, in front of a uniform memory with the
+// point's latency and word interval. It returns the runtime in
+// microseconds and the point record.
+func (p sensPoint) simulate(o Options, n int) (float64, pointRecord) {
+	cfg := machine.DefaultConfig()
+	cfg.SA.Entries = p.entries
+	cfg.SA.FULatency = p.fuLat
+	// Let the input queue keep the single unit fed regardless of store size.
+	cfg.SA.InQDepth = 16
+	cfg.UniformMem = &machine.UniformMemConfig{Latency: p.memLat, Interval: p.interval}
+	h := apps.NewHistogram(n, p.bins, o.seed(0xF16_11))
+	m, tr := o.newMachine(cfg)
 	res := h.RunHW(m)
 	mustVerify(m, h, "sensitivity histogram")
-	out := sensOut{us: us(res.Cycles)}
-	if o.CollectStats {
-		out.snap = m.StatsSnapshot()
-	}
-	if o.CollectSpans {
-		out.rep = spanReport(tr)
-		out.label = fmt.Sprintf("cs=%d fu=%d mem=%d int=%d bins=%d",
-			p.entries, p.fuLat, p.memLat, p.interval, rng)
-	}
-	return out
-}
-
-// mergeSens attaches the merged counter snapshot and per-point span reports
-// of a sensitivity grid to its table when the collect options are set.
-func mergeSens(o Options, t *Table, outs []sensOut) {
-	if o.CollectSpans {
-		for _, x := range outs {
-			t.Spans = append(t.Spans, SpanRow{Label: x.label, Report: x.rep})
-		}
-	}
-	if !o.CollectStats {
-		return
-	}
-	snaps := make([]stats.Snapshot, len(outs))
-	for i, x := range outs {
-		snaps[i] = x.snap
-	}
-	t.Counters = stats.MergeAll(snaps)
+	label := fmt.Sprintf("cs=%d fu=%d mem=%d int=%d bins=%d", p.entries, p.fuLat, p.memLat, p.interval, p.bins)
+	return us(res.Cycles), o.record(label, m, tr)
 }
 
 // sensitivityTable fans a (combining-store entries) x (column config) grid
-// out across the worker pool and assembles one row per store size.
-func sensitivityTable(o Options, t Table, cols []sensPoint, n, rng int) Table {
+// of n-input histograms out across the worker pool and assembles one row per
+// store size.
+func sensitivityTable(o Options, t Table, cols []sensPoint, n int) Table {
 	css := []int{2, 4, 8, 16, 64}
-	vals := mapN(o, len(css)*len(cols), func(i int) sensOut {
+	vals := runPoints(o, &t, len(css)*len(cols), func(i int) (float64, pointRecord) {
 		p := cols[i%len(cols)]
 		p.entries = css[i/len(cols)]
-		return runSensitivity(o, p, n, rng)
+		return p.simulate(o, n)
 	})
 	for r, cs := range css {
 		row := []string{d(uint64(cs))}
 		for c := range cols {
-			row = append(row, f(vals[r*len(cols)+c].us))
+			row = append(row, f(vals[r*len(cols)+c]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	mergeSens(o, &t, vals)
 	return t
 }
 
@@ -114,12 +69,12 @@ func fig11(o Options) Table {
 	}
 	var cols []sensPoint
 	for _, memLat := range []int{8, 16, 64, 256} {
-		cols = append(cols, sensPoint{fuLat: 4, memLat: memLat, interval: 2})
+		cols = append(cols, sensPoint{fuLat: 4, memLat: memLat, interval: 2, bins: 65536})
 	}
 	for _, fuLat := range []int{2, 8, 16} {
-		cols = append(cols, sensPoint{fuLat: fuLat, memLat: 16, interval: 2})
+		cols = append(cols, sensPoint{fuLat: fuLat, memLat: 16, interval: 2, bins: 65536})
 	}
-	return sensitivityTable(o, t, cols, o.scaled(512), 65536)
+	return sensitivityTable(o, t, cols, o.scaled(512))
 }
 
 // Fig12 reproduces Figure 12: histogram runtime versus combining-store size
@@ -136,30 +91,11 @@ func fig12(o Options) Table {
 			"with 16 bins, combining absorbs most requests and throughput matters far less",
 		},
 	}
-	// The bin count varies per column here, so the grid carries it alongside
-	// the machine parameters.
-	n := o.scaled(512)
-	css := []int{2, 4, 8, 16, 64}
-	type col struct {
-		interval, bins int
-	}
-	var cols []col
+	var cols []sensPoint
 	for _, interval := range []int{1, 2, 4, 16} {
 		for _, bins := range []int{16, 65536} {
-			cols = append(cols, col{interval, bins})
+			cols = append(cols, sensPoint{fuLat: 4, memLat: 16, interval: interval, bins: bins})
 		}
 	}
-	vals := mapN(o, len(css)*len(cols), func(i int) sensOut {
-		cs, c := css[i/len(cols)], cols[i%len(cols)]
-		return runSensitivity(o, sensPoint{entries: cs, fuLat: 4, memLat: 16, interval: c.interval}, n, c.bins)
-	})
-	for r, cs := range css {
-		row := []string{d(uint64(cs))}
-		for c := range cols {
-			row = append(row, f(vals[r*len(cols)+c].us))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	mergeSens(o, &t, vals)
-	return t
+	return sensitivityTable(o, t, cols, o.scaled(512))
 }

@@ -95,20 +95,19 @@ func fig14(o Options) Table {
 		rng = 256
 	}
 	tr := histTrace("hot", n, rng, o.seed(0xF16_14))
-	points := mapN(o, len(configs)*len(fig14Nodes), func(i int) pointOut {
+	res := runPoints(o, &t, len(configs)*len(fig14Nodes), func(i int) (multinode.Result, pointRecord) {
 		name := configs[i/len(fig14Nodes)]
-		return runPoint(o, "fig14", name, scaleConfig(o, tr, name, fig14Nodes[i%len(fig14Nodes)]), tr)
+		return tr.replay(o, "fig14", name, scaleConfig(o, tr, name, fig14Nodes[i%len(fig14Nodes)]))
 	})
 	for r, name := range configs {
 		for m, metric := range fig14Metrics {
 			row := []string{name, metric}
 			for c := range fig14Nodes {
-				row = append(row, scaleCells(points[r*len(fig14Nodes)+c].res)[m])
+				row = append(row, scaleCells(res[r*len(fig14Nodes)+c])[m])
 			}
 			t.Rows = append(t.Rows, row)
 		}
 	}
-	t.addPoints(o, points)
 	return t
 }
 

@@ -6,6 +6,13 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"scatteradd/internal/fault"
+	"scatteradd/internal/machine"
+	"scatteradd/internal/mem"
+	"scatteradd/internal/multinode"
+	"scatteradd/internal/span"
+	"scatteradd/internal/stats"
 )
 
 // This file is the experiment orchestrator: every figure's independent
@@ -23,6 +30,11 @@ import (
 // 16-bin one) without affecting output order. A panic inside a task — e.g. a
 // mustVerify failure — is captured and re-raised on the calling goroutine so
 // figure generation fails loudly exactly as in the sequential path.
+//
+// Every figure point runs through runPoints: newMachine or newSystem builds
+// its simulation under the options' stepping mode, faults and span tracer,
+// record keeps its point record (span label, counter snapshot, span report),
+// and Table.attach appends the records to the table in point order.
 
 // jobs returns the effective worker count: Options.Jobs when positive,
 // otherwise GOMAXPROCS (one worker per available CPU). Jobs = 1 reproduces
@@ -119,4 +131,90 @@ func mapN[T any](o Options, n int, fn func(int) T) []T {
 	out := make([]T, n)
 	o.forEach(n, func(i int) { out[i] = fn(i) })
 	return out
+}
+
+// simulator is the simulation behind one figure point: a *machine.Machine
+// or a *multinode.System.
+type simulator interface {
+	SetSpanTracer(*span.Tracer)
+	StatsSnapshot() stats.Snapshot
+}
+
+// newMachine builds the machine cfg describes (see build).
+func (o Options) newMachine(cfg machine.Config) (*machine.Machine, *span.Tracer) {
+	return build(o, &cfg.LegacyStepping, &cfg.Faults, func() *machine.Machine { return machine.New(cfg) })
+}
+
+// newSystem builds the multi-node system cfg describes, for traces of kind
+// (see build).
+func (o Options) newSystem(cfg multinode.Config, kind mem.Kind) (*multinode.System, *span.Tracer) {
+	return build(o, &cfg.LegacyStepping, &cfg.Faults, func() *multinode.System { return multinode.New(cfg, kind) })
+}
+
+// build is the one place the options reach a simulation: it sets the
+// config's stepping mode and faults (the fields legacy and faults point at)
+// from the options, builds the simulation with newSim, and installs a fresh
+// span tracer on it when the options collect spans. Every simulation owns
+// its tracer, as it owns its counter registry, so concurrent points share
+// nothing.
+func build[S simulator](o Options, legacy *bool, faults *fault.Config, newSim func() S) (S, *span.Tracer) {
+	*legacy, *faults = o.Legacy, o.Faults
+	s := newSim()
+	var tr *span.Tracer
+	if o.CollectSpans {
+		tr = span.New(o.spanRate())
+	}
+	s.SetSpanTracer(tr)
+	return s, tr
+}
+
+// pointRecord is the record one simulation leaves in its table: the label of
+// its span row and, as the options ask, its counter snapshot and span report.
+type pointRecord struct {
+	label string
+	snap  stats.Snapshot
+	rep   span.Report
+}
+
+// record takes the record of point label once sim, traced by tr, has run.
+func (o Options) record(label string, sim simulator, tr *span.Tracer) pointRecord {
+	p := pointRecord{label: label}
+	if o.CollectStats {
+		p.snap = sim.StatsSnapshot()
+	}
+	if o.CollectSpans {
+		p.rep = span.Aggregate(tr.Ops())
+	}
+	return p
+}
+
+// attach appends the points' span rows and merged counters to t, in point
+// order, as the options ask.
+func (t *Table) attach(o Options, points []pointRecord) {
+	snaps := make([]stats.Snapshot, len(points))
+	for i, p := range points {
+		snaps[i] = p.snap
+		if o.CollectSpans {
+			t.Spans = append(t.Spans, SpanRow{Label: p.label, Report: p.rep})
+		}
+	}
+	if o.CollectStats {
+		t.Counters = stats.MergeAll(snaps)
+	}
+}
+
+// runPoints is the point runner every figure goes through: it fans points
+// 0..n-1 out across the worker pool, where run(i) builds point i's
+// simulation with newMachine or newSystem, runs and verifies it, and returns
+// its result and record. It returns the results in point order and attaches
+// the records to t.
+func runPoints[R any](o Options, t *Table, n int, run func(i int) (R, pointRecord)) []R {
+	points := make([]pointRecord, n)
+	res := mapN(o, n, func(i int) R {
+		r, p := run(i)
+		points[i] = p
+		return r
+	})
+	t.attach(o, points)
+	return res
 }

@@ -15,28 +15,12 @@ type SpanRow struct {
 	Report span.Report
 }
 
-// newTracer returns a fresh per-run lifecycle tracer, or nil when span
-// collection is off. Every concurrent run owns its own tracer, mirroring how
-// every run owns its own machine and counter registry.
-func (o Options) newTracer() *span.Tracer {
-	if !o.CollectSpans {
-		return nil
-	}
-	return span.New(o.spanRate())
-}
-
 // spanRate returns the effective sampling rate (1 in N issued operations).
 func (o Options) spanRate() int {
 	if o.SpanRate > 0 {
 		return o.SpanRate
 	}
 	return 16
-}
-
-// spanReport aggregates a run's sampled ops into a latency-attribution
-// report. A nil tracer yields a zero report.
-func spanReport(tr *span.Tracer) span.Report {
-	return span.Aggregate(tr.Ops())
 }
 
 // formatSpanRows renders the span appendix: one summary line per run with

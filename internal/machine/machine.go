@@ -292,11 +292,6 @@ type Machine struct {
 	reg     *stats.Registry
 	met     metrics
 
-	// chans lists the DRAM channels in tick and fill-drain order: bank-major,
-	// each bank's owned channels (c mod Banks == bank) in turn — 0, 8, 1, 9,
-	// ... with 8 banks and 16 channels.
-	chans []int
-
 	active  []*memStream
 	nextTag uint64
 	tracer  func(cycle uint64, req mem.Request)
@@ -384,11 +379,6 @@ func New(cfg Config) *Machine {
 				m.sas[i].SetFaults(flt, fmt.Sprintf("m.b%d", i))
 			}
 		}
-		for b := 0; b < cfg.Cache.Banks; b++ {
-			for c := b; c < cfg.DRAM.Channels; c += cfg.Cache.Banks {
-				m.chans = append(m.chans, c)
-			}
-		}
 		m.fillFn = func(r dram.LineResp) {
 			m.banks[cache.BankOf(r.Line, len(m.banks))].Fill(m.eng.Now(), r.Line, r.Data)
 		}
@@ -462,9 +452,6 @@ func (m *Machine) FlushCaches() {
 
 // Now returns the machine's absolute cycle count.
 func (m *Machine) Now() uint64 { return m.eng.Now() }
-
-// StatsRegistry returns the machine's performance-counter registry.
-func (m *Machine) StatsRegistry() *stats.Registry { return m.reg }
 
 // StatsSnapshot returns the current values of every performance counter.
 func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
@@ -544,11 +531,10 @@ func (p issuePhase) Skip(now, cycles uint64) {
 
 // memPhase is the composite memory-system ticker of a banked machine. Each
 // cycle it ticks every scatter-add unit, then every cache bank, then the
-// DRAM channels in bank-major order (m.chans), and finally delivers
-// completed line reads to their banks in that same channel order. The
-// fast-forward contract is the union of the members': the next event is the
-// minimum over every unit, bank, and channel, and Skip fans out to all of
-// them.
+// DRAM channels in channel order, and finally delivers completed line reads
+// to their banks in that same channel order. The fast-forward contract is
+// the union of the members': the next event is the minimum over every unit,
+// bank, and channel, and Skip fans out to all of them.
 type memPhase struct{ m *Machine }
 
 func (p memPhase) Tick(now uint64) {
@@ -559,8 +545,8 @@ func (p memPhase) Tick(now uint64) {
 	for _, b := range m.banks {
 		b.Tick(now)
 	}
-	m.dram.TickChannels(now, m.chans)
-	m.dram.DrainResponses(m.chans, m.fillFn)
+	m.dram.Tick(now)
+	m.dram.DrainResponses(m.fillFn)
 }
 
 func (p memPhase) NextEvent(now uint64) uint64 {

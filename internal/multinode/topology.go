@@ -96,8 +96,11 @@ func Mesh(inSwitch bool) Topology {
 // ParseTopology maps a CLI/server name onto a Topology: flat, flat+comb,
 // hypercube, tree, tree+comb, mesh, or mesh+comb ("+comb" = in-switch
 // combining for the multi-hop kinds, cache combining for flat). fanIn
-// applies to the tree kinds (0 = 4).
+// applies to the tree kinds (0 = 4) and must be 0 or at least 2.
 func ParseTopology(name string, fanIn int) (Topology, error) {
+	if fanIn != 0 && fanIn < 2 {
+		return Topology{}, fmt.Errorf("fan-in %d invalid (want 0 or >= 2)", fanIn)
+	}
 	switch name {
 	case "flat":
 		return Flat(), nil

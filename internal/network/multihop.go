@@ -398,14 +398,6 @@ func (m *MultiHop) SetFaults(fc fault.Config, inst string) {
 	}
 }
 
-// CanSend reports whether endpoint src can inject a packet this cycle. A
-// full staging window may still absorb a combinable packet, so this is
-// conservative, exactly like the flat crossbar's full-input check.
-func (m *MultiHop) CanSend(src int) bool {
-	l := m.inj[src]
-	return len(m.sws[l.sw].stage[l.port]) < m.cfg.Link.InputQDepth
-}
-
 // Send injects a packet at its source endpoint. It reports false when the
 // first switch's staging window is full and the packet cannot combine
 // (back-pressure). A packet absorbed at the injection switch is the
@@ -645,10 +637,6 @@ func (m *MultiHop) NextEvent(now uint64) uint64 {
 	}
 	return ev
 }
-
-// Skip is a no-op: every state change in the fabric is reported by
-// NextEvent as work, so skipped cycles carry no batch effects.
-func (m *MultiHop) Skip(now, cycles uint64) {}
 
 // Busy reports whether any packet is staged, queued, in flight, awaiting an
 // ack, or undelivered.

@@ -90,19 +90,19 @@ type Stats struct {
 // Fabric is the interconnect contract internal/multinode programs against;
 // the flat Crossbar and the MultiHop switch graph both satisfy it. Sends,
 // peeks, and receives happen in the system's sequential phases; Tick
-// advances one cycle; NextEvent and Skip implement the sim.FastForwarder
-// contract so quiescence fast-forward works across any topology.
-// HasArrival is the O(1) test a scheduler uses to wake an idle endpoint: it
-// reports whether a packet waits at dst without copying it.
+// advances one cycle; NextEvent reports the next cycle with work, so
+// quiescence fast-forward works across any topology. Neither fabric has a
+// per-cycle batch effect to apply over skipped cycles, so a fast-forward
+// jump only moves the caller's clock. HasArrival is the O(1) test a
+// scheduler uses to wake an idle endpoint: it reports whether a packet
+// waits at dst without copying it.
 type Fabric interface {
-	CanSend(src int) bool
 	Send(p Packet) bool
 	HasArrival(dst int) bool
 	Peek(dst int) (Packet, bool)
 	Recv(dst int) (Packet, bool)
 	Tick(now uint64)
 	NextEvent(now uint64) uint64
-	Skip(now, cycles uint64)
 	Busy() bool
 	Stats() Stats
 	StatsGroup() *stats.Group
@@ -232,12 +232,6 @@ func (x *Crossbar) SetSpanTracer(tr *span.Tracer) { x.tr = tr }
 func (x *Crossbar) SetFaults(fc fault.Config, inst string) {
 	x.dropInj = fault.NewInjector(fc.Seed, inst+".net.drop", fc.NetDropRate)
 	x.dupInj = fault.NewInjector(fc.Seed, inst+".net.dup", fc.NetDupRate)
-}
-
-// CanSend reports whether node src can inject a packet this cycle.
-func (x *Crossbar) CanSend(src int) bool {
-	in := x.inputs[src]
-	return in == nil || !in.Full()
 }
 
 // Send injects a packet at its source port, bound for its destination
@@ -470,10 +464,6 @@ func (x *Crossbar) NextEvent(now uint64) uint64 {
 	}
 	return ev
 }
-
-// Skip is a no-op: back-pressure stalls only accrue while an input queue is
-// non-empty, which NextEvent reports as work.
-func (x *Crossbar) Skip(now, cycles uint64) {}
 
 // Busy reports whether any packet is queued or in flight.
 func (x *Crossbar) Busy() bool { return x.held > 0 }

@@ -93,6 +93,15 @@ func TestHTTPRunMatchesCLIBytes(t *testing.T) {
 	if st := resp.Header.Get("X-Cache"); st != CacheHit {
 		t.Fatalf("json request X-Cache %q (want hit)", st)
 	}
+
+	// Every topology name the CLI accepts is accepted here too, with the
+	// CLI's bytes: hypercube is one the daemon used to refuse.
+	hc := exp.Fig14(exp.Options{Scale: 64, Topology: "hypercube"})
+	wantHC := fmt.Sprintf("# %s\n%s\n", hc.Title, hc.CSV())
+	resp, body = get(t, ts.URL+"/v1/run?figure=fig14&scale=64&topology=hypercube&format=csv")
+	if resp.StatusCode != 200 || body != wantHC {
+		t.Fatalf("hypercube fig14 diverges from CLI bytes: status %d body %q, want %q", resp.StatusCode, body, wantHC)
+	}
 }
 
 // TestHTTPRunClientErrors: malformed specs are 400s that name the problem,

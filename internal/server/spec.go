@@ -15,7 +15,8 @@
 //     internal/exp are one simulation (cache.go), in the lineage of
 //     in-network combining — identical requests merge before they ever
 //     reach the simulator
-//   - the simulation itself, exp.Fig* on the validated options
+//   - the simulation itself: the figure registry's generator (exp.Figures)
+//     on the validated options
 //
 // Every response body is a pure function of the spec (timing and cache
 // status travel in headers), so cached, coalesced, and freshly computed
@@ -34,6 +35,7 @@ import (
 
 	"scatteradd/internal/exp"
 	"scatteradd/internal/fault"
+	"scatteradd/internal/multinode"
 )
 
 // Spec is the wire form of one simulation request: which figure to
@@ -62,7 +64,8 @@ type Spec struct {
 	// Faults > 0, mirroring the CLI).
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// Topology restricts the interconnect scale-out figure (fig14) to one
-	// interconnect configuration: flat, tree, tree+comb, mesh, or mesh+comb
+	// interconnect configuration, named as multinode.ParseTopology names
+	// them: flat, flat+comb, hypercube, tree, tree+comb, mesh, or mesh+comb
 	// ("" = sweep all). Other figures reject a non-empty value.
 	Topology string `json:"topology,omitempty"`
 	// FanIn sets the switch fan-in of fig14's tree topologies (0 = 4).
@@ -98,38 +101,26 @@ func (l Limits) maxFanIn() int {
 	return l.MaxFanIn
 }
 
-// generators maps figure names to their exp runners. Table1 ignores options
-// (it renders fixed machine parameters) but is dispatched uniformly.
-var generators = map[string]func(exp.Options) exp.Table{
-	"table1": func(exp.Options) exp.Table { return exp.Table1() },
-	"fig6":   exp.Fig6,
-	"fig7":   exp.Fig7,
-	"fig8":   exp.Fig8,
-	"fig9":   exp.Fig9,
-	"fig10":  exp.Fig10,
-	"fig11":  exp.Fig11,
-	"fig12":  exp.Fig12,
-	"fig13":  exp.Fig13,
-	"fig14":  exp.Fig14,
-}
+// table1 is the one accepted name outside the figure registry: it renders
+// fixed machine parameters, ignores the options, and is dispatched like a
+// figure.
+var table1 = exp.Figure{Name: "table1", Gen: func(exp.Options) exp.Table { return exp.Table1() }}
 
-// topologyFigures names the figures with a topology axis: only these accept
-// Spec.Topology / Spec.FanIn.
-var topologyFigures = map[string]bool{"fig14": true}
-
-// topologyNames lists the accepted Spec.Topology values
-// (multinode.ParseTopology's vocabulary, minus the legacy-only hypercube
-// spelling fig14 does not sweep).
-var topologyNames = map[string]bool{
-	"": true, "flat": true, "tree": true, "tree+comb": true, "mesh": true, "mesh+comb": true,
+// lookupFigure resolves an accepted figure name: table1 or an entry of the
+// figure registry.
+func lookupFigure(name string) (exp.Figure, bool) {
+	if name == table1.Name {
+		return table1, true
+	}
+	return exp.LookupFigure(name)
 }
 
 // Figures returns the accepted figure names, sorted (for error messages and
 // the landing page).
 func Figures() []string {
-	out := make([]string, 0, len(generators))
-	for name := range generators {
-		out = append(out, name)
+	out := []string{table1.Name}
+	for _, f := range exp.Figures {
+		out = append(out, f.Name)
 	}
 	sort.Strings(out)
 	return out
@@ -150,7 +141,7 @@ type Request struct {
 // a runnable Request. Errors are client errors (HTTP 400): they name the
 // offending field and the accepted range.
 func (sp Spec) Validate(l Limits) (Request, error) {
-	gen, ok := generators[sp.Figure]
+	fig, ok := lookupFigure(sp.Figure)
 	if !ok {
 		return Request{}, fmt.Errorf("figure %q unknown (want one of %s)", sp.Figure, strings.Join(Figures(), ", "))
 	}
@@ -170,13 +161,15 @@ func (sp Spec) Validate(l Limits) (Request, error) {
 	if sp.Faults < 0 || sp.Faults > 1 {
 		return Request{}, fmt.Errorf("faults %g invalid (want 0 .. 1)", sp.Faults)
 	}
-	if !topologyNames[sp.Topology] {
-		return Request{}, fmt.Errorf("topology %q invalid (want flat, tree, tree+comb, mesh, or mesh+comb)", sp.Topology)
-	}
 	if sp.FanIn != 0 && (sp.FanIn < 2 || sp.FanIn > l.maxFanIn()) {
 		return Request{}, fmt.Errorf("fan_in %d invalid (want 0 or 2 .. %d)", sp.FanIn, l.maxFanIn())
 	}
-	if (sp.Topology != "" || sp.FanIn != 0) && !topologyFigures[sp.Figure] {
+	if sp.Topology != "" {
+		if _, err := multinode.ParseTopology(sp.Topology, sp.FanIn); err != nil {
+			return Request{}, err
+		}
+	}
+	if (sp.Topology != "" || sp.FanIn != 0) && !fig.Topology {
 		return Request{}, fmt.Errorf("figure %q has no topology axis (topology/fan_in apply to fig14)", sp.Figure)
 	}
 	format := sp.Format
@@ -209,7 +202,7 @@ func (sp Spec) Validate(l Limits) (Request, error) {
 			Topology:     sp.Topology,
 			FanIn:        sp.FanIn,
 		},
-		gen: gen,
+		gen: fig.Gen,
 	}, nil
 }
 

@@ -2,7 +2,6 @@ package softscatter
 
 import (
 	"fmt"
-	"math"
 
 	"scatteradd/internal/machine"
 	"scatteradd/internal/mem"
@@ -134,18 +133,4 @@ func SortScan(m *machine.Machine, kind mem.Kind, addrs []mem.Addr, vals []mem.Wo
 	// operations when the kind is floating point; the machine already
 	// counted kernel flops, so nothing further to add here.
 	return total
-}
-
-// SortScanModelCycles returns a closed-form estimate of SortScan's cycle
-// count (used by tests as a sanity bound, not by the simulator).
-func SortScanModelCycles(cfg machine.Config, n, batch int) float64 {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	batches := int(math.Ceil(float64(n) / float64(batch)))
-	stages := BitonicStages(batch)
-	perBatch := float64(cfg.KernelStartup*(stages+2)+cfg.MemOpStartup*2) +
-		float64(sortSRFWordsPerElemPerStage*batch*stages)/cfg.SRFWordsPerCycle +
-		float64(2*batch)/float64(cfg.AGWidth)
-	return float64(batches) * perBatch
 }
