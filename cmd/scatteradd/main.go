@@ -79,7 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scatteradd: -span-rate %d invalid (want >= 1)\n", *spanRate)
 		os.Exit(2)
 	}
-	if *faults < 0 || *faults > 1 {
+	if !(*faults >= 0 && *faults <= 1) { // also rejects NaN
 		fmt.Fprintf(os.Stderr, "scatteradd: -faults %g invalid (want 0..1)\n", *faults)
 		os.Exit(2)
 	}

@@ -184,6 +184,7 @@ type Bank struct {
 	lines    []line // sets*ways, row-major by set
 	mshrs    []mshr
 	mshrUsed int // valid MSHRs (occupancy)
+	mshrWait int // valid MSHRs waiting on DRAM: issued, not yet filled
 	dram     *dram.DRAM
 	inQ      *sim.Queue[mem.Request]
 	respQ    *sim.Delay[mem.Response]
@@ -436,6 +437,12 @@ func (b *Bank) PopResponse(now uint64) (mem.Response, bool) {
 	return b.respQ.Pop(now)
 }
 
+// NextResponse reports the cycle the head of the hit-latency response pipe
+// becomes poppable (see port.Word).
+func (b *Bank) NextResponse(now uint64) uint64 {
+	return max(now, b.respQ.NextReady())
+}
+
 // PopEvict returns one evicted partial-sum line (CombineLocal mode).
 func (b *Bank) PopEvict() (EvictedLine, bool) { return b.evictQ.Pop() }
 
@@ -465,6 +472,7 @@ func (b *Bank) Fill(now uint64, a mem.Addr, data [mem.LineWords]mem.Word) {
 	if m == nil {
 		panic(fmt.Sprintf("cache: fill for line %d with no MSHR", a))
 	}
+	b.mshrWait--
 	if !b.install(now, a, data, false) {
 		// Victim eviction blocked on a full write-back queue: stage the data
 		// in the MSHR's holding register and retry on the next Tick.
@@ -560,6 +568,7 @@ func (b *Bank) Tick(now uint64) {
 			if m.valid && !m.issued && m.pendingFill == nil {
 				if b.dram.CanAccept(m.line) && b.dram.Accept(now, dram.LineReq{Line: m.line}) {
 					m.issued = true
+					b.mshrWait++
 				}
 			}
 		}
@@ -600,31 +609,23 @@ func (b *Bank) Tick(now uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the bank can do work (see
-// sim.FastForwarder). Queued input, pending write-backs or evictions, an
-// active flush walk, and any MSHR that still has local work (unissued fetch,
-// staged fill, or a filled line draining) are work in the current cycle.
-// MSHRs waiting on DRAM are woken by the DRAM model's own NextEvent; the
-// only self-timed state is the hit-latency response pipe, whose head-ready
-// cycle is reported so the engine never jumps past a deliverable response.
+// sim.FastForwarder), in O(1). Queued input, pending write-backs or
+// evictions, an active flush walk, and any MSHR that still has local work
+// (unissued fetch, staged fill, or a filled line draining: every valid MSHR
+// not counted in mshrWait) are work in the current cycle. An MSHR waiting on
+// DRAM is the DRAM's event: its fill arrives through Fill. The hit-latency
+// response pipe is the scatter-add unit's input, so the unit reports it
+// (port.Word NextResponse); the bank's own timer is the parity-scrub pipe.
 // Write-combining entries hold no timer: they drain only in reaction to new
 // requests or spills.
 func (b *Bank) NextEvent(now uint64) uint64 {
-	if !b.inQ.Empty() || !b.wbQ.Empty() || !b.evictQ.Empty() || b.flushing {
+	if !b.inQ.Empty() || !b.wbQ.Empty() || !b.evictQ.Empty() || b.flushing || b.mshrUsed > b.mshrWait {
 		return now
 	}
-	for i := range b.mshrs {
-		m := &b.mshrs[i]
-		if m.valid && (m.filled || m.pendingFill != nil || !m.issued) {
-			return now
-		}
+	if b.scrubQ == nil {
+		return sim.Never
 	}
-	ev := b.respQ.NextReady()
-	if b.scrubQ != nil {
-		if t := b.scrubQ.NextReady(); t < ev {
-			ev = t
-		}
-	}
-	return ev
+	return max(now, b.scrubQ.NextReady())
 }
 
 // Skip applies the per-cycle occupancy samples of cycles skipped idle Ticks.
@@ -859,15 +860,7 @@ func (b *Bank) Busy() bool {
 	if !b.inQ.Empty() || b.respQ.Len() > 0 || !b.wbQ.Empty() || !b.evictQ.Empty() || b.flushing {
 		return true
 	}
-	if b.scrubQ != nil && b.scrubQ.Len() > 0 {
-		return true
-	}
-	for i := range b.mshrs {
-		if b.mshrs[i].valid {
-			return true
-		}
-	}
-	return false
+	return b.mshrUsed > 0 || (b.scrubQ != nil && b.scrubQ.Len() > 0)
 }
 
 // FlushFunctional writes every dirty non-partial line into the DRAM store

@@ -127,6 +127,11 @@ type channel struct {
 	banks   []bank
 	busFree uint64 // first cycle the data bus is free
 
+	// next is a lower bound on the first cycle the channel can do work (a
+	// pending read completing or a queued transaction starting): exact after
+	// every tick that found the channel due, lowered by Accept.
+	next uint64
+
 	// pending and resps are consumed from a head index rather than by
 	// re-slicing, so their backing arrays are reused as slabs: once both
 	// drains empty a slice, it resets to [:0]/head 0 and the steady-state
@@ -189,6 +194,9 @@ type DRAM struct {
 	store    *mem.Store
 	channels []channel
 	queued   int    // total requests queued across channels
+	inflight int    // issued reads whose data has not arrived
+	resps    int    // arrived reads not yet popped
+	next     uint64 // minimum of the channels' next: the DRAM's next event
 	stalls   uint64 // Accept attempts refused because a queue was full
 	met      metrics
 	rrChan   int // round-robin pointer for response draining
@@ -208,13 +216,14 @@ func New(cfg Config) *DRAM {
 	if cfg.Channels <= 0 || cfg.BanksPerChannel <= 0 || cfg.QueueDepth <= 0 {
 		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
 	}
-	d := &DRAM{cfg: cfg, store: mem.NewStore(), channels: make([]channel, cfg.Channels), met: newMetrics()}
+	d := &DRAM{cfg: cfg, store: mem.NewStore(), channels: make([]channel, cfg.Channels), met: newMetrics(), next: sim.Never}
 	for i := range d.channels {
 		banks := make([]bank, cfg.BanksPerChannel)
 		for b := range banks {
 			banks[b].openRow = -1
 		}
 		d.channels[i].banks = banks
+		d.channels[i].next = sim.Never
 	}
 	return d
 }
@@ -316,6 +325,12 @@ func (d *DRAM) Accept(now uint64, r LineReq) bool {
 	}
 	ch.queue = append(ch.queue, chanReq{req: r, arrival: now})
 	d.queued++
+	// The new request can start no earlier than its own bank and the bus
+	// allow (exactly the channel's new next under FR-FCFS, a lower bound
+	// under FIFO, where it may wait behind the head).
+	b, _ := d.bankRowOf(r.Line)
+	ch.next = min(ch.next, ch.windows.Defer(max(now, ch.busFree, ch.banks[b].busyUntil)))
+	d.next = min(d.next, ch.next)
 	if !d.depthPerCycle {
 		d.met.queueDepth.Set(int64(d.queued))
 	}
@@ -362,10 +377,18 @@ func (d *DRAM) schedule(now uint64, ch *channel) int {
 	return pick
 }
 
-// Tick advances all channels by one cycle, in channel order.
+// Tick advances all channels by one cycle, in channel order. A channel
+// whose next lies beyond now has nothing due, so its tick changes nothing
+// and its next stays valid; a due channel's next is recomputed.
 func (d *DRAM) Tick(now uint64) {
+	d.next = sim.Never
 	for ci := range d.channels {
 		d.tickChannel(now, ci)
+		ch := &d.channels[ci]
+		if ch.next <= now {
+			ch.next = d.channelNext(now+1, ch)
+		}
+		d.next = min(d.next, ch.next)
 	}
 }
 
@@ -381,6 +404,10 @@ func (d *DRAM) SampleQueueDepthPerCycle() { d.depthPerCycle = true }
 // channel order. Unlike the round-robin PopResponse it empties every channel
 // in one call.
 func (d *DRAM) DrainResponses(fn func(LineResp)) {
+	if d.resps == 0 {
+		return
+	}
+	d.resps = 0
 	for ci := range d.channels {
 		ch := &d.channels[ci]
 		for i := ch.respHead; i < len(ch.resps); i++ {
@@ -402,6 +429,8 @@ func (d *DRAM) tickChannel(now uint64, ci int) {
 	for ch.pendHead < len(ch.pending) && ch.pending[ch.pendHead].ready <= now {
 		ch.resps = append(ch.resps, ch.pending[ch.pendHead].resp)
 		ch.pendHead++
+		d.inflight--
+		d.resps++
 	}
 	if ch.pendHead > 0 && ch.pendHead == len(ch.pending) {
 		ch.pending = ch.pending[:0]
@@ -467,33 +496,33 @@ func (d *DRAM) tickChannel(now uint64, ci int) {
 	resp := LineResp{ID: cr.req.ID, Line: cr.req.Line}
 	d.store.LoadLine(cr.req.Line, &resp.Data)
 	ch.pending = append(ch.pending, pendingResp{resp: resp, ready: now + lat + bus})
+	d.inflight++
 }
 
 // NextEvent reports the earliest cycle at which any channel can do work
-// (see sim.FastForwarder): an undelivered response is work now; otherwise
+// (see sim.FastForwarder), in O(1): an undelivered response is work now;
+// otherwise the minimum of the channels' cached next events, which Accept
+// and Tick keep current.
+func (d *DRAM) NextEvent(now uint64) uint64 {
+	if d.resps > 0 {
+		return now
+	}
+	return max(now, d.next)
+}
+
+// channelNext returns the earliest cycle >= now at which ch can do work:
 // the earliest pending-read completion or the earliest cycle a queued
 // transaction can start (data bus free and a serviceable bank ready — the
 // head's bank under FIFO, any queued request's bank under FR-FCFS).
-func (d *DRAM) NextEvent(now uint64) uint64 {
+func (d *DRAM) channelNext(now uint64, ch *channel) uint64 {
 	ev := sim.Never
-	for i := range d.channels {
-		ch := &d.channels[i]
-		if ch.respHead < len(ch.resps) {
-			return now
-		}
-		// busFree serializes transfers, so pending completions are
-		// FIFO-ordered: the head is the earliest.
-		if ch.pendHead < len(ch.pending) && ch.pending[ch.pendHead].ready < ev {
-			ev = ch.pending[ch.pendHead].ready
-		}
-		if len(ch.queue) > 0 {
-			if t := d.nextIssue(now, ch); t < ev {
-				ev = t
-			}
-		}
+	// busFree serializes transfers, so pending completions are FIFO-ordered:
+	// the head is the earliest.
+	if ch.pendHead < len(ch.pending) {
+		ev = max(now, ch.pending[ch.pendHead].ready)
 	}
-	if ev < now {
-		return now
+	if len(ch.queue) > 0 {
+		ev = min(ev, d.nextIssue(now, ch))
 	}
 	return ev
 }
@@ -533,12 +562,16 @@ func (d *DRAM) Skip(now, cycles uint64) {}
 
 // PopResponse returns a completed read, draining channels round-robin.
 func (d *DRAM) PopResponse(now uint64) (LineResp, bool) {
+	if d.resps == 0 {
+		return LineResp{}, false
+	}
 	for k := 0; k < len(d.channels); k++ {
 		ci := (d.rrChan + k) % len(d.channels)
 		ch := &d.channels[ci]
 		if ch.respHead < len(ch.resps) {
 			r := ch.resps[ch.respHead]
 			ch.respHead++
+			d.resps--
 			if ch.respHead == len(ch.resps) {
 				ch.resps = ch.resps[:0]
 				ch.respHead = 0
@@ -551,12 +584,4 @@ func (d *DRAM) PopResponse(now uint64) (LineResp, bool) {
 }
 
 // Busy reports whether any request is queued, in flight, or undelivered.
-func (d *DRAM) Busy() bool {
-	for i := range d.channels {
-		ch := &d.channels[i]
-		if len(ch.queue) > 0 || ch.pendHead < len(ch.pending) || ch.respHead < len(ch.resps) {
-			return true
-		}
-	}
-	return false
-}
+func (d *DRAM) Busy() bool { return d.queued > 0 || d.inflight > 0 || d.resps > 0 }

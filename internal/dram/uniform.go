@@ -116,23 +116,14 @@ func (u *Uniform) Tick(now uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the memory can do work (see
-// sim.FastForwarder): the next issue slot when a request is queued, else the
-// head pending completion (issues are monotone with fixed latency, so the
-// head is the earliest), else Never.
+// sim.FastForwarder): the next issue slot when a request is queued, else
+// Never. A pending read completes without a Tick: the scatter-add unit pops
+// it and reports its completion through NextResponse.
 func (u *Uniform) NextEvent(now uint64) uint64 {
-	if len(u.queue) > 0 {
-		if u.nextFree > now {
-			return u.nextFree
-		}
-		return now
+	if len(u.queue) == 0 {
+		return sim.Never
 	}
-	if len(u.pending) > 0 {
-		if r := u.pending[0].ready; r > now {
-			return r
-		}
-		return now
-	}
-	return sim.Never
+	return max(now, u.nextFree)
 }
 
 // Skip is a no-op: the uniform memory keeps no per-cycle counters.
@@ -146,6 +137,16 @@ func (u *Uniform) PopResponse(now uint64) (mem.Response, bool) {
 		return r, true
 	}
 	return mem.Response{}, false
+}
+
+// NextResponse reports the cycle the head pending read completes (see
+// port.Word): issues are monotone with fixed latency, so the head is the
+// earliest.
+func (u *Uniform) NextResponse(now uint64) uint64 {
+	if len(u.pending) == 0 {
+		return sim.Never
+	}
+	return max(now, u.pending[0].ready)
 }
 
 // Busy reports whether any access is queued or in flight.

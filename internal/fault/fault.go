@@ -106,9 +106,10 @@ func (c Config) WithDefaults() Config {
 }
 
 // Scale multiplies every rate by x (and scales the window density), keeping
-// the durations and recovery knobs. Scale(0) disables injection entirely.
+// the durations and recovery knobs. Scale(0), a negative x and NaN disable
+// injection entirely.
 func (c Config) Scale(x float64) Config {
-	if x <= 0 {
+	if !(x > 0) {
 		return Config{}
 	}
 	clamp := func(r float64) float64 {

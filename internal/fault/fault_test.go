@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNilInjectorIsCold(t *testing.T) {
 	var i *Injector
@@ -189,6 +192,9 @@ func TestConfigScale(t *testing.T) {
 	c := DefaultChaos()
 	if s := c.Scale(0); s.Enabled() {
 		t.Fatal("Scale(0) still enabled")
+	}
+	if s := c.Scale(math.NaN()); s != (Config{}) {
+		t.Fatalf("Scale(NaN) = %+v, want the zero Config", s)
 	}
 	h := c.Scale(2)
 	if h.NetDropRate != c.NetDropRate*2 {

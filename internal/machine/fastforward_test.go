@@ -66,6 +66,10 @@ func TestMachineFastForwardMatchesLegacy(t *testing.T) {
 	}{
 		{"cached", smallConfig()},
 		{"uniform", uniformConfig(64, 2)},
+		// An access interval above the latency: a read completes while the
+		// next queued access waits for its issue slot, so only the unit's
+		// NextEvent reports the completion.
+		{"uniform-slow-issue", uniformConfig(4, 16)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fastCfg, slowCfg := tc.cfg, tc.cfg

@@ -530,22 +530,37 @@ func (p issuePhase) Skip(now, cycles uint64) {
 }
 
 // memPhase is the composite memory-system ticker of a banked machine. Each
-// cycle it ticks every scatter-add unit, then every cache bank, then the
+// cycle it advances every scatter-add unit, then every cache bank, then the
 // DRAM channels in channel order, and finally delivers completed line reads
-// to their banks in that same channel order. The fast-forward contract is
-// the union of the members': the next event is the minimum over every unit,
-// bank, and channel, and Skip fans out to all of them.
+// to their banks in that same channel order. Under fast-forward a member is
+// ticked only when its own NextEvent, asked at its turn, is due; otherwise it
+// takes Skip(now, 1), which is exactly its idle Tick. The fast-forward
+// contract is the union of the members': the next event is the minimum over
+// every unit, bank, and channel, and Skip fans out to all of them.
 type memPhase struct{ m *Machine }
 
 func (p memPhase) Tick(now uint64) {
 	m := p.m
+	ff := !m.cfg.LegacyStepping
 	for _, sa := range m.sas {
+		if ff && sa.NextEvent(now) > now {
+			sa.Skip(now, 1)
+			continue
+		}
 		sa.Tick(now)
 	}
 	for _, b := range m.banks {
+		if ff && b.NextEvent(now) > now {
+			b.Skip(now, 1)
+			continue
+		}
 		b.Tick(now)
 	}
-	m.dram.Tick(now)
+	if ff && m.dram.NextEvent(now) > now {
+		m.dram.Skip(now, 1)
+	} else {
+		m.dram.Tick(now)
+	}
 	m.dram.DrainResponses(m.fillFn)
 }
 

@@ -253,20 +253,46 @@ func (s *Store) WriteI64Slice(base Addr, vals []int64) {
 	}
 }
 
+// LoadRange copies the len(dst) words starting at base into dst, with one
+// page lookup per page the range spans. Unwritten words read as 0.
+func (s *Store) LoadRange(base Addr, dst []Word) {
+	clear(dst)
+	s.eachPage(base, len(dst), func(i int, words []Word) { copy(dst[i:], words) })
+}
+
 // ReadF64Slice reads n float64 values from consecutive addresses at base.
 func (s *Store) ReadF64Slice(base Addr, n int) []float64 {
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = AsF64(s.Load(base + Addr(i)))
-	}
+	s.eachPage(base, n, func(i int, words []Word) {
+		for j, w := range words {
+			out[i+j] = AsF64(w)
+		}
+	})
 	return out
 }
 
 // ReadI64Slice reads n int64 values from consecutive addresses at base.
 func (s *Store) ReadI64Slice(base Addr, n int) []int64 {
 	out := make([]int64, n)
-	for i := range out {
-		out[i] = AsI64(s.Load(base + Addr(i)))
-	}
+	s.eachPage(base, n, func(i int, words []Word) {
+		for j, w := range words {
+			out[i+j] = AsI64(w)
+		}
+	})
 	return out
+}
+
+// eachPage walks the n words starting at base one page at a time and calls
+// fn with the offset into the range and the words of each written page that
+// the range covers; unwritten pages, which read as 0, are passed over.
+func (s *Store) eachPage(base Addr, n int, fn func(i int, words []Word)) {
+	for i := 0; i < n; {
+		a := base + Addr(i)
+		off := a % pageWords
+		k := min(n-i, int(pageWords-off))
+		if p, ok := s.pages[a/pageWords]; ok {
+			fn(i, p[off:off+Addr(k)])
+		}
+		i += k
+	}
 }

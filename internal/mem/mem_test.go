@@ -205,6 +205,55 @@ func TestStoreSlices(t *testing.T) {
 	}
 }
 
+// TestStoreRangeReadsMatchLoad: the page-wise range reads (LoadRange,
+// ReadI64Slice, ReadF64Slice) return exactly what per-word Load does, across
+// page boundaries, over unwritten pages and for empty ranges.
+func TestStoreRangeReadsMatchLoad(t *testing.T) {
+	s := NewStore()
+	// Page 0 partly written, page 1 unwritten, page 2 fully written, page 3
+	// written only in its first word.
+	for a := Addr(10); a < 100; a++ {
+		s.StoreWord(a, Word(a)*3+1)
+	}
+	for a := Addr(2 * pageWords); a < 3*pageWords; a++ {
+		s.StoreWord(a, Word(a)^0xF0F0)
+	}
+	s.StoreF64(3*pageWords, -2.5)
+	cases := []struct {
+		name string
+		base Addr
+		n    int
+	}{
+		{"empty", 50, 0},
+		{"inside one page", 5, 120},
+		{"unwritten page", pageWords + 7, 300},
+		{"ends at a page boundary", 2*pageWords - 16, 16},
+		{"starts at a page boundary", 2 * pageWords, 9},
+		{"crosses written into unwritten", 90, pageWords},
+		{"crosses unwritten into written", 2*pageWords - 5, 10},
+		{"spans four pages", 3, 3*pageWords + 2},
+	}
+	for _, tc := range cases {
+		words := make([]Word, tc.n)
+		for i := range words {
+			words[i] = 0xDEAD // LoadRange must overwrite stale contents
+		}
+		s.LoadRange(tc.base, words)
+		is := s.ReadI64Slice(tc.base, tc.n)
+		fs := s.ReadF64Slice(tc.base, tc.n)
+		if len(is) != tc.n || len(fs) != tc.n {
+			t.Fatalf("%s: lengths %d, %d (want %d)", tc.name, len(is), len(fs), tc.n)
+		}
+		for i := 0; i < tc.n; i++ {
+			want := s.Load(tc.base + Addr(i))
+			if words[i] != want || is[i] != AsI64(want) || math.Float64bits(fs[i]) != want {
+				t.Fatalf("%s: word %d (addr %d) = %#x / %d / %g, Load says %#x",
+					tc.name, i, tc.base+Addr(i), words[i], is[i], fs[i], want)
+			}
+		}
+	}
+}
+
 // Property: store behaves like a map from Addr to Word.
 func TestStoreMapEquivalence(t *testing.T) {
 	f := func(writes []struct {

@@ -45,16 +45,20 @@ func replayHot(cfg Config, refs []Ref, rng int) activityRun {
 	return activityRun{res: res, snap: s.StatsSnapshot(), rep: span.Aggregate(tr.Ops()), mem: s.ReadResult(addrs)}
 }
 
-// TestActivityMatchesLegacy: on 256 nodes replaying a hot histogram whose
-// 64 bins belong to the first 8 nodes, almost every node sleeps almost every
-// cycle, so activity-driven stepping defers nearly all node work to
-// catch-up Skips. Its Result, counters, span report and final memory must
-// equal per-cycle legacy stepping on every fabric, on the combining modes
-// that run flush rounds, and through a chaos run that degrades nodes from
-// combining to direct.
+// TestActivityMatchesLegacy: fast-forward stepping must equal per-cycle
+// legacy stepping in Result, counters (with every histogram bucket), span
+// report and final memory where most of the system sleeps most of the time.
+// Node grain: on 256 trimmed nodes replaying a hot histogram whose 64 bins
+// belong to the first 8 nodes, almost every node sleeps almost every cycle,
+// so nearly all node work is deferred to catch-up Skips; this runs on every
+// fabric, on the combining modes that run flush rounds, and through a chaos
+// run that degrades nodes from combining to direct. Component grain: on
+// Table-1 nodes (8 banks, 16 DRAM channels) replaying Fig 13's wide
+// histogram, a working node's units, banks and channels are mostly idle, so
+// most of them take Skip(now, 1) in place of a Tick.
 func TestActivityMatchesLegacy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("256-node legacy replays")
+		t.Skip("256-node and Table-1 legacy replays")
 	}
 	const nodes, rng = 256, 64
 	refs := uniformTrace(4096, rng, 71)
@@ -63,25 +67,46 @@ func TestActivityMatchesLegacy(t *testing.T) {
 	chaos.Faults = fault.DefaultChaos()
 	chaos.Faults.CSCorruptRate = 0.05
 	chaos.Faults.DegradeThreshold = 1
-	cfgs := map[string]Config{
-		"flat":           hotConfig(nodes, span, Flat()),
-		"tree+comb":      hotConfig(nodes, span, Tree(4, true)),
-		"mesh":           hotConfig(nodes, span, Mesh(false)),
-		"flat+comb":      hotConfig(nodes, span, FlatCombining()),
-		"hypercube":      hotConfig(nodes, span, Hypercube()),
-		"chaos-degraded": chaos,
+
+	// Fig 13's wide trace at its -scale 16 length, on the low-bandwidth
+	// crossbar of the figure's wide-low lines.
+	const wideRng = 1 << 20
+	wide := uniformTrace(4096, wideRng, 0xF16_13+1)
+	table1 := func(nodes int, topo Topology) Config {
+		cfg := DefaultConfig(nodes, 1, lineSpan(wideRng, nodes))
+		cfg.Topology = topo
+		return cfg
 	}
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			refs := refs
-			if name == "chaos-degraded" {
-				// Retransmission storms keep most nodes busy under chaos; a
-				// shorter trace still degrades dozens of them.
-				refs = refs[:1024]
-			}
-			ff := replayHot(cfg, refs, rng)
+	wideChaos := table1(4, FlatCombining())
+	wideChaos.Faults = fault.DefaultChaos()
+	wideChaos.Faults.DegradeThreshold = 1
+
+	cases := []struct {
+		name     string
+		cfg      Config
+		refs     []Ref
+		rng      int
+		degrades bool
+	}{
+		{"flat", hotConfig(nodes, span, Flat()), refs, rng, false},
+		{"tree+comb", hotConfig(nodes, span, Tree(4, true)), refs, rng, false},
+		{"mesh", hotConfig(nodes, span, Mesh(false)), refs, rng, false},
+		{"flat+comb", hotConfig(nodes, span, FlatCombining()), refs, rng, false},
+		{"hypercube", hotConfig(nodes, span, Hypercube()), refs, rng, false},
+		// Retransmission storms keep most nodes busy under chaos; a shorter
+		// trace still degrades dozens of them.
+		{"chaos-degraded", chaos, refs[:1024], rng, true},
+		{"table1-flat+comb-2", table1(2, FlatCombining()), wide, wideRng, false},
+		{"table1-flat+comb-8", table1(8, FlatCombining()), wide, wideRng, false},
+		{"table1-flat-4", table1(4, Flat()), wide, wideRng, false},
+		{"table1-chaos-degraded", wideChaos, wide, wideRng, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			ff := replayHot(cfg, tc.refs, tc.rng)
 			cfg.LegacyStepping = true
-			legacy := replayHot(cfg, refs, rng)
+			legacy := replayHot(cfg, tc.refs, tc.rng)
 			if ff.res != legacy.res {
 				t.Fatalf("FF result %+v != legacy %+v", ff.res, legacy.res)
 			}
@@ -94,7 +119,7 @@ func TestActivityMatchesLegacy(t *testing.T) {
 			if !reflect.DeepEqual(ff.mem, legacy.mem) {
 				t.Fatal("FF final memory diverges from legacy")
 			}
-			if name == "chaos-degraded" && ff.res.Degraded == 0 {
+			if tc.degrades && ff.res.Degraded == 0 {
 				t.Fatalf("no node degraded at DegradeThreshold 1: %+v", ff.res)
 			}
 		})
@@ -129,6 +154,41 @@ func TestVerify(t *testing.T) {
 	err := s.Verify(refs)
 	if err == nil || !strings.Contains(err.Error(), "address 200") {
 		t.Fatalf("corrupted bin 200 passed verification (err %v)", err)
+	}
+}
+
+// TestReadResultRuns: ReadResult reads each run of consecutive addresses
+// on one owner with a single range read, yet must answer every address from
+// its own owner's memory — with gaps, in reversed order, across owner
+// boundaries (a consecutive run that crosses one must split), and with
+// repeats.
+func TestReadResultRuns(t *testing.T) {
+	const nodes, rng = 4, 256
+	span := lineSpan(rng, nodes)
+	s := New(smallConfig(nodes, 1, span, false), mem.AddI64)
+	refs := uniformTrace(2048, rng, 41)
+	s.RunTrace(refs)
+	want := make([]int64, rng)
+	for _, r := range refs {
+		want[r.Addr] += mem.AsI64(r.Val)
+	}
+	addrs := []mem.Addr{
+		0, 1, 2, 3, 9, 12, 13, // gaps inside node 0
+		span - 2, span - 1, span, span + 1, // consecutive across an owner boundary
+		2*span + 2, 2*span + 1, 2 * span, 2*span - 1, 2*span - 2, // reversed across one
+		rng - 1, rng - 2, 5, 5, 5, // reversed tail, then repeats
+	}
+	got := s.ReadResult(addrs)
+	for i, a := range addrs {
+		if want[a] == 0 {
+			t.Fatalf("bin %d is empty; pick a trace that fills every bin", a)
+		}
+		if mem.AsI64(got[i]) != want[a] {
+			t.Fatalf("addrs[%d] = %d: read %d, want %d", i, a, mem.AsI64(got[i]), want[a])
+		}
+	}
+	if len(s.ReadResult(nil)) != 0 {
+		t.Fatal("ReadResult(nil) returned words")
 	}
 }
 

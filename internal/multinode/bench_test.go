@@ -54,3 +54,29 @@ func BenchmarkFig14Tree1024(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFig13FlatComb replays Fig 13's wide histogram (4096 references
+// over 1M words, the -scale 16 length) on 4 Table-1 nodes (8 banks, 16 DRAM
+// channels) with cache combining over the low-bandwidth crossbar — the
+// wide-low-comb point, where most of a working node's units, banks and DRAM
+// channels have nothing due. One System per iteration, like
+// BenchmarkFig13Tree1.
+func BenchmarkFig13FlatComb(b *testing.B) {
+	const (
+		nodes = 4
+		rng   = 1 << 20
+		adds  = 4096
+	)
+	cfg := DefaultConfig(nodes, 1, lineSpan(rng, nodes))
+	cfg.Topology = FlatCombining()
+	refs := uniformTrace(adds, rng, 0xF16_13+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(cfg, mem.AddI64)
+		res := s.RunTrace(refs)
+		if res.Adds != adds {
+			b.Fatalf("short replay: %+v", res)
+		}
+	}
+}

@@ -755,32 +755,53 @@ func (s *System) stepNodeExchange(n *node) {
 }
 
 // stepNodeCompute is the node-local half of a node's cycle: ticking the
-// node's hardware and moving its internal responses.
+// node's hardware and moving its internal responses. Under fast-forward a
+// unit, bank, combining bank or DRAM is ticked only when its own NextEvent,
+// asked at its turn (after the components before it have pushed into its
+// queues), is due; otherwise it takes Skip(now, 1), which is exactly its
+// idle Tick.
 func (s *System) stepNodeCompute(n *node) {
+	now := s.now
 	for _, u := range n.sas {
-		u.Tick(s.now)
+		if s.ff && u.NextEvent(now) > now {
+			u.Skip(now, 1)
+			continue
+		}
+		u.Tick(now)
 	}
 	for _, b := range n.banks {
-		b.Tick(s.now)
+		if s.ff && b.NextEvent(now) > now {
+			b.Skip(now, 1)
+			continue
+		}
+		b.Tick(now)
 	}
 	for _, cb := range n.comb {
-		cb.Tick(s.now)
+		if s.ff && cb.NextEvent(now) > now {
+			cb.Skip(now, 1)
+			continue
+		}
+		cb.Tick(now)
 	}
 	// The degradation check runs right after the combining banks tick — the
 	// cycle a scrub crosses the threshold is a worked cycle in both stepping
 	// modes, so the combining-to-direct transition lands identically.
 	s.checkDegrade(n)
-	n.dram.Tick(s.now)
+	if s.ff && n.dram.NextEvent(now) > now {
+		n.dram.Skip(now, 1)
+	} else {
+		n.dram.Tick(now)
+	}
 	for {
-		r, ok := n.dram.PopResponse(s.now)
+		r, ok := n.dram.PopResponse(now)
 		if !ok {
 			break
 		}
-		n.banks[cache.BankOf(r.Line, len(n.banks))].Fill(s.now, r.Line, r.Data)
+		n.banks[cache.BankOf(r.Line, len(n.banks))].Fill(now, r.Line, r.Data)
 	}
 	for _, u := range n.sas {
 		for {
-			if _, ok := u.PopResponse(s.now); !ok {
+			if _, ok := u.PopResponse(now); !ok {
 				break
 			}
 		}
@@ -963,7 +984,8 @@ func (s *System) Verify(refs []Ref) error {
 
 // ReadResult returns the final value at each address in addrs, flushing all
 // node caches functionally first. Use it to verify a replay against a
-// sequential reference.
+// sequential reference. Each run of consecutive addresses inside one
+// owner's block is read from that owner's store in one LoadRange.
 func (s *System) ReadResult(addrs []mem.Addr) []mem.Word {
 	s.settle()
 	for _, n := range s.nodes {
@@ -972,8 +994,16 @@ func (s *System) ReadResult(addrs []mem.Addr) []mem.Word {
 		}
 	}
 	out := make([]mem.Word, len(addrs))
-	for i, a := range addrs {
-		out[i] = s.nodes[s.owner(a)].dram.Store().Load(a)
+	for i := 0; i < len(addrs); {
+		a := addrs[i]
+		own := s.owner(a)
+		end := mem.Addr(own+1) * s.cfg.OwnerSpan
+		j := i + 1
+		for j < len(addrs) && addrs[j] == a+mem.Addr(j-i) && addrs[j] < end {
+			j++
+		}
+		s.nodes[own].dram.Store().LoadRange(a, out[i:j])
+		i = j
 	}
 	return out
 }

@@ -17,6 +17,11 @@ type Word interface {
 	Accept(now uint64, r mem.Request) bool
 	// PopResponse removes one completed response if available.
 	PopResponse(now uint64) (mem.Response, bool)
+	// NextResponse returns the earliest cycle >= now at which PopResponse
+	// can yield a response, or ^uint64(0) (sim.Never) when none is in
+	// flight. The component draining the port folds it into its own
+	// NextEvent, since the responses are its input.
+	NextResponse(now uint64) uint64
 	// Busy reports whether any accepted request has not yet fully
 	// completed (including undelivered responses and dirty write buffers).
 	Busy() bool

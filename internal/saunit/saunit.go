@@ -165,6 +165,7 @@ type Unit struct {
 	wbQ    *sim.Queue[mem.Request]  // sum write-backs awaiting downstream
 	cs     []entry
 	csUsed int     // valid combining-store entries (occupancy)
+	unsent int     // reader entries whose memory read has not been sent
 	ready  []chain // values ready to combine or write back
 	still  []chain // issueFU scratch, swapped with ready each call
 	fu     *sim.Delay[fuOp]
@@ -265,38 +266,37 @@ func (u *Unit) Accept(now uint64, r mem.Request) bool {
 // Fetch* pre-update value.
 func (u *Unit) PopResponse(now uint64) (mem.Response, bool) { return u.upQ.Pop() }
 
+// NextResponse reports when PopResponse can next yield a response (see
+// port.Word): now while one is queued, Never otherwise.
+func (u *Unit) NextResponse(now uint64) uint64 {
+	if u.upQ.Empty() {
+		return sim.Never
+	}
+	return now
+}
+
 // Busy reports whether the unit or its downstream holds unfinished work.
 func (u *Unit) Busy() bool {
-	if !u.inQ.Empty() || !u.upQ.Empty() || !u.wbQ.Empty() || u.fu.Len() > 0 || len(u.ready) > 0 {
+	if !u.inQ.Empty() || !u.upQ.Empty() || !u.wbQ.Empty() || u.fu.Len() > 0 || len(u.ready) > 0 || u.csUsed > 0 {
 		return true
-	}
-	for i := range u.cs {
-		if u.cs[i].valid {
-			return true
-		}
 	}
 	return u.down.Busy()
 }
 
 // NextEvent reports the earliest cycle at which the unit can do work (see
-// sim.FastForwarder). Anything queued — input, upstream responses, ready
-// chains, pending write-backs, an unsent current-value read, or an eager
-// pre-combine opportunity — is work in the current cycle; otherwise the only
-// self-timed activity is the functional-unit pipeline. Reader entries whose
-// read is in flight are woken by the downstream component's own NextEvent.
+// sim.FastForwarder), in O(1). Anything queued — input, upstream responses,
+// ready chains, pending write-backs, an unsent current-value read, or an
+// eager pre-combine opportunity — is work in the current cycle; otherwise
+// the unit waits on its two timed inputs: the functional-unit pipeline and
+// the downstream port's response pipe, which only this unit drains.
 func (u *Unit) NextEvent(now uint64) uint64 {
-	if !u.inQ.Empty() || !u.upQ.Empty() || !u.wbQ.Empty() || len(u.ready) > 0 {
+	if !u.inQ.Empty() || !u.upQ.Empty() || !u.wbQ.Empty() || len(u.ready) > 0 || u.unsent > 0 {
 		return now
 	}
 	if u.cfg.EagerCombine && u.csUsed >= 2 {
 		return now
 	}
-	for i := range u.cs {
-		if e := &u.cs[i]; e.valid && e.reader && !e.sent {
-			return now
-		}
-	}
-	return u.fu.NextReady()
+	return max(now, min(u.fu.NextReady(), u.down.NextResponse(now)))
 }
 
 // Skip applies the per-cycle counter effects of cycles skipped idle Ticks:
@@ -565,6 +565,7 @@ func (u *Unit) issueReads(now uint64) {
 				return
 			}
 			e.sent = true
+			u.unsent--
 			if u.tr != nil && e.sid != 0 {
 				u.tr.OpStage(e.node, e.sid-1, span.StageDRAM, now)
 			}
@@ -628,6 +629,7 @@ func (u *Unit) acceptInput(now uint64) {
 			u.met.csHits.Inc()
 		} else {
 			e.reader = true
+			u.unsent++
 			u.met.csMisses.Inc()
 		}
 		u.stats.SARequests++

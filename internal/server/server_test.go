@@ -117,6 +117,7 @@ func TestHTTPRunClientErrors(t *testing.T) {
 		{"POST", "/v1/run", `{"figure":"fig6","scale":2}`, "floor"},
 		{"GET", "/v1/run?figure=fig6&scale=banana", "", "banana"},
 		{"GET", "/v1/run?figure=fig6&bogus=1", "", "bogus"},
+		{"GET", "/v1/run?figure=fig6&scale=8&faults=NaN", "", "faults"},
 		{"POST", "/v1/run", `{"figure":"fig13","scale":8,"shards":4}`, "shards"},
 		{"GET", "/v1/run?figure=fig13&scale=8&shards=4", "", "shards"},
 	}

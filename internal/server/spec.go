@@ -158,7 +158,7 @@ func (sp Spec) Validate(l Limits) (Request, error) {
 	if sp.SpanRate < 0 {
 		return Request{}, fmt.Errorf("span_rate %d invalid (want >= 0; 0 = default 16)", sp.SpanRate)
 	}
-	if sp.Faults < 0 || sp.Faults > 1 {
+	if !(sp.Faults >= 0 && sp.Faults <= 1) { // also rejects NaN
 		return Request{}, fmt.Errorf("faults %g invalid (want 0 .. 1)", sp.Faults)
 	}
 	if sp.FanIn != 0 && (sp.FanIn < 2 || sp.FanIn > l.maxFanIn()) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/url"
 	"strings"
 	"testing"
@@ -8,30 +9,35 @@ import (
 	"scatteradd/internal/exp"
 )
 
+// validateRejections are specs Validate must refuse, each with the limits
+// it runs under and the field its error must name. FuzzParseSpec seeds its
+// corpus with them.
+var validateRejections = []struct {
+	name string
+	sp   Spec
+	l    Limits
+	want string
+}{
+	{"unknown figure", Spec{Figure: "fig99"}, Limits{}, "fig99"},
+	{"empty figure", Spec{}, Limits{}, "figure"},
+	{"negative scale", Spec{Figure: "fig6", Scale: -1}, Limits{}, "scale"},
+	{"scale under floor", Spec{Figure: "fig6", Scale: 4}, Limits{MinScale: 8}, "floor"},
+	{"negative span rate", Spec{Figure: "fig6", SpanRate: -1}, Limits{}, "span_rate"},
+	{"faults over 1", Spec{Figure: "fig6", Faults: 1.5}, Limits{}, "faults"},
+	{"negative faults", Spec{Figure: "fig6", Faults: -0.1}, Limits{}, "faults"},
+	{"NaN faults", Spec{Figure: "fig6", Faults: math.NaN()}, Limits{}, "faults"},
+	{"bad format", Spec{Figure: "fig6", Format: "xml"}, Limits{}, "format"},
+	{"bad topology", Spec{Figure: "fig14", Topology: "torus"}, Limits{}, "topology"},
+	{"topology off figure", Spec{Figure: "fig6", Topology: "tree"}, Limits{}, "topology"},
+	{"fan_in off figure", Spec{Figure: "fig13", FanIn: 4}, Limits{}, "topology"},
+	{"fan_in of 1", Spec{Figure: "fig14", FanIn: 1}, Limits{}, "fan_in"},
+	{"fan_in over cap", Spec{Figure: "fig14", FanIn: 32}, Limits{MaxFanIn: 8}, "fan_in"},
+}
+
 // TestValidateRejections: every malformed spec names its offending field in
 // a client error; nothing panics.
 func TestValidateRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		sp   Spec
-		l    Limits
-		want string
-	}{
-		{"unknown figure", Spec{Figure: "fig99"}, Limits{}, "fig99"},
-		{"empty figure", Spec{}, Limits{}, "figure"},
-		{"negative scale", Spec{Figure: "fig6", Scale: -1}, Limits{}, "scale"},
-		{"scale under floor", Spec{Figure: "fig6", Scale: 4}, Limits{MinScale: 8}, "floor"},
-		{"negative span rate", Spec{Figure: "fig6", SpanRate: -1}, Limits{}, "span_rate"},
-		{"faults over 1", Spec{Figure: "fig6", Faults: 1.5}, Limits{}, "faults"},
-		{"negative faults", Spec{Figure: "fig6", Faults: -0.1}, Limits{}, "faults"},
-		{"bad format", Spec{Figure: "fig6", Format: "xml"}, Limits{}, "format"},
-		{"bad topology", Spec{Figure: "fig14", Topology: "torus"}, Limits{}, "topology"},
-		{"topology off figure", Spec{Figure: "fig6", Topology: "tree"}, Limits{}, "topology"},
-		{"fan_in off figure", Spec{Figure: "fig13", FanIn: 4}, Limits{}, "topology"},
-		{"fan_in of 1", Spec{Figure: "fig14", FanIn: 1}, Limits{}, "fan_in"},
-		{"fan_in over cap", Spec{Figure: "fig14", FanIn: 32}, Limits{MaxFanIn: 8}, "fan_in"},
-	}
-	for _, tc := range cases {
+	for _, tc := range validateRejections {
 		_, err := tc.sp.Validate(tc.l)
 		if err == nil {
 			t.Errorf("%s: validated", tc.name)
@@ -125,24 +131,27 @@ func TestParseSpecQueryAndBody(t *testing.T) {
 	}
 }
 
+// parseSpecRejections are requests ParseSpec must refuse, each with the
+// field its error must name. FuzzParseSpec seeds its corpus with them.
+var parseSpecRejections = []struct {
+	name   string
+	method string
+	query  url.Values
+	body   string
+	want   string
+}{
+	{"typoed query parameter", "GET", url.Values{"figrue": {"fig6"}}, "", "figrue"},
+	{"typoed JSON field", "POST", nil, `{"figrue":"fig6"}`, "figrue"},
+	{"shards query parameter", "GET", url.Values{"figure": {"fig13"}, "shards": {"4"}}, "", "shards"},
+	{"shards JSON field", "POST", nil, `{"figure":"fig13","shards":4}`, "shards"},
+	{"non-numeric scale", "GET", url.Values{"scale": {"lots"}}, "", "lots"},
+}
+
 // TestParseSpecRejections: unknown fields — typos, and the retired shards
 // option — are rejected on both the query and the JSON path with an error
 // that names the field, as are malformed values.
 func TestParseSpecRejections(t *testing.T) {
-	cases := []struct {
-		name   string
-		method string
-		query  url.Values
-		body   string
-		want   string
-	}{
-		{"typoed query parameter", "GET", url.Values{"figrue": {"fig6"}}, "", "figrue"},
-		{"typoed JSON field", "POST", nil, `{"figrue":"fig6"}`, "figrue"},
-		{"shards query parameter", "GET", url.Values{"figure": {"fig13"}, "shards": {"4"}}, "", "shards"},
-		{"shards JSON field", "POST", nil, `{"figure":"fig13","shards":4}`, "shards"},
-		{"non-numeric scale", "GET", url.Values{"scale": {"lots"}}, "", "lots"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseSpecRejections {
 		_, err := ParseSpec(tc.method, tc.query, strings.NewReader(tc.body))
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)

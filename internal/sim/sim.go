@@ -36,15 +36,24 @@ const Never = ^uint64(0)
 //     pending in the current cycle returns now; a fully drained component
 //     returns Never. The answer must be conservative: returning a cycle
 //     earlier than the true next event is always safe, later is not.
+//   - NextEvent covers every input the component's Tick reads, including a
+//     response pipe of a downstream component that only this one drains:
+//     asked at the component's turn in a cycle, after the components before
+//     it have acted, an answer above now means its Tick would be idle.
+//     Owners rely on that to tick a component only when it is due, so the
+//     answer should be O(1), kept in counters updated where state changes.
 //   - Skip(now, cycles) informs the component that cycles consecutive Ticks
-//     starting at now were skipped because every component in the engine was
-//     quiescent. The component must apply the batch effect of those idle
-//     Ticks (typically per-cycle occupancy histogram observations) so that
-//     counters match per-cycle stepping exactly.
+//     starting at now were idle: skipped because the engine found every
+//     component quiescent, or because the component's own NextEvent was not
+//     due at its turn. The component must apply the batch effect of those
+//     idle Ticks (typically per-cycle occupancy histogram observations) so
+//     that counters match per-cycle stepping exactly; Skip(now, 1) is one
+//     idle Tick.
 //
 // The engine only jumps when every registered Ticker implements
-// FastForwarder and none reports an event at the current cycle, so a
-// component may rely on the rest of the machine being frozen during Skip.
+// FastForwarder and none reports an event at the current cycle. Skip changes
+// nothing but the component's own per-cycle counters: other components may
+// be ticking in the same cycle.
 type FastForwarder interface {
 	NextEvent(now uint64) uint64
 	Skip(now, cycles uint64)
