@@ -98,7 +98,11 @@ type line struct {
 	tag      uint64
 	lastUsed uint64
 	kind     mem.Kind // combine kind for partial lines
-	data     [mem.LineWords]mem.Word
+
+	// data is the line's payload, allocated when the way is first installed
+	// and reused by later installs: a way that never holds a line costs a
+	// nil pointer.
+	data *[mem.LineWords]mem.Word
 }
 
 type mshr struct {
@@ -346,7 +350,7 @@ func (b *Bank) evict(now uint64, set, way int) bool {
 			if b.evictQ.Full() || (b.scrubQ != nil && b.scrubQ.Full()) {
 				return false
 			}
-			ev := EvictedLine{Line: addr, Kind: ln.kind, Data: ln.data}
+			ev := EvictedLine{Line: addr, Kind: ln.kind, Data: *ln.data}
 			if b.partialInj.Fire() {
 				// Injected parity fault: the line re-checks through the
 				// scrub pipe before it may leave as a sum-back. One draw
@@ -362,7 +366,7 @@ func (b *Bank) evict(now uint64, set, way int) bool {
 			if b.wbQ.Full() {
 				return false
 			}
-			b.wbQ.MustPush(dram.LineReq{Line: addr, Write: true, Data: ln.data})
+			b.wbQ.MustPush(dram.LineReq{Line: addr, Write: true, Data: *ln.data})
 			b.stats.WriteBacks++
 			b.met.writeBacks.Inc()
 		}
@@ -382,7 +386,12 @@ func (b *Bank) install(now uint64, a mem.Addr, data [mem.LineWords]mem.Word, par
 		return false
 	}
 	ln := &b.lines[set*b.cfg.Ways+way]
-	*ln = line{valid: true, tag: tag, lastUsed: now, data: data, partial: partial, kind: b.zeroKind}
+	d := ln.data
+	if d == nil {
+		d = new([mem.LineWords]mem.Word)
+	}
+	*d = data
+	*ln = line{valid: true, tag: tag, lastUsed: now, data: d, partial: partial, kind: b.zeroKind}
 	return true
 }
 
@@ -597,11 +606,11 @@ func (b *Bank) Tick(now uint64) {
 
 	// Drain write-backs to DRAM.
 	for b.dram != nil {
-		wb, ok := b.wbQ.Peek()
-		if !ok {
+		wb := b.wbQ.Peek()
+		if wb == nil {
 			break
 		}
-		if !b.dram.CanAccept(wb.Line) || !b.dram.Accept(now, wb) {
+		if !b.dram.CanAccept(wb.Line) || !b.dram.Accept(now, *wb) {
 			break
 		}
 		b.wbQ.Pop()
@@ -740,10 +749,11 @@ func (b *Bank) wcbWrite(now uint64, r mem.Request) bool {
 // processOne handles the head input request; reports whether it made
 // progress (so the caller can consume up to PortWidth per cycle).
 func (b *Bank) processOne(now uint64) bool {
-	r, ok := b.inQ.Peek()
-	if !ok {
+	p := b.inQ.Peek()
+	if p == nil {
 		return false
 	}
+	r := *p
 	needsResp := r.Kind == mem.Read || r.Kind.IsFetch()
 	if needsResp && b.respQ.Full() {
 		b.stats.Stalls++
@@ -875,7 +885,7 @@ func (b *Bank) FlushFunctional() {
 		if ln.valid && ln.dirty && !ln.partial {
 			set := i / b.cfg.Ways
 			addr := b.lineAddrOf(set, ln.tag)
-			b.dram.Store().StoreLine(addr, &ln.data)
+			b.dram.Store().StoreLine(addr, ln.data)
 			ln.dirty = false
 		}
 	}
@@ -902,7 +912,7 @@ func (b *Bank) ResidentPartialLines() []EvictedLine {
 		ln := &b.lines[i]
 		if ln.valid && ln.partial && ln.dirty {
 			set := i / b.cfg.Ways
-			out = append(out, EvictedLine{Line: b.lineAddrOf(set, ln.tag), Kind: ln.kind, Data: ln.data})
+			out = append(out, EvictedLine{Line: b.lineAddrOf(set, ln.tag), Kind: ln.kind, Data: *ln.data})
 		}
 	}
 	return out

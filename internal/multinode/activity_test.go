@@ -52,10 +52,12 @@ func replayHot(cfg Config, refs []Ref, rng int) activityRun {
 // belong to the first 8 nodes, almost every node sleeps almost every cycle,
 // so nearly all node work is deferred to catch-up Skips; this runs on every
 // fabric, on the combining modes that run flush rounds, and through a chaos
-// run that degrades nodes from combining to direct. Component grain: on
-// Table-1 nodes (8 banks, 16 DRAM channels) replaying Fig 13's wide
-// histogram, a working node's units, banks and channels are mostly idle, so
-// most of them take Skip(now, 1) in place of a Tick.
+// run that degrades nodes from combining to direct. Switch grain: a
+// combining mesh, and a combining tree under the default chaos faults,
+// where blocked switches sleep and owe their stalls (Result.NetStats).
+// Component grain: on Table-1 nodes (8 banks, 16 DRAM channels) replaying
+// Fig 13's wide histogram, a working node's units, banks and channels are
+// mostly idle, so most of them take Skip(now, 1) in place of a Tick.
 func TestActivityMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node and Table-1 legacy replays")
@@ -67,6 +69,8 @@ func TestActivityMatchesLegacy(t *testing.T) {
 	chaos.Faults = fault.DefaultChaos()
 	chaos.Faults.CSCorruptRate = 0.05
 	chaos.Faults.DegradeThreshold = 1
+	treeChaos := hotConfig(nodes, span, Tree(4, true))
+	treeChaos.Faults = fault.DefaultChaos()
 
 	// Fig 13's wide trace at its -scale 16 length, on the low-bandwidth
 	// crossbar of the figure's wide-low lines.
@@ -91,6 +95,10 @@ func TestActivityMatchesLegacy(t *testing.T) {
 		{"flat", hotConfig(nodes, span, Flat()), refs, rng, false},
 		{"tree+comb", hotConfig(nodes, span, Tree(4, true)), refs, rng, false},
 		{"mesh", hotConfig(nodes, span, Mesh(false)), refs, rng, false},
+		{"mesh+comb", hotConfig(nodes, span, Mesh(true)), refs, rng, false},
+		// Per-hop drops, duplicates and retransmissions while blocked
+		// switches sleep.
+		{"tree+comb-chaos", treeChaos, refs, rng, false},
 		{"flat+comb", hotConfig(nodes, span, FlatCombining()), refs, rng, false},
 		{"hypercube", hotConfig(nodes, span, Hypercube()), refs, rng, false},
 		// Retransmission storms keep most nodes busy under chaos; a shorter
@@ -127,14 +135,30 @@ func TestActivityMatchesLegacy(t *testing.T) {
 }
 
 // TestStepActiveDoesNotAllocate: once a replay has opened the fabric's
-// ports, a cycle of activity-driven stepping allocates nothing.
+// ports and staging rings, a busy cycle of activity-driven stepping
+// allocates nothing, on a combining tree, a combining mesh and the flat
+// crossbar. The cycles are measured mid-replay, with nodes issuing and
+// switches forwarding.
 func TestStepActiveDoesNotAllocate(t *testing.T) {
 	const nodes, rng = 64, 64
-	s := New(hotConfig(nodes, lineSpan(rng, nodes), Tree(4, true)), mem.AddI64)
-	s.RunTrace(uniformTrace(1024, rng, 5))
-	s.rescan()
-	if allocs := testing.AllocsPerRun(100, s.stepActive); allocs != 0 {
-		t.Fatalf("stepActive allocates %.1f times per cycle", allocs)
+	for _, tc := range []struct {
+		name string
+		topo Topology
+	}{{"tree+comb", Tree(4, true)}, {"mesh+comb", Mesh(true)}, {"flat", Flat()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(hotConfig(nodes, lineSpan(rng, nodes), tc.topo), mem.AddI64)
+			s.assign(uniformTrace(16384, rng, 5))
+			s.rescan()
+			for c := 0; c < 300; c++ {
+				s.stepActive()
+			}
+			if allocs := testing.AllocsPerRun(100, s.stepActive); allocs != 0 {
+				t.Fatalf("stepActive allocates %.1f times per busy cycle", allocs)
+			}
+			if s.done() || !s.xbar.Busy() {
+				t.Fatalf("replay drained by cycle %d: the measured cycles were not all busy", s.now)
+			}
+		})
 	}
 }
 
@@ -154,6 +178,25 @@ func TestVerify(t *testing.T) {
 	err := s.Verify(refs)
 	if err == nil || !strings.Contains(err.Error(), "address 200") {
 		t.Fatalf("corrupted bin 200 passed verification (err %v)", err)
+	}
+
+	// A trace with gaps: only even addresses are touched, and the odd ones
+	// in between must still read zero.
+	s = New(smallConfig(nodes, 1, lineSpan(rng, nodes), true), mem.AddI64)
+	even := uniformTrace(2048, rng/2, 31)
+	for i := range even {
+		even[i].Addr *= 2
+	}
+	s.RunTrace(even)
+	if err := s.Verify(even); err != nil {
+		t.Fatalf("clean gapped replay failed verification: %v", err)
+	}
+	const hole = mem.Addr(131)
+	st = s.nodes[s.owner(hole)].dram.Store()
+	st.StoreI64(hole, 7)
+	err = s.Verify(even)
+	if err == nil || !strings.Contains(err.Error(), "address 131 = 7, want 0") {
+		t.Fatalf("a write to untouched address 131 passed verification (err %v)", err)
 	}
 }
 

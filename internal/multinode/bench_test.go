@@ -55,6 +55,31 @@ func BenchmarkFig14Tree1024(b *testing.B) {
 	}
 }
 
+// BenchmarkFig14Mesh1024 replays Fig 14's hot histogram at its -scale 16
+// size (16384 references over 256 bins, owned by the first 32 nodes) on
+// 1024 of the figure's trimmed nodes under a 32x32 mesh without combining —
+// the fabric-bound point, where every hot packet crosses up to 62 switches
+// and the hop count, not the node side, sets the cost. One System per
+// iteration, like BenchmarkFig14Tree1024.
+func BenchmarkFig14Mesh1024(b *testing.B) {
+	const (
+		nodes = 1024
+		rng   = 256
+		adds  = 16384
+	)
+	cfg := hotConfig(nodes, lineSpan(rng, nodes), Mesh(false))
+	refs := uniformTrace(adds, rng, 0xF16_14)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(cfg, mem.AddI64)
+		res := s.RunTrace(refs)
+		if res.Adds != adds {
+			b.Fatalf("short replay: %+v", res)
+		}
+	}
+}
+
 // BenchmarkFig13FlatComb replays Fig 13's wide histogram (4096 references
 // over 1M words, the -scale 16 length) on 4 Table-1 nodes (8 banks, 16 DRAM
 // channels) with cache combining over the low-bandwidth crossbar — the

@@ -30,8 +30,10 @@
 package multinode
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"scatteradd/internal/cache"
 	"scatteradd/internal/dram"
@@ -247,6 +249,8 @@ func New(cfg Config, kind mem.Kind) *System {
 			MeshY:   topo.MeshY,
 			Combine: topo.CombineSwitch,
 			Link:    cfg.Net,
+
+			LegacyStepping: cfg.LegacyStepping,
 		})
 		s.xbar = s.mh
 	} else {
@@ -360,14 +364,7 @@ func (n *node) combBank(a mem.Addr) *cache.Bank {
 // runs to global quiescence (including the flush-with-sum-back rounds when
 // combining). It returns the achieved throughput.
 func (s *System) RunTrace(refs []Ref) Result {
-	for _, n := range s.nodes {
-		n.trace = n.trace[:0]
-		n.issued = 0
-	}
-	for i, r := range refs {
-		n := s.nodes[i%len(s.nodes)]
-		n.trace = append(n.trace, r)
-	}
+	s.assign(refs)
 	start := s.now
 	limit := s.now + 2_000_000_000
 	runPhase := func() {
@@ -454,6 +451,18 @@ func (s *System) RunTrace(refs []Ref) Result {
 	return res
 }
 
+// assign partitions refs round-robin over the nodes as their trace shares.
+func (s *System) assign(refs []Ref) {
+	for _, n := range s.nodes {
+		n.trace = n.trace[:0]
+		n.issued = 0
+	}
+	for i, r := range refs {
+		n := s.nodes[i%len(s.nodes)]
+		n.trace = append(n.trace, r)
+	}
+}
+
 // nextEvent returns the earliest cycle at which any part of the system can
 // do work (the multi-node analogue of sim.Engine's horizon; the System owns
 // its own clock rather than a sim.Engine): the earliest cached node event,
@@ -501,8 +510,9 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 }
 
 // skipTo jumps the clock to cycle h. The nodes apply the skipped cycles'
-// batch effects (per-cycle occupancy samples) when they next catch up; the
-// fabric has none.
+// batch effects (per-cycle occupancy samples) when they next catch up; a
+// multi-hop fabric's sleeping switches credit their stalls when they next
+// run.
 func (s *System) skipTo(h uint64) { s.now = h }
 
 // catchUp brings node n's components from the cycle they advanced to up to
@@ -624,12 +634,11 @@ func (s *System) stepNodeExchange(n *node) {
 	// for inbox room, which drains through the scatter-add pipeline
 	// independently of the network.
 	for {
-		p, ok := s.xbar.Peek(n.id)
-		if !ok {
+		if h := s.xbar.Peek(n.id); h == nil || !h.Ack && n.inbox.Full() {
 			break
 		}
+		p, _ := s.xbar.Recv(n.id)
 		if p.Ack {
-			s.xbar.Recv(n.id)
 			// Acks for packets already released (duplicated acks, or acks
 			// racing a resend) are ignored.
 			if resends, ok := n.unacked.Ack(p.Seq); ok {
@@ -637,10 +646,6 @@ func (s *System) stepNodeExchange(n *node) {
 			}
 			continue
 		}
-		if n.inbox.Full() {
-			break
-		}
-		s.xbar.Recv(n.id)
 		if s.reliable {
 			// Always ack — the sender may be resending a packet whose first
 			// ack was lost — but deliver each sequence number exactly once,
@@ -658,10 +663,11 @@ func (s *System) stepNodeExchange(n *node) {
 	// path; in hierarchical combining, in-transit partials for other owners
 	// merge into this hop's combining cache.
 	for {
-		r, ok := n.inbox.Peek()
-		if !ok {
+		p := n.inbox.Peek()
+		if p == nil {
 			break
 		}
+		r := *p
 		if s.owner(r.Addr) == n.id {
 			u := n.localUnit(r.Addr)
 			if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
@@ -735,10 +741,11 @@ func (s *System) stepNodeExchange(n *node) {
 	}
 	// Drain the outbox into the network (or locally, for own addresses).
 	for {
-		r, ok := n.outbox.Peek()
-		if !ok {
+		p := n.outbox.Peek()
+		if p == nil {
 			break
 		}
+		r := *p
 		dst := s.sumBackDst(n.id, r.Addr)
 		if dst == n.id {
 			u := n.localUnit(r.Addr)
@@ -951,32 +958,58 @@ func (s *System) nodeBusy(n *node) bool {
 
 // Verify checks the memory left by RunTrace(refs) against the sequential
 // reference: every address from 0 to the highest one refs touch must hold
-// the in-order fold of its references, starting from zero. Integer kinds
-// must match exactly. Floating-point kinds match within 1e-9 relative,
-// because combining reorders their additions.
+// the in-order fold of its references, starting from zero, so untouched
+// addresses must read zero. Integer kinds must match exactly.
+// Floating-point kinds match within 1e-9 relative, because combining
+// reorders their additions. The reference is kept for the touched addresses
+// only, and the memory is read back one page at a time, so a sparse trace
+// over a wide range costs memory in proportion to its length.
 func (s *System) Verify(refs []Ref) error {
-	var span mem.Addr
-	for _, r := range refs {
-		span = max(span, r.Addr+1)
-	}
-	want := make([]mem.Word, span)
-	addrs := make([]mem.Addr, span)
-	for i := range addrs {
-		addrs[i] = mem.Addr(i)
-	}
-	for _, r := range refs {
-		want[r.Addr] = mem.Combine(s.kind, want[r.Addr], r.Val)
-	}
-	for a, got := range s.ReadResult(addrs) {
-		if !s.kind.IsFP() {
-			if got != want[a] {
-				return fmt.Errorf("multinode: address %d = %d, want %d", a, mem.AsI64(got), mem.AsI64(want[a]))
-			}
-			continue
+	// Fold the references into sorted (address, value) pairs; the stable
+	// sort keeps each address's references in trace order.
+	want := make([]Ref, len(refs))
+	copy(want, refs)
+	slices.SortStableFunc(want, func(a, b Ref) int { return cmp.Compare(a.Addr, b.Addr) })
+	n := 0
+	for i := 0; i < len(want); n++ {
+		acc := Ref{Addr: want[i].Addr}
+		for ; i < len(want) && want[i].Addr == acc.Addr; i++ {
+			acc.Val = mem.Combine(s.kind, acc.Val, want[i].Val)
 		}
-		g, w := mem.AsF64(got), mem.AsF64(want[a])
+		want[n] = acc
+	}
+	want = want[:n]
+	var span mem.Addr
+	if n > 0 {
+		span = want[n-1].Addr + 1
+	}
+	check := func(a mem.Addr, got, want mem.Word) error {
+		if !s.kind.IsFP() {
+			if got != want {
+				return fmt.Errorf("multinode: address %d = %d, want %d", a, mem.AsI64(got), mem.AsI64(want))
+			}
+			return nil
+		}
+		g, w := mem.AsF64(got), mem.AsF64(want)
 		if math.Abs(g-w) > 1e-9*math.Max(1, math.Abs(w)) {
 			return fmt.Errorf("multinode: address %d = %g, want %g", a, g, w)
+		}
+		return nil
+	}
+	s.flushResult()
+	const page = 4096
+	buf := make([]mem.Word, min(span, page))
+	for base := mem.Addr(0); base < span; base += page {
+		got := buf[:min(span-base, page)]
+		s.readRange(base, got)
+		for i, g := range got {
+			a, w := base+mem.Addr(i), mem.Word(0)
+			if len(want) > 0 && want[0].Addr == a {
+				w, want = want[0].Val, want[1:]
+			}
+			if err := check(a, g, w); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -984,26 +1017,40 @@ func (s *System) Verify(refs []Ref) error {
 
 // ReadResult returns the final value at each address in addrs, flushing all
 // node caches functionally first. Use it to verify a replay against a
-// sequential reference. Each run of consecutive addresses inside one
-// owner's block is read from that owner's store in one LoadRange.
+// sequential reference. Each run of consecutive addresses is read with
+// readRange.
 func (s *System) ReadResult(addrs []mem.Addr) []mem.Word {
+	s.flushResult()
+	out := make([]mem.Word, len(addrs))
+	for i := 0; i < len(addrs); {
+		j := i + 1
+		for j < len(addrs) && addrs[j] == addrs[i]+mem.Addr(j-i) {
+			j++
+		}
+		s.readRange(addrs[i], out[i:j])
+		i = j
+	}
+	return out
+}
+
+// flushResult settles every node and writes its dirty cache lines to its
+// memory functionally, so the stores hold the final values.
+func (s *System) flushResult() {
 	s.settle()
 	for _, n := range s.nodes {
 		for _, b := range n.banks {
 			b.FlushFunctional()
 		}
 	}
-	out := make([]mem.Word, len(addrs))
-	for i := 0; i < len(addrs); {
-		a := addrs[i]
+}
+
+// readRange reads the consecutive addresses from a into dst from their
+// owners' stores, one LoadRange per owner block the range crosses.
+func (s *System) readRange(a mem.Addr, dst []mem.Word) {
+	for len(dst) > 0 {
 		own := s.owner(a)
-		end := mem.Addr(own+1) * s.cfg.OwnerSpan
-		j := i + 1
-		for j < len(addrs) && addrs[j] == a+mem.Addr(j-i) && addrs[j] < end {
-			j++
-		}
-		s.nodes[own].dram.Store().LoadRange(a, out[i:j])
-		i = j
+		k := min(mem.Addr(len(dst)), mem.Addr(own+1)*s.cfg.OwnerSpan-a)
+		s.nodes[own].dram.Store().LoadRange(a, dst[:k])
+		a, dst = a+k, dst[k:]
 	}
-	return out
 }

@@ -10,14 +10,15 @@
 // X-first, then Y — deterministic dimension-order routing.
 //
 // Combining. In front of every switch input port sits a staging window (the
-// combine table). When combining is on, an arriving scatter-add packet first
-// scans the switch's staged packets for one with the same destination,
-// address and kind; a hit adds its operand into the staged packet and the
-// arrival is absorbed — it never consumes link bandwidth again. Staged
-// packets drain into the switch each cycle as bandwidth allows, and a
-// drained packet has left the window: combining opportunity exists exactly
-// while traffic is queued, which is precisely when relief is needed (the
-// NYU Ultracomputer's rationale for switch-level fetch-and-add combining).
+// combine table), a ring of InputQDepth packets opened at the port's first
+// arrival. When combining is on, an arriving scatter-add packet first scans
+// the switch's staged packets for one with the same destination, address
+// and kind; a hit adds its operand into the staged packet and the arrival
+// is absorbed — it never consumes link bandwidth again. Staged packets drain
+// into the switch each cycle as bandwidth allows, and a drained packet has
+// left the window: combining opportunity exists exactly while traffic is
+// queued, which is precisely when relief is needed (the NYU Ultracomputer's
+// rationale for switch-level fetch-and-add combining).
 //
 // Reliability. Every packet entering a switch gets a fabric-wide hop
 // sequence number and is held by its input port's RetransmitBuffer — the
@@ -29,11 +30,17 @@
 // absorbed hop-locally instead of end-to-end. Retransmitted packets bypass
 // the staging window — they carry an already-assigned hop sequence number
 // and must not re-combine.
+//
+// Stepping. A Tick visits only the switches that hold packets (see Tick),
+// and under fast-forward only those that can move one: a switch that moved
+// nothing sleeps until a wire delivers or a neighbour frees or fills what it
+// waits on.
 package network
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
@@ -81,6 +88,11 @@ type MultiHopConfig struct {
 	// queue depths, and wire latency. Link.Nodes is ignored (each switch
 	// sizes itself); Link.Latency is the per-hop latency.
 	Link Config
+
+	// LegacyStepping visits every switch that holds a packet every cycle:
+	// no switch sleeps. It is the per-switch reference the sleeping fabric
+	// must match.
+	LegacyStepping bool
 }
 
 // DefaultMultiHopConfig returns a fan-in-4 tree over nodes endpoints at the
@@ -103,6 +115,7 @@ type mhSwitch struct {
 	xb    *Crossbar
 	ports int
 	out   []hopLink // where each output port leads
+	from  []int32   // per input port: the switch whose output feeds it (-1: an endpoint's injection)
 
 	// Tree routing: children[c] = [childLo[c], childHi[c]) node range;
 	// parent is the uplink port (-1 at the root). Mesh routing uses the
@@ -111,30 +124,60 @@ type mhSwitch struct {
 	parent           int
 	x, y             int
 
-	stage   [][]Packet            // per input port: the combining window
+	stage   []*sim.Queue[Packet]  // per input port: the combining window, opened at first use
 	retx    []RetransmitBuffer    // per input port: unacked hop packets
 	seen    []map[uint64]struct{} // per output port: delivered hop seqs (dedup)
 	staged  int                   // packets across every staging window
 	unacked int                   // packets across every retransmission buffer
+
+	// Switch-grain stepping (see Tick).
+	state     swState
+	moved     bool   // a packet moved in one of the switch's phases this cycle
+	slept     bool   // the switch has skipped Phase B since sleepFrom: stalls are owed
+	sleepFrom uint64 // first cycle whose Phase B the switch skipped
+	sleepIns  uint64 // non-empty crossbar inputs while asleep: stalls per skipped cycle
+	wakeAt    uint64 // timed wake while asleep; sim.Never waits on a neighbour
+	heapAt    int    // index in MultiHop.sleepers, -1 when absent
 }
+
+// swState is where a switch stands in the stepping schedule.
+type swState uint8
+
+const (
+	swIdle  swState = iota // holds no packet; nothing schedules it
+	swRun                  // runs every phase of the next (or current) Tick
+	swSleep                // holds packets but cannot move one until it wakes
+)
 
 // idle reports whether the switch holds no packet anywhere — nothing
 // staged, awaiting an ack, or inside its crossbar. An idle switch's share of
-// a Tick changes no state, so Tick, NextEvent and Busy pass over it.
+// a Tick changes no state, so Tick passes over it.
 func (s *mhSwitch) idle() bool { return s.staged == 0 && s.unacked == 0 && s.xb.held == 0 }
 
 // resend re-enqueues a held hop packet at the input port it left from; it
 // keeps the output port and hop sequence number it was first sent with.
-func (s *mhSwitch) resend(p Packet) bool { return s.xb.enqueue(int(p.in), p) }
+func (s *mhSwitch) resend(p Packet) bool { return s.xb.enqueue(int(p.in), &p) }
 
 // MultiHop is a switched multi-hop fabric satisfying Fabric.
 type MultiHop struct {
 	cfg  MultiHopConfig
 	sws  []*mhSwitch
 	inj  []hopLink            // per endpoint: injection point
+	dlv  []int32              // per endpoint: the switch delivering to it
 	outq []*sim.Queue[Packet] // per endpoint: delivered packets
 
 	waiting int // packets across every endpoint's outq
+
+	// Switch-grain stepping (see Tick). next holds the switches that run the
+	// next Tick; cur, during a Tick, the switches whose Phase C is still to
+	// run; both are bitsets in switch order. sleepers is a min-heap of the
+	// sleeping switches with a timed wake.
+	next, cur []uint64
+	cursor    int     // switch whose Phase C runs now; -1 before Phase C, len(sws) between Ticks
+	holding   int     // switches holding a packet
+	asleep    int     // of those, switches asleep
+	sleepers  []int32 // min-heap on wakeAt of the sleeping switches with a timed wake
+	ticked    uint64  // the cycle after the last Tick
 
 	met mhMetrics
 	tr  *span.Tracer
@@ -184,6 +227,7 @@ func NewMultiHop(cfg MultiHopConfig) *MultiHop {
 	}
 	m := &MultiHop{cfg: cfg, met: newMHMetrics(), rootSw: -1}
 	m.inj = make([]hopLink, cfg.Nodes)
+	m.dlv = make([]int32, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		m.outq = append(m.outq, sim.NewQueue[Packet](max(1, cfg.Link.OutputQDepth)))
 	}
@@ -195,6 +239,9 @@ func NewMultiHop(cfg MultiHopConfig) *MultiHop {
 	default:
 		panic(fmt.Sprintf("network: unknown multihop kind %v", cfg.Kind))
 	}
+	words := (len(m.sws) + 63) / 64
+	m.next, m.cur = make([]uint64, words), make([]uint64, words)
+	m.cursor = len(m.sws)
 	return m
 }
 
@@ -210,13 +257,32 @@ func (m *MultiHop) addSwitch(ports int) *mhSwitch {
 		xb:     New(link),
 		ports:  ports,
 		out:    make([]hopLink, ports),
+		from:   make([]int32, ports),
 		parent: -1,
+		heapAt: -1,
 	}
-	s.stage = make([][]Packet, ports)
+	for p := range s.from {
+		s.from[p] = -1
+	}
+	s.stage = make([]*sim.Queue[Packet], ports)
 	s.retx = make([]RetransmitBuffer, ports)
 	s.seen = make([]map[uint64]struct{}, ports)
 	m.sws = append(m.sws, s)
 	return s
+}
+
+// link wires output port op of switch a to input port ip of switch b.
+func (m *MultiHop) link(a, op, b, ip int) {
+	m.sws[a].out[op] = hopLink{node: -1, sw: b, port: ip}
+	m.sws[b].from[ip] = int32(a)
+}
+
+// attach makes port p of switch si an endpoint's: node injects there and
+// the switch delivers to it from output p.
+func (m *MultiHop) attach(si, p, node int) {
+	m.sws[si].out[p] = hopLink{node: node}
+	m.inj[node] = hopLink{node: -1, sw: si, port: p}
+	m.dlv[node] = int32(si)
 }
 
 // buildTree constructs the fan-in-F tree bottom-up: contiguous leaf ranges,
@@ -240,8 +306,7 @@ func (m *MultiHop) buildTree() {
 			node := lo + c
 			s.childLo = append(s.childLo, node)
 			s.childHi = append(s.childHi, node+1)
-			s.out[c] = hopLink{node: node}
-			m.inj[node] = hopLink{node: -1, sw: len(m.sws) - 1, port: c}
+			m.attach(len(m.sws)-1, c, node)
 		}
 		if ports > nc {
 			s.parent = nc
@@ -264,8 +329,8 @@ func (m *MultiHop) buildTree() {
 				child := m.sws[ci]
 				p.childLo = append(p.childLo, child.childLo[0])
 				p.childHi = append(p.childHi, child.childHi[len(child.childHi)-1])
-				p.out[c] = hopLink{node: -1, sw: ci, port: child.parent}
-				child.out[child.parent] = hopLink{node: -1, sw: pi, port: c}
+				m.link(pi, c, ci, child.parent)
+				m.link(ci, child.parent, pi, c)
 			}
 			if ports > nc {
 				p.parent = nc
@@ -295,21 +360,20 @@ func (m *MultiHop) buildMesh() {
 		for p := range s.out {
 			s.out[p] = hopLink{node: -1, sw: -1}
 		}
-		s.out[pNode] = hopLink{node: n}
-		m.inj[n] = hopLink{node: -1, sw: n, port: pNode}
+		m.attach(n, pNode, n)
 	}
 	for n, s := range m.sws {
 		if s.x+1 < x {
-			s.out[pEast] = hopLink{node: -1, sw: n + 1, port: pWest}
+			m.link(n, pEast, n+1, pWest)
 		}
 		if s.x > 0 {
-			s.out[pWest] = hopLink{node: -1, sw: n - 1, port: pEast}
+			m.link(n, pWest, n-1, pEast)
 		}
 		if s.y+1 < y {
-			s.out[pNorth] = hopLink{node: -1, sw: n + x, port: pSouth}
+			m.link(n, pNorth, n+x, pSouth)
 		}
 		if s.y > 0 {
-			s.out[pSouth] = hopLink{node: -1, sw: n - x, port: pNorth}
+			m.link(n, pSouth, n-x, pNorth)
 		}
 	}
 }
@@ -350,7 +414,8 @@ func (m *MultiHop) route(si, dst int) int {
 }
 
 // Stats reads the counters. Wire-level fault and stall activity lives in
-// the per-switch crossbars and is summed here.
+// the per-switch crossbars and is summed here, with the stalls a sleeping
+// switch owes for the cycles it has skipped through the last Tick.
 func (m *MultiHop) Stats() Stats {
 	st := Stats{
 		Sent:       m.met.sent.Value(),
@@ -365,6 +430,9 @@ func (m *MultiHop) Stats() Stats {
 		st.Stalled += s.xb.met.stalls.Value()
 		st.Dropped += s.xb.met.faultDrops.Value()
 		st.Duped += s.xb.met.faultDups.Value()
+		if s.slept {
+			st.Stalled += (m.ticked - s.sleepFrom) * s.sleepIns
+		}
 	}
 	return st
 }
@@ -408,7 +476,7 @@ func (m *MultiHop) Send(p Packet) bool {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, m.cfg.Nodes))
 	}
 	l := m.inj[p.Src]
-	if ok, _ := m.stageIn(l.sw, l.port, p); !ok {
+	if ok, _ := m.stageIn(l.sw, l.port, &p); !ok {
 		return false
 	}
 	m.met.sent.Inc()
@@ -422,7 +490,7 @@ func combinable(p *Packet) bool {
 	return !p.Ack && p.Seq == 0 && p.Req.Kind.IsScatterAdd() && !p.Req.Kind.IsFetch()
 }
 
-// stageIn admits a packet into switch si's combining window at the given
+// stageIn admits a copy of p into switch si's combining window at the given
 // input port. With combining on, a packet that finds a staged packet of the
 // same destination, address and kind merges into it (merged) and stops
 // consuming bandwidth; sum-backs are scatter-adds too, so evicted partial
@@ -431,12 +499,19 @@ func combinable(p *Packet) bool {
 // bit-exact for the integer kinds, paper semantics (associativity assumed)
 // for floats. Otherwise the packet is appended (ok=false when the window is
 // full); appends count as switch traversals, merges by design do not.
-func (m *MultiHop) stageIn(si, port int, p Packet) (ok, merged bool) {
+//
+// The scan stays linear: a switch has at most five windows of InputQDepth
+// packets, and it only runs while a switch can move a packet.
+func (m *MultiHop) stageIn(si, port int, p *Packet) (ok, merged bool) {
 	s := m.sws[si]
-	if m.cfg.Combine && combinable(&p) {
-		for q := range s.stage {
-			for i := range s.stage[q] {
-				st := &s.stage[q][i]
+	mergeable := m.cfg.Combine && combinable(p)
+	if mergeable {
+		for _, w := range s.stage {
+			if w == nil {
+				continue
+			}
+			for i := 0; i < w.Len(); i++ {
+				st := w.At(i)
 				if st.Dst == p.Dst && st.Req.Addr == p.Req.Addr && st.Req.Kind == p.Req.Kind && combinable(st) {
 					st.Req.Val = mem.Combine(st.Req.Kind, st.Req.Val, p.Req.Val)
 					m.met.combined.Inc()
@@ -445,14 +520,35 @@ func (m *MultiHop) stageIn(si, port int, p Packet) (ok, merged bool) {
 			}
 		}
 	}
-	if len(s.stage[port]) >= m.cfg.Link.InputQDepth {
+	w := s.stage[port]
+	if w == nil {
+		w = sim.NewQueue[Packet](m.cfg.Link.InputQDepth)
+		s.stage[port] = w
+	}
+	if !w.Push(*p) {
 		return false, false
 	}
-	s.stage[port] = append(s.stage[port], p)
 	s.staged++
 	m.met.hops.Inc()
 	if si == m.rootSw {
 		m.met.rootPkts.Inc()
+	}
+	// Staged into: the switch admits the packet next cycle.
+	if s.state == swIdle {
+		s.state = swRun
+		m.holding++
+		m.next[si>>6] |= 1 << (si & 63)
+	} else {
+		m.wake(si)
+	}
+	if mergeable {
+		// Merge partner: a feeder blocked on a full window of this switch
+		// may now merge its head into the new packet.
+		for q, f := range s.from {
+			if f >= 0 && s.stage[q] != nil && s.stage[q].Full() {
+				m.wakeNow(int(f))
+			}
+		}
 	}
 	return true, false
 }
@@ -460,15 +556,21 @@ func (m *MultiHop) stageIn(si, port int, p Packet) (ok, merged bool) {
 // HasArrival reports whether a delivered packet waits at endpoint dst.
 func (m *MultiHop) HasArrival(dst int) bool { return !m.outq[dst].Empty() }
 
-// Peek returns the next deliverable packet at endpoint dst without consuming
-// it.
-func (m *MultiHop) Peek(dst int) (Packet, bool) { return m.outq[dst].Peek() }
+// Peek returns the next deliverable packet at endpoint dst where it sits,
+// or nil.
+func (m *MultiHop) Peek(dst int) *Packet { return m.outq[dst].Peek() }
 
-// Recv pops one delivered packet at endpoint dst, if available.
+// Recv pops one delivered packet at endpoint dst, if available. Popping a
+// full delivery queue wakes the switch that delivers to dst.
 func (m *MultiHop) Recv(dst int) (Packet, bool) {
-	p, ok := m.outq[dst].Pop()
+	q := m.outq[dst]
+	full := q.Full()
+	p, ok := q.Pop()
 	if ok {
 		m.waiting--
+		if full {
+			m.wake(int(m.dlv[dst]))
+		}
 	}
 	return p, ok
 }
@@ -477,111 +579,323 @@ func (m *MultiHop) Recv(dst int) (Packet, bool) {
 // retransmissions and staging windows drain into each switch's crossbar,
 // (B) every crossbar moves packets, (C) switch outputs drain across links —
 // deduplicating, acknowledging, and either staging into the next switch or
-// delivering to the destination endpoint. All switches are visited in index
-// order; the phases keep a packet from traversing more than one switch per
-// cycle. Each phase passes over idle switches, whose share of it is a no-op,
-// so a cycle costs little more than the work of the switches carrying
-// traffic.
+// delivering to the destination endpoint. Switches are visited in index
+// order, A and B in one pass (each touches only its own switch), then C; the
+// phases keep a packet from traversing more than one switch per cycle.
+//
+// Only switches holding a packet are visited. Under legacy stepping every
+// one of them runs every cycle. Otherwise a switch that moved no packet in a
+// cycle sleeps: its phases would move nothing again until a wire delivers
+// to an output with room or a retransmission falls due (its timed wake), or
+// a neighbour acts (see wake and wakeNow): a packet is staged into it, the
+// downstream window one of its outputs feeds drains, a packet that its
+// blocked head may merge into is staged downstream, or its endpoint's full
+// delivery queue is read. A sleeping switch's only per-cycle effect is its
+// crossbar's stall count, one per non-empty input, and those inputs cannot
+// change while it sleeps; the skipped cycles' stalls are added as one
+// product when it runs again (and counted by Stats meanwhile), as ObserveN
+// adds skipped occupancy samples.
 func (m *MultiHop) Tick(now uint64) {
-	// Phase A: retransmissions first (they are the oldest traffic), then
-	// staged packets claim the remaining input bandwidth.
-	for si, s := range m.sws {
-		if s.idle() {
-			continue
-		}
-		if m.reliable {
-			for port := range s.retx {
-				m.met.retrans.Add(uint64(s.retx[port].Resend(now, &m.flt, s.resend)))
-			}
-		}
-		for port := range s.stage {
-			for len(s.stage[port]) > 0 {
-				p := s.stage[port][0]
-				p.out, p.in = int32(m.route(si, int(p.Dst))), uint16(port)
-				if m.reliable {
-					p.hopSeq = m.seqCtr + 1
-				}
-				if !s.xb.enqueue(port, p) {
-					break
-				}
-				if m.reliable {
-					m.seqCtr++
-					s.retx[port].Hold(p.hopSeq, p, now+m.flt.RetryTimeout)
-					s.unacked++
-				}
-				if m.tr != nil {
-					m.tr.SpanAsync(fmt.Sprintf("net.sw[%d]", si),
-						fmt.Sprintf("pkt %d->%d", p.Src, p.Dst),
-						now, now+uint64(m.cfg.Link.Latency))
-				}
-				copy(s.stage[port], s.stage[port][1:])
-				s.stage[port] = s.stage[port][:len(s.stage[port])-1]
-				s.staged--
+	m.cur, m.next = m.next, m.cur
+	for len(m.sleepers) > 0 && m.sws[m.sleepers[0]].wakeAt <= now {
+		si := int(m.sleepers[0])
+		s := m.sws[si]
+		m.unschedule(s)
+		s.state = swRun
+		m.asleep--
+		m.cur[si>>6] |= 1 << (si & 63)
+	}
+	// Phases A and B over the switches that run this cycle. A downstream
+	// drain in Phase A adds a sleeping feeder to cur for Phase C only.
+	m.cursor = -1
+	for w := range m.cur {
+		for b := m.cur[w]; b != 0; b &= b - 1 {
+			si := w<<6 | bits.TrailingZeros64(b)
+			if s := m.sws[si]; s.state == swRun {
+				m.step(si, s, now)
 			}
 		}
 	}
-	// Phase B: every switch's crossbar moves packets one cycle (an empty
-	// crossbar's Tick returns at once).
-	for _, s := range m.sws {
-		s.xb.Tick(now)
+	// Phase C, in ascending order over a set that accepts wakes ahead of
+	// the cursor.
+	for w := range m.cur {
+		for m.cur[w] != 0 {
+			b := bits.TrailingZeros64(m.cur[w])
+			m.cur[w] &^= 1 << b
+			si := w<<6 | b
+			m.cursor = si
+			s := m.sws[si]
+			m.forward(si, s, now)
+			m.settle(si, s, now)
+		}
 	}
-	// Phase C: drain switch outputs across links.
-	for si, s := range m.sws {
-		if s.idle() {
+	m.cursor = len(m.sws)
+	m.ticked = now + 1
+}
+
+// step is Phases A and B of switch si: retransmissions first (they are the
+// oldest traffic), then staged packets claim the remaining input bandwidth,
+// then the crossbar moves packets one cycle.
+func (m *MultiHop) step(si int, s *mhSwitch, now uint64) {
+	if s.slept {
+		s.xb.met.stalls.Add((now - s.sleepFrom) * s.sleepIns)
+		s.slept = false
+	}
+	if m.reliable {
+		for port := range s.retx {
+			if n := s.retx[port].Resend(now, &m.flt, s.resend); n > 0 {
+				m.met.retrans.Add(uint64(n))
+				s.moved = true
+			}
+		}
+	}
+	for port, w := range s.stage {
+		if w == nil || w.Empty() {
 			continue
 		}
-		for port := 0; port < s.ports; port++ {
-			for {
-				p, ok := s.xb.Peek(port)
-				if !ok {
-					break
-				}
-				if m.reliable {
-					if _, dup := s.seen[port][p.hopSeq]; dup {
-						// A retransmission (or injected duplicate) of a packet
-						// already forwarded: consume, re-ack, drop.
-						s.xb.Recv(port)
-						m.ackHop(s, &p)
-						m.met.dups.Inc()
-						continue
-					}
-				}
-				link := s.out[port]
-				if link.node >= 0 {
-					if m.outq[link.node].Full() {
-						break
-					}
-					s.xb.Recv(port)
-					m.acceptHop(s, port, &p)
-					m.outq[link.node].MustPush(p)
-					m.waiting++
-					m.met.delivered.Inc()
+		full := w.Full()
+		for p := w.Peek(); p != nil; p = w.Peek() {
+			p.out, p.in = int32(m.route(si, int(p.Dst))), uint16(port)
+			if m.reliable {
+				p.hopSeq = m.seqCtr + 1
+			}
+			if !s.xb.enqueue(port, p) {
+				break
+			}
+			if m.reliable {
+				m.seqCtr++
+				s.retx[port].Hold(p.hopSeq, *p, now+m.flt.RetryTimeout)
+				s.unacked++
+			}
+			if m.tr != nil {
+				m.tr.SpanAsync(fmt.Sprintf("net.sw[%d]", si),
+					fmt.Sprintf("pkt %d->%d", p.Src, p.Dst),
+					now, now+uint64(m.cfg.Link.Latency))
+			}
+			w.Drop()
+			s.staged--
+			s.moved = true
+		}
+		if full && !w.Full() && s.from[port] >= 0 {
+			// Downstream drained: the feeder blocked on this window
+			// forwards in this cycle's Phase C.
+			m.wakeNow(int(s.from[port]))
+		}
+	}
+	if s.xb.step(now) {
+		s.moved = true
+	}
+}
+
+// forward is Phase C of switch si: drain its outputs across links.
+func (m *MultiHop) forward(si int, s *mhSwitch, now uint64) {
+	for port := 0; port < s.ports; port++ {
+		for {
+			p := s.xb.Peek(port)
+			if p == nil {
+				break
+			}
+			if m.reliable {
+				if _, dup := s.seen[port][p.hopSeq]; dup {
+					// A retransmission (or injected duplicate) of a packet
+					// already forwarded: consume, re-ack, drop.
+					m.ackHop(s, p)
+					s.xb.drop(port)
+					m.met.dups.Inc()
+					s.moved = true
 					continue
 				}
-				if link.sw < 0 {
-					panic(fmt.Sprintf("network: switch %d routed out an unwired port %d", si, port))
+			}
+			link := s.out[port]
+			if link.node >= 0 {
+				q := m.outq[link.node]
+				if q.Full() {
+					break
 				}
-				ok, merged := m.stageIn(link.sw, link.port, p)
-				if !ok {
-					break // downstream staging full: back-pressure
-				}
-				if merged {
-					// The absorbed request is complete the moment it
-					// merges (a no-op unless its op is sampled).
-					m.tr.OpEnd(p.Req.Node, p.Req.ID, now)
-				}
-				s.xb.Recv(port)
-				m.acceptHop(s, port, &p)
-				if m.cfg.Kind == MeshGraph {
-					// Bisection accounting: crossings between columns
-					// meshCut-1 and meshCut are the mesh's "root link".
-					if (port == 1 && s.x == m.meshCut-1) || (port == 2 && s.x == m.meshCut) {
-						m.met.rootPkts.Inc()
-					}
+				m.acceptHop(s, port, p)
+				q.MustPush(*p)
+				s.xb.drop(port)
+				m.waiting++
+				m.met.delivered.Inc()
+				s.moved = true
+				continue
+			}
+			if link.sw < 0 {
+				panic(fmt.Sprintf("network: switch %d routed out an unwired port %d", si, port))
+			}
+			ok, merged := m.stageIn(link.sw, link.port, p)
+			if !ok {
+				break // downstream staging full: back-pressure
+			}
+			if merged {
+				// The absorbed request is complete the moment it
+				// merges (a no-op unless its op is sampled).
+				m.tr.OpEnd(p.Req.Node, p.Req.ID, now)
+			}
+			m.acceptHop(s, port, p)
+			s.xb.drop(port)
+			s.moved = true
+			if m.cfg.Kind == MeshGraph {
+				// Bisection accounting: crossings between columns
+				// meshCut-1 and meshCut are the mesh's "root link".
+				if (port == 1 && s.x == m.meshCut-1) || (port == 2 && s.x == m.meshCut) {
+					m.met.rootPkts.Inc()
 				}
 			}
 		}
 	}
+}
+
+// settle schedules switch si after its Phase C: an idle switch leaves the
+// schedule; one that ran this cycle runs the next unless it moved nothing
+// and may sleep; one that slept through Phases A and B runs the next cycle
+// if its Phase C moved a packet, and otherwise sleeps on (or runs, if a
+// neighbour woke it meanwhile).
+func (m *MultiHop) settle(si int, s *mhSwitch, now uint64) {
+	moved := s.moved
+	s.moved = false
+	if s.idle() {
+		if s.state == swSleep {
+			m.unschedule(s)
+			m.asleep--
+		}
+		s.state, s.slept = swIdle, false
+		m.holding--
+		return
+	}
+	if s.slept {
+		// Asleep through Phases A and B (perhaps woken since).
+		if moved {
+			m.wake(si)
+		}
+		return
+	}
+	if !moved && !m.cfg.LegacyStepping {
+		if at := m.wakeTime(s, now+1); at > now+1 {
+			s.state = swSleep
+			m.asleep++
+			s.slept, s.sleepFrom, s.sleepIns = true, now+1, s.xb.busyInputs()
+			s.wakeAt = at
+			if at != sim.Never {
+				m.schedule(si)
+			}
+			return
+		}
+	}
+	m.next[si>>6] |= 1 << (si & 63)
+}
+
+// wakeTime returns the earliest cycle from next on at which a switch that
+// moved nothing this cycle can move a packet of its own accord: next if a
+// packet was staged into a window whose crossbar input has room, else a
+// wire arrival at an output with room or a retransmission deadline (a due
+// one keeps it awake, as Resend checks MaxRetries even when its input is
+// full).
+func (m *MultiHop) wakeTime(s *mhSwitch, next uint64) uint64 {
+	for port, w := range s.stage {
+		if w != nil && !w.Empty() && !s.xb.inputFull(port) {
+			return next
+		}
+	}
+	at := s.xb.nextDelivery()
+	if m.reliable {
+		for port := range s.retx {
+			at = min(at, s.retx[port].NextDeadline())
+		}
+	}
+	return at
+}
+
+// wake makes sleeping switch si run the next Tick.
+func (m *MultiHop) wake(si int) {
+	s := m.sws[si]
+	if s.state != swSleep {
+		return
+	}
+	m.unschedule(s)
+	s.state = swRun
+	m.asleep--
+	m.next[si>>6] |= 1 << (si & 63)
+}
+
+// wakeNow makes sleeping switch si run Phase C in the current cycle if its
+// turn has not come yet, and the next cycle otherwise (between Ticks, the
+// next Tick).
+func (m *MultiHop) wakeNow(si int) {
+	if m.sws[si].state != swSleep || si == m.cursor {
+		// Running, or forwarding now: it sees the change itself, and
+		// settle decides whether it runs the next cycle.
+		return
+	}
+	if si > m.cursor {
+		m.cur[si>>6] |= 1 << (si & 63)
+		return
+	}
+	m.wake(si)
+}
+
+// schedule adds sleeping switch si to the wake heap at its wakeAt.
+func (m *MultiHop) schedule(si int) {
+	m.sws[si].heapAt = len(m.sleepers)
+	m.sleepers = append(m.sleepers, int32(si))
+	m.siftUp(len(m.sleepers) - 1)
+}
+
+// unschedule removes s from the wake heap, if it is there.
+func (m *MultiHop) unschedule(s *mhSwitch) {
+	i := s.heapAt
+	if i < 0 {
+		return
+	}
+	s.heapAt = -1
+	last := len(m.sleepers) - 1
+	if i != last {
+		m.sleepers[i] = m.sleepers[last]
+		m.sws[m.sleepers[i]].heapAt = i
+	}
+	m.sleepers = m.sleepers[:last]
+	if i != last {
+		m.siftDown(i)
+		m.siftUp(i)
+	}
+}
+
+func (m *MultiHop) siftUp(i int) {
+	h := m.sleepers
+	for i > 0 {
+		up := (i - 1) / 2
+		if m.sws[h[up]].wakeAt <= m.sws[h[i]].wakeAt {
+			return
+		}
+		m.swapSleepers(i, up)
+		i = up
+	}
+}
+
+func (m *MultiHop) siftDown(i int) {
+	h := m.sleepers
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		c := l
+		if r := l + 1; r < len(h) && m.sws[h[r]].wakeAt < m.sws[h[l]].wakeAt {
+			c = r
+		}
+		if m.sws[h[i]].wakeAt <= m.sws[h[c]].wakeAt {
+			return
+		}
+		m.swapSleepers(i, c)
+		i = c
+	}
+}
+
+func (m *MultiHop) swapSleepers(i, j int) {
+	h := m.sleepers
+	h[i], h[j] = h[j], h[i]
+	m.sws[h[i]].heapAt = i
+	m.sws[h[j]].heapAt = j
 }
 
 // acceptHop settles reliability state for a packet that cleared switch s:
@@ -608,46 +922,19 @@ func (m *MultiHop) ackHop(s *mhSwitch, p *Packet) {
 }
 
 // NextEvent reports the earliest cycle at which the fabric can make
-// progress (sim.FastForwarder): staged, queued, or deliverable traffic is
-// work now; otherwise the earliest wire completion or retransmission
-// deadline.
+// progress (sim.FastForwarder): a delivered packet waiting at an endpoint or
+// a switch scheduled to run is work now; otherwise the earliest timed wake
+// of a sleeping switch. A switch asleep without one waits on a neighbour.
 func (m *MultiHop) NextEvent(now uint64) uint64 {
-	if m.waiting > 0 {
+	if m.waiting > 0 || m.holding > m.asleep {
 		return now
 	}
-	ev := sim.Never
-	for _, s := range m.sws {
-		if s.idle() {
-			continue
-		}
-		if s.staged > 0 {
-			return now
-		}
-		if t := s.xb.NextEvent(now); t <= now {
-			return now
-		} else if t < ev {
-			ev = t
-		}
-		for port := range s.retx {
-			ev = min(ev, s.retx[port].NextDeadline())
-		}
+	if len(m.sleepers) == 0 {
+		return sim.Never
 	}
-	if ev < now {
-		return now
-	}
-	return ev
+	return max(now, m.sws[m.sleepers[0]].wakeAt)
 }
 
 // Busy reports whether any packet is staged, queued, in flight, awaiting an
 // ack, or undelivered.
-func (m *MultiHop) Busy() bool {
-	if m.waiting > 0 {
-		return true
-	}
-	for _, s := range m.sws {
-		if !s.idle() {
-			return true
-		}
-	}
-	return false
-}
+func (m *MultiHop) Busy() bool { return m.waiting > 0 || m.holding > 0 }

@@ -30,7 +30,8 @@ import (
 // Packet is one message in flight. The multi-node system sends scatter-add
 // requests to their owners and, under network faults, acknowledgments back.
 // Endpoints are 32-bit and the switch input port 16-bit so that the whole
-// packet stays at 72 bytes: it is copied by value through every queue.
+// packet stays at 72 bytes. The fabrics read a packet where it sits in its
+// queue and copy it only when it moves to the next one.
 type Packet struct {
 	Src, Dst int32       // endpoints
 	Req      mem.Request // the request carried (unused by acknowledgments)
@@ -91,15 +92,17 @@ type Stats struct {
 // the flat Crossbar and the MultiHop switch graph both satisfy it. Sends,
 // peeks, and receives happen in the system's sequential phases; Tick
 // advances one cycle; NextEvent reports the next cycle with work, so
-// quiescence fast-forward works across any topology. Neither fabric has a
-// per-cycle batch effect to apply over skipped cycles, so a fast-forward
-// jump only moves the caller's clock. HasArrival is the O(1) test a
-// scheduler uses to wake an idle endpoint: it reports whether a packet
-// waits at dst without copying it.
+// quiescence fast-forward works across any topology. A fast-forward jump
+// only moves the caller's clock: the one per-cycle effect of a cycle in
+// which nothing moves, a sleeping MultiHop switch's stall count, is
+// credited by the fabric itself (see MultiHop.Tick). HasArrival is the
+// O(1) test a scheduler uses to wake an idle endpoint: it reports whether a
+// packet waits at dst without copying it. Peek returns the waiting packet
+// where it sits (nil when none), valid until the next Recv at dst.
 type Fabric interface {
 	Send(p Packet) bool
 	HasArrival(dst int) bool
-	Peek(dst int) (Packet, bool)
+	Peek(dst int) *Packet
 	Recv(dst int) (Packet, bool)
 	Tick(now uint64)
 	NextEvent(now uint64) uint64
@@ -241,17 +244,17 @@ func (x *Crossbar) Send(p Packet) bool {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, x.cfg.Nodes))
 	}
 	p.out = p.Dst
-	return x.enqueue(int(p.Src), p)
+	return x.enqueue(int(p.Src), &p)
 }
 
-// enqueue queues p, already routed to output p.out, at input port in.
-func (x *Crossbar) enqueue(in int, p Packet) bool {
+// enqueue copies p, already routed to output p.out, into input port in.
+func (x *Crossbar) enqueue(in int, p *Packet) bool {
 	q := x.inputs[in]
 	if q == nil {
 		q = sim.NewQueue[Packet](x.cfg.InputQDepth)
 		x.inputs[in] = q
 	}
-	if !q.Push(p) {
+	if !q.Push(*p) {
 		return false
 	}
 	x.held++
@@ -267,25 +270,31 @@ func (x *Crossbar) HasArrival(dst int) bool {
 
 // Recv pops one delivered packet at node dst, if available.
 func (x *Crossbar) Recv(dst int) (Packet, bool) {
-	out := x.outputs[dst]
-	if out == nil {
+	p := x.Peek(dst)
+	if p == nil {
 		return Packet{}, false
 	}
-	p, ok := out.Pop()
-	if ok {
-		x.held--
-	}
-	return p, ok
+	v := *p
+	x.drop(dst)
+	return v, true
 }
 
-// Peek returns the next deliverable packet at node dst without consuming it,
+// Peek returns the next deliverable packet at node dst where it sits, or nil,
 // letting receivers inspect control traffic before committing buffer space.
-func (x *Crossbar) Peek(dst int) (Packet, bool) {
+// Inside a multi-hop switch it is output port dst's head.
+func (x *Crossbar) Peek(dst int) *Packet {
 	out := x.outputs[dst]
 	if out == nil {
-		return Packet{}, false
+		return nil
 	}
 	return out.Peek()
+}
+
+// drop discards output o's head packet, which the caller has read or copied
+// through Peek.
+func (x *Crossbar) drop(o int) {
+	x.outputs[o].Drop()
+	x.held--
 }
 
 // Tick moves packets: each input may forward up to WordsPerCyc head packets
@@ -293,24 +302,32 @@ func (x *Crossbar) Peek(dst int) (Packet, bool) {
 // bandwidth enforces the paper's low/high network configurations. A
 // crossbar holding no packet has nothing to move, stall or arbitrate, so
 // its Tick returns at once.
-func (x *Crossbar) Tick(now uint64) {
+func (x *Crossbar) Tick(now uint64) { x.step(now) }
+
+// step is Tick, reporting whether a packet moved: a wire delivered one to its
+// output queue or an arbiter granted one. A step that moves nothing changes
+// no state but the stall counter, which gains one per non-empty input; until
+// a packet leaves an output queue, another one would do exactly the same
+// unless a wire's head arrives (nextDelivery).
+func (x *Crossbar) step(now uint64) (moved bool) {
 	if x.held == 0 {
-		return
+		return false
 	}
 	// Deliver packets that finished crossing to output queues.
 	for o, w := range x.wires {
 		if w == nil {
 			continue
 		}
-		budget := x.cfg.WordsPerCyc // output port bandwidth
-		for budget > 0 && !x.outputs[o].Full() {
-			p, ok := w.Pop(now)
-			if !ok {
+		out := x.outputs[o]
+		for budget := x.cfg.WordsPerCyc; budget > 0 && !out.Full(); budget-- { // output port bandwidth
+			p := w.Peek(now)
+			if p == nil {
 				break
 			}
-			x.outputs[o].MustPush(p)
+			out.MustPush(*p)
+			w.Drop()
 			x.met.delivered.Inc()
-			budget--
+			moved = true
 		}
 	}
 	// Input side: each input forwards up to WordsPerCyc head packets; each
@@ -329,8 +346,8 @@ func (x *Crossbar) Tick(now uint64) {
 					if x.inputs[i] == nil {
 						return false
 					}
-					p, ok := x.inputs[i].Peek()
-					return ok && int(p.out) == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
+					p := x.inputs[i].Peek()
+					return p != nil && int(p.out) == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
 				})
 				if in < 0 {
 					break
@@ -342,10 +359,45 @@ func (x *Crossbar) Tick(now uint64) {
 		}
 	}
 	for i, in := range x.inputs {
-		if in != nil && !in.Empty() && sentFrom[i] == 0 {
+		if sentFrom[i] > 0 {
+			moved = true
+		} else if in != nil && !in.Empty() {
 			x.met.stalls.Inc()
 		}
 	}
+	return moved
+}
+
+// busyInputs returns the number of non-empty input queues: the stalls a step
+// that moves nothing counts.
+func (x *Crossbar) busyInputs() uint64 {
+	n := uint64(0)
+	for _, in := range x.inputs {
+		if in != nil && !in.Empty() {
+			n++
+		}
+	}
+	return n
+}
+
+// nextDelivery returns the earliest cycle at which a wire can hand a packet
+// to its output queue, or sim.Never: the head arrival of every wire whose
+// output has room. A full output waits on its reader, not on time.
+func (x *Crossbar) nextDelivery() uint64 {
+	ev := sim.Never
+	for o, w := range x.wires {
+		if w != nil && !x.outputs[o].Full() {
+			ev = min(ev, w.NextReady())
+		}
+	}
+	return ev
+}
+
+// inputFull reports whether input port in refuses another packet; an
+// unopened port is empty.
+func (x *Crossbar) inputFull(in int) bool {
+	q := x.inputs[in]
+	return q != nil && q.Full()
 }
 
 // wireFull reports whether output o's wire refuses another packet; an
@@ -376,7 +428,7 @@ func (x *Crossbar) arbitrateFast(now uint64) {
 		if x.inputs[i] == nil {
 			continue
 		}
-		if p, ok := x.inputs[i].Peek(); ok {
+		if p := x.inputs[i].Peek(); p != nil {
 			next[i] = head[p.out]
 			head[p.out] = i
 		}
@@ -408,11 +460,12 @@ func (x *Crossbar) arbitrateFast(now uint64) {
 // injection and tracing — the shared tail of both arbitration paths. The
 // first grant to o opens its wire and delivery queue.
 func (x *Crossbar) grantTo(o, in int, now uint64) {
-	p, _ := x.inputs[in].Pop()
+	q := x.inputs[in]
 	x.met.grants.Inc()
 	if x.dropInj.Fire() {
 		// Injected wire fault: the packet vanishes (its bandwidth
 		// slot is still consumed). One draw per granted packet.
+		q.Drop()
 		x.held--
 		x.met.faultDrops.Inc()
 		return
@@ -423,14 +476,16 @@ func (x *Crossbar) grantTo(o, in int, now uint64) {
 		x.wires[o] = w
 		x.outputs[o] = sim.NewQueue[Packet](x.cfg.OutputQDepth)
 	}
-	w.Push(now, p)
+	p := q.Peek()
+	w.Push(now, *p)
 	if x.dupInj.Fire() && !w.Full() {
 		// Injected duplication: the packet crosses twice. The
 		// receiver's sequence-number dedup makes replay idempotent.
-		w.Push(now, p)
+		w.Push(now, *p)
 		x.held++
 		x.met.faultDups.Inc()
 	}
+	q.Drop()
 	if x.tr != nil {
 		x.tr.SpanAsync(fmt.Sprintf("net.out[%d]", o),
 			fmt.Sprintf("pkt %d->%d", in, o),

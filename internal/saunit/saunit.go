@@ -579,10 +579,11 @@ func (u *Unit) issueReads(now uint64) {
 // allocate combining-store entries for scatter-adds (Figure 4b step a).
 func (u *Unit) acceptInput(now uint64) {
 	for taken := 0; taken < u.cfg.PortWidth; taken++ {
-		r, ok := u.inQ.Peek()
-		if !ok {
+		p := u.inQ.Peek()
+		if p == nil {
 			return
 		}
+		r := *p
 		if !r.Kind.IsScatterAdd() {
 			if !u.down.CanAccept(now) || !u.down.Accept(now, r) {
 				return
@@ -640,11 +641,11 @@ func (u *Unit) acceptInput(now uint64) {
 // drainWriteBacks pushes computed sums to memory.
 func (u *Unit) drainWriteBacks(now uint64) {
 	for {
-		wb, ok := u.wbQ.Peek()
-		if !ok {
+		wb := u.wbQ.Peek()
+		if wb == nil {
 			return
 		}
-		if !u.down.CanAccept(now) || !u.down.Accept(now, wb) {
+		if !u.down.CanAccept(now) || !u.down.Accept(now, *wb) {
 			return
 		}
 		u.wbQ.Pop()

@@ -16,7 +16,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	for s := 0; s < stages; s++ {
 		in, out := qs[s], qs[s+1]
 		e.Add(TickFunc(func(uint64) {
-			if v, ok := in.Peek(); ok && out.Push(v) {
+			if v := in.Peek(); v != nil && out.Push(*v) {
 				in.Pop()
 			}
 		}))

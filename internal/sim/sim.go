@@ -246,12 +246,14 @@ func (q *Queue[T]) MustPush(v T) {
 	}
 }
 
-// Peek returns the oldest item without removing it. ok is false when empty.
-func (q *Queue[T]) Peek() (v T, ok bool) {
+// Peek returns the oldest item where it sits, without removing it, or nil
+// when the queue is empty: a reader inspects or updates the item without a
+// copy. The pointer stays valid until the item leaves the queue.
+func (q *Queue[T]) Peek() *T {
 	if q.size == 0 {
-		return v, false
+		return nil
 	}
-	return q.buf[q.head], true
+	return &q.buf[q.head]
 }
 
 // Pop removes and returns the oldest item. ok is false when empty.
@@ -260,20 +262,30 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 		return v, false
 	}
 	v = q.buf[q.head]
+	q.Drop()
+	return v, true
+}
+
+// Drop removes the oldest item without returning it; a caller that has read
+// it through Peek saves Pop's copy. Dropping from an empty queue is a no-op.
+func (q *Queue[T]) Drop() {
+	if q.size == 0 {
+		return
+	}
 	var zero T
 	q.buf[q.head] = zero
 	q.head = (q.head + 1) & q.mask
 	q.size--
-	return v, true
 }
 
-// At returns the i-th oldest buffered item (0 == next to pop). It panics if
-// i is out of range; use it for CAM-style scans over in-flight entries.
-func (q *Queue[T]) At(i int) T {
+// At returns the i-th oldest buffered item (0 == next to pop) where it sits.
+// It panics if i is out of range; use it for CAM-style scans over in-flight
+// entries, which read and update them in place.
+func (q *Queue[T]) At(i int) *T {
 	if i < 0 || i >= q.size {
 		panic(fmt.Sprintf("sim: Queue.At(%d) with size %d", i, q.size))
 	}
-	return q.buf[(q.head+i)&q.mask]
+	return &q.buf[(q.head+i)&q.mask]
 }
 
 // delayItem is an in-flight item in a Delay pipe.
@@ -312,31 +324,43 @@ func (d *Delay[T]) Push(now uint64, v T) bool {
 }
 
 // Ready reports whether the head item has completed its latency by cycle now.
-func (d *Delay[T]) Ready(now uint64) bool {
-	it, ok := d.q.Peek()
-	return ok && it.ready <= now
-}
+func (d *Delay[T]) Ready(now uint64) bool { return d.Peek(now) != nil }
 
 // NextReady returns the cycle at which the head in-flight item becomes
 // poppable, or Never when the pipe is empty. The head is the earliest:
 // latency is fixed, so ready times are FIFO-ordered.
 func (d *Delay[T]) NextReady() uint64 {
-	it, ok := d.q.Peek()
-	if !ok {
+	it := d.q.Peek()
+	if it == nil {
 		return Never
 	}
 	return it.ready
 }
 
+// Peek returns the head item where it sits if it is ready at cycle now, or
+// nil: a failed pop of a large item copies nothing. The pointer stays valid
+// until the item leaves the pipe.
+func (d *Delay[T]) Peek(now uint64) *T {
+	it := d.q.Peek()
+	if it == nil || it.ready > now {
+		return nil
+	}
+	return &it.v
+}
+
+// Drop removes the head item without returning it, whether or not it is
+// ready; pair it with Peek.
+func (d *Delay[T]) Drop() { d.q.Drop() }
+
 // Pop removes the head item if it is ready at cycle now.
 func (d *Delay[T]) Pop(now uint64) (v T, ok bool) {
-	it, ok := d.q.Peek()
-	if !ok || it.ready > now {
-		var zero T
-		return zero, false
+	p := d.Peek(now)
+	if p == nil {
+		return v, false
 	}
-	d.q.Pop()
-	return it.v, true
+	v = *p
+	d.q.Drop()
+	return v, true
 }
 
 // RoundRobin is a fair arbiter over n requesters.

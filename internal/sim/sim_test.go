@@ -55,7 +55,7 @@ func TestQueueAt(t *testing.T) {
 	q.MustPush("d")
 	want := []string{"b", "c", "d"}
 	for i, w := range want {
-		if got := q.At(i); got != w {
+		if got := *q.At(i); got != w {
 			t.Errorf("At(%d) = %q want %q", i, got, w)
 		}
 	}
