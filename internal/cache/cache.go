@@ -146,9 +146,9 @@ const partialScrubCycles = 16
 // events behind the paper's hot-bank effect (§4.3, Figure 7).
 type metrics struct {
 	group         *stats.Group
-	conflicts     *stats.Counter   // cycles with more queued requests than the port width
-	mshrOccupancy *stats.Histogram // valid MSHRs, sampled every cycle
-	wcbOccupancy  *stats.Histogram // valid write-combining entries, sampled every cycle
+	conflicts     *stats.Counter // cycles with more queued requests than the port width
+	mshrOccupancy stats.Level    // valid MSHRs, one sample per cycle
+	wcbOccupancy  stats.Level    // valid write-combining entries, one sample per cycle
 	hits          *stats.Counter
 	misses        *stats.Counter
 	evictions     *stats.Counter
@@ -167,8 +167,8 @@ func newMetrics(mshrs, wcbEntries int) metrics {
 	return metrics{
 		group:         g,
 		conflicts:     g.Counter("bank_conflict_cycles"),
-		mshrOccupancy: g.Histogram("mshr_occupancy", mshrs+1),
-		wcbOccupancy:  g.Histogram("wcb_occupancy", wcbEntries+1),
+		mshrOccupancy: stats.OccupancyLevel(g.Histogram("mshr_occupancy", mshrs+1)),
+		wcbOccupancy:  stats.OccupancyLevel(g.Histogram("wcb_occupancy", wcbEntries+1)),
 		hits:          g.Counter("hits"),
 		misses:        g.Counter("misses"),
 		evictions:     g.Counter("evictions"),
@@ -181,11 +181,13 @@ func newMetrics(mshrs, wcbEntries int) metrics {
 
 // Bank is one slice of the stream cache.
 type Bank struct {
-	cfg      Config
-	mode     Mode
-	index    int // this bank's number (for set mapping)
-	sets     int
-	lines    []line // sets*ways, row-major by set
+	cfg   Config
+	mode  Mode
+	index int // this bank's number (for set mapping)
+	// sets holds each set's ways, allocated when the set first installs a
+	// line: a set that never holds one costs a nil slice, and a lookup in it
+	// misses.
+	sets     [][]line
 	mshrs    []mshr
 	mshrUsed int // valid MSHRs (occupancy)
 	mshrWait int // valid MSHRs waiting on DRAM: issued, not yet filled
@@ -200,12 +202,19 @@ type Bank struct {
 	met      metrics
 
 	flushing bool
-	flushPos int // next line index to examine during flush
+	flushPos int // next line index (set*Ways + way) to examine during flush
+	// flushBlocked records that the last flush step could not evict the
+	// line at flushPos for want of a queue slot.
+	flushBlocked bool
 
 	zeroKind mem.Kind // combine kind for zero-allocation in CombineLocal
 
 	tr    *span.Tracer
 	track string
+
+	// wake is the bank's entry in its owner's due set; upWake is the entry
+	// of the scatter-add unit that drains its response pipe.
+	wake, upWake sim.Wake
 
 	// Fault injection (nil when disabled): evicted partial-sum lines whose
 	// parity check fires pass through scrubQ (a fixed re-check delay) before
@@ -235,8 +244,7 @@ func NewBank(cfg Config, index int, d *dram.DRAM, mode Mode) *Bank {
 		cfg:      cfg,
 		mode:     mode,
 		index:    index,
-		sets:     perBank / cfg.Ways,
-		lines:    make([]line, perBank),
+		sets:     make([][]line, perBank/cfg.Ways),
 		mshrs:    make([]mshr, cfg.MSHRs),
 		dram:     d,
 		inQ:      sim.NewQueue[mem.Request](cfg.InQDepth),
@@ -260,8 +268,22 @@ func (b *Bank) SetZeroKind(k mem.Kind) { b.zeroKind = k }
 func (b *Bank) Stats() Stats { return b.stats }
 
 // StatsGroup returns the bank's performance-counter group, for adoption into
-// a machine-level registry.
+// a machine-level registry. Call FlushStats before reading it.
 func (b *Bank) StatsGroup() *stats.Group { return b.met.group }
+
+// FlushStats records the per-cycle MSHR and write-combining occupancy
+// samples of every cycle before now, which the bank counts at their change
+// points.
+func (b *Bank) FlushStats(now uint64) {
+	b.met.mshrOccupancy.Flush(now)
+	b.met.wcbOccupancy.Flush(now)
+}
+
+// SetWake installs the bank's entry in its owner's due set (an accepted
+// request or a fill with work left marks the bank due) and the entry of the
+// unit that drains its response pipe (a response pushed marks that unit due
+// when it becomes poppable).
+func (b *Bank) SetWake(self, up sim.Wake) { b.wake, b.upWake = self, up }
 
 // SetSpanTracer installs a request-lifecycle tracer; track names the bank
 // in exported traces (e.g. "cache[3]"). A nil tracer disables tracing.
@@ -299,14 +321,13 @@ func BankOf(a mem.Addr, banks int) int {
 // bank.
 func (b *Bank) setTag(a mem.Addr) (int, uint64) {
 	local := (uint64(a) / mem.LineWords) / uint64(b.cfg.Banks)
-	return int(local % uint64(b.sets)), local / uint64(b.sets)
+	return int(local % uint64(len(b.sets))), local / uint64(len(b.sets))
 }
 
 // lookup returns the way holding the line, or -1.
 func (b *Bank) lookup(set int, tag uint64) int {
-	base := set * b.cfg.Ways
-	for w := 0; w < b.cfg.Ways; w++ {
-		ln := &b.lines[base+w]
+	for w := range b.sets[set] {
+		ln := &b.sets[set][w]
 		if ln.valid && ln.tag == tag {
 			return w
 		}
@@ -315,12 +336,16 @@ func (b *Bank) lookup(set int, tag uint64) int {
 }
 
 // victim returns the way to replace in set (invalid first, else LRU among
-// unpinned lines), or -1 when every way is pinned by a draining MSHR.
+// unpinned lines), or -1 when every way is pinned by a draining MSHR. The
+// set is opened if it has never held a line.
 func (b *Bank) victim(set int) int {
-	base := set * b.cfg.Ways
+	if b.sets[set] == nil {
+		b.sets[set] = make([]line, b.cfg.Ways)
+		return 0
+	}
 	best, bestUsed := -1, ^uint64(0)
-	for w := 0; w < b.cfg.Ways; w++ {
-		ln := &b.lines[base+w]
+	for w := range b.sets[set] {
+		ln := &b.sets[set][w]
 		if !ln.valid {
 			return w
 		}
@@ -333,14 +358,14 @@ func (b *Bank) victim(set int) int {
 
 // lineAddrOf reconstructs the line-aligned global address of a cached line.
 func (b *Bank) lineAddrOf(set int, tag uint64) mem.Addr {
-	local := tag*uint64(b.sets) + uint64(set)
+	local := tag*uint64(len(b.sets)) + uint64(set)
 	return mem.Addr((local*uint64(b.cfg.Banks) + uint64(b.index)) * mem.LineWords)
 }
 
 // evict removes the line at (set, way), queueing any write-back or sum-back.
 // It reports whether eviction was possible (queues had room).
 func (b *Bank) evict(now uint64, set, way int) bool {
-	ln := &b.lines[set*b.cfg.Ways+way]
+	ln := &b.sets[set][way]
 	if !ln.valid {
 		return true
 	}
@@ -385,7 +410,7 @@ func (b *Bank) install(now uint64, a mem.Addr, data [mem.LineWords]mem.Word, par
 	if way < 0 || !b.evict(now, set, way) {
 		return false
 	}
-	ln := &b.lines[set*b.cfg.Ways+way]
+	ln := &b.sets[set][way]
 	d := ln.data
 	if d == nil {
 		d = new([mem.LineWords]mem.Word)
@@ -411,7 +436,7 @@ func (b *Bank) apply(now uint64, ln *line, r mem.Request) {
 	off := r.Addr.LineOffset()
 	switch r.Kind {
 	case mem.Read:
-		b.respQ.Push(now, mem.Response{ID: r.ID, Kind: mem.Read, Addr: r.Addr, Val: ln.data[off], Node: r.Node})
+		b.respond(now, mem.Response{ID: r.ID, Kind: mem.Read, Addr: r.Addr, Val: ln.data[off], Node: r.Node})
 	case mem.Write:
 		ln.data[off] = r.Val
 		ln.dirty = true
@@ -425,9 +450,16 @@ func (b *Bank) apply(now uint64, ln *line, r mem.Request) {
 		ln.dirty = true
 		ln.kind = r.Kind
 		if r.Kind.IsFetch() {
-			b.respQ.Push(now, mem.Response{ID: r.ID, Kind: r.Kind, Addr: r.Addr, Val: old, Node: r.Node})
+			b.respond(now, mem.Response{ID: r.ID, Kind: r.Kind, Addr: r.Addr, Val: old, Node: r.Node})
 		}
 	}
+}
+
+// respond pushes a response into the hit-latency pipe (the caller has
+// verified capacity) and marks the draining unit due when it pops out.
+func (b *Bank) respond(now uint64, r mem.Response) {
+	b.respQ.Push(now, r)
+	b.upWake.At(b.respQ.NextReady())
 }
 
 // CanAccept reports whether the input queue has room.
@@ -438,7 +470,11 @@ func (b *Bank) Accept(now uint64, r mem.Request) bool {
 	if BankOf(r.Addr.Line(), b.cfg.Banks) != b.index {
 		panic(fmt.Sprintf("cache: address %d routed to wrong bank %d", r.Addr, b.index))
 	}
-	return b.inQ.Push(r)
+	if !b.inQ.Push(r) {
+		return false
+	}
+	b.wake.At(now)
+	return true
 }
 
 // PopResponse returns one completed response, if ready.
@@ -452,8 +488,14 @@ func (b *Bank) NextResponse(now uint64) uint64 {
 	return max(now, b.respQ.NextReady())
 }
 
-// PopEvict returns one evicted partial-sum line (CombineLocal mode).
+// PopEvict returns one evicted partial-sum line (CombineLocal mode). Popping
+// frees a slot a blocked flush walk or scrubbed line may be waiting for; the
+// owner must tick the bank again (NextEvent reports the work).
 func (b *Bank) PopEvict() (EvictedLine, bool) { return b.evictQ.Pop() }
+
+// HoldsEvictions reports whether an evicted partial-sum line waits for the
+// owner's PopEvict.
+func (b *Bank) HoldsEvictions() bool { return !b.evictQ.Empty() }
 
 // mshrFor returns the MSHR tracking the line, or nil.
 func (b *Bank) mshrFor(a mem.Addr) *mshr {
@@ -486,9 +528,13 @@ func (b *Bank) Fill(now uint64, a mem.Addr, data [mem.LineWords]mem.Word) {
 		// Victim eviction blocked on a full write-back queue: stage the data
 		// in the MSHR's holding register and retry on the next Tick.
 		m.pendingFill = &data
-		return
+	} else {
+		b.completeMSHR(now, m)
 	}
-	b.completeMSHR(now, m)
+	// A fill lands after the bank's turn: what it changed is first seen,
+	// and first worked on, in the next cycle.
+	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
+	b.wake.At(b.NextEvent(now + 1))
 }
 
 // completeMSHR marks the line resident and drains as many pending requests
@@ -507,7 +553,7 @@ func (b *Bank) drainMSHR(now uint64, m *mshr) {
 	if way < 0 {
 		panic(fmt.Sprintf("cache: filled MSHR for line %d but line not resident", m.line))
 	}
-	ln := &b.lines[set*b.cfg.Ways+way]
+	ln := &b.sets[set][way]
 	for len(m.pending) > 0 {
 		r := m.pending[0]
 		needsResp := r.Kind == mem.Read || r.Kind.IsFetch()
@@ -527,7 +573,7 @@ func (b *Bank) drainMSHR(now uint64, m *mshr) {
 // pinnedLine reports whether a filled MSHR still references the line at
 // (set, way); such lines must not be evicted until the MSHR drains.
 func (b *Bank) pinnedLine(set, way int) bool {
-	ln := &b.lines[set*b.cfg.Ways+way]
+	ln := &b.sets[set][way]
 	if !ln.valid {
 		return false
 	}
@@ -542,10 +588,9 @@ func (b *Bank) pinnedLine(set, way int) bool {
 }
 
 // Tick processes queued requests, retries blocked fills, and drains the
-// write-back queue to DRAM.
+// write-back queue to DRAM. Occupancy levels changed by the tick are first
+// sampled in the next cycle.
 func (b *Bank) Tick(now uint64) {
-	b.met.mshrOccupancy.Observe(b.mshrUsed)
-	b.met.wcbOccupancy.Observe(b.wcbUsed)
 	if b.inQ.Len() > b.cfg.PortWidth {
 		// More word requests queued than the bank port can serve this cycle:
 		// the bank-conflict serialization of §4.3.
@@ -615,35 +660,34 @@ func (b *Bank) Tick(now uint64) {
 		}
 		b.wbQ.Pop()
 	}
+	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
+	b.met.wcbOccupancy.Set(now+1, b.wcbUsed)
 }
 
 // NextEvent reports the earliest cycle at which the bank can do work (see
-// sim.FastForwarder), in O(1). Queued input, pending write-backs or
-// evictions, an active flush walk, and any MSHR that still has local work
-// (unissued fetch, staged fill, or a filled line draining: every valid MSHR
-// not counted in mshrWait) are work in the current cycle. An MSHR waiting on
+// sim.FastForwarder), in O(1). Queued input, pending write-backs, a flush
+// walk that can step, and any MSHR that still has local work (unissued
+// fetch, staged fill, or a filled line draining: every valid MSHR not
+// counted in mshrWait) are work in the current cycle. An MSHR waiting on
 // DRAM is the DRAM's event: its fill arrives through Fill. The hit-latency
 // response pipe is the scatter-add unit's input, so the unit reports it
 // (port.Word NextResponse); the bank's own timer is the parity-scrub pipe.
-// Write-combining entries hold no timer: they drain only in reaction to new
-// requests or spills.
+// Evicted partial lines are the owner's to drain (PopEvict): while the
+// eviction queue is full, neither a flush walk stopped on it nor a scrubbed
+// line can move, so the bank waits for the owner. Write-combining entries
+// hold no timer: they drain only in reaction to new requests or spills.
 func (b *Bank) NextEvent(now uint64) uint64 {
-	if !b.inQ.Empty() || !b.wbQ.Empty() || !b.evictQ.Empty() || b.flushing || b.mshrUsed > b.mshrWait {
+	if !b.inQ.Empty() || !b.wbQ.Empty() || b.mshrUsed > b.mshrWait {
 		return now
 	}
-	if b.scrubQ == nil {
+	evictFull := b.evictQ.Full()
+	if b.flushing && !(b.flushBlocked && evictFull) {
+		return now
+	}
+	if b.scrubQ == nil || evictFull {
 		return sim.Never
 	}
 	return max(now, b.scrubQ.NextReady())
-}
-
-// Skip applies the per-cycle occupancy samples of cycles skipped idle Ticks.
-// Bank-conflict and stall counters only move when the input queue is
-// non-empty, which NextEvent reports as work, so no other counter can accrue
-// during a skip.
-func (b *Bank) Skip(now, cycles uint64) {
-	b.met.mshrOccupancy.ObserveN(b.mshrUsed, cycles)
-	b.met.wcbOccupancy.ObserveN(b.wcbUsed, cycles)
 }
 
 // wcbFind returns the write-combining entry for a line, or -1.
@@ -785,7 +829,7 @@ func (b *Bank) processOne(now uint64) bool {
 	if way := b.lookup(set, tag); way >= 0 {
 		b.stats.Hits++
 		b.met.hits.Inc()
-		b.apply(now, &b.lines[set*b.cfg.Ways+way], r)
+		b.apply(now, &b.sets[set][way], r)
 		b.inQ.Pop()
 		return true
 	}
@@ -806,7 +850,7 @@ func (b *Bank) processOne(now uint64) bool {
 		way := b.lookup(set, tag)
 		b.stats.Misses++
 		b.met.misses.Inc()
-		b.apply(now, &b.lines[set*b.cfg.Ways+way], r)
+		b.apply(now, &b.sets[set][way], r)
 		b.inQ.Pop()
 		return true
 	}
@@ -844,14 +888,21 @@ func (b *Bank) StartFlush() {
 	b.flushPos = 0
 }
 
-// stepFlush evicts the next valid line, one per cycle.
+// stepFlush evicts the next valid line, one per cycle. Sets that never
+// held a line are passed over whole.
 func (b *Bank) stepFlush(now uint64) {
-	for b.flushPos < len(b.lines) {
-		i := b.flushPos
-		if b.lines[i].valid {
-			set, way := i/b.cfg.Ways, i%b.cfg.Ways
+	b.flushBlocked = false
+	ways := b.cfg.Ways
+	for b.flushPos < len(b.sets)*ways {
+		set, way := b.flushPos/ways, b.flushPos%ways
+		if b.sets[set] == nil {
+			b.flushPos = (set + 1) * ways
+			continue
+		}
+		if b.sets[set][way].valid {
 			if !b.evict(now, set, way) {
-				return // queue full; retry next cycle
+				b.flushBlocked = true
+				return // queue full; retry when a slot frees
 			}
 			b.flushPos++
 			return
@@ -875,18 +926,19 @@ func (b *Bank) Busy() bool {
 
 // FlushFunctional writes every dirty non-partial line into the DRAM store
 // in zero simulated time. Call it after a run completes, before reading
-// results back from the store.
-func (b *Bank) FlushFunctional() {
+// results back from the store; now is the owner's clock, from which the
+// emptied write-combining buffer is sampled.
+func (b *Bank) FlushFunctional(now uint64) {
 	if b.dram == nil {
 		return
 	}
-	for i := range b.lines {
-		ln := &b.lines[i]
-		if ln.valid && ln.dirty && !ln.partial {
-			set := i / b.cfg.Ways
-			addr := b.lineAddrOf(set, ln.tag)
-			b.dram.Store().StoreLine(addr, ln.data)
-			ln.dirty = false
+	for set, ways := range b.sets {
+		for w := range ways {
+			ln := &ways[w]
+			if ln.valid && ln.dirty && !ln.partial {
+				b.dram.Store().StoreLine(b.lineAddrOf(set, ln.tag), ln.data)
+				ln.dirty = false
+			}
 		}
 	}
 	for i := range b.wcb {
@@ -902,17 +954,19 @@ func (b *Bank) FlushFunctional() {
 		e.valid = false
 		b.wcbUsed--
 	}
+	b.met.wcbOccupancy.Set(now, b.wcbUsed)
 }
 
 // ResidentPartialLines returns the partial lines still resident (testing and
 // final-drain support in CombineLocal mode).
 func (b *Bank) ResidentPartialLines() []EvictedLine {
 	var out []EvictedLine
-	for i := range b.lines {
-		ln := &b.lines[i]
-		if ln.valid && ln.partial && ln.dirty {
-			set := i / b.cfg.Ways
-			out = append(out, EvictedLine{Line: b.lineAddrOf(set, ln.tag), Kind: ln.kind, Data: *ln.data})
+	for set, ways := range b.sets {
+		for w := range ways {
+			ln := &ways[w]
+			if ln.valid && ln.partial && ln.dirty {
+				out = append(out, EvictedLine{Line: b.lineAddrOf(set, ln.tag), Kind: ln.kind, Data: *ln.data})
+			}
 		}
 	}
 	return out

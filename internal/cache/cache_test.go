@@ -155,7 +155,7 @@ func TestWriteAllocateAndWriteBack(t *testing.T) {
 		t.Fatalf("read after write = %d", r.Val)
 	}
 	// Functional flush makes DRAM authoritative.
-	b.FlushFunctional()
+	b.FlushFunctional(h.now)
 	if h.d.Store().Load(3) != 55 {
 		t.Fatal("FlushFunctional did not reach DRAM store")
 	}

@@ -78,7 +78,7 @@ func TestWCBFlushFunctional(t *testing.T) {
 	h := newHarness(wcbConfig(), Normal)
 	h.do(t, mem.Request{ID: 1, Kind: mem.Write, Addr: 5, Val: 55})
 	h.drain(t)
-	h.banks[0].FlushFunctional()
+	h.banks[0].FlushFunctional(h.now)
 	if got := h.d.Store().Load(5); got != 55 {
 		t.Fatalf("flushed word = %d", got)
 	}

@@ -9,7 +9,9 @@
 //
 // Any divergence means a component's NextEvent contract is wrong: it
 // reported quiescence over a cycle in which it would have done observable
-// work, or its Skip failed to apply a per-cycle counter effect.
+// work, or a push into it failed to mark it due. A per-cycle sample counted
+// at the wrong change point moves both modes alike; the goldens in
+// internal/exp and the per-cycle sample law tests catch that instead.
 package differ
 
 import (

@@ -202,6 +202,7 @@ type DRAM struct {
 	rrChan   int // round-robin pointer for response draining
 	tr       *span.Tracer
 	track    string
+	wake     sim.Wake
 
 	// depthPerCycle moves the queue-depth gauge off the accept path onto
 	// the owner's once-per-cycle SyncQueueDepth (SampleQueueDepthPerCycle).
@@ -231,6 +232,10 @@ func New(cfg Config) *DRAM {
 // Store exposes the functional memory image (for zero-time initialization
 // and result readback).
 func (d *DRAM) Store() *mem.Store { return d.store }
+
+// SetWake installs the DRAM's entry in its owner's due set: an accepted
+// transaction marks the DRAM due at the cycle it can first start.
+func (d *DRAM) SetWake(w sim.Wake) { d.wake = w }
 
 // Stats returns a copy of the activity counters.
 func (d *DRAM) Stats() Stats {
@@ -331,6 +336,7 @@ func (d *DRAM) Accept(now uint64, r LineReq) bool {
 	b, _ := d.bankRowOf(r.Line)
 	ch.next = min(ch.next, ch.windows.Defer(max(now, ch.busFree, ch.banks[b].busyUntil)))
 	d.next = min(d.next, ch.next)
+	d.wake.At(d.next)
 	if !d.depthPerCycle {
 		d.met.queueDepth.Set(int64(d.queued))
 	}
@@ -555,10 +561,6 @@ func (d *DRAM) nextIssue(now uint64, ch *channel) uint64 {
 	// An injected channel outage defers the issue to the window's end.
 	return ch.windows.Defer(t)
 }
-
-// Skip is a no-op: the DRAM keeps no per-cycle counters while idle (bus
-// occupancy is charged per transaction at schedule time).
-func (d *DRAM) Skip(now, cycles uint64) {}
 
 // PopResponse returns a completed read, draining channels round-robin.
 func (d *DRAM) PopResponse(now uint64) (LineResp, bool) {

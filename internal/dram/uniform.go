@@ -28,6 +28,10 @@ type Uniform struct {
 
 	tr    *span.Tracer
 	track string
+
+	// wake is the memory's entry in its owner's due set; upWake is the
+	// entry of the scatter-add unit that pops its responses.
+	wake, upWake sim.Wake
 }
 
 type pendingWord struct {
@@ -63,6 +67,11 @@ func (u *Uniform) SetSpanTracer(tr *span.Tracer, track string) {
 	u.track = track
 }
 
+// SetWake installs the memory's entry in its owner's due set (an accepted
+// access marks it due at its issue slot) and the entry of the unit that pops
+// its responses (an issued read marks that unit due when it completes).
+func (u *Uniform) SetWake(self, up sim.Wake) { u.wake, u.upWake = self, up }
+
 // CanAccept reports whether the request queue has room.
 func (u *Uniform) CanAccept(now uint64) bool { return len(u.queue) < u.depth }
 
@@ -82,6 +91,7 @@ func (u *Uniform) Accept(now uint64, r mem.Request) bool {
 		u.tr.OpStage(r.Node, r.ID, span.StageDRAM, now)
 	}
 	u.queue = append(u.queue, r)
+	u.wake.At(max(now, u.nextFree))
 	return true
 }
 
@@ -112,6 +122,7 @@ func (u *Uniform) Tick(now uint64) {
 			},
 			ready: now + u.latency,
 		})
+		u.upWake.At(now + u.latency)
 	}
 }
 
@@ -125,9 +136,6 @@ func (u *Uniform) NextEvent(now uint64) uint64 {
 	}
 	return max(now, u.nextFree)
 }
-
-// Skip is a no-op: the uniform memory keeps no per-cycle counters.
-func (u *Uniform) Skip(now, cycles uint64) {}
 
 // PopResponse returns one completed read response, if ready.
 func (u *Uniform) PopResponse(now uint64) (mem.Response, bool) {

@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"scatteradd/internal/mem"
+	"scatteradd/internal/stats"
 )
 
 // ffProgram is a mixed workload exercising every engine advance path: idle
@@ -123,5 +125,99 @@ func TestIdleFastForwardExactCycles(t *testing.T) {
 		if res.Cycles == 0 {
 			t.Fatalf("legacy=%v: kernel charged no cycles", legacy)
 		}
+	}
+}
+
+// TestPerCycleSampleLaw checks, in both stepping modes, the law the
+// change-point occupancy counting must keep: every per-cycle histogram holds
+// exactly one sample per elapsed cycle, no unit's FU is busy for more cycles
+// than elapsed, and once the machine has drained, an idle stretch adds one
+// level-0 sample per cycle to every such histogram. The differ compares the
+// two stepping modes with each other and cannot see a sampling fault they
+// share; this law can. The write-no-allocate program flushes its
+// write-combining buffers between two ops.
+func TestPerCycleSampleLaw(t *testing.T) {
+	noAlloc := smallConfig()
+	noAlloc.Cache.WriteNoAllocate = true
+	seq := make([]mem.Word, 300)
+	for i := range seq {
+		seq[i] = mem.I64(int64(i))
+	}
+	scattered := make([]mem.Addr, 200)
+	for i := range scattered {
+		scattered[i] = mem.Addr(8192 + (i*37)%1024)
+	}
+	wcbProgram := []Op{
+		StoreStream("store", 4096, seq),
+		Scatter("scatter", scattered, seq[:len(scattered)]),
+		Fence(),
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		prog  []Op
+		flush bool
+	}{
+		{"banked", smallConfig(), ffProgram(), false},
+		{"uniform-slow-issue", uniformConfig(4, 16), ffProgram(), false},
+		{"write-no-allocate", noAlloc, wcbProgram, true},
+	} {
+		for _, legacy := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.LegacyStepping = legacy
+			m := New(cfg)
+			for _, op := range tc.prog {
+				m.RunOp(op)
+				if tc.flush {
+					m.FlushCaches()
+				}
+			}
+			m.RunOp(Fence())
+			before := m.StatsSnapshot()
+			checkPerCycleLaw(t, tc.name, before, m.Now())
+			start := m.Now()
+			m.RunOp(Kernel("idle", 50000, 0))
+			after := m.StatsSnapshot()
+			checkPerCycleLaw(t, tc.name, after, m.Now())
+			idle := m.Now() - start
+			for _, e := range after.Entries {
+				if !perCycleHistogram(e.Key) {
+					continue
+				}
+				b0 := strings.TrimSuffix(e.Key, ".count") + ".b0"
+				was, _ := before.Get(b0)
+				now, _ := after.Get(b0)
+				if now-was != idle {
+					t.Errorf("%s legacy=%v: %s gained %d samples over %d idle cycles of a drained machine", tc.name, legacy, b0, now-was, idle)
+				}
+			}
+		}
+	}
+}
+
+// perCycleHistogram reports whether key is the sample count of a histogram
+// sampled once per cycle.
+func perCycleHistogram(key string) bool {
+	return strings.HasSuffix(key, "_occupancy.count") || strings.HasSuffix(key, "/ag_active.count")
+}
+
+// checkPerCycleLaw checks the per-cycle histograms and FU-busy counters of a
+// snapshot taken after cycles elapsed.
+func checkPerCycleLaw(t *testing.T, name string, snap stats.Snapshot, cycles uint64) {
+	t.Helper()
+	seen := 0
+	for _, e := range snap.Entries {
+		switch {
+		case perCycleHistogram(e.Key):
+			seen++
+			if e.Val != cycles {
+				t.Errorf("%s: %s = %d, want one sample per cycle (%d)", name, e.Key, e.Val, cycles)
+			}
+		case strings.HasSuffix(e.Key, "/fu_busy_cycles") && e.Val > cycles:
+			t.Errorf("%s: %s = %d exceeds the %d cycles elapsed", name, e.Key, e.Val, cycles)
+		}
+	}
+	if seen == 0 {
+		t.Fatalf("%s: no per-cycle histogram in the snapshot", name)
 	}
 }

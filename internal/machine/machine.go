@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"scatteradd/internal/cache"
+	"scatteradd/internal/cluster"
 	"scatteradd/internal/dram"
 	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
@@ -242,16 +243,16 @@ func (r *Result) Add(other Result) {
 // generator. Streams live in the machine's fixed slab (one entry per AG) and
 // are recycled in place, so the op hot path allocates nothing per stream.
 type memStream struct {
-	inUse       bool // slab entry claimed (set by runMemOp, cleared at retire)
-	op          Op
-	tag         uint64 // request-ID tag (ID = tag<<32 | index)
-	n           int
-	issued      int
-	responses   int
-	needResp    bool
-	startupLeft int    // cycles of AG/pipeline priming before first issue
-	lane        int    // address-generator lane (span tracing only)
-	start       uint64 // cycle the stream claimed its AG (span tracing only)
+	inUse     bool // slab entry claimed (set by runMemOp, cleared at retire)
+	op        Op
+	tag       uint64 // request-ID tag (ID = tag<<32 | index)
+	n         int
+	issued    int
+	responses int
+	needResp  bool
+	ready     uint64 // first cycle it may issue, after AG/pipeline priming
+	lane      int    // address-generator lane (span tracing only)
+	start     uint64 // cycle the stream claimed its AG (span tracing only)
 }
 
 // done reports whether the stream has issued everything and received every
@@ -264,9 +265,9 @@ func (s *memStream) done() bool {
 // metrics are the address-generator performance counters.
 type metrics struct {
 	group    *stats.Group
-	agIssued *stats.Counter   // word requests issued by the address generators
-	agStalls *stats.Counter   // cycles some primed stream could not issue at all
-	agActive *stats.Histogram // active streams, sampled every cycle
+	agIssued *stats.Counter // word requests issued by the address generators
+	agStalls *stats.Counter // cycles some primed stream could not issue at all
+	agActive stats.Level    // active streams, one sample per cycle
 }
 
 func newMetrics(g *stats.Group, ags int) metrics {
@@ -274,14 +275,13 @@ func newMetrics(g *stats.Group, ags int) metrics {
 		group:    g,
 		agIssued: g.Counter("ag_issued"),
 		agStalls: g.Counter("ag_stall_cycles"),
-		agActive: g.Histogram("ag_active", ags+1),
+		agActive: stats.OccupancyLevel(g.Histogram("ag_active", ags+1)),
 	}
 }
 
-// Machine is one simulated node. All components are driven by a sim.Engine
-// in consumer-before-producer order; the machine's own phases (address
-// generation, memory-system tick, response routing, stream retirement) are
-// engine tickers too.
+// Machine is one simulated node. A sim.Engine drives its phases each
+// cycle: address generation, the memory cluster (scatter-add units, cache
+// banks, DRAM or uniform memory), response routing, stream retirement.
 type Machine struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -289,6 +289,7 @@ type Machine struct {
 	uniform *dram.Uniform
 	banks   []*cache.Bank
 	sas     []*saunit.Unit
+	mem     *cluster.Cluster
 	reg     *stats.Registry
 	met     metrics
 
@@ -305,7 +306,7 @@ type Machine struct {
 	opDoneFn   func() bool
 	agFreeFn   func() bool
 	drainedFn  func() bool
-	fillFn     func(dram.LineResp)
+	respFn     func(mem.Response)
 
 	kernelFlops uint64
 	memRefs     uint64
@@ -379,9 +380,6 @@ func New(cfg Config) *Machine {
 				m.sas[i].SetFaults(flt, fmt.Sprintf("m.b%d", i))
 			}
 		}
-		m.fillFn = func(r dram.LineResp) {
-			m.banks[cache.BankOf(r.Line, len(m.banks))].Fill(m.eng.Now(), r.Line, r.Data)
-		}
 	}
 	for i, sa := range m.sas {
 		m.reg.Adopt(fmt.Sprintf("saunit[%d]", i), sa.StatsGroup())
@@ -393,23 +391,13 @@ func New(cfg Config) *Machine {
 		m.reg.Adopt("dram", m.dram.StatsGroup())
 	}
 
-	// Engine order mirrors the machine pipeline: issue, memory system
-	// (scatter-add units, cache banks, DRAM + fill delivery — one composite
-	// phase), response routing, stream retire.
-	// The machine's own phases are named types rather than closures so they
-	// can implement sim.FastForwarder alongside sim.Ticker (and so phase
-	// registration captures nothing per tick).
-	m.eng.Add(issuePhase{m})
-	if m.dram != nil {
-		m.eng.Add(memPhase{m})
-	} else {
-		for _, sa := range m.sas {
-			m.eng.Add(sa)
-		}
-		m.eng.Add(m.uniform)
-	}
-	m.eng.Add(responsePhase{m})
-	m.eng.Add(retirePhase{m})
+	// Engine order mirrors the machine pipeline: issue, memory cluster,
+	// response routing, stream retire. The machine's own phases are named
+	// types rather than closures so they can implement sim.FastForwarder
+	// alongside sim.Ticker (and so phase registration captures nothing per
+	// tick).
+	m.mem = cluster.New(m.sas, m.banks, nil, m.dram, m.uniform, !cfg.LegacyStepping, false)
+	m.eng.Add(issuePhase{m}, m.mem, responsePhase{m}, retirePhase{m})
 	if cfg.LegacyStepping {
 		m.eng.SetFastForward(false)
 	}
@@ -419,8 +407,9 @@ func New(cfg Config) *Machine {
 	m.drainedFn = m.drained
 	m.opDoneFn = func() bool {
 		s := m.curStream
-		return s.done() && (s.needResp || !m.memSystemBusy())
+		return s.done() && (s.needResp || !m.mem.Busy())
 	}
+	m.respFn = func(r mem.Response) { m.route(m.eng.Now(), r) }
 	return m
 }
 
@@ -446,7 +435,7 @@ func (m *Machine) Store() *mem.Store {
 // (zero simulated time). Use it between a timed run and result readback.
 func (m *Machine) FlushCaches() {
 	for _, b := range m.banks {
-		b.FlushFunctional()
+		b.FlushFunctional(m.eng.Now())
 	}
 }
 
@@ -454,7 +443,17 @@ func (m *Machine) FlushCaches() {
 func (m *Machine) Now() uint64 { return m.eng.Now() }
 
 // StatsSnapshot returns the current values of every performance counter.
-func (m *Machine) StatsSnapshot() stats.Snapshot { return m.reg.Snapshot() }
+func (m *Machine) StatsSnapshot() stats.Snapshot {
+	m.flushStats(m.eng.Now())
+	return m.reg.Snapshot()
+}
+
+// flushStats records the per-cycle samples of every cycle before now, which
+// the address generators and the memory cluster count at change points.
+func (m *Machine) flushStats(now uint64) {
+	m.met.agActive.Flush(now)
+	m.mem.FlushStats(now)
+}
 
 // StartTimeline begins recording a registry snapshot every interval cycles
 // and returns the timeline being filled. Sampling (the only per-cycle cost
@@ -472,11 +471,19 @@ func (m *Machine) StartTimeline(interval uint64) *stats.Timeline {
 func (m *Machine) StopTimeline() { m.eng.SetSampler(0, nil) }
 
 // SetSampler installs a raw periodic callback on the machine's engine,
-// invoked every interval cycles (including across fast-forwarded stretches).
-// It shares the engine's single sampler slot with StartTimeline; interval 0
-// or a nil fn detaches it.
+// invoked every interval cycles (including across fast-forwarded stretches),
+// with the per-cycle samples recorded up to that cycle. It shares the
+// engine's single sampler slot with StartTimeline; interval 0 or a nil fn
+// detaches it.
 func (m *Machine) SetSampler(interval uint64, fn func(now uint64)) {
-	m.eng.SetSampler(interval, fn)
+	if fn == nil {
+		m.eng.SetSampler(interval, nil)
+		return
+	}
+	m.eng.SetSampler(interval, func(now uint64) {
+		m.flushStats(now)
+		fn(now)
+	})
 }
 
 // unitIndex routes an address to its scatter-add unit index (one per cache
@@ -493,8 +500,8 @@ func (m *Machine) tick() { m.eng.Step() }
 
 // issuePhase drives the address generators (see issueTick). Its quiescence
 // contract: a primed stream with requests left is work now; a stream still
-// priming wakes when its startup counter expires; fully issued streams wait
-// on the memory system, which reports its own events.
+// priming wakes at its ready cycle; fully issued streams wait on the memory
+// cluster, which reports its own events.
 type issuePhase struct{ m *Machine }
 
 func (p issuePhase) Tick(now uint64) { p.m.issueTick(now) }
@@ -502,10 +509,8 @@ func (p issuePhase) Tick(now uint64) { p.m.issueTick(now) }
 func (p issuePhase) NextEvent(now uint64) uint64 {
 	ev := sim.Never
 	for _, s := range p.m.active {
-		if s.startupLeft > 0 {
-			if t := now + uint64(s.startupLeft); t < ev {
-				ev = t
-			}
+		if now < s.ready {
+			ev = min(ev, s.ready)
 			continue
 		}
 		if s.issued < s.n {
@@ -515,100 +520,13 @@ func (p issuePhase) NextEvent(now uint64) uint64 {
 	return ev
 }
 
-// Skip applies the per-cycle effects of skipped idle issue Ticks: the
-// active-stream occupancy sample and the startup countdown (the engine
-// never jumps past a startup expiry, so the subtraction cannot underflow).
-// Streams in startup never count as AG stalls, so that counter is unmoved.
-func (p issuePhase) Skip(now, cycles uint64) {
-	m := p.m
-	m.met.agActive.ObserveN(len(m.active), cycles)
-	for _, s := range m.active {
-		if s.startupLeft > 0 {
-			s.startupLeft -= int(cycles)
-		}
-	}
-}
-
-// memPhase is the composite memory-system ticker of a banked machine. Each
-// cycle it advances every scatter-add unit, then every cache bank, then the
-// DRAM channels in channel order, and finally delivers completed line reads
-// to their banks in that same channel order. Under fast-forward a member is
-// ticked only when its own NextEvent, asked at its turn, is due; otherwise it
-// takes Skip(now, 1), which is exactly its idle Tick. The fast-forward
-// contract is the union of the members': the next event is the minimum over
-// every unit, bank, and channel, and Skip fans out to all of them.
-type memPhase struct{ m *Machine }
-
-func (p memPhase) Tick(now uint64) {
-	m := p.m
-	ff := !m.cfg.LegacyStepping
-	for _, sa := range m.sas {
-		if ff && sa.NextEvent(now) > now {
-			sa.Skip(now, 1)
-			continue
-		}
-		sa.Tick(now)
-	}
-	for _, b := range m.banks {
-		if ff && b.NextEvent(now) > now {
-			b.Skip(now, 1)
-			continue
-		}
-		b.Tick(now)
-	}
-	if ff && m.dram.NextEvent(now) > now {
-		m.dram.Skip(now, 1)
-	} else {
-		m.dram.Tick(now)
-	}
-	m.dram.DrainResponses(m.fillFn)
-}
-
-func (p memPhase) NextEvent(now uint64) uint64 {
-	m := p.m
-	ev := sim.Never
-	for _, sa := range m.sas {
-		if e := sa.NextEvent(now); e < ev {
-			if e <= now {
-				return e
-			}
-			ev = e
-		}
-	}
-	for _, b := range m.banks {
-		if e := b.NextEvent(now); e < ev {
-			if e <= now {
-				return e
-			}
-			ev = e
-		}
-	}
-	if e := m.dram.NextEvent(now); e < ev {
-		ev = e
-	}
-	return ev
-}
-
-func (p memPhase) Skip(now, cycles uint64) {
-	m := p.m
-	for _, sa := range m.sas {
-		sa.Skip(now, cycles)
-	}
-	for _, b := range m.banks {
-		b.Skip(now, cycles)
-	}
-	m.dram.Skip(now, cycles)
-}
-
 // responsePhase routes scatter-add unit responses back to their streams. It
-// is purely reactive: a deliverable response is reported as work by the
-// unit's own NextEvent (non-empty upstream queue), so it never wakes the
-// engine itself.
+// is purely reactive: a unit that queued a response was ticked that cycle,
+// so it never wakes the engine itself.
 type responsePhase struct{ m *Machine }
 
 func (p responsePhase) Tick(now uint64)             { p.m.responseTick(now) }
 func (p responsePhase) NextEvent(now uint64) uint64 { return sim.Never }
-func (p responsePhase) Skip(now, cycles uint64)     {}
 
 // retirePhase removes completed streams. A completed-but-unretired stream is
 // work now (retirement frees its address generator next cycle, exactly as
@@ -627,17 +545,13 @@ func (p retirePhase) NextEvent(now uint64) uint64 {
 	return sim.Never
 }
 
-func (p retirePhase) Skip(now, cycles uint64) {}
-
 // issueTick: each active stream owns one address generator and may issue up
 // to AGWidth requests per cycle, in order (head-of-line blocking on a busy
 // bank models the hot-bank effect of Figure 7).
 func (m *Machine) issueTick(now uint64) {
-	m.met.agActive.Observe(len(m.active))
 	stalled := false
 	for _, s := range m.active {
-		if s.startupLeft > 0 {
-			s.startupLeft--
+		if now < s.ready {
 			continue
 		}
 		issuedBefore := s.issued
@@ -677,26 +591,25 @@ func (m *Machine) issueTick(now uint64) {
 // dram.SampleQueueDepthPerCycle; end-of-cycle totals are identical in both
 // stepping modes, since skipped cycles leave the queues untouched).
 func (m *Machine) responseTick(now uint64) {
-	for _, sa := range m.sas {
-		for {
-			r, ok := sa.PopResponse(now)
-			if !ok {
-				break
-			}
-			if s := m.streamByTag(r.ID >> 32); s != nil {
-				s.responses++
-				if m.tr != nil {
-					m.tr.OpEnd(0, r.ID, now)
-				}
-				if s.op.OnResp != nil {
-					r.ID &= (1 << 32) - 1 // restore the caller's index
-					s.op.OnResp(r)
-				}
-			}
-		}
-	}
+	m.mem.PopResponses(now, m.respFn)
 	if m.dram != nil {
 		m.dram.SyncQueueDepth()
+	}
+}
+
+// route delivers one unit response to the stream that issued it.
+func (m *Machine) route(now uint64, r mem.Response) {
+	s := m.streamByTag(r.ID >> 32)
+	if s == nil {
+		return
+	}
+	s.responses++
+	if m.tr != nil {
+		m.tr.OpEnd(0, r.ID, now)
+	}
+	if s.op.OnResp != nil {
+		r.ID &= (1 << 32) - 1 // restore the caller's index
+		s.op.OnResp(r)
 	}
 }
 
@@ -718,6 +631,7 @@ func (m *Machine) retireTick(now uint64) {
 		s.inUse = false
 	}
 	m.active = live
+	m.met.agActive.Set(now+1, len(m.active))
 }
 
 // streamByTag finds the active stream with the given request tag.
@@ -728,24 +642,6 @@ func (m *Machine) streamByTag(tag uint64) *memStream {
 		}
 	}
 	return nil
-}
-
-// memSystemBusy reports whether any memory-system component holds work.
-func (m *Machine) memSystemBusy() bool {
-	for _, sa := range m.sas {
-		if sa.Busy() {
-			return true
-		}
-	}
-	// saunit.Busy covers its downstream bank/uniform; DRAM covered via banks'
-	// MSHRs? Not entirely: a write-back accepted by DRAM leaves bank idle.
-	if m.dram != nil && m.dram.Busy() {
-		return true
-	}
-	if m.uniform != nil && m.uniform.Busy() {
-		return true
-	}
-	return false
 }
 
 // neverDone is the RunUntil predicate for fixed-length advances; a
@@ -807,7 +703,7 @@ func (m *Machine) fence() {
 // drained reports fence completion: no active streams and an idle memory
 // system.
 func (m *Machine) drained() bool {
-	return len(m.active) == 0 && !m.memSystemBusy()
+	return len(m.active) == 0 && !m.mem.Busy()
 }
 
 // fpDelta counts floating-point FU operations performed between two stat
@@ -851,8 +747,8 @@ func (m *Machine) runMemOp(op Op) {
 	*s = memStream{
 		inUse: true,
 		op:    op, tag: m.nextTag, n: n,
-		needResp:    op.MemKind == mem.Read || op.MemKind.IsFetch(),
-		startupLeft: m.cfg.MemOpStartup,
+		needResp: op.MemKind == mem.Read || op.MemKind.IsFetch(),
+		ready:    m.eng.Now() + uint64(m.cfg.MemOpStartup),
 	}
 	if m.tr != nil {
 		s.start = m.eng.Now()
@@ -864,6 +760,7 @@ func (m *Machine) runMemOp(op Op) {
 		}
 	}
 	m.active = append(m.active, s)
+	m.met.agActive.Set(m.eng.Now(), len(m.active))
 	if op.Async {
 		return
 	}

@@ -49,15 +49,15 @@ func replayHot(cfg Config, refs []Ref, rng int) activityRun {
 // legacy stepping in Result, counters (with every histogram bucket), span
 // report and final memory where most of the system sleeps most of the time.
 // Node grain: on 256 trimmed nodes replaying a hot histogram whose 64 bins
-// belong to the first 8 nodes, almost every node sleeps almost every cycle,
-// so nearly all node work is deferred to catch-up Skips; this runs on every
-// fabric, on the combining modes that run flush rounds, and through a chaos
-// run that degrades nodes from combining to direct. Switch grain: a
-// combining mesh, and a combining tree under the default chaos faults,
-// where blocked switches sleep and owe their stalls (Result.NetStats).
-// Component grain: on Table-1 nodes (8 banks, 16 DRAM channels) replaying
-// Fig 13's wide histogram, a working node's units, banks and channels are
-// mostly idle, so most of them take Skip(now, 1) in place of a Tick.
+// belong to the first 8 nodes, almost every node sleeps almost every cycle;
+// this runs on every fabric, on the combining modes that run flush rounds,
+// and through a chaos run that degrades nodes from combining to direct.
+// Switch grain: a combining mesh, and a combining tree under the default
+// chaos faults, where blocked switches sleep and owe their stalls
+// (Result.NetStats). Component grain: on Table-1 nodes (8 banks, 16 DRAM
+// channels) replaying Fig 13's wide histogram, a working node's units,
+// banks and channels are mostly idle, so the due set ticks few of them, and
+// combining banks blocked in the flush round sleep.
 func TestActivityMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node and Table-1 legacy replays")
@@ -134,6 +134,56 @@ func TestActivityMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestPerCycleSampleLaw checks, in both stepping modes, that after a replay
+// every per-cycle histogram of every node holds exactly one sample per cycle
+// of the system clock and no unit's FU was busy for more cycles: on 4
+// Table-1 nodes combining in their caches through the flush-with-sum-back
+// round, and under chaos faults that degrade nodes from combining to
+// direct. Both stepping modes count occupancy at change points, so the
+// differ, which compares them, cannot see a sampling fault they share.
+func TestPerCycleSampleLaw(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Table-1 legacy replays")
+	}
+	const wideRng = 1 << 20
+	wide := uniformTrace(2048, wideRng, 0xF16_13+1)
+	comb := DefaultConfig(4, 1, lineSpan(wideRng, 4))
+	comb.Topology = FlatCombining()
+	chaos := comb
+	chaos.Faults = fault.DefaultChaos()
+	chaos.Faults.DegradeThreshold = 1
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		degrades bool
+	}{{"flat+comb", comb, false}, {"table1-chaos-degraded", chaos, true}} {
+		for _, legacy := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.LegacyStepping = legacy
+			s := New(cfg, mem.AddI64)
+			res := s.RunTrace(wide)
+			if res.SumBacks == 0 || tc.degrades && res.Degraded == 0 {
+				t.Fatalf("%s: no sum-backs, or no node degraded: %+v", tc.name, res)
+			}
+			seen := 0
+			for _, e := range s.StatsSnapshot().Entries {
+				switch {
+				case strings.HasSuffix(e.Key, "_occupancy.count"):
+					seen++
+					if e.Val != s.now {
+						t.Errorf("%s legacy=%v: %s = %d, want one sample per cycle (%d)", tc.name, legacy, e.Key, e.Val, s.now)
+					}
+				case strings.HasSuffix(e.Key, "/fu_busy_cycles") && e.Val > s.now:
+					t.Errorf("%s legacy=%v: %s = %d exceeds the %d cycles elapsed", tc.name, legacy, e.Key, e.Val, s.now)
+				}
+			}
+			if seen == 0 {
+				t.Fatalf("%s: no per-cycle histogram in the snapshot", tc.name)
+			}
+		}
+	}
+}
+
 // TestStepActiveDoesNotAllocate: once a replay has opened the fabric's
 // ports and staging rings, a busy cycle of activity-driven stepping
 // allocates nothing, on a combining tree, a combining mesh and the flat
@@ -147,7 +197,7 @@ func TestStepActiveDoesNotAllocate(t *testing.T) {
 	}{{"tree+comb", Tree(4, true)}, {"mesh+comb", Mesh(true)}, {"flat", Flat()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(hotConfig(nodes, lineSpan(rng, nodes), tc.topo), mem.AddI64)
-			s.assign(uniformTrace(16384, rng, 5))
+			s.load(uniformTrace(16384, rng, 5))
 			s.rescan()
 			for c := 0; c < 300; c++ {
 				s.stepActive()

@@ -36,6 +36,7 @@ import (
 	"slices"
 
 	"scatteradd/internal/cache"
+	"scatteradd/internal/cluster"
 	"scatteradd/internal/dram"
 	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
@@ -124,9 +125,12 @@ type node struct {
 	sas   []*saunit.Unit
 	banks []*cache.Bank
 	dram  *dram.DRAM
-	comb  []*cache.Bank // CombineLocal banks (combining mode only)
+	comb  []*cache.Bank    // CombineLocal banks (combining mode only)
+	cl    *cluster.Cluster // steps sas, banks, comb and dram
 
-	trace  []Ref // this node's share of the references
+	// The node's share of the trace is refs[id+k*Nodes] for k < share, read
+	// in place from the replayed slice; issued counts the ones sent.
+	share  int
 	issued int
 	inbox  *sim.Queue[mem.Request] // staged network arrivals
 	outbox *sim.Queue[mem.Request] // sum-backs and remote requests awaiting the network
@@ -144,11 +148,10 @@ type node struct {
 	ackbox   []ackOut                 // acks awaiting network injection
 	degraded bool                     // combining store tripped: fall back to direct
 
-	// Activity-driven stepping (fast-forward only; see stepActive). at is
-	// the cycle the node's components have advanced to; next caches
-	// nodeNextEvent and busy the node's share of done, both as of the last
-	// cycle the node worked. A node sleeps until next or a fabric arrival.
-	at   uint64
+	// Activity-driven stepping (fast-forward only; see stepActive). next
+	// caches nodeNextEvent and busy the node's share of done, both as of the
+	// last cycle the node worked. A node sleeps until next or a fabric
+	// arrival.
 	next uint64
 	busy bool
 }
@@ -206,6 +209,7 @@ type System struct {
 	topo  Topology // cfg.Topology with defaults applied (see normalized)
 	kind  mem.Kind
 	nodes []*node
+	refs  []Ref // the trace being replayed (see load)
 	xbar  network.Fabric
 	mh    *network.MultiHop // xbar when it is a multi-hop fabric, else nil
 	reg   *stats.Registry
@@ -303,6 +307,7 @@ func New(cfg Config, kind mem.Kind) *System {
 				s.reg.Adopt(fmt.Sprintf("comb[%d.%d]", id, b), cb.StatsGroup())
 			}
 		}
+		n.cl = cluster.New(n.sas, n.banks, n.comb, n.dram, nil, s.ff, true)
 		s.nodes = append(s.nodes, n)
 	}
 	return s
@@ -312,7 +317,9 @@ func New(cfg Config, kind mem.Kind) *System {
 // the system (crossbar plus per-node DRAM, cache, combining, and scatter-add
 // groups).
 func (s *System) StatsSnapshot() stats.Snapshot {
-	s.settle()
+	for _, n := range s.nodes {
+		n.cl.FlushStats(s.now)
+	}
 	return s.reg.Snapshot()
 }
 
@@ -364,7 +371,7 @@ func (n *node) combBank(a mem.Addr) *cache.Bank {
 // runs to global quiescence (including the flush-with-sum-back rounds when
 // combining). It returns the achieved throughput.
 func (s *System) RunTrace(refs []Ref) Result {
-	s.assign(refs)
+	s.load(refs)
 	start := s.now
 	limit := s.now + 2_000_000_000
 	runPhase := func() {
@@ -391,7 +398,6 @@ func (s *System) RunTrace(refs []Ref) Result {
 				panic("multinode: trace did not drain; flow-control deadlock")
 			}
 		}
-		s.settle()
 	}
 	// Local phase: replay the trace.
 	runPhase()
@@ -406,9 +412,7 @@ func (s *System) RunTrace(refs []Ref) Result {
 		}
 		for r := 0; r < rounds; r++ {
 			for _, n := range s.nodes {
-				for _, cb := range n.comb {
-					cb.StartFlush()
-				}
+				n.cl.StartFlush(s.now)
 			}
 			runPhase()
 		}
@@ -451,15 +455,14 @@ func (s *System) RunTrace(refs []Ref) Result {
 	return res
 }
 
-// assign partitions refs round-robin over the nodes as their trace shares.
-func (s *System) assign(refs []Ref) {
+// load makes refs the trace to replay, partitioned round-robin: node id
+// issues refs[id], refs[id+Nodes], ... in that order, read in place.
+func (s *System) load(refs []Ref) {
+	s.refs = refs
+	nn := len(s.nodes)
 	for _, n := range s.nodes {
-		n.trace = n.trace[:0]
+		n.share = (len(refs) - n.id + nn - 1) / nn
 		n.issued = 0
-	}
-	for i, r := range refs {
-		n := s.nodes[i%len(s.nodes)]
-		n.trace = append(n.trace, r)
 	}
 }
 
@@ -475,9 +478,12 @@ func (s *System) nextEvent() uint64 {
 	return max(s.now, min(s.nodeMin, s.xbar.NextEvent(s.now)))
 }
 
-// nodeNextEvent returns the earliest cycle at which one node can do work.
+// nodeNextEvent returns the earliest cycle at which one node can do work:
+// now while it has requests to issue, arrivals or sends staged, or evicted
+// lines to turn into sum-backs; otherwise its earliest resend deadline or
+// its cluster's earliest due component.
 func (s *System) nodeNextEvent(n *node) uint64 {
-	if n.issued < len(n.trace) || !n.inbox.Empty() || !n.outbox.Empty() {
+	if n.issued < n.share || !n.inbox.Empty() || !n.outbox.Empty() || n.cl.Evicting() {
 		return s.now
 	}
 	ev := sim.Never
@@ -488,68 +494,13 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 		// Unacked packets wake the system at their resend deadlines.
 		ev = n.unacked.NextDeadline()
 	}
-	for _, u := range n.sas {
-		if t := u.NextEvent(s.now); t < ev {
-			ev = t
-		}
-	}
-	for _, b := range n.banks {
-		if t := b.NextEvent(s.now); t < ev {
-			ev = t
-		}
-	}
-	for _, cb := range n.comb {
-		if t := cb.NextEvent(s.now); t < ev {
-			ev = t
-		}
-	}
-	if t := n.dram.NextEvent(s.now); t < ev {
-		ev = t
-	}
-	return ev
+	return min(ev, n.cl.NextEvent(s.now))
 }
 
-// skipTo jumps the clock to cycle h. The nodes apply the skipped cycles'
-// batch effects (per-cycle occupancy samples) when they next catch up; a
-// multi-hop fabric's sleeping switches credit their stalls when they next
-// run.
+// skipTo jumps the clock to cycle h. An idle cycle changes no node, so the
+// nodes need no catching up; a multi-hop fabric's sleeping switches credit
+// their stalls when they next run.
 func (s *System) skipTo(h uint64) { s.now = h }
-
-// catchUp brings node n's components from the cycle they advanced to up to
-// s.now with one Skip each. Every cycle the node sat out was quiescent for
-// it — no fabric arrival and no due event — so its Tick would have been
-// exactly Skip(now, 1): the FastForwarder contract the whole-system jump
-// already relies on. Nodes interact only through the fabric, so the rest of
-// the machine moving meanwhile does not change that.
-func (s *System) catchUp(n *node) {
-	if n.at == s.now {
-		return
-	}
-	cycles := s.now - n.at
-	for _, u := range n.sas {
-		u.Skip(n.at, cycles)
-	}
-	for _, b := range n.banks {
-		b.Skip(n.at, cycles)
-	}
-	for _, cb := range n.comb {
-		cb.Skip(n.at, cycles)
-	}
-	n.dram.Skip(n.at, cycles)
-	n.at = s.now
-}
-
-// settle catches every node up to the system clock, so counters and memory
-// read exactly as under per-cycle stepping. RunTrace settles at the end of
-// every phase; StatsSnapshot and ReadResult settle before reading.
-func (s *System) settle() {
-	if !s.ff {
-		return
-	}
-	for _, n := range s.nodes {
-		s.catchUp(n)
-	}
-}
 
 // refresh recomputes node n's cached next event and busy flag.
 func (s *System) refresh(n *node) {
@@ -580,8 +531,7 @@ func (s *System) rescan() {
 // stepActive is step under fast-forward: only the nodes with a fabric
 // arrival or a due event work this cycle, in node order, with exchange
 // halves before compute halves as in step. Every other node's share of the
-// cycle would be a no-op exchange and a compute equal to Skip(now, 1), so
-// it is deferred to the node's next catch-up. The loop does not allocate.
+// cycle would be a no-op. The loop does not allocate.
 func (s *System) stepActive() {
 	act := s.active[:0]
 	nodeMin := sim.Never
@@ -590,7 +540,6 @@ func (s *System) stepActive() {
 			nodeMin = min(nodeMin, n.next)
 			continue
 		}
-		s.catchUp(n)
 		s.stepNodeExchange(n)
 		act = append(act, n)
 	}
@@ -600,7 +549,6 @@ func (s *System) stepActive() {
 	s.xbar.Tick(s.now)
 	s.now++
 	for _, n := range act {
-		n.at = s.now
 		s.refresh(n)
 		nodeMin = min(nodeMin, n.next)
 	}
@@ -688,8 +636,8 @@ func (s *System) stepNodeExchange(n *node) {
 		n.inbox.Pop()
 	}
 	// Issue this node's trace share.
-	for k := 0; k < s.cfg.IssueRate && n.issued < len(n.trace); k++ {
-		ref := n.trace[n.issued]
+	for k := 0; k < s.cfg.IssueRate && n.issued < n.share; k++ {
+		ref := s.refs[n.id+n.issued*len(s.nodes)]
 		req := mem.Request{ID: uint64(n.issued), Kind: s.kind, Addr: ref.Addr, Val: ref.Val, Node: n.id}
 		// A combining switch can absorb the request inside routeRequest —
 		// before its span exists, so the fabric cannot end it.
@@ -712,9 +660,9 @@ func (s *System) stepNodeExchange(n *node) {
 	}
 	// Convert evicted partial lines into sum-back requests (a whole line
 	// needs LineWords outbox slots).
-	for _, cb := range n.comb {
+	for i := 0; i < len(n.comb) && n.cl.Evicting(); i++ {
 		for n.outbox.Cap()-n.outbox.Len() >= mem.LineWords {
-			ev, ok := cb.PopEvict()
+			ev, ok := n.cl.PopEvict(i, s.now)
 			if !ok {
 				break
 			}
@@ -762,58 +710,20 @@ func (s *System) stepNodeExchange(n *node) {
 }
 
 // stepNodeCompute is the node-local half of a node's cycle: ticking the
-// node's hardware and moving its internal responses. Under fast-forward a
-// unit, bank, combining bank or DRAM is ticked only when its own NextEvent,
-// asked at its turn (after the components before it have pushed into its
-// queues), is due; otherwise it takes Skip(now, 1), which is exactly its
-// idle Tick.
+// node's memory cluster (under fast-forward, only its due components) and
+// discarding unit responses, which a trace replay never waits for.
 func (s *System) stepNodeCompute(n *node) {
-	now := s.now
-	for _, u := range n.sas {
-		if s.ff && u.NextEvent(now) > now {
-			u.Skip(now, 1)
-			continue
-		}
-		u.Tick(now)
-	}
-	for _, b := range n.banks {
-		if s.ff && b.NextEvent(now) > now {
-			b.Skip(now, 1)
-			continue
-		}
-		b.Tick(now)
-	}
-	for _, cb := range n.comb {
-		if s.ff && cb.NextEvent(now) > now {
-			cb.Skip(now, 1)
-			continue
-		}
-		cb.Tick(now)
-	}
-	// The degradation check runs right after the combining banks tick — the
-	// cycle a scrub crosses the threshold is a worked cycle in both stepping
-	// modes, so the combining-to-direct transition lands identically.
+	n.cl.Tick(s.now)
+	// The degradation check follows the combining banks' turn: a scrub that
+	// crosses the threshold happens in a combining bank's tick, which the
+	// DRAM's tick and the fills after it in the cluster neither read nor
+	// change, and the flush it starts steps from the next cycle on.
 	s.checkDegrade(n)
-	if s.ff && n.dram.NextEvent(now) > now {
-		n.dram.Skip(now, 1)
-	} else {
-		n.dram.Tick(now)
-	}
-	for {
-		r, ok := n.dram.PopResponse(now)
-		if !ok {
-			break
-		}
-		n.banks[cache.BankOf(r.Line, len(n.banks))].Fill(now, r.Line, r.Data)
-	}
-	for _, u := range n.sas {
-		for {
-			if _, ok := u.PopResponse(now); !ok {
-				break
-			}
-		}
-	}
+	n.cl.PopResponses(s.now, discardResponse)
 }
+
+// discardResponse drops a unit response.
+func discardResponse(mem.Response) {}
 
 // routeRequest sends one trace reference on its way. It reports false when
 // back-pressure blocked it.
@@ -877,9 +787,7 @@ func (s *System) checkDegrade(n *node) {
 	}
 	n.degraded = true
 	s.lmet.degraded.Inc()
-	for _, cb := range n.comb {
-		cb.StartFlush()
-	}
+	n.cl.StartFlush(s.now)
 }
 
 // queueSumBack turns an evicted partial line into per-word scatter-add
@@ -937,23 +845,13 @@ func (s *System) done() bool {
 // nodeBusy reports whether node n holds unfinished work of the current
 // phase.
 func (s *System) nodeBusy(n *node) bool {
-	if n.issued < len(n.trace) || !n.inbox.Empty() || !n.outbox.Empty() {
+	if n.issued < n.share || !n.inbox.Empty() || !n.outbox.Empty() {
 		return true
 	}
 	if s.reliable && (n.unacked.Len() > 0 || len(n.ackbox) > 0) {
 		return true
 	}
-	for _, u := range n.sas {
-		if u.Busy() {
-			return true
-		}
-	}
-	for _, cb := range n.comb {
-		if cb.Busy() || cb.Flushing() {
-			return true
-		}
-	}
-	return n.dram.Busy()
+	return n.cl.Busy()
 }
 
 // Verify checks the memory left by RunTrace(refs) against the sequential
@@ -1033,13 +931,12 @@ func (s *System) ReadResult(addrs []mem.Addr) []mem.Word {
 	return out
 }
 
-// flushResult settles every node and writes its dirty cache lines to its
-// memory functionally, so the stores hold the final values.
+// flushResult writes every node's dirty cache lines to its memory
+// functionally, so the stores hold the final values.
 func (s *System) flushResult() {
-	s.settle()
 	for _, n := range s.nodes {
 		for _, b := range n.banks {
-			b.FlushFunctional()
+			b.FlushFunctional(s.now)
 		}
 	}
 }

@@ -120,16 +120,16 @@ type fuOp struct {
 // allocated once at construction and updated with plain increments.
 type metrics struct {
 	group       *stats.Group
-	csHits      *stats.Counter   // requests combined into a live address
-	csMisses    *stats.Counter   // requests that allocated a fresh reader
-	csEvictions *stats.Counter   // combining-store entries freed
-	csOccupancy *stats.Histogram // valid entries, sampled every cycle
-	fuBusy      *stats.Counter   // cycles with >= 1 op in the FU pipeline
-	stallFull   *stats.Counter   // cycles the head request stalled on a full store
-	memReads    *stats.Counter   // current-value reads issued downstream
-	memWrites   *stats.Counter   // sum write-backs issued downstream
-	bypassed    *stats.Counter   // ordinary requests passed through
-	wbQDepth    *stats.Gauge     // write-back queue high-water mark
+	csHits      *stats.Counter // requests combined into a live address
+	csMisses    *stats.Counter // requests that allocated a fresh reader
+	csEvictions *stats.Counter // combining-store entries freed
+	csOccupancy stats.Level    // valid entries, one sample per cycle
+	fuBusy      stats.Level    // cycles with >= 1 op in the FU pipeline
+	stallFull   *stats.Counter // cycles the head request stalled on a full store
+	memReads    *stats.Counter // current-value reads issued downstream
+	memWrites   *stats.Counter // sum write-backs issued downstream
+	bypassed    *stats.Counter // ordinary requests passed through
+	wbQDepth    *stats.Gauge   // write-back queue high-water mark
 
 	// Fault counters (zero unless injection is configured).
 	faultFURetry *stats.Counter // FU ops rejected by the residue check and reissued
@@ -143,8 +143,8 @@ func newMetrics(entries int) metrics {
 		csHits:      g.Counter("cs_hits"),
 		csMisses:    g.Counter("cs_misses"),
 		csEvictions: g.Counter("cs_evictions"),
-		csOccupancy: g.Histogram("cs_occupancy", entries+1),
-		fuBusy:      g.Counter("fu_busy_cycles"),
+		csOccupancy: stats.OccupancyLevel(g.Histogram("cs_occupancy", entries+1)),
+		fuBusy:      stats.BusyLevel(g.Counter("fu_busy_cycles")),
 		stallFull:   g.Counter("stall_full_cycles"),
 		memReads:    g.Counter("mem_reads"),
 		memWrites:   g.Counter("mem_writes"),
@@ -182,6 +182,7 @@ type Unit struct {
 	tr        *span.Tracer
 	track     string
 	downStage span.Stage
+	wake      sim.Wake
 
 	// Fault injection (nil when disabled).
 	fuInj *fault.Injector // FU transient errors: residue check fails, op reissues
@@ -216,8 +217,19 @@ func New(cfg Config, down port.Word) *Unit {
 func (u *Unit) Stats() Stats { return u.stats }
 
 // StatsGroup returns the unit's performance-counter group, for adoption
-// into a machine-level stats.Registry.
+// into a machine-level stats.Registry. Call FlushStats before reading it.
 func (u *Unit) StatsGroup() *stats.Group { return u.met.group }
+
+// FlushStats records the per-cycle occupancy and FU-busy samples of every
+// cycle before now, which the unit counts at their change points.
+func (u *Unit) FlushStats(now uint64) {
+	u.met.csOccupancy.Flush(now)
+	u.met.fuBusy.Flush(now)
+}
+
+// SetWake installs the unit's entry in its owner's due set: an accepted
+// request marks the unit due.
+func (u *Unit) SetWake(w sim.Wake) { u.wake = w }
 
 // Config returns the unit's configuration.
 func (u *Unit) Config() Config { return u.cfg }
@@ -259,7 +271,11 @@ func (u *Unit) Accept(now uint64, r mem.Request) bool {
 	if r.ID&saIDTag != 0 {
 		panic("saunit: upstream request ID collides with internal tag")
 	}
-	return u.inQ.Push(r)
+	if !u.inQ.Push(r) {
+		return false
+	}
+	u.wake.At(now)
+	return true
 }
 
 // PopResponse returns one upstream response: a bypassed read completion or a
@@ -297,16 +313,6 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 		return now
 	}
 	return max(now, min(u.fu.NextReady(), u.down.NextResponse(now)))
-}
-
-// Skip applies the per-cycle counter effects of cycles skipped idle Ticks:
-// the occupancy sample and the FU-busy count (an in-flight op still inside
-// its latency keeps the pipeline busy across a jump).
-func (u *Unit) Skip(now, cycles uint64) {
-	u.met.csOccupancy.ObserveN(u.csUsed, cycles)
-	if u.fu.Len() > 0 {
-		u.met.fuBusy.Add(cycles)
-	}
 }
 
 // csFind returns the index of a valid entry matching addr for which pred
@@ -363,12 +369,9 @@ func (u *Unit) csFree() int {
 
 // Tick advances the unit one cycle. Write-backs drain before reads issue so
 // that a read for an address never overtakes the write-back of its previous
-// sum in the downstream FIFO.
+// sum in the downstream FIFO. Occupancy and FU-busy levels changed by the
+// tick are first sampled in the next cycle.
 func (u *Unit) Tick(now uint64) {
-	u.met.csOccupancy.Observe(u.csUsed)
-	if u.fu.Len() > 0 {
-		u.met.fuBusy.Inc()
-	}
 	u.drainDownstream(now)
 	u.completeFU(now)
 	u.issueFU(now)
@@ -378,6 +381,8 @@ func (u *Unit) Tick(now uint64) {
 	if u.cfg.EagerCombine {
 		u.eagerCombine(now)
 	}
+	u.met.csOccupancy.Set(now+1, u.csUsed)
+	u.met.fuBusy.Set(now+1, min(u.fu.Len(), 1))
 }
 
 // drainDownstream pops downstream responses: internal current-value reads

@@ -32,31 +32,44 @@ const Never = ^uint64(0)
 //
 //   - NextEvent(now) returns the earliest cycle >= now at which the
 //     component might do observable work (change state, move an item, touch
-//     a counter other than pure occupancy sampling). A component with work
-//     pending in the current cycle returns now; a fully drained component
-//     returns Never. The answer must be conservative: returning a cycle
-//     earlier than the true next event is always safe, later is not.
+//     a counter). A component with work pending in the current cycle returns
+//     now; a fully drained component returns Never. The answer must be
+//     conservative: returning a cycle earlier than the true next event is
+//     always safe, later is not.
 //   - NextEvent covers every input the component's Tick reads, including a
 //     response pipe of a downstream component that only this one drains:
 //     asked at the component's turn in a cycle, after the components before
 //     it have acted, an answer above now means its Tick would be idle.
 //     Owners rely on that to tick a component only when it is due, so the
 //     answer should be O(1), kept in counters updated where state changes.
-//   - Skip(now, cycles) informs the component that cycles consecutive Ticks
-//     starting at now were idle: skipped because the engine found every
-//     component quiescent, or because the component's own NextEvent was not
-//     due at its turn. The component must apply the batch effect of those
-//     idle Ticks (typically per-cycle occupancy histogram observations) so
-//     that counters match per-cycle stepping exactly; Skip(now, 1) is one
-//     idle Tick.
+//   - An idle Tick changes nothing, so a cycle the component is not ticked
+//     needs no catching up. Per-cycle samples (occupancy histograms, busy
+//     counts) are counted at the cycles their level changes (stats.Level),
+//     never once per Tick.
 //
 // The engine only jumps when every registered Ticker implements
-// FastForwarder and none reports an event at the current cycle. Skip changes
-// nothing but the component's own per-cycle counters: other components may
-// be ticking in the same cycle.
+// FastForwarder and none reports an event at the current cycle.
 type FastForwarder interface {
 	NextEvent(now uint64) uint64
-	Skip(now, cycles uint64)
+}
+
+// Wake is a component's entry in its owner's due set: the earliest cycle at
+// which the owner must tick it. The component lowers the entry when work
+// reaches it from outside its own Tick (an Accept, a fill), and lowers the
+// entry of the component that drains a queue it pushes into; the owner
+// raises it to the component's NextEvent after each Tick. The zero Wake does
+// nothing: a component stepped every cycle, or driven by an Engine, needs
+// none.
+type Wake struct{ due *uint64 }
+
+// NewWake returns a Wake that lowers *due.
+func NewWake(due *uint64) Wake { return Wake{due: due} }
+
+// At marks the component due no later than cycle t.
+func (w Wake) At(t uint64) {
+	if w.due != nil && t < *w.due {
+		*w.due = t
+	}
 }
 
 // Engine owns the simulated clock and the set of components it drives.
@@ -176,15 +189,11 @@ func (e *Engine) horizon(limit uint64) uint64 {
 	return h
 }
 
-// jump advances the clock straight to cycle h, fanning the skipped-cycle
-// count out to every component and firing the sampler if h is a multiple of
-// its interval (horizon guarantees no multiple lies strictly inside the
-// skipped range).
+// jump advances the clock straight to cycle h and fires the sampler if h is
+// a multiple of its interval (horizon guarantees no multiple lies strictly
+// inside the skipped range). The skipped cycles were idle for every
+// component, so nothing else changes.
 func (e *Engine) jump(h uint64) {
-	n := h - e.now
-	for _, f := range e.ffs {
-		f.Skip(e.now, n)
-	}
 	e.now = h
 	if e.sample != nil && e.now%e.sampleEvery == 0 {
 		e.sample(e.now)

@@ -134,6 +134,49 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
+// Level is a quantity sampled once per cycle (an occupancy, or whether a
+// pipeline is busy) that is counted at its change points instead: it keeps
+// the current level and the cycle from which it has held, and hands each
+// finished stretch to its histogram as one ObserveN, or, for a busy level,
+// adds the stretch's cycles to its counter while the level is above zero.
+// ObserveN is additive, so the result equals one sample per cycle exactly,
+// provided the owner moves the level at the cycle the per-cycle sample would
+// first see the new value and calls Flush before anything reads the
+// instrument.
+type Level struct {
+	h     *Histogram
+	busy  *Counter
+	level int
+	since uint64
+}
+
+// OccupancyLevel returns a level recorded into h, one sample per cycle.
+func OccupancyLevel(h *Histogram) Level { return Level{h: h} }
+
+// BusyLevel returns a level that adds to c every cycle it is above zero.
+func BusyLevel(c *Counter) Level { return Level{busy: c} }
+
+// Set makes v the level from cycle at on, closing the stretch the previous
+// level held.
+func (l *Level) Set(at uint64, v int) {
+	if v != l.level {
+		l.Flush(at)
+		l.level = v
+	}
+}
+
+// Flush records the cycles from the open stretch's start up to at, and
+// opens the next stretch at at.
+func (l *Level) Flush(at uint64) {
+	n := at - l.since
+	l.since = at
+	if l.h != nil {
+		l.h.ObserveN(l.level, n)
+	} else if l.level > 0 {
+		l.busy.Add(n)
+	}
+}
+
 // metric is one named instrument of a group.
 type metric struct {
 	name string

@@ -264,3 +264,47 @@ func TestObserveNMatchesObserve(t *testing.T) {
 		}
 	}
 }
+
+// TestLevelMatchesPerCycleSamples: a Level moved only at its change points
+// and flushed at the end leaves its histogram (or busy counter) exactly as
+// one Observe per cycle of the same level sequence does, including two
+// changes at one cycle, a change back to the held level, and a flush in the
+// middle of a stretch.
+func TestLevelMatchesPerCycleSamples(t *testing.T) {
+	levels := []int{0, 0, 3, 3, 3, 1, 0, 0, 4, 4, 2, 2, 2, 2, 0, 5}
+	g := NewGroup("x")
+	perCycle := g.Histogram("per_cycle", 5)
+	var perCycleBusy Counter
+	occ := OccupancyLevel(g.Histogram("changes", 5))
+	var busyCount Counter
+	busy := BusyLevel(&busyCount)
+	for now, v := range levels {
+		perCycle.Observe(v)
+		if v > 0 {
+			perCycleBusy.Inc()
+		}
+		at := uint64(now)
+		occ.Set(at, v+1) // a transient level that holds for no cycle
+		occ.Set(at, v)
+		busy.Set(at, v)
+		if now == 9 {
+			occ.Flush(at)
+		}
+	}
+	end := uint64(len(levels))
+	occ.Flush(end)
+	busy.Flush(end)
+	busy.Flush(end) // a second flush at the same cycle records nothing
+	h := occ.h
+	if h.Count() != perCycle.Count() || h.Sum() != perCycle.Sum() {
+		t.Fatalf("count/sum %d/%d, want %d/%d", h.Count(), h.Sum(), perCycle.Count(), perCycle.Sum())
+	}
+	for b := 0; b < h.Buckets(); b++ {
+		if h.Bucket(b) != perCycle.Bucket(b) {
+			t.Fatalf("bucket %d = %d, want %d", b, h.Bucket(b), perCycle.Bucket(b))
+		}
+	}
+	if busyCount.Value() != perCycleBusy.Value() {
+		t.Fatalf("busy cycles %d, want %d", busyCount.Value(), perCycleBusy.Value())
+	}
+}
