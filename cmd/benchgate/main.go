@@ -11,7 +11,10 @@
 // The baseline is a previous -out file. A missing or empty baseline, or a
 // baseline that lacks the gate benchmark, disables the gate (the first run
 // on a branch has nothing to compare against); parse errors in the inputs
-// do not.
+// do not. Each entry records the GOMAXPROCS it ran at (procs, from the
+// name's -N suffix), the input's cpu: header and benchgate's Go version; a
+// baseline whose gate benchmark ran at another procs fails the gate, since
+// ns/op at different core counts do not compare.
 //
 // A second mode gates a saload report instead of bench output — the
 // server-load CI job's latency/availability bar:
@@ -42,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,23 +143,37 @@ type Result struct {
 	Runs    int       `json:"runs"`
 	NsPerOp []float64 `json:"ns_per_op"`
 	Median  float64   `json:"median_ns_per_op"`
+	Procs   int       `json:"procs"`         // GOMAXPROCS (the name's -N suffix; 1 without one)
+	CPU     string    `json:"cpu,omitempty"` // the input's last cpu: header line before the runs
+	Go      string    `json:"go"`            // the Go version benchgate was built with
 }
 
 // Summarize parses `go test -bench` output and reduces each benchmark to
-// its median ns/op. GOMAXPROCS suffixes ("-8") are stripped so results
-// compare across runner shapes; non-benchmark lines are ignored.
+// its median ns/op. GOMAXPROCS suffixes ("-8") are stripped from the name
+// and kept as Procs; a benchmark that ran at two procs values is an error,
+// since their runs do not share a median. Non-benchmark lines other than
+// cpu: headers are ignored.
 func Summarize(r io.Reader) (map[string]*Result, error) {
 	sum := make(map[string]*Result)
+	cpu := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		name, ns, ok := parseLine(sc.Text())
+		line := sc.Text()
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
+		name, procs, ns, ok := parseLine(line)
 		if !ok {
 			continue
 		}
 		res := sum[name]
 		if res == nil {
-			res = &Result{Name: name}
+			res = &Result{Name: name, Procs: procs, CPU: cpu, Go: runtime.Version()}
 			sum[name] = res
+		}
+		if res.Procs != procs {
+			return nil, fmt.Errorf("%s ran at procs %d and %d", name, res.Procs, procs)
 		}
 		res.Runs++
 		res.NsPerOp = append(res.NsPerOp, ns)
@@ -169,30 +187,33 @@ func Summarize(r io.Reader) (map[string]*Result, error) {
 	return sum, sc.Err()
 }
 
-// parseLine extracts (name, ns/op) from one benchmark result line, e.g.
+// parseLine extracts (name, GOMAXPROCS, ns/op) from one benchmark result
+// line, e.g.
 //
 //	BenchmarkEngineTick-8   107334   2382 ns/op   16 B/op   1 allocs/op
-func parseLine(line string) (string, float64, bool) {
+//
+// `go test` omits the suffix at GOMAXPROCS 1.
+func parseLine(line string) (string, int, float64, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-		return "", 0, false
+		return "", 0, 0, false
 	}
-	name := f[0]
+	name, procs := f[0], 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	for i := 2; i+1 < len(f); i++ {
 		if f[i+1] == "ns/op" {
 			ns, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return "", 0, false
+				return "", 0, 0, false
 			}
-			return name, ns, true
+			return name, procs, ns, true
 		}
 	}
-	return "", 0, false
+	return "", 0, 0, false
 }
 
 func median(xs []float64) float64 {
@@ -303,7 +324,9 @@ func PromLint(paths []string) (string, bool) {
 }
 
 // Gate compares the gate benchmark's median against the baseline and
-// reports whether the change is within maxRegress.
+// reports whether the change is within maxRegress. It fails when the two
+// ran at different GOMAXPROCS (a baseline written before procs was
+// recorded reads 0).
 func Gate(sum, base map[string]*Result, gate string, maxRegress float64) (string, bool) {
 	cur, ok := sum[gate]
 	if !ok {
@@ -312,6 +335,10 @@ func Gate(sum, base map[string]*Result, gate string, maxRegress float64) (string
 	old, ok := base[gate]
 	if !ok || old.Median <= 0 {
 		return fmt.Sprintf("benchgate: no baseline for %s; gate skipped", gate), true
+	}
+	if old.Procs != cur.Procs {
+		return fmt.Sprintf("benchgate: FAIL: %s: baseline ran at procs %d, this run at procs %d; core counts differ",
+			gate, old.Procs, cur.Procs), false
 	}
 	delta := (cur.Median - old.Median) / old.Median
 	verdict := "ok"

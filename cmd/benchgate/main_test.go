@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +44,62 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeRecordsHost checks that each entry keeps the GOMAXPROCS of
+// its name's suffix (1 without one), the cpu: header above its runs and
+// benchgate's Go version.
+func TestSummarizeRecordsHost(t *testing.T) {
+	in := `goos: linux
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkEngineTick-2   	  107334	      2400 ns/op
+pkg: scatteradd/internal/saunit
+cpu: AMD EPYC 7B13
+BenchmarkSAUnitTick 	 1013354	       209.1 ns/op
+`
+	sum, err := Summarize(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]Result{
+		"BenchmarkEngineTick": {Procs: 2, CPU: "Intel(R) Xeon(R) Processor"},
+		"BenchmarkSAUnitTick": {Procs: 1, CPU: "AMD EPYC 7B13"},
+	} {
+		got := sum[name]
+		if got == nil || got.Procs != want.Procs || got.CPU != want.CPU || got.Go != runtime.Version() {
+			t.Errorf("%s = %+v, want procs %d, cpu %q, go %s", name, got, want.Procs, want.CPU, runtime.Version())
+		}
+	}
+}
+
+// TestSummarizeRejectsMixedProcs refuses one median over runs at two core
+// counts (as `go test -cpu 1,2` prints them).
+func TestSummarizeRejectsMixedProcs(t *testing.T) {
+	in := "BenchmarkEngineTick 	 100	 2400 ns/op\nBenchmarkEngineTick-2 	 100	 1300 ns/op\n"
+	if _, err := Summarize(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "procs 1 and 2") {
+		t.Errorf("Summarize = %v, want an error naming procs 1 and 2", err)
+	}
+}
+
+// TestGateRefusesOtherProcs fails, rather than skips, a gate whose
+// baseline ran at another GOMAXPROCS, naming both; a baseline written
+// before procs was recorded reads 0 and fails the same way.
+func TestGateRefusesOtherProcs(t *testing.T) {
+	for _, baseProcs := range []int{4, 0} {
+		sum, base := gateFixtures(2000, 2000)
+		sum["BenchmarkEngineTick"].Procs = 2
+		base["BenchmarkEngineTick"].Procs = baseProcs
+		msg, ok := Gate(sum, base, "BenchmarkEngineTick", 0.10)
+		want := fmt.Sprintf("baseline ran at procs %d, this run at procs 2", baseProcs)
+		if ok || !strings.Contains(msg, want) {
+			t.Errorf("baseline procs %d: Gate = %v (%s), want a failure saying %q", baseProcs, ok, msg, want)
+		}
+	}
+	sum, base := gateFixtures(2000, 2000)
+	sum["BenchmarkEngineTick"].Procs, base["BenchmarkEngineTick"].Procs = 2, 2
+	if msg, ok := Gate(sum, base, "BenchmarkEngineTick", 0.10); !ok {
+		t.Errorf("same procs: Gate failed (%s)", msg)
+	}
+}
+
 func TestParseLineRejectsNonBench(t *testing.T) {
 	for _, line := range []string{
 		"PASS",
@@ -49,7 +107,7 @@ func TestParseLineRejectsNonBench(t *testing.T) {
 		"BenchmarkBroken-8 xyz abc ns/op",
 		"Benchmark only three",
 	} {
-		if _, _, ok := parseLine(line); ok {
+		if _, _, _, ok := parseLine(line); ok {
 			t.Errorf("parseLine(%q) accepted, want rejected", line)
 		}
 	}

@@ -1,9 +1,12 @@
 package apps
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"scatteradd/internal/machine"
+	"scatteradd/internal/mem"
 )
 
 // fastMachine returns a full-featured machine with reduced startup costs so
@@ -85,6 +88,30 @@ func TestHistogramVerifyDetectsCorruption(t *testing.T) {
 	m.Store().StoreI64(h.BinBase, -999)
 	if err := h.Verify(m); err == nil {
 		t.Fatal("Verify missed corrupted bin")
+	}
+}
+
+// TestHistogramVerifyNamesChunkedBins corrupts one bin at a time on either
+// side of the first 4096-bin chunk boundary and in the last, partial chunk;
+// Verify must name each by its bin number.
+func TestHistogramVerifyNamesChunkedBins(t *testing.T) {
+	h := NewHistogram(2000, 2*4096+100, 3)
+	m := fastMachine()
+	h.RunHW(m)
+	if err := h.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{4095, 4096, 2*4096 + 57} {
+		a := h.BinBase + mem.Addr(b)
+		m.Store().StoreI64(a, h.Ref[b]+7)
+		err := h.Verify(m)
+		if want := fmt.Sprintf("bin %d = %d,", b, h.Ref[b]+7); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("corrupted bin %d: Verify = %v, want an error naming %q", b, err, want)
+		}
+		m.Store().StoreI64(a, h.Ref[b])
+	}
+	if err := h.Verify(m); err != nil {
+		t.Fatalf("restored bins: %v", err)
 	}
 }
 

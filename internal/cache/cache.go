@@ -589,7 +589,10 @@ func (b *Bank) pinnedLine(set, way int) bool {
 
 // Tick processes queued requests, retries blocked fills, and drains the
 // write-back queue to DRAM. Occupancy levels changed by the tick are first
-// sampled in the next cycle.
+// sampled in the next cycle. Each stage is guarded by a count of its own
+// work, so a stage with nothing to do costs O(1); the guards read only the
+// bank's state, never NextEvent, so legacy stepping, which ticks every bank
+// every cycle, stays an independent reference.
 func (b *Bank) Tick(now uint64) {
 	if b.inQ.Len() > b.cfg.PortWidth {
 		// More word requests queued than the bank port can serve this cycle:
@@ -597,35 +600,10 @@ func (b *Bank) Tick(now uint64) {
 		b.met.conflicts.Inc()
 	}
 
-	// Drain filled MSHRs and retry fills blocked on eviction.
-	for i := range b.mshrs {
-		m := &b.mshrs[i]
-		if !m.valid {
-			continue
-		}
-		if m.filled {
-			b.drainMSHR(now, m)
-			continue
-		}
-		if m.pendingFill != nil {
-			if b.install(now, m.line, *m.pendingFill, false) {
-				m.pendingFill = nil
-				b.completeMSHR(now, m)
-			}
-		}
-	}
-
-	// Issue MSHR fetches that have not reached DRAM yet.
-	if b.mode == Normal {
-		for i := range b.mshrs {
-			m := &b.mshrs[i]
-			if m.valid && !m.issued && m.pendingFill == nil {
-				if b.dram.CanAccept(m.line) && b.dram.Accept(now, dram.LineReq{Line: m.line}) {
-					m.issued = true
-					b.mshrWait++
-				}
-			}
-		}
+	// Every valid MSHR not waiting on DRAM has local work: a filled line
+	// draining, a staged fill, or an unissued fetch.
+	if b.mshrUsed > b.mshrWait {
+		b.tickMSHRs(now)
 	}
 
 	// Front-side request processing.
@@ -641,7 +619,7 @@ func (b *Bank) Tick(now uint64) {
 	}
 
 	// Surface scrubbed partial lines whose re-check has completed.
-	for b.scrubQ != nil && !b.evictQ.Full() {
+	for b.scrubQ != nil && b.scrubQ.Len() > 0 && !b.evictQ.Full() {
 		ev, ok := b.scrubQ.Pop(now)
 		if !ok {
 			break
@@ -662,6 +640,39 @@ func (b *Bank) Tick(now uint64) {
 	}
 	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
 	b.met.wcbOccupancy.Set(now+1, b.wcbUsed)
+}
+
+// tickMSHRs drains filled MSHRs, retries fills blocked on eviction, then
+// issues the fetches that have not reached DRAM yet.
+func (b *Bank) tickMSHRs(now uint64) {
+	for i := range b.mshrs {
+		m := &b.mshrs[i]
+		if !m.valid {
+			continue
+		}
+		if m.filled {
+			b.drainMSHR(now, m)
+			continue
+		}
+		if m.pendingFill != nil {
+			if b.install(now, m.line, *m.pendingFill, false) {
+				m.pendingFill = nil
+				b.completeMSHR(now, m)
+			}
+		}
+	}
+	if b.mode != Normal {
+		return
+	}
+	for i := range b.mshrs {
+		m := &b.mshrs[i]
+		if m.valid && !m.issued && m.pendingFill == nil {
+			if b.dram.CanAccept(m.line) && b.dram.Accept(now, dram.LineReq{Line: m.line}) {
+				m.issued = true
+				b.mshrWait++
+			}
+		}
+	}
 }
 
 // NextEvent reports the earliest cycle at which the bank can do work (see

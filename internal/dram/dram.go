@@ -428,9 +428,16 @@ func (d *DRAM) DrainResponses(fn func(LineResp)) {
 // the queue-depth gauge (see SampleQueueDepthPerCycle).
 func (d *DRAM) SyncQueueDepth() { d.met.queueDepth.Set(int64(d.queued)) }
 
-// tickChannel advances one channel by one cycle.
+// tickChannel advances one channel by one cycle. A channel with nothing
+// queued and no read pending has nothing to do and returns at once: the
+// guard reads only the channel's own state, never its next, so legacy
+// stepping stays an independent reference, and outage windows are counted
+// at issue, so skipping an idle cycle loses none.
 func (d *DRAM) tickChannel(now uint64, ci int) {
 	ch := &d.channels[ci]
+	if len(ch.queue) == 0 && ch.pendHead == len(ch.pending) {
+		return
+	}
 	// Retire pending reads whose data has arrived.
 	for ch.pendHead < len(ch.pending) && ch.pending[ch.pendHead].ready <= now {
 		ch.resps = append(ch.resps, ch.pending[ch.pendHead].resp)

@@ -3,6 +3,7 @@ package multinode
 import (
 	"testing"
 
+	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
 )
 
@@ -43,6 +44,34 @@ func BenchmarkFig14Tree1024(b *testing.B) {
 		adds  = 4096
 	)
 	cfg := hotConfig(nodes, lineSpan(rng, nodes), Tree(4, true))
+	refs := uniformTrace(adds, rng, 0xF16_14)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(cfg, mem.AddI64)
+		res := s.RunTrace(refs)
+		if res.Adds != adds {
+			b.Fatalf("short replay: %+v", res)
+		}
+	}
+}
+
+// BenchmarkFig14Tree256Legacy replays Fig 14's hot histogram (4096
+// references over 256 bins) on 256 of the figure's trimmed nodes under a
+// fan-in-4 fat-tree with in-switch combining, stepped per cycle under the
+// default chaos faults: perfbench oracle's heaviest point at a CI-sized
+// length, where every unit, bank, DRAM channel and retransmit buffer of
+// every node is ticked on every cycle and most of them are idle. One System
+// per iteration, like BenchmarkFig14Tree1024.
+func BenchmarkFig14Tree256Legacy(b *testing.B) {
+	const (
+		nodes = 256
+		rng   = 256
+		adds  = 4096
+	)
+	cfg := hotConfig(nodes, lineSpan(rng, nodes), Tree(4, true))
+	cfg.LegacyStepping = true
+	cfg.Faults = fault.DefaultChaos()
 	refs := uniformTrace(adds, rng, 0xF16_14)
 	b.ReportAllocs()
 	b.ResetTimer()

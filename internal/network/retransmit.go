@@ -18,8 +18,13 @@ import (
 // end-to-end link (one buffer per node, keyed by Packet.Seq) and the
 // per-hop link of a multi-hop fabric (one buffer per switch input port,
 // keyed by the hop sequence number).
+//
+// The buffer keeps its earliest deadline, so a Resend with nothing due and
+// NextDeadline cost O(1): the end-to-end link resends on every cycle of
+// every node, and the per-hop link on every cycle of every switch port.
 type RetransmitBuffer struct {
 	held []unacked
+	next uint64 // earliest deadline in held; meaningless while held is empty
 }
 
 // unacked is one held packet.
@@ -33,6 +38,9 @@ type unacked struct {
 // Hold records p, just sent under sequence number seq, for resending unless
 // it is acknowledged before cycle deadline.
 func (b *RetransmitBuffer) Hold(seq uint64, p Packet, deadline uint64) {
+	if len(b.held) == 0 || deadline < b.next {
+		b.next = deadline
+	}
 	b.held = append(b.held, unacked{p: p, seq: seq, deadline: deadline})
 }
 
@@ -45,7 +53,11 @@ func (b *RetransmitBuffer) Ack(seq uint64) (resends int, ok bool) {
 			continue
 		}
 		resends = b.held[i].attempt
+		deadline := b.held[i].deadline
 		b.held = append(b.held[:i], b.held[i+1:]...)
+		if deadline == b.next {
+			b.next = b.earliest()
+		}
 		return resends, true
 	}
 	return 0, false
@@ -57,6 +69,9 @@ func (b *RetransmitBuffer) Ack(seq uint64) (resends int, ok bool) {
 // which stays due for the next call. fc supplies RetryTimeout,
 // RetryBackoffCap and MaxRetries.
 func (b *RetransmitBuffer) Resend(now uint64, fc *fault.Config, send func(Packet) bool) int {
+	if len(b.held) == 0 || now < b.next {
+		return 0
+	}
 	resent := 0
 	for i := range b.held {
 		h := &b.held[i]
@@ -74,12 +89,21 @@ func (b *RetransmitBuffer) Resend(now uint64, fc *fault.Config, send func(Packet
 		resent++
 		h.deadline = now + fc.RetryTimeout<<uint(min(h.attempt, fc.RetryBackoffCap))
 	}
+	b.next = b.earliest()
 	return resent
 }
 
 // NextDeadline returns the earliest resend deadline, or sim.Never when the
 // buffer is empty.
 func (b *RetransmitBuffer) NextDeadline() uint64 {
+	if len(b.held) == 0 {
+		return sim.Never
+	}
+	return b.next
+}
+
+// earliest scans for the earliest deadline held (sim.Never when empty).
+func (b *RetransmitBuffer) earliest() uint64 {
 	ev := sim.Never
 	for i := range b.held {
 		ev = min(ev, b.held[i].deadline)

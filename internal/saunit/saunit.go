@@ -164,11 +164,14 @@ type Unit struct {
 	upQ    *sim.Queue[mem.Response] // responses to deliver upstream
 	wbQ    *sim.Queue[mem.Request]  // sum write-backs awaiting downstream
 	cs     []entry
-	csUsed int     // valid combining-store entries (occupancy)
-	unsent int     // reader entries whose memory read has not been sent
-	ready  []chain // values ready to combine or write back
-	still  []chain // issueFU scratch, swapped with ready each call
-	fu     *sim.Delay[fuOp]
+	csUsed int // valid combining-store entries (occupancy)
+	unsent int // reader entries whose memory read has not been sent
+	// outstanding counts the downstream requests whose response the unit
+	// has not popped yet: its own current-value reads and bypassed Reads.
+	outstanding int
+	ready       []chain // values ready to combine or write back
+	still       []chain // issueFU scratch, swapped with ready each call
+	fu          *sim.Delay[fuOp]
 	// active holds the addresses with a live chain (ready, FU, or wbQ). At
 	// most one chain exists per address and chains are bounded by the
 	// combining-store size, so a linearly scanned slice stays resident in
@@ -370,15 +373,26 @@ func (u *Unit) csFree() int {
 // Tick advances the unit one cycle. Write-backs drain before reads issue so
 // that a read for an address never overtakes the write-back of its previous
 // sum in the downstream FIFO. Occupancy and FU-busy levels changed by the
-// tick are first sampled in the next cycle.
+// tick are first sampled in the next cycle. Each stage is guarded by a count
+// of its own work, so a stage with nothing to do costs O(1); the guards read
+// only the unit's state, never NextEvent, so legacy stepping, which ticks
+// every unit every cycle, stays an independent reference.
 func (u *Unit) Tick(now uint64) {
-	u.drainDownstream(now)
-	u.completeFU(now)
-	u.issueFU(now)
+	if u.outstanding > 0 {
+		u.drainDownstream(now)
+	}
+	if u.fu.Len() > 0 {
+		u.completeFU(now)
+	}
+	if len(u.ready) > 0 {
+		u.issueFU(now)
+	}
 	u.drainWriteBacks(now)
-	u.issueReads(now)
+	if u.unsent > 0 {
+		u.issueReads(now)
+	}
 	u.acceptInput(now)
-	if u.cfg.EagerCombine {
+	if u.cfg.EagerCombine && u.csUsed >= 2 {
 		u.eagerCombine(now)
 	}
 	u.met.csOccupancy.Set(now+1, u.csUsed)
@@ -393,6 +407,7 @@ func (u *Unit) drainDownstream(now uint64) {
 		if !ok {
 			return
 		}
+		u.outstanding--
 		if resp.ID&saIDTag == 0 {
 			u.upQ.MustPush(resp)
 			continue
@@ -571,6 +586,7 @@ func (u *Unit) issueReads(now uint64) {
 			}
 			e.sent = true
 			u.unsent--
+			u.outstanding++
 			if u.tr != nil && e.sid != 0 {
 				u.tr.OpStage(e.node, e.sid-1, span.StageDRAM, now)
 			}
@@ -592,6 +608,9 @@ func (u *Unit) acceptInput(now uint64) {
 		if !r.Kind.IsScatterAdd() {
 			if !u.down.CanAccept(now) || !u.down.Accept(now, r) {
 				return
+			}
+			if r.Kind == mem.Read {
+				u.outstanding++ // a Write completes silently
 			}
 			if u.tr != nil {
 				u.tr.OpStage(r.Node, r.ID, u.downStage, now)

@@ -39,11 +39,14 @@ func (r *rig) step() {
 }
 
 // run submits all requests (respecting back-pressure) and drains the unit.
+// After every cycle an idle unit must expect no downstream response: its
+// Tick skips the downstream drain on that count alone.
 func (r *rig) run(t *testing.T, reqs []mem.Request) {
 	t.Helper()
 	for _, req := range reqs {
 		for !r.u.Accept(r.now, req) {
 			r.step()
+			r.checkOutstanding(t)
 			if r.now > 5_000_000 {
 				t.Fatal("accept timeout")
 			}
@@ -51,9 +54,20 @@ func (r *rig) run(t *testing.T, reqs []mem.Request) {
 	}
 	for r.u.Busy() {
 		r.step()
+		r.checkOutstanding(t)
 		if r.now > 5_000_000 {
 			t.Fatal("drain timeout")
 		}
+	}
+	r.checkOutstanding(t)
+}
+
+// checkOutstanding fails when the unit is not busy yet still counts a
+// downstream response it has not popped.
+func (r *rig) checkOutstanding(t *testing.T) {
+	t.Helper()
+	if !r.u.Busy() && r.u.outstanding != 0 {
+		t.Fatalf("cycle %d: idle unit counts %d outstanding downstream responses", r.now, r.u.outstanding)
 	}
 }
 
