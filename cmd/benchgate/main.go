@@ -12,9 +12,11 @@
 // baseline that lacks the gate benchmark, disables the gate (the first run
 // on a branch has nothing to compare against); parse errors in the inputs
 // do not. Each entry records the GOMAXPROCS it ran at (procs, from the
-// name's -N suffix), the input's cpu: header and benchgate's Go version; a
-// baseline whose gate benchmark ran at another procs fails the gate, since
-// ns/op at different core counts do not compare.
+// name's -N suffix), the CPUs of the host benchgate runs on (nproc, which
+// is the benchmark's host when benchgate runs beside it), the input's cpu:
+// header and benchgate's Go version; a baseline whose gate benchmark ran at
+// another procs fails the gate, since ns/op at different core counts do not
+// compare.
 //
 // A second mode gates a saload report instead of bench output — the
 // server-load CI job's latency/availability bar:
@@ -144,6 +146,7 @@ type Result struct {
 	NsPerOp []float64 `json:"ns_per_op"`
 	Median  float64   `json:"median_ns_per_op"`
 	Procs   int       `json:"procs"`         // GOMAXPROCS (the name's -N suffix; 1 without one)
+	NProc   int       `json:"nproc"`         // runtime.NumCPU of the host benchgate runs on
 	CPU     string    `json:"cpu,omitempty"` // the input's last cpu: header line before the runs
 	Go      string    `json:"go"`            // the Go version benchgate was built with
 }
@@ -169,7 +172,7 @@ func Summarize(r io.Reader) (map[string]*Result, error) {
 		}
 		res := sum[name]
 		if res == nil {
-			res = &Result{Name: name, Procs: procs, CPU: cpu, Go: runtime.Version()}
+			res = &Result{Name: name, Procs: procs, NProc: runtime.NumCPU(), CPU: cpu, Go: runtime.Version()}
 			sum[name] = res
 		}
 		if res.Procs != procs {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,6 +68,37 @@ BenchmarkSAUnitTick 	 1013354	       209.1 ns/op
 		if got == nil || got.Procs != want.Procs || got.CPU != want.CPU || got.Go != runtime.Version() {
 			t.Errorf("%s = %+v, want procs %d, cpu %q, go %s", name, got, want.Procs, want.CPU, runtime.Version())
 		}
+	}
+}
+
+// TestOutRecordsNProc checks that every entry of the -out summary carries
+// the host's CPU count as nproc, beside procs, cpu and go.
+func TestOutRecordsNProc(t *testing.T) {
+	in := "cpu: Intel(R) Xeon(R) Processor\nBenchmarkEngineTick-2 \t 107334 \t 2400 ns/op\nBenchmarkSAUnitTick \t 1013354 \t 209.1 ns/op\n"
+	sum, err := Summarize(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]map[string]any
+	if err := json.Unmarshal(js, &out); err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range out {
+		if n, ok := e["nproc"].(float64); !ok || int(n) != runtime.NumCPU() {
+			t.Errorf("%s: nproc %v, want %d", name, e["nproc"], runtime.NumCPU())
+		}
+		for _, k := range []string{"procs", "cpu", "go"} {
+			if _, ok := e[k]; !ok {
+				t.Errorf("%s: no %s field in %s", name, k, js)
+			}
+		}
+	}
+	if len(out) != 2 {
+		t.Errorf("got %d entries, want 2", len(out))
 	}
 }
 

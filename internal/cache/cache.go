@@ -201,6 +201,10 @@ type Bank struct {
 	stats    Stats
 	met      metrics
 
+	// quiet caches noWork, refreshed wherever its inputs change: at the end
+	// of Tick, and in Accept, Fill and StartFlush.
+	quiet bool
+
 	flushing bool
 	flushPos int // next line index (set*Ways + way) to examine during flush
 	// flushBlocked records that the last flush step could not evict the
@@ -253,6 +257,7 @@ func NewBank(cfg Config, index int, d *dram.DRAM, mode Mode) *Bank {
 		evictQ:   sim.NewQueue[EvictedLine](cfg.WBQDepth),
 		met:      newMetrics(cfg.MSHRs, wcbEntries),
 		zeroKind: mem.AddF64,
+		quiet:    true,
 	}
 	if cfg.WriteNoAllocate {
 		b.wcb = make([]wcbEntry, wcbEntries)
@@ -473,6 +478,7 @@ func (b *Bank) Accept(now uint64, r mem.Request) bool {
 	if !b.inQ.Push(r) {
 		return false
 	}
+	b.quiet = false
 	b.wake.At(now)
 	return true
 }
@@ -534,6 +540,7 @@ func (b *Bank) Fill(now uint64, a mem.Addr, data [mem.LineWords]mem.Word) {
 	// A fill lands after the bank's turn: what it changed is first seen,
 	// and first worked on, in the next cycle.
 	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
+	b.quiet = b.noWork()
 	b.wake.At(b.NextEvent(now + 1))
 }
 
@@ -590,9 +597,8 @@ func (b *Bank) pinnedLine(set, way int) bool {
 // Tick processes queued requests, retries blocked fills, and drains the
 // write-back queue to DRAM. Occupancy levels changed by the tick are first
 // sampled in the next cycle. Each stage is guarded by a count of its own
-// work, so a stage with nothing to do costs O(1); the guards read only the
-// bank's state, never NextEvent, so legacy stepping, which ticks every bank
-// every cycle, stays an independent reference.
+// work, so a stage with nothing to do costs O(1); Quiet is true exactly when
+// every guard is false.
 func (b *Bank) Tick(now uint64) {
 	if b.inQ.Len() > b.cfg.PortWidth {
 		// More word requests queued than the bank port can serve this cycle:
@@ -640,6 +646,25 @@ func (b *Bank) Tick(now uint64) {
 	}
 	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
 	b.met.wcbOccupancy.Set(now+1, b.wcbUsed)
+	b.quiet = b.noWork()
+}
+
+// Quiet reports whether no stage of Tick has work: no input, no
+// write-back, no MSHR with local work (every valid MSHR waits on DRAM), no
+// flush walk and no line in the scrub pipe. A quiet bank's Tick changes
+// nothing (its levels are set to the values they hold), so per-cycle
+// stepping passes over it. Lines in the response pipe and the eviction
+// queue are for the unit and the owner to pop, not work of the bank's. The
+// answer is one cached flag, so an idle bank costs one load per cycle; it
+// is derived from the bank's own counts alone, never from NextEvent or an
+// owner's due set, so per-cycle stepping stays a schedule independent of
+// fast-forward's.
+func (b *Bank) Quiet() bool { return b.quiet }
+
+// noWork computes Quiet from the bank's state.
+func (b *Bank) noWork() bool {
+	return b.inQ.Empty() && b.wbQ.Empty() && b.mshrUsed <= b.mshrWait && !b.flushing &&
+		(b.scrubQ == nil || b.scrubQ.Len() == 0)
 }
 
 // tickMSHRs drains filled MSHRs, retries fills blocked on eviction, then
@@ -897,6 +922,7 @@ func (b *Bank) processOne(now uint64) bool {
 func (b *Bank) StartFlush() {
 	b.flushing = true
 	b.flushPos = 0
+	b.quiet = false
 }
 
 // stepFlush evicts the next valid line, one per cycle. Sets that never

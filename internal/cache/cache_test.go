@@ -1,12 +1,16 @@
 package cache
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"scatteradd/internal/dram"
+	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
 	"scatteradd/internal/port"
+	"scatteradd/internal/stats"
 )
 
 var _ port.Word = (*Bank)(nil)
@@ -25,25 +29,65 @@ func testConfig() Config {
 	}
 }
 
-// harness drives a set of banks plus a DRAM, routing fills.
+// harness drives a set of banks plus a DRAM, routing fills. Every cycle a
+// bank is quiet, its Tick must change nothing (tickBank).
 type harness struct {
+	t       *testing.T
 	banks   []*Bank
 	d       *dram.DRAM
+	reg     *stats.Registry // the banks' counters
 	now     uint64
 	evicted []EvictedLine // partial lines popped during step()
 }
 
-func newHarness(cfg Config, mode Mode) *harness {
+func newHarness(t *testing.T, cfg Config, mode Mode) *harness {
 	d := dram.New(dram.DefaultConfig())
-	h := &harness{d: d}
+	h := &harness{t: t, d: d, reg: stats.NewRegistry()}
 	for i := 0; i < cfg.Banks; i++ {
 		var backing *dram.DRAM
 		if mode == Normal {
 			backing = d
 		}
-		h.banks = append(h.banks, NewBank(cfg, i, backing, mode))
+		b := NewBank(cfg, i, backing, mode)
+		h.reg.Adopt(fmt.Sprintf("cache[%d]", i), b.StatsGroup())
+		h.banks = append(h.banks, b)
 	}
 	return h
+}
+
+// quietState is what a quiet bank's Tick must leave as it was: the
+// counters after FlushStats, its levels, its activity counts, its next event
+// and the quiet check itself.
+type quietState struct {
+	snap     stats.Snapshot
+	st       Stats
+	mshr, wc stats.Level
+	next     uint64
+	quiet    bool
+}
+
+func (h *harness) quietState(b *Bank) quietState {
+	b.FlushStats(h.now)
+	return quietState{h.reg.Snapshot(), b.Stats(), b.met.mshrOccupancy, b.met.wcbOccupancy, b.NextEvent(h.now + 1), b.Quiet()}
+}
+
+// tickBank ticks b. A bank whose quiet check holds is ticked all the same
+// and must come out of its Tick unchanged: per-cycle stepping passes over
+// it on that check alone, and fast-forward never reads it. The cached
+// check must also agree with the bank's state.
+func (h *harness) tickBank(b *Bank) {
+	if q := b.noWork(); b.Quiet() != q {
+		h.t.Fatalf("cycle %d: the cached quiet check reads %v, the bank's state %v", h.now, b.Quiet(), q)
+	}
+	if !b.Quiet() {
+		b.Tick(h.now)
+		return
+	}
+	before := h.quietState(b)
+	b.Tick(h.now)
+	if after := h.quietState(b); !reflect.DeepEqual(before, after) {
+		h.t.Fatalf("cycle %d: a quiet bank's Tick changed it\nbefore %+v\nafter  %+v", h.now, before, after)
+	}
 }
 
 func (h *harness) bankFor(a mem.Addr) *Bank {
@@ -52,7 +96,7 @@ func (h *harness) bankFor(a mem.Addr) *Bank {
 
 func (h *harness) step() {
 	for _, b := range h.banks {
-		b.Tick(h.now)
+		h.tickBank(b)
 		for {
 			ev, ok := b.PopEvict()
 			if !ok {
@@ -116,7 +160,7 @@ func (h *harness) drain(t *testing.T) {
 }
 
 func TestMissThenHit(t *testing.T) {
-	h := newHarness(testConfig(), Normal)
+	h := newHarness(t, testConfig(), Normal)
 	h.d.Store().StoreWord(10, 1234)
 	r := h.do(t, mem.Request{ID: 1, Kind: mem.Read, Addr: 10})
 	if r.Val != 1234 {
@@ -142,7 +186,7 @@ func TestMissThenHit(t *testing.T) {
 
 func TestWriteAllocateAndWriteBack(t *testing.T) {
 	cfg := testConfig()
-	h := newHarness(cfg, Normal)
+	h := newHarness(t, cfg, Normal)
 	b := h.bankFor(0)
 	h.do(t, mem.Request{ID: 1, Kind: mem.Write, Addr: 3, Val: 55})
 	h.drain(t)
@@ -163,7 +207,7 @@ func TestWriteAllocateAndWriteBack(t *testing.T) {
 
 func TestEvictionWritesBack(t *testing.T) {
 	cfg := testConfig()
-	h := newHarness(cfg, Normal)
+	h := newHarness(t, cfg, Normal)
 	b := h.banks[0]
 	// Bank 0, set 0: lines whose local index ≡ 0 mod sets(8). Global line
 	// stride between same-set lines of bank 0 = Banks*Sets lines = 16 lines.
@@ -189,7 +233,7 @@ func TestEvictionWritesBack(t *testing.T) {
 }
 
 func TestMSHRMerging(t *testing.T) {
-	h := newHarness(testConfig(), Normal)
+	h := newHarness(t, testConfig(), Normal)
 	h.d.Store().StoreWord(16, 7)
 	h.d.Store().StoreWord(17, 8)
 	b := h.bankFor(16)
@@ -238,14 +282,14 @@ func TestWrongBankPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	h := newHarness(testConfig(), Normal)
+	h := newHarness(t, testConfig(), Normal)
 	// Address in bank 1 submitted to bank 0.
 	h.banks[0].Accept(0, mem.Request{Kind: mem.Read, Addr: mem.LineWords})
 }
 
 func TestCombineLocalZeroAllocate(t *testing.T) {
 	cfg := testConfig()
-	h := newHarness(cfg, CombineLocal)
+	h := newHarness(t, cfg, CombineLocal)
 	b := h.banks[0]
 	b.SetZeroKind(mem.AddF64)
 	// Scatter-adds into a cold line: must not touch DRAM, must accumulate.
@@ -267,7 +311,7 @@ func TestCombineLocalZeroAllocate(t *testing.T) {
 
 func TestCombineLocalEvictSurfacesPartial(t *testing.T) {
 	cfg := testConfig()
-	h := newHarness(cfg, CombineLocal)
+	h := newHarness(t, cfg, CombineLocal)
 	b := h.banks[0]
 	b.SetZeroKind(mem.AddI64)
 	// Fill set 0 beyond associativity with scatter-adds to distinct lines.
@@ -290,7 +334,7 @@ func TestCombineLocalEvictSurfacesPartial(t *testing.T) {
 
 func TestFlushWalksAllLines(t *testing.T) {
 	cfg := testConfig()
-	h := newHarness(cfg, CombineLocal)
+	h := newHarness(t, cfg, CombineLocal)
 	b := h.banks[0]
 	b.SetZeroKind(mem.AddI64)
 	// Dirty three distinct lines.
@@ -315,7 +359,7 @@ func TestFlushWalksAllLines(t *testing.T) {
 }
 
 func TestFetchAddInCombineLocal(t *testing.T) {
-	h := newHarness(testConfig(), CombineLocal)
+	h := newHarness(t, testConfig(), CombineLocal)
 	b := h.banks[0]
 	b.SetZeroKind(mem.FetchAddI64)
 	r1 := h.do(t, mem.Request{ID: 1, Kind: mem.FetchAddI64, Addr: 0, Val: mem.I64(5)})
@@ -333,7 +377,7 @@ func TestCacheFunctionalEquivalence(t *testing.T) {
 		V uint16
 	}) bool {
 		cfg := testConfig()
-		h := newHarness(cfg, Normal)
+		h := newHarness(t, cfg, Normal)
 		ref := map[mem.Addr]mem.Word{}
 		for i, op := range ops {
 			a := mem.Addr(op.A)
@@ -373,6 +417,61 @@ func TestCacheFunctionalEquivalence(t *testing.T) {
 				}
 			}
 			if got.Val != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: random scatter-adds into CombineLocal banks, whose evicted
+// partial lines may be held in the parity-scrub pipe, then a flush of every
+// bank, surface partial lines that sum to the sequential reference.
+func TestCombineLocalSumBackProperty(t *testing.T) {
+	f := func(ops []struct {
+		A uint16
+		V int8
+	}, seed uint8) bool {
+		cfg := testConfig()
+		h := newHarness(t, cfg, CombineLocal)
+		for i, b := range h.banks {
+			b.SetZeroKind(mem.AddI64)
+			b.SetFaults(fault.Config{Seed: uint64(seed), CSCorruptRate: 0.3}, fmt.Sprint("bank", i))
+		}
+		ref := map[mem.Addr]int64{}
+		for i, op := range ops {
+			a := mem.Addr(op.A % 1024) // 128 lines over 64 cache lines: evictions
+			ref[a] += int64(op.V)
+			b := h.bankFor(a)
+			for !b.Accept(h.now, mem.Request{ID: uint64(i), Kind: mem.AddI64, Addr: a, Val: mem.I64(int64(op.V))}) {
+				h.step()
+			}
+			h.step()
+		}
+		for _, b := range h.banks {
+			b.StartFlush()
+		}
+		for busy := true; busy; {
+			busy = false
+			for _, b := range h.banks {
+				busy = busy || b.Busy()
+			}
+			h.step()
+			if h.now > 1_000_000 {
+				return false
+			}
+		}
+		got := map[mem.Addr]int64{}
+		for _, ev := range h.evicted {
+			for w, v := range ev.Data {
+				got[ev.Line+mem.Addr(w)] += mem.AsI64(v)
+			}
+		}
+		for a, want := range ref {
+			if got[a] != want {
 				return false
 			}
 		}

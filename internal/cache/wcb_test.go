@@ -15,7 +15,7 @@ func wcbConfig() Config {
 }
 
 func TestWCBFullLineAvoidsFill(t *testing.T) {
-	h := newHarness(wcbConfig(), Normal)
+	h := newHarness(t, wcbConfig(), Normal)
 	b := h.banks[0]
 	// Write a whole line (bank 0 owns lines 0, 2, 4...: words 0..7).
 	for w := 0; w < mem.LineWords; w++ {
@@ -39,7 +39,7 @@ func TestWCBFullLineAvoidsFill(t *testing.T) {
 }
 
 func TestWCBPartialSpillsViaFetchMerge(t *testing.T) {
-	h := newHarness(wcbConfig(), Normal)
+	h := newHarness(t, wcbConfig(), Normal)
 	b := h.banks[0]
 	h.d.Store().StoreWord(3, 999) // pre-existing word that must survive
 	// Write only words 0 and 1 of line 0, then read word 3: the partial
@@ -61,7 +61,7 @@ func TestWCBPartialSpillsViaFetchMerge(t *testing.T) {
 }
 
 func TestWCBCapacityEviction(t *testing.T) {
-	h := newHarness(wcbConfig(), Normal)
+	h := newHarness(t, wcbConfig(), Normal)
 	b := h.banks[0]
 	// Touch 5 distinct lines with partial writes: the LRU entry spills.
 	for i := 0; i < 5; i++ {
@@ -75,7 +75,7 @@ func TestWCBCapacityEviction(t *testing.T) {
 }
 
 func TestWCBFlushFunctional(t *testing.T) {
-	h := newHarness(wcbConfig(), Normal)
+	h := newHarness(t, wcbConfig(), Normal)
 	h.do(t, mem.Request{ID: 1, Kind: mem.Write, Addr: 5, Val: 55})
 	h.drain(t)
 	h.banks[0].FlushFunctional(h.now)
@@ -90,7 +90,7 @@ func TestWCBReducesTrafficForStreamWrites(t *testing.T) {
 	run := func(noAlloc bool) uint64 {
 		cfg := testConfig()
 		cfg.WriteNoAllocate = noAlloc
-		h := newHarness(cfg, Normal)
+		h := newHarness(t, cfg, Normal)
 		for i := 0; i < 128; i++ {
 			a := mem.Addr(i)
 			bk := h.bankFor(a)
@@ -120,7 +120,7 @@ func TestWCBFunctionalEquivalenceProperty(t *testing.T) {
 		V     uint16
 		Write bool
 	}) bool {
-		h := newHarness(wcbConfig(), Normal)
+		h := newHarness(t, wcbConfig(), Normal)
 		ref := map[mem.Addr]mem.Word{}
 		for i, op := range ops {
 			a := mem.Addr(op.A % 64)

@@ -15,9 +15,15 @@
 // response that becomes poppable for the unit that drains it, a transaction
 // the DRAM accepts, or a freed eviction slot. The due cycles are
 // conservative, never later than the component's true next event; ticking a
-// component early is exact because an idle Tick changes nothing, which is
-// also why legacy stepping, which ticks every component every cycle, is the
-// reference the due set must match.
+// component early is exact because an idle Tick changes nothing.
+//
+// Legacy stepping keeps no due set. Each cycle it passes over every unit,
+// bank and combining bank whose own Quiet check says no stage of its Tick
+// has work, and ticks the rest; the DRAM's Tick returns at once when nothing
+// is queued or in flight. Quiet reads only the component's own counts and
+// fast-forward never reads it, so legacy stepping is a schedule independent
+// of NextEvent and the wakes: a quiet check or a due cycle that is wrong
+// shows up as a difference between the two modes.
 package cluster
 
 import (
@@ -45,9 +51,10 @@ type Cluster struct {
 	// multi-node node drains the first way and the machine the second.
 	rrFills bool
 
-	// due holds each component's due cycle: the units, then the banks, then
-	// the combining banks, then the memory. Legacy stepping leaves every
-	// entry at 0, so every component is ticked every cycle.
+	// due holds each component's due cycle under fast-forward: the units,
+	// then the banks, then the combining banks, then the memory. Legacy
+	// stepping leaves every entry at 0 and asks each component's Quiet
+	// instead.
 	due []uint64
 
 	holds []bool // combining bank i holds an evicted line for the owner
@@ -61,8 +68,8 @@ type Cluster struct {
 // New returns the cluster over units, banks (bank i behind unit i), the
 // combining banks (may be empty), and either d or the uniform memory u (with
 // one unit in front of it). ff selects the due set; without it every
-// component is ticked every cycle. rrFills selects the round-robin fill
-// order of a multi-node node.
+// component that is not quiet is ticked every cycle. rrFills selects the
+// round-robin fill order of a multi-node node.
 func New(units []*saunit.Unit, banks, comb []*cache.Bank, d *dram.DRAM, u *dram.Uniform, ff, rrFills bool) *Cluster {
 	c := &Cluster{
 		units: units, banks: banks, comb: comb, dram: d, uni: u,
@@ -96,13 +103,16 @@ func New(units []*saunit.Unit, banks, comb []*cache.Bank, d *dram.DRAM, u *dram.
 	return c
 }
 
-// Tick advances the cluster one cycle: every component in the fixed order,
-// or under fast-forward only those due. It never allocates.
+// Tick advances the cluster one cycle: the components in the fixed order,
+// under fast-forward those due and under legacy stepping those not quiet.
+// It never allocates.
 func (c *Cluster) Tick(now uint64) {
 	due := c.due
 	c.resp = c.resp[:0]
 	for i, u := range c.units {
-		if due[i] > now {
+		// A quiet unit's response queue is empty, so its NextResponse
+		// probe is skipped with its tick.
+		if due[i] > now || !c.ff && u.Quiet() {
 			continue
 		}
 		u.Tick(now)
@@ -115,7 +125,7 @@ func (c *Cluster) Tick(now uint64) {
 	}
 	k := len(c.units)
 	for i, b := range c.banks {
-		if due[k+i] > now {
+		if due[k+i] > now || !c.ff && b.Quiet() {
 			continue
 		}
 		b.Tick(now)
@@ -125,7 +135,9 @@ func (c *Cluster) Tick(now uint64) {
 	}
 	k += len(c.banks)
 	for i, b := range c.comb {
-		if due[k+i] > now {
+		// A quiet combining bank's eviction queue is unchanged, so
+		// noteHeld is skipped with its tick.
+		if due[k+i] > now || !c.ff && b.Quiet() {
 			continue
 		}
 		b.Tick(now)

@@ -385,9 +385,20 @@ func (d *DRAM) schedule(now uint64, ch *channel) int {
 
 // Tick advances all channels by one cycle, in channel order. A channel
 // whose next lies beyond now has nothing due, so its tick changes nothing
-// and its next stays valid; a due channel's next is recomputed.
+// and its next stays valid; a due channel's next is recomputed. With nothing
+// queued or in flight no channel has work, and Tick returns at once: the
+// tick that retired the last work ran the full loop, which left every
+// channel's next at Never.
 func (d *DRAM) Tick(now uint64) {
 	d.next = sim.Never
+	if d.quiet() {
+		return
+	}
+	d.tickChannels(now)
+}
+
+// tickChannels ticks every channel and refreshes the DRAM's next.
+func (d *DRAM) tickChannels(now uint64) {
 	for ci := range d.channels {
 		d.tickChannel(now, ci)
 		ch := &d.channels[ci]
@@ -397,6 +408,10 @@ func (d *DRAM) Tick(now uint64) {
 		d.next = min(d.next, ch.next)
 	}
 }
+
+// quiet reports whether no channel holds a queued request or a pending
+// read. It reads the DRAM's own counts, never its next.
+func (d *DRAM) quiet() bool { return d.queued == 0 && d.inflight == 0 }
 
 // SampleQueueDepthPerCycle moves the queue-depth gauge off the accept path:
 // Accept stops updating it, and the owner calls SyncQueueDepth once per

@@ -1,10 +1,12 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"scatteradd/internal/mem"
+	"scatteradd/internal/stats"
 )
 
 func smallConfig() Config {
@@ -39,6 +41,38 @@ func drain(t *testing.T, d *DRAM, start uint64, limit uint64) []LineResp {
 	}
 	t.Fatalf("DRAM did not drain within %d cycles", limit)
 	return nil
+}
+
+// quietState is what the channel loop of a quiet DRAM must leave as it
+// was: the counters, the activity counts, the next event and the quiet
+// check itself.
+type quietState struct {
+	snap  stats.Snapshot
+	st    Stats
+	next  uint64
+	quiet bool
+}
+
+func quietStateOf(d *DRAM, now uint64) quietState {
+	reg := stats.NewRegistry()
+	reg.Adopt("dram", d.StatsGroup())
+	return quietState{reg.Snapshot(), d.Stats(), d.NextEvent(now + 1), d.quiet()}
+}
+
+// checkedTick ticks d. A quiet DRAM's Tick returns at once; the channel
+// loop it skips then runs here all the same and must change nothing.
+func checkedTick(t *testing.T, d *DRAM, now uint64) {
+	t.Helper()
+	if !d.quiet() {
+		d.Tick(now)
+		return
+	}
+	before := quietStateOf(d, now)
+	d.Tick(now)
+	d.tickChannels(now)
+	if after := quietStateOf(d, now); !reflect.DeepEqual(before, after) {
+		t.Fatalf("cycle %d: a quiet DRAM's tick changed it\nbefore %+v\nafter  %+v", now, before, after)
+	}
 }
 
 func TestReadAfterWriteSameLine(t *testing.T) {
@@ -224,7 +258,8 @@ func TestStatsCounts(t *testing.T) {
 
 // Property: a batch of writes followed by reads returns exactly the written
 // data, for arbitrary line addresses (functional correctness of the timing
-// model).
+// model). Every cycle the DRAM is quiet, its skipped channel loop must
+// change nothing (checkedTick).
 func TestWriteReadProperty(t *testing.T) {
 	f := func(lines []uint8, seed uint64) bool {
 		d := New(smallConfig())
@@ -238,19 +273,26 @@ func TestWriteReadProperty(t *testing.T) {
 				data[i] = seed
 			}
 			for !d.Accept(now, LineReq{ID: uint64(l), Line: line, Write: true, Data: data}) {
-				d.Tick(now)
+				checkedTick(t, d, now)
 				now++
 			}
 			written[line] = data
 		}
-		// Drain writes.
+		// Drain writes, then idle a few cycles.
 		for d.Busy() {
-			d.Tick(now)
+			checkedTick(t, d, now)
 			now++
 		}
+		idle := func() {
+			for i := 0; i < 3; i++ {
+				checkedTick(t, d, now)
+				now++
+			}
+		}
+		idle()
 		for line, want := range written {
 			if !d.Accept(now, LineReq{ID: 1, Line: line}) {
-				d.Tick(now)
+				checkedTick(t, d, now)
 				now++
 				if !d.Accept(now, LineReq{ID: 1, Line: line}) {
 					return false
@@ -258,7 +300,7 @@ func TestWriteReadProperty(t *testing.T) {
 			}
 			var got *LineResp
 			for got == nil {
-				d.Tick(now)
+				checkedTick(t, d, now)
 				if r, ok := d.PopResponse(now); ok {
 					got = &r
 				}
@@ -270,6 +312,7 @@ func TestWriteReadProperty(t *testing.T) {
 			if got.Data != want {
 				return false
 			}
+			idle()
 		}
 		return true
 	}

@@ -94,9 +94,9 @@ func (o Options) checkpointed(name string, gen func(Options) Table) Table {
 }
 
 // loadCheckpoint reads and validates one snapshot. Any failure — missing
-// file, torn or corrupt JSON, an options mismatch — reports !ok, which means
-// "recompute", never an error: checkpoints are an accelerator, not a source
-// of truth.
+// file, torn or corrupt JSON, an options mismatch, a table that does not
+// render (Table.Validate) — reports !ok, which means "recompute", never an
+// error: checkpoints are an accelerator, not a source of truth.
 func (o Options) loadCheckpoint(path string) (Table, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -106,7 +106,7 @@ func (o Options) loadCheckpoint(path string) (Table, bool) {
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return Table{}, false
 	}
-	if cf.Fingerprint != o.Fingerprint() {
+	if cf.Fingerprint != o.Fingerprint() || cf.Table.Validate() != nil {
 		return Table{}, false
 	}
 	return cf.Table, true

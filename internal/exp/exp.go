@@ -39,6 +39,20 @@ type Table struct {
 	Spans []SpanRow
 }
 
+// Validate reports whether t is a table the program could have built, so
+// that String and CSV can render it: no row may hold more cells than the
+// header. Every table the program builds passes; one read back from a
+// checkpoint or from the daemon's persisted cache index is checked before it
+// is served, and one that fails is recomputed.
+func (t Table) Validate() error {
+	for i, row := range t.Rows {
+		if len(row) > len(t.Header) {
+			return fmt.Errorf("exp: table %q row %d has %d cells for %d header columns", t.Title, i, len(row), len(t.Header))
+		}
+	}
+	return nil
+}
+
 // String renders the table as aligned text.
 func (t Table) String() string {
 	var b strings.Builder

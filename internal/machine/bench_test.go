@@ -32,6 +32,25 @@ func BenchmarkEngineTick(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineLegacyKernel measures legacy per-cycle stepping of a
+// Table-1 machine whose memory system is idle: each op is one compute
+// kernel of 65,536 cycles, every one of them stepped, so each cycle asks
+// the 8 scatter-add units and 8 cache banks their quiet checks and the
+// DRAM its two counts. It is what quiet components cost the per-cycle
+// reference that fast-forward is held to.
+func BenchmarkEngineLegacyKernel(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.LegacyStepping = true
+	m := New(cfg)
+	op := Kernel("bench", float64(1<<16-cfg.KernelStartup)*cfg.PeakFlopsPerCycle(), 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := m.RunOp(op); r.Cycles != 1<<16 {
+			b.Fatalf("kernel took %d cycles, want %d", r.Cycles, 1<<16)
+		}
+	}
+}
+
 // BenchmarkEngineTickSampled measures the same path with a 1k-cycle
 // timeline sampler attached, bounding the cost of `-stats` timelines.
 func BenchmarkEngineTickSampled(b *testing.B) {

@@ -11,10 +11,14 @@
 //
 // Combining. In front of every switch input port sits a staging window (the
 // combine table), a ring of InputQDepth packets opened at the port's first
-// arrival. When combining is on, an arriving scatter-add packet first scans
-// the switch's staged packets for one with the same destination, address
-// and kind; a hit adds its operand into the staged packet and the arrival
-// is absorbed — it never consumes link bandwidth again. Staged packets drain
+// arrival. When combining is on, an arriving scatter-add packet first looks
+// up the switch's combining index for a staged packet with the same
+// destination, kind and address (the associative match of the NYU
+// Ultracomputer's combining switches); a hit adds its operand into the
+// staged packet and the arrival is absorbed — it never consumes link
+// bandwidth again. A switch stages at most one combinable packet per key,
+// since any later arrival with that key merges into it, so the index finds
+// exactly the packet a scan of the windows would. Staged packets drain
 // into the switch each cycle as bandwidth allows, and a drained packet has
 // left the window: combining opportunity exists exactly while traffic is
 // queued, which is precisely when relief is needed (the NYU Ultracomputer's
@@ -125,6 +129,7 @@ type mhSwitch struct {
 	x, y             int
 
 	stage   []*sim.Queue[Packet]  // per input port: the combining window, opened at first use
+	comb    combIndex             // the staged combinable packets by key, opened at first use
 	retx    []RetransmitBuffer    // per input port: unacked hop packets
 	seen    []map[uint64]struct{} // per output port: delivered hop seqs (dedup)
 	staged  int                   // packets across every staging window
@@ -500,25 +505,23 @@ func combinable(p *Packet) bool {
 // for floats. Otherwise the packet is appended (ok=false when the window is
 // full); appends count as switch traversals, merges by design do not.
 //
-// The scan stays linear: a switch has at most five windows of InputQDepth
-// packets, and it only runs while a switch can move a packet.
+// The merge partner is found in the switch's combining index (combIndex) in
+// O(1); only a combinable arrival is looked up, and only a combinable
+// packet is indexed.
 func (m *MultiHop) stageIn(si, port int, p *Packet) (ok, merged bool) {
 	s := m.sws[si]
 	mergeable := m.cfg.Combine && combinable(p)
+	var st *Packet
 	if mergeable {
-		for _, w := range s.stage {
-			if w == nil {
-				continue
-			}
-			for i := 0; i < w.Len(); i++ {
-				st := w.At(i)
-				if st.Dst == p.Dst && st.Req.Addr == p.Req.Addr && st.Req.Kind == p.Req.Kind && combinable(st) {
-					st.Req.Val = mem.Combine(st.Req.Kind, st.Req.Val, p.Req.Val)
-					m.met.combined.Inc()
-					return true, true
-				}
-			}
-		}
+		st = s.comb.find(p)
+	}
+	if stageProbe != nil {
+		stageProbe(m, s, *p, st)
+	}
+	if st != nil {
+		st.Req.Val = mem.Combine(st.Req.Kind, st.Req.Val, p.Req.Val)
+		m.met.combined.Inc()
+		return true, true
 	}
 	w := s.stage[port]
 	if w == nil {
@@ -527,6 +530,9 @@ func (m *MultiHop) stageIn(si, port int, p *Packet) (ok, merged bool) {
 	}
 	if !w.Push(*p) {
 		return false, false
+	}
+	if mergeable {
+		s.comb.insert(w.At(w.Len()-1), s.ports*m.cfg.Link.InputQDepth)
 	}
 	s.staged++
 	m.met.hops.Inc()
@@ -671,6 +677,9 @@ func (m *MultiHop) step(si int, s *mhSwitch, now uint64) {
 				m.tr.SpanAsync(fmt.Sprintf("net.sw[%d]", si),
 					fmt.Sprintf("pkt %d->%d", p.Src, p.Dst),
 					now, now+uint64(m.cfg.Link.Latency))
+			}
+			if m.cfg.Combine && combinable(p) {
+				s.comb.remove(p)
 			}
 			w.Drop()
 			s.staged--

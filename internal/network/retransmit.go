@@ -66,8 +66,10 @@ func (b *RetransmitBuffer) Ack(seq uint64) (resends int, ok bool) {
 // Resend sends again, oldest first, every held packet whose deadline has
 // come by now, and returns how many it resent. It stops at the first packet
 // send refuses — younger packets would only pile into the same congestion —
-// which stays due for the next call. fc supplies RetryTimeout,
-// RetryBackoffCap and MaxRetries.
+// which stays due for the next call. A call that resends nothing changed no
+// deadline, so the earliest stays as it was and is not rescanned: a resend
+// that a full input refuses costs O(1) per cycle past the packets ahead of
+// it. fc supplies RetryTimeout, RetryBackoffCap and MaxRetries.
 func (b *RetransmitBuffer) Resend(now uint64, fc *fault.Config, send func(Packet) bool) int {
 	if len(b.held) == 0 || now < b.next {
 		return 0
@@ -89,7 +91,9 @@ func (b *RetransmitBuffer) Resend(now uint64, fc *fault.Config, send func(Packet
 		resent++
 		h.deadline = now + fc.RetryTimeout<<uint(min(h.attempt, fc.RetryBackoffCap))
 	}
-	b.next = b.earliest()
+	if resent > 0 {
+		b.next = b.earliest()
+	}
 	return resent
 }
 

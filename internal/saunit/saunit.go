@@ -187,6 +187,10 @@ type Unit struct {
 	downStage span.Stage
 	wake      sim.Wake
 
+	// quiet caches noWork, refreshed wherever its inputs change: at the end
+	// of Tick, and in Accept and PopResponse.
+	quiet bool
+
 	// Fault injection (nil when disabled).
 	fuInj *fault.Injector // FU transient errors: residue check fails, op reissues
 	csInj *fault.Injector // combining-store parity faults: entry scrubbed on alloc
@@ -211,6 +215,7 @@ func New(cfg Config, down port.Word) *Unit {
 		wbQ:    sim.NewQueue[mem.Request](cfg.WBQDepth),
 		cs:     make([]entry, cfg.Entries),
 		fu:     sim.NewDelay[fuOp](cfg.FULatency, cfg.FULatency*cfg.FUIssueWidth+1),
+		quiet:  true,
 		active: make([]mem.Addr, 0, cfg.Entries),
 		met:    newMetrics(cfg.Entries),
 	}
@@ -277,13 +282,20 @@ func (u *Unit) Accept(now uint64, r mem.Request) bool {
 	if !u.inQ.Push(r) {
 		return false
 	}
+	u.quiet = false
 	u.wake.At(now)
 	return true
 }
 
 // PopResponse returns one upstream response: a bypassed read completion or a
 // Fetch* pre-update value.
-func (u *Unit) PopResponse(now uint64) (mem.Response, bool) { return u.upQ.Pop() }
+func (u *Unit) PopResponse(now uint64) (mem.Response, bool) {
+	r, ok := u.upQ.Pop()
+	if ok && u.upQ.Empty() {
+		u.quiet = u.noWork()
+	}
+	return r, ok
+}
 
 // NextResponse reports when PopResponse can next yield a response (see
 // port.Word): now while one is queued, Never otherwise.
@@ -316,6 +328,24 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 		return now
 	}
 	return max(now, min(u.fu.NextReady(), u.down.NextResponse(now)))
+}
+
+// Quiet reports whether no stage of Tick has work and no response waits for
+// the owner to pop: no input, no upstream response, no write-back, no FU op,
+// no ready chain, no unsent read, no downstream response outstanding and no
+// eager pre-combine. A quiet unit's Tick changes nothing (its levels are set
+// to the values they hold), so per-cycle stepping passes over it, and an
+// owner need not ask a quiet unit for responses. The answer is one cached
+// flag, so an idle unit costs one load per cycle; it is derived from the
+// unit's own counts alone, never from NextEvent or an owner's due set, so
+// per-cycle stepping stays a schedule independent of fast-forward's.
+func (u *Unit) Quiet() bool { return u.quiet }
+
+// noWork computes Quiet from the unit's state.
+func (u *Unit) noWork() bool {
+	return u.inQ.Empty() && u.upQ.Empty() && u.wbQ.Empty() && u.fu.Len() == 0 &&
+		len(u.ready) == 0 && u.unsent == 0 && u.outstanding == 0 &&
+		!(u.cfg.EagerCombine && u.csUsed >= 2)
 }
 
 // csFind returns the index of a valid entry matching addr for which pred
@@ -374,9 +404,8 @@ func (u *Unit) csFree() int {
 // that a read for an address never overtakes the write-back of its previous
 // sum in the downstream FIFO. Occupancy and FU-busy levels changed by the
 // tick are first sampled in the next cycle. Each stage is guarded by a count
-// of its own work, so a stage with nothing to do costs O(1); the guards read
-// only the unit's state, never NextEvent, so legacy stepping, which ticks
-// every unit every cycle, stays an independent reference.
+// of its own work, so a stage with nothing to do costs O(1); Quiet is true
+// exactly when every guard is false and no response waits to be popped.
 func (u *Unit) Tick(now uint64) {
 	if u.outstanding > 0 {
 		u.drainDownstream(now)
@@ -397,6 +426,7 @@ func (u *Unit) Tick(now uint64) {
 	}
 	u.met.csOccupancy.Set(now+1, u.csUsed)
 	u.met.fuBusy.Set(now+1, min(u.fu.Len(), 1))
+	u.quiet = u.noWork()
 }
 
 // drainDownstream pops downstream responses: internal current-value reads

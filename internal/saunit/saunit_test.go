@@ -2,12 +2,15 @@ package saunit
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"scatteradd/internal/dram"
+	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
 	"scatteradd/internal/port"
+	"scatteradd/internal/stats"
 )
 
 var _ port.Word = (*Unit)(nil)
@@ -16,17 +19,75 @@ var _ port.Word = (*Unit)(nil)
 type rig struct {
 	u     *Unit
 	m     *dram.Uniform
+	reg   *stats.Registry // the unit's counters
 	now   uint64
 	resps []mem.Response
 }
 
 func newRig(cfg Config, latency, interval int) *rig {
-	m := dram.NewUniform(latency, interval, 16)
-	return &rig{u: New(cfg, m), m: m}
+	return newRigDepth(cfg, latency, interval, 16)
+}
+
+// newRigDepth is newRig over a memory whose request queue holds depth
+// accesses.
+func newRigDepth(cfg Config, latency, interval, depth int) *rig {
+	m := dram.NewUniform(latency, interval, depth)
+	r := &rig{u: New(cfg, m), m: m, reg: stats.NewRegistry()}
+	r.reg.Adopt("saunit", r.u.StatsGroup())
+	return r
 }
 
 func (r *rig) step() {
 	r.u.Tick(r.now)
+	r.finishCycle()
+}
+
+// quietState is what a quiet unit's Tick must leave as it was: its counters
+// after FlushStats, its levels, its activity counts, its next event and the
+// quiet check itself.
+type quietState struct {
+	snap      stats.Snapshot
+	st        Stats
+	occ, busy stats.Level
+	next      uint64
+	quiet     bool
+}
+
+func (r *rig) quietState() quietState {
+	r.u.FlushStats(r.now)
+	return quietState{r.reg.Snapshot(), r.u.Stats(), r.u.met.csOccupancy, r.u.met.fuBusy, r.u.NextEvent(r.now + 1), r.u.Quiet()}
+}
+
+// checkedStep is step, except that a unit whose quiet check holds is ticked
+// all the same and must come out of its Tick unchanged: per-cycle stepping
+// passes over it on that check alone, and fast-forward never reads it.
+func (r *rig) checkedStep(t *testing.T) {
+	t.Helper()
+	r.checkQuietFlag(t)
+	if !r.u.Quiet() {
+		r.step()
+		return
+	}
+	before := r.quietState()
+	r.u.Tick(r.now)
+	if after := r.quietState(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("cycle %d: a quiet unit's Tick changed it\nbefore %+v\nafter  %+v", r.now, before, after)
+	}
+	r.finishCycle()
+}
+
+// checkQuietFlag fails when the cached quiet check disagrees with the
+// unit's state.
+func (r *rig) checkQuietFlag(t *testing.T) {
+	t.Helper()
+	if q := r.u.noWork(); r.u.Quiet() != q {
+		t.Fatalf("cycle %d: the cached quiet check reads %v, the unit's state %v", r.now, r.u.Quiet(), q)
+	}
+}
+
+// finishCycle runs the rest of a cycle after the unit's turn: the memory
+// ticks and the unit's responses are collected.
+func (r *rig) finishCycle() {
 	r.m.Tick(r.now)
 	for {
 		resp, ok := r.u.PopResponse(r.now)
@@ -40,12 +101,13 @@ func (r *rig) step() {
 
 // run submits all requests (respecting back-pressure) and drains the unit.
 // After every cycle an idle unit must expect no downstream response: its
-// Tick skips the downstream drain on that count alone.
+// Tick skips the downstream drain on that count alone. Every cycle the unit
+// is quiet, its Tick must change nothing (checkedStep).
 func (r *rig) run(t *testing.T, reqs []mem.Request) {
 	t.Helper()
 	for _, req := range reqs {
 		for !r.u.Accept(r.now, req) {
-			r.step()
+			r.checkedStep(t)
 			r.checkOutstanding(t)
 			if r.now > 5_000_000 {
 				t.Fatal("accept timeout")
@@ -53,13 +115,14 @@ func (r *rig) run(t *testing.T, reqs []mem.Request) {
 		}
 	}
 	for r.u.Busy() {
-		r.step()
+		r.checkedStep(t)
 		r.checkOutstanding(t)
 		if r.now > 5_000_000 {
 			t.Fatal("drain timeout")
 		}
 	}
 	r.checkOutstanding(t)
+	r.checkQuietFlag(t)
 }
 
 // checkOutstanding fails when the unit is not busy yet still counts a
@@ -68,6 +131,77 @@ func (r *rig) checkOutstanding(t *testing.T) {
 	t.Helper()
 	if !r.u.Busy() && r.u.outstanding != 0 {
 		t.Fatalf("cycle %d: idle unit counts %d outstanding downstream responses", r.now, r.u.outstanding)
+	}
+}
+
+// TestRefusedWriteBacksKeepUnitAwake: a memory that takes one access per 8
+// cycles into a one-entry queue refuses most write-backs, so the unit's
+// last work is a queue of refused ones. The unit is not quiet until they
+// drain: passed over on a wrong quiet check, it would never send them.
+func TestRefusedWriteBacksKeepUnitAwake(t *testing.T) {
+	r := newRigDepth(DefaultConfig(), 4, 8, 1)
+	for i := 0; i < 6; i++ {
+		req := mem.Request{ID: uint64(i), Kind: mem.AddI64, Addr: mem.Addr(i), Val: mem.I64(int64(i + 1))}
+		for !r.u.Accept(r.now, req) {
+			r.checkedStep(t)
+		}
+	}
+	onlyWriteBacks := 0
+	for r.u.Busy() {
+		r.checkedStep(t)
+		u := r.u
+		if !u.wbQ.Empty() && u.inQ.Empty() && u.fu.Len() == 0 && len(u.ready) == 0 && u.unsent == 0 && u.outstanding == 0 {
+			onlyWriteBacks++
+		}
+		if r.now > 100_000 {
+			t.Fatal("drain timeout")
+		}
+	}
+	if onlyWriteBacks == 0 {
+		t.Fatal("no cycle left the unit with refused write-backs alone")
+	}
+	for i := 0; i < 6; i++ {
+		if got := r.m.Store().LoadI64(mem.Addr(i)); got != int64(i+1) {
+			t.Fatalf("addr %d = %d, want %d", i, got, i+1)
+		}
+	}
+}
+
+// TestScrubbedOperandKeepsChainAwake: an operand that arrives while its
+// address's chain is in the FU, and whose entry needs a parity scrub, holds
+// the chain in the ready list after the FU hands it back, with nothing else
+// left to do. The unit is not quiet while the chain waits: passed over on a
+// wrong quiet check, it would never consume the operand.
+func TestScrubbedOperandKeepsChainAwake(t *testing.T) {
+	r := newRig(DefaultConfig(), 2, 1)
+	r.u.SetFaults(fault.Config{Seed: 1, CSCorruptRate: 1}, "unit")
+	add := func(id uint64) mem.Request {
+		return mem.Request{ID: id, Kind: mem.AddI64, Addr: 7, Val: mem.I64(int64(id))}
+	}
+	r.u.Accept(r.now, add(1))
+	for r.u.fu.Len() == 0 {
+		r.checkedStep(t)
+		if r.now > 1000 {
+			t.Fatal("the chain never reached the FU")
+		}
+	}
+	r.u.Accept(r.now, add(2))
+	readyOnly := 0
+	for r.u.Busy() {
+		r.checkedStep(t)
+		u := r.u
+		if len(u.ready) > 0 && u.inQ.Empty() && u.wbQ.Empty() && u.fu.Len() == 0 && u.unsent == 0 && u.outstanding == 0 {
+			readyOnly++
+		}
+		if r.now > 1000 {
+			t.Fatal("drain timeout")
+		}
+	}
+	if readyOnly == 0 {
+		t.Fatal("no cycle left the unit with a waiting chain alone")
+	}
+	if got := r.m.Store().LoadI64(7); got != 3 {
+		t.Fatalf("sum = %d, want 3", got)
 	}
 }
 
@@ -242,16 +376,21 @@ func TestImmediateReuseWithoutDrain(t *testing.T) {
 
 // Property: for arbitrary (addr, val) integer scatter-add sequences the
 // final memory image equals the sequential reference, regardless of store
-// size, FU latency, and memory timing.
+// size, FU latency, memory timing and injected faults.
 func TestScatterAddEquivalenceProperty(t *testing.T) {
 	f := func(pairs []struct {
 		A uint8
 		V int16
-	}, entries, fulat, lat uint8) bool {
+	}, entries, fulat, lat, faults uint8) bool {
 		cfg := DefaultConfig()
 		cfg.Entries = int(entries%15) + 1
 		cfg.FULatency = int(fulat%7) + 1
 		r := newRig(cfg, int(lat%60), 1)
+		if faults%2 == 1 {
+			// Parity scrubs hold entries back from their chains, and FU
+			// retries replay ops: both recover exactly.
+			r.u.SetFaults(fault.Config{Seed: uint64(faults), CSCorruptRate: 0.3, FUErrorRate: 0.1}, "unit")
+		}
 		ref := map[mem.Addr]int64{}
 		var reqs []mem.Request
 		for i, p := range pairs {

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"scatteradd/internal/exp"
 )
 
 // specQuery encodes the non-zero fields of sp as the daemon's GET query.
@@ -102,6 +107,68 @@ func FuzzParseSpec(f *testing.F) {
 			if (req.Opts.Topology != "" || req.Opts.FanIn != 0) && req.Figure != "fig14" {
 				t.Fatalf("%s accepted topology %q fan_in %d on %s", method, req.Opts.Topology, req.Opts.FanIn, req.Figure)
 			}
+		}
+	})
+}
+
+// FuzzLoadIndex writes arbitrary bytes as the daemon's persisted cache
+// index and warms a cache from it with resultCache.loadIndex. The seed is
+// a saved index of three tables; the committed corpus (testdata/fuzz) adds
+// an entry whose row is longer than its header, a torn entry, an entry
+// without a key and a header of another version. Properties: no input
+// panics; a file whose first line is not the current version header loads
+// and skips nothing; otherwise every non-blank entry line is loaded or
+// skipped and counted, skipped exactly when it does not decode, has no key
+// or holds a table that fails Validate; and every loaded table renders
+// through String and CSV.
+func FuzzLoadIndex(f *testing.F) {
+	dir := f.TempDir()
+	src := testCache(8)
+	for _, k := range []string{"a", "b", "c"} {
+		src.Do(k, func() exp.Table { return tableFor(k) })
+	}
+	seed := filepath.Join(dir, "seed.ndjson")
+	if _, err := src.saveIndex(seed); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	path := filepath.Join(dir, indexFileName)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := testCache(4)
+		loaded, skipped := c.loadIndex(path)
+		lines := bytes.Split(data, []byte("\n"))
+		var hdr indexHeader
+		if json.Unmarshal(lines[0], &hdr) != nil || hdr.V != indexVersion {
+			if loaded != 0 || skipped != 0 {
+				t.Fatalf("loaded %d, skipped %d entries under a bad header %q", loaded, skipped, lines[0])
+			}
+			return
+		}
+		wantLoaded, wantSkipped := 0, 0
+		for _, line := range lines[1:] {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue
+			}
+			var e indexEntry
+			if json.Unmarshal(line, &e) != nil || e.Key == "" || e.Table.Validate() != nil {
+				wantSkipped++
+			} else {
+				wantLoaded++
+			}
+		}
+		if loaded != wantLoaded || skipped != wantSkipped {
+			t.Fatalf("loaded %d, skipped %d; want %d, %d", loaded, skipped, wantLoaded, wantSkipped)
+		}
+		for _, e := range c.dump() {
+			_ = e.table.String()
+			_ = e.table.CSV()
 		}
 	})
 }

@@ -67,7 +67,8 @@ func (c *resultCache) saveIndex(path string) (int, error) {
 }
 
 // loadIndex warms the cache from a persisted index, skipping corrupt lines
-// entry by entry. It reports how many entries loaded and how many were
+// entry by entry: torn JSON, an empty key, or a table that does not render
+// (exp.Table.Validate). It reports how many entries loaded and how many were
 // skipped; a missing file or a version mismatch is (0, 0) — start cold.
 func (c *resultCache) loadIndex(path string) (loaded, skipped int) {
 	data, err := os.ReadFile(path)
@@ -88,7 +89,7 @@ func (c *resultCache) loadIndex(path string) (loaded, skipped int) {
 			continue
 		}
 		var e indexEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" || e.Table.Validate() != nil {
 			skipped++
 			continue
 		}

@@ -47,10 +47,11 @@ const Never = ^uint64(0)
 //     counts) are counted at the cycles their level changes (stats.Level),
 //     never once per Tick. An idle Tick is also cheap: each stage with
 //     nothing to do costs O(1), guarded by an occupancy count the component
-//     keeps of its own state. The guard never reads NextEvent or the
-//     owner's due set, so per-cycle stepping, which ticks every component
-//     every cycle, stays a reference independent of them: a wrong NextEvent
-//     still shows up as a difference between the two modes.
+//     keeps of its own state. The guards never read NextEvent or the
+//     owner's due set. Per-cycle stepping passes over a component whose
+//     own quiet check (every guard false) holds and ticks the rest, so it
+//     is a schedule independent of NextEvent: a wrong NextEvent, or a
+//     wrong quiet check, shows up as a difference between the two modes.
 //
 // The engine only jumps when every registered Ticker implements
 // FastForwarder and none reports an event at the current cycle.

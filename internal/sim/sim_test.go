@@ -123,6 +123,9 @@ func TestDelayLatency(t *testing.T) {
 	if !d.Push(10, 42) {
 		t.Fatal("push failed")
 	}
+	if got := d.NextReady(); got != 13 {
+		t.Fatalf("NextReady = %d, want 13", got)
+	}
 	for now := uint64(10); now < 13; now++ {
 		if d.Ready(now) {
 			t.Fatalf("item ready too early at cycle %d", now)
@@ -135,6 +138,25 @@ func TestDelayLatency(t *testing.T) {
 	if !ok || v != 42 {
 		t.Fatalf("pop at 13: got %d ok=%v", v, ok)
 	}
+	// Drop discards the head before it is ready.
+	d.Push(20, 7)
+	d.Drop()
+	if d.Len() != 0 || d.NextReady() != Never {
+		t.Fatalf("after Drop: Len %d, NextReady %d", d.Len(), d.NextReady())
+	}
+}
+
+// TestWake: a Wake lowers the due cycle it holds and never raises it, and
+// the zero Wake does nothing.
+func TestWake(t *testing.T) {
+	due := Never
+	w := NewWake(&due)
+	w.At(10)
+	w.At(20)
+	if due != 10 {
+		t.Fatalf("due = %d, want 10", due)
+	}
+	Wake{}.At(5)
 }
 
 func TestDelayZeroLatency(t *testing.T) {

@@ -85,11 +85,13 @@ func (r Report) AttributedCycles() uint64 {
 	return sum
 }
 
-// QueueCycles returns the cycles attributed to queueing stages.
+// QueueCycles returns the cycles attributed to queueing stages. A stage
+// outside the known set (a report read back from disk) is a service stage,
+// as Stage.Class has it.
 func (r Report) QueueCycles() uint64 {
 	var sum uint64
 	for _, s := range r.Stages {
-		if queueStage[s.Stage] {
+		if int(s.Stage) < len(queueStage) && queueStage[s.Stage] {
 			sum += s.Cycles
 		}
 	}
