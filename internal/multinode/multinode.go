@@ -33,6 +33,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"scatteradd/internal/cache"
@@ -145,7 +146,8 @@ type node struct {
 	// under retransmission storms).
 	unacked  network.RetransmitBuffer // sent data packets awaiting acks
 	seen     map[uint64]struct{}      // delivered seqs, for duplicate-safe replay
-	ackbox   []ackOut                 // acks awaiting network injection
+	ackbox   []ackOut                 // acks awaiting network injection, from ackHead on
+	ackHead  int                      // next ack of ackbox to send
 	degraded bool                     // combining store tripped: fall back to direct
 
 	// Activity-driven stepping (fast-forward only; see stepActive). next
@@ -155,6 +157,9 @@ type node struct {
 	next uint64
 	busy bool
 }
+
+// acksPending returns the acks queued and not yet sent.
+func (n *node) acksPending() int { return len(n.ackbox) - n.ackHead }
 
 // Result reports a trace replay.
 type Result struct {
@@ -217,10 +222,14 @@ type System struct {
 
 	ff bool // fast-forward over quiescent cycles
 
-	// Activity-driven stepping state (fast-forward only).
-	active    []*node // nodes worked this cycle (stepActive scratch)
-	nodeMin   uint64  // earliest cached next over all nodes
-	busyNodes int     // nodes whose cached busy flag is set
+	// Activity-driven stepping state (fast-forward only). Each node is
+	// filed by its cached next: in ready when it is due now, in cal at that
+	// cycle when it is due later, nowhere when it waits only on an arrival.
+	active    []*node      // nodes worked this cycle (stepActive scratch)
+	ready     []uint64     // bitset of the nodes due now
+	nready    int          // nodes in ready
+	cal       sim.Calendar // the nodes due at a later cycle
+	busyNodes int          // nodes whose cached busy flag is set
 
 	tr         *span.Tracer
 	sumBackSeq uint64
@@ -244,6 +253,8 @@ func New(cfg Config, kind mem.Kind) *System {
 	topo := cfg.Topology.normalized(cfg.Nodes)
 	s := &System{cfg: cfg, topo: topo, kind: kind, reg: stats.NewRegistry(), ff: !cfg.LegacyStepping}
 	s.active = make([]*node, 0, cfg.Nodes)
+	s.ready = make([]uint64, (cfg.Nodes+63)/64)
+	s.cal = sim.NewCalendar(cfg.Nodes)
 	if topo.multiHop() {
 		s.mh = network.NewMultiHop(network.MultiHopConfig{
 			Kind:    topo.graphKind(),
@@ -472,10 +483,21 @@ func (s *System) load(refs []Ref) {
 // or the fabric's, whichever comes first. A packet waiting at a sleeping
 // node is fabric work now.
 func (s *System) nextEvent() uint64 {
-	if s.nodeMin <= s.now {
+	nodeMin := s.nodeMin()
+	if nodeMin <= s.now {
 		return s.now
 	}
-	return max(s.now, min(s.nodeMin, s.xbar.NextEvent(s.now)))
+	return max(s.now, min(nodeMin, s.xbar.NextEvent(s.now)))
+}
+
+// nodeMin returns the earliest cached next over all nodes: now while a node
+// is ready, else the calendar's earliest.
+func (s *System) nodeMin() uint64 {
+	if s.nready > 0 {
+		return s.now
+	}
+	_, at := s.cal.Next()
+	return at
 }
 
 // nodeNextEvent returns the earliest cycle at which one node can do work:
@@ -488,7 +510,7 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 	}
 	ev := sim.Never
 	if s.reliable {
-		if len(n.ackbox) > 0 {
+		if n.acksPending() > 0 {
 			return s.now
 		}
 		// Unacked packets wake the system at their resend deadlines.
@@ -515,45 +537,73 @@ func (s *System) refresh(n *node) {
 	}
 }
 
-// rescan refreshes every node at the start of a phase, after state changed
-// outside stepActive (a new trace share, a flush round).
+// file puts node n, just refreshed, where its cached next says: the ready
+// set when it is due now, the calendar when it is due later, and neither
+// when only an arrival can wake it.
+func (s *System) file(n *node) {
+	switch {
+	case n.next <= s.now:
+		s.cal.Remove(n.id)
+		s.ready[n.id>>6] |= 1 << (n.id & 63)
+		s.nready++
+	case n.next == sim.Never:
+		s.cal.Remove(n.id)
+	default:
+		s.cal.Set(n.id, n.next)
+	}
+}
+
+// rescan refreshes and files every node at the start of a phase, after
+// state changed outside stepActive (a new trace share, a flush round).
 func (s *System) rescan() {
 	if !s.ff {
 		return
 	}
-	s.nodeMin = sim.Never
+	clear(s.ready)
+	s.nready = 0
+	s.cal.Clear()
 	for _, n := range s.nodes {
 		s.refresh(n)
-		s.nodeMin = min(s.nodeMin, n.next)
+		s.file(n)
 	}
 }
 
 // stepActive is step under fast-forward: only the nodes with a fabric
 // arrival or a due event work this cycle, in node order, with exchange
 // halves before compute halves as in step. Every other node's share of the
-// cycle would be a no-op. The loop does not allocate.
+// cycle would be a no-op. The nodes whose calendar cycle has come join the
+// ready set first; the walk then visits the union of the ready set and the
+// fabric's arrival set. A node's next changes only when it is refreshed
+// after working, and its arrivals only in the fabric's Tick and its own
+// Recv, so no exchange half changes whether a later node is in the union.
+// The loop does not allocate.
 func (s *System) stepActive() {
+	for id, at := s.cal.Next(); at <= s.now; id, at = s.cal.Next() {
+		s.cal.Remove(id)
+		s.ready[id>>6] |= 1 << (id & 63)
+		s.nready++
+	}
 	act := s.active[:0]
-	nodeMin := sim.Never
-	for _, n := range s.nodes {
-		if n.next > s.now && !s.xbar.HasArrival(n.id) {
-			nodeMin = min(nodeMin, n.next)
-			continue
+	arr := s.xbar.Arrivals()
+	for w := range s.ready {
+		for b := s.ready[w] | arr[w]; b != 0; b &= b - 1 {
+			n := s.nodes[w<<6|bits.TrailingZeros64(b)]
+			s.stepNodeExchange(n)
+			act = append(act, n)
 		}
-		s.stepNodeExchange(n)
-		act = append(act, n)
 	}
 	for _, n := range act {
 		s.stepNodeCompute(n)
 	}
 	s.xbar.Tick(s.now)
 	s.now++
+	clear(s.ready)
+	s.nready = 0
 	for _, n := range act {
 		s.refresh(n)
-		nodeMin = min(nodeMin, n.next)
+		s.file(n)
 	}
 	s.active = act
-	s.nodeMin = nodeMin
 }
 
 // step advances the whole system one cycle under legacy stepping: every
@@ -673,17 +723,19 @@ func (s *System) stepNodeExchange(n *node) {
 	// turn every in-flight packet into a spurious resend), then overdue
 	// packets are sent again.
 	if s.reliable {
-		k := 0
-		for k < len(n.ackbox) {
-			a := n.ackbox[k]
+		for ; n.ackHead < len(n.ackbox); n.ackHead++ {
+			a := n.ackbox[n.ackHead]
 			if !s.xbar.Send(network.Packet{Src: int32(n.id), Dst: int32(a.dst), Seq: a.seq, Ack: true}) {
 				break
 			}
 			s.lmet.acks.Inc()
-			k++
 		}
-		if k > 0 {
-			n.ackbox = n.ackbox[:copy(n.ackbox, n.ackbox[k:])]
+		// Sent acks are reclaimed when the queue empties, or by one copy
+		// of the rest once they make up more than half of it: O(1) per ack.
+		if n.ackHead == len(n.ackbox) {
+			n.ackbox, n.ackHead = n.ackbox[:0], 0
+		} else if 2*n.ackHead > len(n.ackbox) {
+			n.ackbox, n.ackHead = n.ackbox[:copy(n.ackbox, n.ackbox[n.ackHead:])], 0
 		}
 		s.lmet.retrans.Add(uint64(n.unacked.Resend(s.now, &s.flt, s.xbar.Send)))
 	}
@@ -848,7 +900,7 @@ func (s *System) nodeBusy(n *node) bool {
 	if n.issued < n.share || !n.inbox.Empty() || !n.outbox.Empty() {
 		return true
 	}
-	if s.reliable && (n.unacked.Len() > 0 || len(n.ackbox) > 0) {
+	if s.reliable && (n.unacked.Len() > 0 || n.acksPending() > 0) {
 		return true
 	}
 	return n.cl.Busy()

@@ -8,22 +8,23 @@ import (
 	"scatteradd/internal/mem"
 )
 
-// scanStaged is the combining rule applied by brute force: the first staged
-// combinable packet of s, in window and ring order, with p's destination,
-// kind and address.
-func scanStaged(s *mhSwitch, p *Packet) *Packet {
+// scanStaged is the combining rule applied by brute force: the handle of
+// the first staged combinable packet of s, in window and ring order, with
+// p's destination, kind and address, read through the slab (0 for none).
+func scanStaged(m *MultiHop, s *mhSwitch, p *Packet) int32 {
 	for _, w := range s.stage {
 		if w == nil {
 			continue
 		}
 		for i := 0; i < w.Len(); i++ {
-			st := w.At(i)
+			h := *w.At(i)
+			st := m.slab.at(h)
 			if st.Dst == p.Dst && st.Req.Kind == p.Req.Kind && st.Req.Addr == p.Req.Addr && combinable(st) {
-				return st
+				return h
 			}
 		}
 	}
-	return nil
+	return 0
 }
 
 // value reads a packet's integer-valued operand by its kind.
@@ -34,12 +35,13 @@ func value(p Packet) float64 {
 	return float64(mem.AsI64(p.Req.Val))
 }
 
-// stagedCombinable counts the staged combinable packets of s.
-func stagedCombinable(s *mhSwitch) int {
+// stagedCombinable counts the staged combinable packets of s, read through
+// the slab.
+func stagedCombinable(m *MultiHop, s *mhSwitch) int {
 	n := 0
 	for _, w := range s.stage {
 		for i := 0; w != nil && i < w.Len(); i++ {
-			if combinable(w.At(i)) {
+			if combinable(m.slab.at(*w.At(i))) {
 				n++
 			}
 		}
@@ -57,19 +59,19 @@ func stagedCombinable(s *mhSwitch) int {
 // must receive the sum sent to it.
 func TestCombineIndexMatchesScan(t *testing.T) {
 	probes, hits := 0, 0
-	stageProbe = func(m *MultiHop, s *mhSwitch, p Packet, hit *Packet) {
-		var want *Packet
+	stageProbe = func(m *MultiHop, s *mhSwitch, p Packet, hit int32) {
+		var want int32
 		if m.cfg.Combine && combinable(&p) {
-			want = scanStaged(s, &p)
+			want = scanStaged(m, s, &p)
 		}
 		if hit != want {
-			t.Fatalf("index found %+v for %+v, the scan %+v", hit, p, want)
+			t.Fatalf("index found handle %d for %+v, the scan %d", hit, p, want)
 		}
-		if n := stagedCombinable(s); s.comb.n != n {
+		if n := stagedCombinable(m, s); s.comb.n != n {
 			t.Fatalf("index holds %d packets, the windows %d combinable ones", s.comb.n, n)
 		}
 		probes++
-		if hit != nil {
+		if hit != 0 {
 			hits++
 		}
 	}

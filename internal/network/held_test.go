@@ -36,8 +36,10 @@ func xorshift(seed uint64) func(n int) int {
 
 // TestCrossbarHeldCount: under drop and dup faults and saturating traffic,
 // the crossbar's held-packet count equals the packets in its queues and
-// wires every cycle, Busy agrees with it, and both return to zero once the
-// traffic drains.
+// wires every cycle, and so does its slab's live count (one slot per packet,
+// a duplicate in a slot of its own); Busy agrees with them, the arrival set
+// holds exactly the outputs with a packet, and all return to zero, every
+// slot free, once the traffic drains.
 func TestCrossbarHeldCount(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.OutputQDepth = 2
@@ -47,9 +49,10 @@ func TestCrossbarHeldCount(t *testing.T) {
 	next := xorshift(777)
 	check := func(cycle uint64) {
 		t.Helper()
-		if want := heldCount(x); x.held != want || x.Busy() != (want > 0) {
-			t.Fatalf("cycle %d: held %d, busy %v; ports hold %d", cycle, x.held, x.Busy(), want)
+		if want := heldCount(x); x.held != want || x.slab.live() != want || x.Busy() != (want > 0) {
+			t.Fatalf("cycle %d: held %d, slab live %d, busy %v; ports hold %d", cycle, x.held, x.slab.live(), x.Busy(), want)
 		}
+		checkArrivals(t, x.Arrivals(), cycle, func(o int) bool { return x.Peek(o) != nil }, cfg.Nodes)
 	}
 	cycle := uint64(0)
 	for ; cycle < 3000; cycle++ {
@@ -72,24 +75,43 @@ func TestCrossbarHeldCount(t *testing.T) {
 		}
 		check(cycle)
 	}
-	if x.held != 0 || x.Busy() {
-		t.Fatalf("after the drain: held %d, busy %v", x.held, x.Busy())
+	if x.held != 0 || x.Busy() || x.slab.live() != 0 {
+		t.Fatalf("after the drain: held %d, busy %v, %d slab slots live", x.held, x.Busy(), x.slab.live())
 	}
 	if st := x.Stats(); st.Dropped == 0 || st.Duped == 0 {
 		t.Fatalf("faults never fired: %+v", st)
 	}
 }
 
+// checkArrivals fails unless the arrival set of an n-endpoint fabric has
+// exactly the bits of the endpoints waiting reports.
+func checkArrivals(t *testing.T, arr []uint64, cycle uint64, waiting func(dst int) bool, n int) {
+	t.Helper()
+	if len(arr) != (n+63)/64 {
+		t.Fatalf("cycle %d: arrival set of %d words for %d endpoints", cycle, len(arr), n)
+	}
+	for d := 0; d < len(arr)*64; d++ {
+		set := arr[d>>6]&(1<<(d&63)) != 0
+		if set != (d < n && waiting(d)) {
+			t.Fatalf("cycle %d endpoint %d: arrival bit %v, packet waiting %v", cycle, d, set, d < n && waiting(d))
+		}
+	}
+}
+
 // checkHeld fails unless every switch's crossbar held count and staged and
 // unacked frame counts, and the packets waiting at the endpoints, match the
-// queues they summarize, and Busy agrees with them. Called between Ticks, it
-// also checks the stepping schedule: exactly the holding switches are
-// scheduled to run or asleep, and the counts, run set and wake heap agree
-// with their states.
+// queues they summarize, the slab's live count is their sum (retransmission
+// buffers keep their copies outside it), the arrival set marks exactly the
+// endpoints with a waiting packet, and Busy agrees with them. Called between
+// Ticks, it also checks the stepping schedule: exactly the holding switches
+// are scheduled to run or asleep, the counts and run set agree with their
+// states, and the wake calendar files exactly the sleeping switches with a
+// timed wake, each at that cycle.
 func checkHeld(t *testing.T, m *MultiHop, cycle uint64) {
 	t.Helper()
 	checkSchedule(t, m, cycle)
-	busy := false
+	checkArrivals(t, m.Arrivals(), cycle, func(d int) bool { return m.Peek(d) != nil }, m.cfg.Nodes)
+	busy, live := false, 0
 	for si, s := range m.sws {
 		staged, unacked := 0, 0
 		for p, w := range s.stage {
@@ -104,6 +126,7 @@ func checkHeld(t *testing.T, m *MultiHop, cycle uint64) {
 				cycle, si, s.xb.held, s.staged, s.unacked, held, staged, unacked)
 		}
 		busy = busy || held+staged+unacked > 0
+		live += held + staged
 	}
 	waiting := 0
 	for _, q := range m.outq {
@@ -112,20 +135,37 @@ func checkHeld(t *testing.T, m *MultiHop, cycle uint64) {
 	if m.waiting != waiting {
 		t.Fatalf("cycle %d: waiting %d, delivery queues hold %d", cycle, m.waiting, waiting)
 	}
+	if live += waiting; m.slab.live() != live {
+		t.Fatalf("cycle %d: slab holds %d live packets, the queues %d", cycle, m.slab.live(), live)
+	}
 	if busy = busy || waiting > 0; m.Busy() != busy {
 		t.Fatalf("cycle %d: Busy %v, queues say %v", cycle, m.Busy(), busy)
 	}
 }
 
 // TestMultiHopHeldCounts: the same invariant per switch of a tree and a
-// mesh under per-hop reliability — crossbar held counts, staged and unacked
-// frame counts, and packets waiting at the endpoints all match the queues
-// they summarize every cycle, and all return to zero after the drain.
+// mesh, fault-free and under per-hop reliability with drops and duplicates
+// — crossbar held counts, staged and unacked frame counts, packets waiting
+// at the endpoints and the slab's live count all match the queues they
+// summarize every cycle, and all return to zero after the drain, with
+// every slab slot free.
 func TestMultiHopHeldCounts(t *testing.T) {
-	for name, cfg := range map[string]MultiHopConfig{"tree": treeConfig(16, 4), "mesh": meshConfig(16)} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    MultiHopConfig
+		faults bool
+	}{
+		{"tree", treeConfig(16, 4), true},
+		{"mesh", meshConfig(16), true},
+		{"tree-faultfree", treeConfig(16, 4), false},
+		{"mesh-faultfree", meshConfig(16), false},
+	} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
 			m := NewMultiHop(cfg)
-			m.SetFaults(fault.Config{Seed: 11, NetDropRate: 0.1, NetDupRate: 0.05}.WithDefaults(), "held")
+			if tc.faults {
+				m.SetFaults(fault.Config{Seed: 11, NetDropRate: 0.1, NetDupRate: 0.05}.WithDefaults(), "held")
+			}
 			next := xorshift(4242)
 			cycle := uint64(0)
 			for ; cycle < 6000; cycle++ {
@@ -144,10 +184,10 @@ func TestMultiHopHeldCounts(t *testing.T) {
 				}
 				checkHeld(t, m, cycle)
 			}
-			if m.Busy() {
-				t.Fatal("fabric still busy after the drain")
+			if m.Busy() || m.slab.live() != 0 {
+				t.Fatalf("after the drain: busy %v, %d slab slots live", m.Busy(), m.slab.live())
 			}
-			if st := m.Stats(); st.Dropped == 0 || st.Duped == 0 || st.HopRetrans == 0 {
+			if st := m.Stats(); tc.faults && (st.Dropped == 0 || st.Duped == 0 || st.HopRetrans == 0) {
 				t.Fatalf("faults never exercised recovery: %+v", st)
 			}
 		})
@@ -166,9 +206,16 @@ func checkSchedule(t *testing.T, m *MultiHop, cycle uint64) {
 		if s.idle() != (s.state == swIdle) || run != (s.state == swRun) {
 			t.Fatalf("cycle %d switch %d: state %d, idle %v, scheduled %v", cycle, si, s.state, s.idle(), run)
 		}
-		timed := s.state == swSleep && s.wakeAt != sim.Never
-		if (s.heapAt >= 0) != timed || timed && m.sleepers[s.heapAt] != int32(si) {
-			t.Fatalf("cycle %d switch %d: state %d wake %d at heap slot %d", cycle, si, s.state, s.wakeAt, s.heapAt)
+		// A sleeping switch's wake time cannot change while it sleeps, so
+		// recomputing it must find the cycle it is filed at, or Never for
+		// one waiting on a neighbour, which is not filed.
+		at := sim.Never
+		if s.state == swSleep {
+			at = m.wakeTime(s, m.ticked)
+		}
+		due, filed := m.sleepers.Due(si)
+		if filed != (at != sim.Never) || filed && due != at {
+			t.Fatalf("cycle %d switch %d: state %d, wake %d, filed %v at %d", cycle, si, s.state, at, filed, due)
 		}
 		if s.state == swSleep && !s.slept {
 			t.Fatalf("cycle %d switch %d: asleep without a stall credit", cycle, si)
@@ -180,13 +227,8 @@ func checkSchedule(t *testing.T, m *MultiHop, cycle uint64) {
 			asleep++
 		}
 	}
-	if m.holding != holding || m.asleep != asleep || len(m.sleepers) > asleep {
-		t.Fatalf("cycle %d: holding %d asleep %d heap %d; states say %d and %d",
-			cycle, m.holding, m.asleep, len(m.sleepers), holding, asleep)
-	}
-	for i := 1; i < len(m.sleepers); i++ {
-		if m.sws[m.sleepers[(i-1)/2]].wakeAt > m.sws[m.sleepers[i]].wakeAt {
-			t.Fatalf("cycle %d: wake heap out of order at slot %d", cycle, i)
-		}
+	if m.holding != holding || m.asleep != asleep {
+		t.Fatalf("cycle %d: holding %d asleep %d; states say %d and %d",
+			cycle, m.holding, m.asleep, holding, asleep)
 	}
 }

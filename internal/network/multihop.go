@@ -28,17 +28,24 @@
 // sequence number and is held by its input port's RetransmitBuffer — the
 // same buffer the multinode end-to-end link uses — for retransmission
 // (exponential backoff, capped; a packet unacked after MaxRetries resends
-// panics the run as unrecoverable). The switch's output side deduplicates
-// by hop sequence number and acknowledges on successful handoff to the next
-// stage, so injected wire drops and duplications inside any switch are
+// panics the run as unrecoverable). The switch acknowledges a packet when
+// its first copy clears the output to the next stage, which releases the
+// held copy; a copy that reaches the output after that (a retransmission
+// or an injected duplicate) finds its hop copy no longer held and is
+// discarded. So injected wire drops and duplications inside any switch are
 // absorbed hop-locally instead of end-to-end. Retransmitted packets bypass
 // the staging window — they carry an already-assigned hop sequence number
 // and must not re-combine.
 //
-// Stepping. A Tick visits only the switches that hold packets (see Tick),
-// and under fast-forward only those that can move one: a switch that moved
-// nothing sleeps until a wire delivers or a neighbour frees or fills what it
-// waits on.
+// Stepping. The fabric's packets sit in one slab that every switch shares:
+// Send writes a packet into it once, the staging windows, crossbar queues,
+// wires and delivery queues pass its 4-byte handle from hop to hop, and
+// Recv copies it out. A Tick visits only the switches that hold packets
+// (see Tick), and under fast-forward only those that can move one: a switch
+// that moved nothing sleeps until a wire delivers or a neighbour frees or
+// fills what it waits on. The sleepers with a timed wake sit in a
+// sim.Calendar, and the endpoints with a waiting delivery in the Arrivals
+// set, so neither a Tick nor its caller polls an idle switch or endpoint.
 package network
 
 import (
@@ -114,7 +121,7 @@ type hopLink struct {
 }
 
 // mhSwitch is one switch: a crossbar plus per-port staging (the combining
-// window), retransmission buffers, and receive-side dedup state.
+// window) and retransmission buffers.
 type mhSwitch struct {
 	xb    *Crossbar
 	ports int
@@ -128,12 +135,11 @@ type mhSwitch struct {
 	parent           int
 	x, y             int
 
-	stage   []*sim.Queue[Packet]  // per input port: the combining window, opened at first use
-	comb    combIndex             // the staged combinable packets by key, opened at first use
-	retx    []RetransmitBuffer    // per input port: unacked hop packets
-	seen    []map[uint64]struct{} // per output port: delivered hop seqs (dedup)
-	staged  int                   // packets across every staging window
-	unacked int                   // packets across every retransmission buffer
+	stage   []*sim.Queue[int32] // per input port: the combining window, opened at first use
+	comb    combIndex           // the staged combinable packets by key, opened at first use
+	retx    []RetransmitBuffer  // per input port: unacked hop packets
+	staged  int                 // packets across every staging window
+	unacked int                 // packets across every retransmission buffer
 
 	// Switch-grain stepping (see Tick).
 	state     swState
@@ -141,8 +147,6 @@ type mhSwitch struct {
 	slept     bool   // the switch has skipped Phase B since sleepFrom: stalls are owed
 	sleepFrom uint64 // first cycle whose Phase B the switch skipped
 	sleepIns  uint64 // non-empty crossbar inputs while asleep: stalls per skipped cycle
-	wakeAt    uint64 // timed wake while asleep; sim.Never waits on a neighbour
-	heapAt    int    // index in MultiHop.sleepers, -1 when absent
 }
 
 // swState is where a switch stands in the stepping schedule.
@@ -159,30 +163,39 @@ const (
 // a Tick changes no state, so Tick passes over it.
 func (s *mhSwitch) idle() bool { return s.staged == 0 && s.unacked == 0 && s.xb.held == 0 }
 
-// resend re-enqueues a held hop packet at the input port it left from; it
-// keeps the output port and hop sequence number it was first sent with.
-func (s *mhSwitch) resend(p Packet) bool { return s.xb.enqueue(int(p.in), &p) }
+// resend re-enqueues a copy of a held hop packet, in a fresh slot, at the
+// input port it left from; it keeps the output port and hop sequence number
+// it was first sent with.
+func (s *mhSwitch) resend(p Packet) bool {
+	if s.xb.inputFull(int(p.in)) {
+		return false
+	}
+	s.xb.enqueue(int(p.in), s.xb.slab.put(&p))
+	return true
+}
 
 // MultiHop is a switched multi-hop fabric satisfying Fabric.
 type MultiHop struct {
-	cfg  MultiHopConfig
-	sws  []*mhSwitch
-	inj  []hopLink            // per endpoint: injection point
-	dlv  []int32              // per endpoint: the switch delivering to it
-	outq []*sim.Queue[Packet] // per endpoint: delivered packets
+	cfg      MultiHopConfig
+	sws      []*mhSwitch
+	slab     *slab               // every packet in the fabric, shared by the switches
+	inj      []hopLink           // per endpoint: injection point
+	dlv      []int32             // per endpoint: the switch delivering to it
+	outq     []*sim.Queue[int32] // per endpoint: delivered packets
+	arrivals []uint64            // endpoints whose outq holds a packet (see Fabric)
 
 	waiting int // packets across every endpoint's outq
 
 	// Switch-grain stepping (see Tick). next holds the switches that run the
 	// next Tick; cur, during a Tick, the switches whose Phase C is still to
-	// run; both are bitsets in switch order. sleepers is a min-heap of the
-	// sleeping switches with a timed wake.
+	// run; both are bitsets in switch order. sleepers files the sleeping
+	// switches with a timed wake at that cycle.
 	next, cur []uint64
-	cursor    int     // switch whose Phase C runs now; -1 before Phase C, len(sws) between Ticks
-	holding   int     // switches holding a packet
-	asleep    int     // of those, switches asleep
-	sleepers  []int32 // min-heap on wakeAt of the sleeping switches with a timed wake
-	ticked    uint64  // the cycle after the last Tick
+	cursor    int          // switch whose Phase C runs now; -1 before Phase C, len(sws) between Ticks
+	holding   int          // switches holding a packet
+	asleep    int          // of those, switches asleep
+	sleepers  sim.Calendar // the sleeping switches with a timed wake
+	ticked    uint64       // the cycle after the last Tick
 
 	met mhMetrics
 	tr  *span.Tracer
@@ -230,11 +243,12 @@ func NewMultiHop(cfg MultiHopConfig) *MultiHop {
 	if cfg.Nodes < 1 {
 		panic(fmt.Sprintf("network: multihop needs >= 1 node, got %d", cfg.Nodes))
 	}
-	m := &MultiHop{cfg: cfg, met: newMHMetrics(), rootSw: -1}
+	m := &MultiHop{cfg: cfg, slab: newSlab(), met: newMHMetrics(), rootSw: -1}
 	m.inj = make([]hopLink, cfg.Nodes)
 	m.dlv = make([]int32, cfg.Nodes)
+	m.arrivals = make([]uint64, (cfg.Nodes+63)/64)
 	for i := 0; i < cfg.Nodes; i++ {
-		m.outq = append(m.outq, sim.NewQueue[Packet](max(1, cfg.Link.OutputQDepth)))
+		m.outq = append(m.outq, sim.NewQueue[int32](max(1, cfg.Link.OutputQDepth)))
 	}
 	switch cfg.Kind {
 	case TreeGraph:
@@ -247,6 +261,7 @@ func NewMultiHop(cfg MultiHopConfig) *MultiHop {
 	words := (len(m.sws) + 63) / 64
 	m.next, m.cur = make([]uint64, words), make([]uint64, words)
 	m.cursor = len(m.sws)
+	m.sleepers = sim.NewCalendar(len(m.sws))
 	return m
 }
 
@@ -259,19 +274,17 @@ func (m *MultiHop) addSwitch(ports int) *mhSwitch {
 	link := m.cfg.Link
 	link.Nodes = ports
 	s := &mhSwitch{
-		xb:     New(link),
+		xb:     newCrossbar(link, m.slab),
 		ports:  ports,
 		out:    make([]hopLink, ports),
 		from:   make([]int32, ports),
 		parent: -1,
-		heapAt: -1,
 	}
 	for p := range s.from {
 		s.from[p] = -1
 	}
-	s.stage = make([]*sim.Queue[Packet], ports)
+	s.stage = make([]*sim.Queue[int32], ports)
 	s.retx = make([]RetransmitBuffer, ports)
-	s.seen = make([]map[uint64]struct{}, ports)
 	m.sws = append(m.sws, s)
 	return s
 }
@@ -463,11 +476,6 @@ func (m *MultiHop) SetFaults(fc fault.Config, inst string) {
 	m.reliable = fc.NetFaults()
 	for i, s := range m.sws {
 		s.xb.SetFaults(fc, fmt.Sprintf("%s.sw%d", inst, i))
-		if m.reliable {
-			for p := range s.seen {
-				s.seen[p] = make(map[uint64]struct{})
-			}
-		}
 	}
 }
 
@@ -481,7 +489,9 @@ func (m *MultiHop) Send(p Packet) bool {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, m.cfg.Nodes))
 	}
 	l := m.inj[p.Src]
-	if ok, _ := m.stageIn(l.sw, l.port, &p); !ok {
+	h := m.slab.put(&p)
+	if ok, _ := m.stageIn(l.sw, l.port, h); !ok {
+		m.slab.release(h)
 		return false
 	}
 	m.met.sent.Inc()
@@ -495,44 +505,50 @@ func combinable(p *Packet) bool {
 	return !p.Ack && p.Seq == 0 && p.Req.Kind.IsScatterAdd() && !p.Req.Kind.IsFetch()
 }
 
-// stageIn admits a copy of p into switch si's combining window at the given
-// input port. With combining on, a packet that finds a staged packet of the
-// same destination, address and kind merges into it (merged) and stops
-// consuming bandwidth; sum-backs are scatter-adds too, so evicted partial
+// stageIn admits the packet with handle h into switch si's combining window
+// at the given input port. With combining on, a packet that finds a staged
+// packet of the same destination, address and kind merges into it (merged)
+// and stops consuming bandwidth: its operand is added into the staged
+// packet and its slot is freed, so the caller must read anything it still
+// needs from it first. Sum-backs are scatter-adds too, so evicted partial
 // lines from different nodes cascade together on their way to the owner.
 // Merging reorders additions exactly like the combining caches do:
 // bit-exact for the integer kinds, paper semantics (associativity assumed)
-// for floats. Otherwise the packet is appended (ok=false when the window is
-// full); appends count as switch traversals, merges by design do not.
+// for floats. Otherwise the handle is appended (ok=false when the window is
+// full, and the slot stays the caller's); appends count as switch
+// traversals, merges by design do not.
 //
 // The merge partner is found in the switch's combining index (combIndex) in
 // O(1); only a combinable arrival is looked up, and only a combinable
 // packet is indexed.
-func (m *MultiHop) stageIn(si, port int, p *Packet) (ok, merged bool) {
+func (m *MultiHop) stageIn(si, port int, h int32) (ok, merged bool) {
 	s := m.sws[si]
+	p := m.slab.at(h)
 	mergeable := m.cfg.Combine && combinable(p)
-	var st *Packet
+	var hit int32
 	if mergeable {
-		st = s.comb.find(p)
+		hit = s.comb.find(m.slab, p)
 	}
 	if stageProbe != nil {
-		stageProbe(m, s, *p, st)
+		stageProbe(m, s, *p, hit)
 	}
-	if st != nil {
+	if hit != 0 {
+		st := m.slab.at(hit)
 		st.Req.Val = mem.Combine(st.Req.Kind, st.Req.Val, p.Req.Val)
+		m.slab.release(h)
 		m.met.combined.Inc()
 		return true, true
 	}
 	w := s.stage[port]
 	if w == nil {
-		w = sim.NewQueue[Packet](m.cfg.Link.InputQDepth)
+		w = sim.NewQueue[int32](m.cfg.Link.InputQDepth)
 		s.stage[port] = w
 	}
-	if !w.Push(*p) {
+	if !w.Push(h) {
 		return false, false
 	}
 	if mergeable {
-		s.comb.insert(w.At(w.Len()-1), s.ports*m.cfg.Link.InputQDepth)
+		s.comb.insert(m.slab, h, s.ports*m.cfg.Link.InputQDepth)
 	}
 	s.staged++
 	m.met.hops.Inc()
@@ -559,26 +575,40 @@ func (m *MultiHop) stageIn(si, port int, p *Packet) (ok, merged bool) {
 	return true, false
 }
 
-// HasArrival reports whether a delivered packet waits at endpoint dst.
-func (m *MultiHop) HasArrival(dst int) bool { return !m.outq[dst].Empty() }
+// Arrivals returns the endpoints at which a delivered packet waits (see
+// Fabric).
+func (m *MultiHop) Arrivals() []uint64 { return m.arrivals }
 
 // Peek returns the next deliverable packet at endpoint dst where it sits,
 // or nil.
-func (m *MultiHop) Peek(dst int) *Packet { return m.outq[dst].Peek() }
+func (m *MultiHop) Peek(dst int) *Packet {
+	if h := m.outq[dst].Peek(); h != nil {
+		return m.slab.at(*h)
+	}
+	return nil
+}
 
-// Recv pops one delivered packet at endpoint dst, if available. Popping a
-// full delivery queue wakes the switch that delivers to dst.
+// Recv pops one delivered packet at endpoint dst, if available, and frees
+// its slot. Popping a full delivery queue wakes the switch that delivers to
+// dst.
 func (m *MultiHop) Recv(dst int) (Packet, bool) {
 	q := m.outq[dst]
-	full := q.Full()
-	p, ok := q.Pop()
-	if ok {
-		m.waiting--
-		if full {
-			m.wake(int(m.dlv[dst]))
-		}
+	hp := q.Peek()
+	if hp == nil {
+		return Packet{}, false
 	}
-	return p, ok
+	h, full := *hp, q.Full()
+	q.Drop()
+	p := *m.slab.at(h)
+	m.slab.release(h)
+	m.waiting--
+	if q.Empty() {
+		m.arrivals[dst>>6] &^= 1 << (dst & 63)
+	}
+	if full {
+		m.wake(int(m.dlv[dst]))
+	}
+	return p, true
 }
 
 // Tick advances the fabric one cycle in three phases: (A) overdue
@@ -603,11 +633,9 @@ func (m *MultiHop) Recv(dst int) (Packet, bool) {
 // adds skipped occupancy samples.
 func (m *MultiHop) Tick(now uint64) {
 	m.cur, m.next = m.next, m.cur
-	for len(m.sleepers) > 0 && m.sws[m.sleepers[0]].wakeAt <= now {
-		si := int(m.sleepers[0])
-		s := m.sws[si]
-		m.unschedule(s)
-		s.state = swRun
+	for si, at := m.sleepers.Next(); at <= now; si, at = m.sleepers.Next() {
+		m.sleepers.Remove(si)
+		m.sws[si].state = swRun
 		m.asleep--
 		m.cur[si>>6] |= 1 << (si & 63)
 	}
@@ -660,16 +688,14 @@ func (m *MultiHop) step(si int, s *mhSwitch, now uint64) {
 			continue
 		}
 		full := w.Full()
-		for p := w.Peek(); p != nil; p = w.Peek() {
+		for hp := w.Peek(); hp != nil && !s.xb.inputFull(port); hp = w.Peek() {
+			h := *hp
+			p := m.slab.at(h)
 			p.out, p.in = int32(m.route(si, int(p.Dst))), uint16(port)
-			if m.reliable {
-				p.hopSeq = m.seqCtr + 1
-			}
-			if !s.xb.enqueue(port, p) {
-				break
-			}
+			s.xb.enqueue(port, h)
 			if m.reliable {
 				m.seqCtr++
+				p.hopSeq = m.seqCtr
 				s.retx[port].Hold(p.hopSeq, *p, now+m.flt.RetryTimeout)
 				s.unacked++
 			}
@@ -679,7 +705,7 @@ func (m *MultiHop) step(si int, s *mhSwitch, now uint64) {
 					now, now+uint64(m.cfg.Link.Latency))
 			}
 			if m.cfg.Combine && combinable(p) {
-				s.comb.remove(p)
+				s.comb.remove(m.slab, h)
 			}
 			w.Drop()
 			s.staged--
@@ -696,60 +722,72 @@ func (m *MultiHop) step(si int, s *mhSwitch, now uint64) {
 	}
 }
 
-// forward is Phase C of switch si: drain its outputs across links.
+// forward is Phase C of switch si: drain its outputs across links, in port
+// order, visiting only the outputs that hold a packet.
 func (m *MultiHop) forward(si int, s *mhSwitch, now uint64) {
-	for port := 0; port < s.ports; port++ {
-		for {
-			p := s.xb.Peek(port)
-			if p == nil {
-				break
-			}
-			if m.reliable {
-				if _, dup := s.seen[port][p.hopSeq]; dup {
-					// A retransmission (or injected duplicate) of a packet
-					// already forwarded: consume, re-ack, drop.
-					m.ackHop(s, p)
-					s.xb.drop(port)
-					m.met.dups.Inc()
-					s.moved = true
-					continue
-				}
-			}
-			link := s.out[port]
-			if link.node >= 0 {
-				q := m.outq[link.node]
-				if q.Full() {
-					break
-				}
-				m.acceptHop(s, port, p)
-				q.MustPush(*p)
-				s.xb.drop(port)
-				m.waiting++
-				m.met.delivered.Inc()
-				s.moved = true
-				continue
-			}
-			if link.sw < 0 {
-				panic(fmt.Sprintf("network: switch %d routed out an unwired port %d", si, port))
-			}
-			ok, merged := m.stageIn(link.sw, link.port, p)
-			if !ok {
-				break // downstream staging full: back-pressure
-			}
-			if merged {
-				// The absorbed request is complete the moment it
-				// merges (a no-op unless its op is sampled).
-				m.tr.OpEnd(p.Req.Node, p.Req.ID, now)
-			}
-			m.acceptHop(s, port, p)
-			s.xb.drop(port)
+	for w, word := range s.xb.arrivals {
+		for ; word != 0; word &= word - 1 {
+			m.forwardPort(si, s, w<<6|bits.TrailingZeros64(word), now)
+		}
+	}
+}
+
+// forwardPort drains output port of switch si across its link until the
+// output empties or the link refuses.
+func (m *MultiHop) forwardPort(si int, s *mhSwitch, port int, now uint64) {
+	for {
+		h := s.xb.head(port)
+		if h == 0 {
+			return
+		}
+		p := m.slab.at(h)
+		if m.reliable && !s.retx[p.in].Holds(p.hopSeq) {
+			// A retransmission (or injected duplicate) of a packet
+			// already forwarded, whose first copy released its hop
+			// copy here: drop it.
+			s.xb.pop(port)
+			m.slab.release(h)
+			m.met.dups.Inc()
 			s.moved = true
-			if m.cfg.Kind == MeshGraph {
-				// Bisection accounting: crossings between columns
-				// meshCut-1 and meshCut are the mesh's "root link".
-				if (port == 1 && s.x == m.meshCut-1) || (port == 2 && s.x == m.meshCut) {
-					m.met.rootPkts.Inc()
-				}
+			continue
+		}
+		link := s.out[port]
+		if link.node >= 0 {
+			q := m.outq[link.node]
+			if q.Full() {
+				return
+			}
+			m.ackHop(s, p.in, p.hopSeq)
+			q.MustPush(h)
+			s.xb.pop(port)
+			m.arrivals[link.node>>6] |= 1 << (link.node & 63)
+			m.waiting++
+			m.met.delivered.Inc()
+			s.moved = true
+			continue
+		}
+		if link.sw < 0 {
+			panic(fmt.Sprintf("network: switch %d routed out an unwired port %d", si, port))
+		}
+		// A merge frees p's slot inside stageIn: read what is still needed.
+		node, id, in, seq := p.Req.Node, p.Req.ID, p.in, p.hopSeq
+		ok, merged := m.stageIn(link.sw, link.port, h)
+		if !ok {
+			return // downstream staging full: back-pressure
+		}
+		if merged {
+			// The absorbed request is complete the moment it merges (a
+			// no-op unless its op is sampled).
+			m.tr.OpEnd(node, id, now)
+		}
+		m.ackHop(s, in, seq)
+		s.xb.pop(port)
+		s.moved = true
+		if m.cfg.Kind == MeshGraph {
+			// Bisection accounting: crossings between columns meshCut-1
+			// and meshCut are the mesh's "root link".
+			if (port == 1 && s.x == m.meshCut-1) || (port == 2 && s.x == m.meshCut) {
+				m.met.rootPkts.Inc()
 			}
 		}
 	}
@@ -765,7 +803,7 @@ func (m *MultiHop) settle(si int, s *mhSwitch, now uint64) {
 	s.moved = false
 	if s.idle() {
 		if s.state == swSleep {
-			m.unschedule(s)
+			m.sleepers.Remove(si)
 			m.asleep--
 		}
 		s.state, s.slept = swIdle, false
@@ -784,9 +822,8 @@ func (m *MultiHop) settle(si int, s *mhSwitch, now uint64) {
 			s.state = swSleep
 			m.asleep++
 			s.slept, s.sleepFrom, s.sleepIns = true, now+1, s.xb.busyInputs()
-			s.wakeAt = at
 			if at != sim.Never {
-				m.schedule(si)
+				m.sleepers.Set(si, at)
 			}
 			return
 		}
@@ -821,7 +858,7 @@ func (m *MultiHop) wake(si int) {
 	if s.state != swSleep {
 		return
 	}
-	m.unschedule(s)
+	m.sleepers.Remove(si)
 	s.state = swRun
 	m.asleep--
 	m.next[si>>6] |= 1 << (si & 63)
@@ -843,89 +880,17 @@ func (m *MultiHop) wakeNow(si int) {
 	m.wake(si)
 }
 
-// schedule adds sleeping switch si to the wake heap at its wakeAt.
-func (m *MultiHop) schedule(si int) {
-	m.sws[si].heapAt = len(m.sleepers)
-	m.sleepers = append(m.sleepers, int32(si))
-	m.siftUp(len(m.sleepers) - 1)
-}
-
-// unschedule removes s from the wake heap, if it is there.
-func (m *MultiHop) unschedule(s *mhSwitch) {
-	i := s.heapAt
-	if i < 0 {
-		return
-	}
-	s.heapAt = -1
-	last := len(m.sleepers) - 1
-	if i != last {
-		m.sleepers[i] = m.sleepers[last]
-		m.sws[m.sleepers[i]].heapAt = i
-	}
-	m.sleepers = m.sleepers[:last]
-	if i != last {
-		m.siftDown(i)
-		m.siftUp(i)
-	}
-}
-
-func (m *MultiHop) siftUp(i int) {
-	h := m.sleepers
-	for i > 0 {
-		up := (i - 1) / 2
-		if m.sws[h[up]].wakeAt <= m.sws[h[i]].wakeAt {
-			return
-		}
-		m.swapSleepers(i, up)
-		i = up
-	}
-}
-
-func (m *MultiHop) siftDown(i int) {
-	h := m.sleepers
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		c := l
-		if r := l + 1; r < len(h) && m.sws[h[r]].wakeAt < m.sws[h[l]].wakeAt {
-			c = r
-		}
-		if m.sws[h[i]].wakeAt <= m.sws[h[c]].wakeAt {
-			return
-		}
-		m.swapSleepers(i, c)
-		i = c
-	}
-}
-
-func (m *MultiHop) swapSleepers(i, j int) {
-	h := m.sleepers
-	h[i], h[j] = h[j], h[i]
-	m.sws[h[i]].heapAt = i
-	m.sws[h[j]].heapAt = j
-}
-
-// acceptHop settles reliability state for a packet that cleared switch s:
-// mark its hop sequence delivered at the output port and acknowledge the
-// input port's retransmission copy. Hop acks are internal switch state, so
-// they settle the same cycle (no ack packets compete for bandwidth —
-// consistent with real combining networks, whose switch acks ride dedicated
-// wires).
-func (m *MultiHop) acceptHop(s *mhSwitch, port int, p *Packet) {
+// ackHop settles reliability state for a packet, admitted at input port in
+// under hop sequence number seq, whose first copy cleared switch s: it
+// releases the retransmission copy, so that any later copy is known for a
+// duplicate. Hop acks are internal switch state, so they settle the same
+// cycle (no ack packets compete for bandwidth — consistent with real
+// combining networks, whose switch acks ride dedicated wires).
+func (m *MultiHop) ackHop(s *mhSwitch, in uint16, seq uint64) {
 	if !m.reliable {
 		return
 	}
-	s.seen[port][p.hopSeq] = struct{}{}
-	m.ackHop(s, p)
-}
-
-// ackHop releases the packet's retransmission copy at its input port.
-// Already released packets (duplicates racing a retransmission) are
-// ignored.
-func (m *MultiHop) ackHop(s *mhSwitch, p *Packet) {
-	if _, ok := s.retx[p.in].Ack(p.hopSeq); ok {
+	if _, ok := s.retx[in].Ack(seq); ok {
 		s.unacked--
 	}
 }
@@ -938,10 +903,8 @@ func (m *MultiHop) NextEvent(now uint64) uint64 {
 	if m.waiting > 0 || m.holding > m.asleep {
 		return now
 	}
-	if len(m.sleepers) == 0 {
-		return sim.Never
-	}
-	return max(now, m.sws[m.sleepers[0]].wakeAt)
+	_, at := m.sleepers.Next()
+	return max(now, at)
 }
 
 // Busy reports whether any packet is staged, queued, in flight, awaiting an

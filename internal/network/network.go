@@ -30,8 +30,8 @@ import (
 // Packet is one message in flight. The multi-node system sends scatter-add
 // requests to their owners and, under network faults, acknowledgments back.
 // Endpoints are 32-bit and the switch input port 16-bit so that the whole
-// packet stays at 72 bytes. The fabrics read a packet where it sits in its
-// queue and copy it only when it moves to the next one.
+// packet stays at 72 bytes. A fabric copies a packet into its slab at Send
+// and out of it at Recv; in between its queues pass a handle to it.
 type Packet struct {
 	Src, Dst int32       // endpoints
 	Req      mem.Request // the request carried (unused by acknowledgments)
@@ -95,13 +95,15 @@ type Stats struct {
 // quiescence fast-forward works across any topology. A fast-forward jump
 // only moves the caller's clock: the one per-cycle effect of a cycle in
 // which nothing moves, a sleeping MultiHop switch's stall count, is
-// credited by the fabric itself (see MultiHop.Tick). HasArrival is the
-// O(1) test a scheduler uses to wake an idle endpoint: it reports whether a
-// packet waits at dst without copying it. Peek returns the waiting packet
-// where it sits (nil when none), valid until the next Recv at dst.
+// credited by the fabric itself (see MultiHop.Tick). Arrivals is the set a
+// scheduler reads to wake idle endpoints: a bitset, bit dst of word dst/64
+// set while a packet waits at dst. The fabric keeps it as packets are
+// delivered and received; the caller must not write it, and it changes only
+// in Tick and Recv. Peek returns the waiting packet where it sits (nil when
+// none), valid until the next Recv at dst.
 type Fabric interface {
 	Send(p Packet) bool
-	HasArrival(dst int) bool
+	Arrivals() []uint64
 	Peek(dst int) *Packet
 	Recv(dst int) (Packet, bool)
 	Tick(now uint64)
@@ -147,17 +149,21 @@ type Crossbar struct {
 	cfg       Config
 	wireDepth int
 
+	// Packets sit in the slab (a flat crossbar's own, or the one its
+	// MultiHop shares among its switches); the queues hold their handles.
 	// Ports open on first use: an input queue at the port's first Send, an
 	// output's wire and delivery queue at its first grant. A port that never
 	// carries a packet costs a nil pointer, which matters in the kilo-node
 	// multi-hop fabrics, where most switch ports stay idle for a whole run.
-	inputs  []*sim.Queue[Packet]
-	wires   []*sim.Delay[Packet] // per-output in-flight packets
-	outputs []*sim.Queue[Packet]
-	arb     []*sim.RoundRobin // per-output arbiter over inputs
-	held    int               // packets in inputs, wires and outputs
-	met     metrics
-	tr      *span.Tracer
+	slab     *slab
+	inputs   []*sim.Queue[int32]
+	wires    []*sim.Delay[int32] // per-output in-flight packets
+	outputs  []*sim.Queue[int32]
+	arrivals []uint64          // outputs holding a packet (see Fabric)
+	arb      []*sim.RoundRobin // per-output arbiter over inputs
+	held     int               // packets in inputs, wires and outputs
+	met      metrics
+	tr       *span.Tracer
 
 	// Fault injection (nil when disabled). Drops and duplications strike at
 	// the grant point — one draw per granted packet, in arbiter order, so
@@ -182,7 +188,10 @@ type Crossbar struct {
 }
 
 // New returns a crossbar with the given configuration.
-func New(cfg Config) *Crossbar {
+func New(cfg Config) *Crossbar { return newCrossbar(cfg, newSlab()) }
+
+// newCrossbar returns a crossbar keeping its packets in sl.
+func newCrossbar(cfg Config, sl *slab) *Crossbar {
 	if cfg.Nodes < 1 || cfg.WordsPerCyc < 1 || cfg.InputQDepth < 1 || cfg.OutputQDepth < 1 || cfg.WireDepth < 0 {
 		panic(fmt.Sprintf("network: invalid config %+v", cfg))
 	}
@@ -190,10 +199,11 @@ func New(cfg Config) *Crossbar {
 	if cfg.WireDepth > 0 {
 		wireDepth = cfg.WireDepth
 	}
-	x := &Crossbar{cfg: cfg, wireDepth: wireDepth, met: newMetrics()}
-	x.inputs = make([]*sim.Queue[Packet], cfg.Nodes)
-	x.wires = make([]*sim.Delay[Packet], cfg.Nodes)
-	x.outputs = make([]*sim.Queue[Packet], cfg.Nodes)
+	x := &Crossbar{cfg: cfg, wireDepth: wireDepth, slab: sl, met: newMetrics()}
+	x.inputs = make([]*sim.Queue[int32], cfg.Nodes)
+	x.wires = make([]*sim.Delay[int32], cfg.Nodes)
+	x.outputs = make([]*sim.Queue[int32], cfg.Nodes)
+	x.arrivals = make([]uint64, (cfg.Nodes+63)/64)
 	for i := 0; i < cfg.Nodes; i++ {
 		x.arb = append(x.arb, sim.NewRoundRobin(cfg.Nodes))
 	}
@@ -243,39 +253,39 @@ func (x *Crossbar) Send(p Packet) bool {
 	if p.Src < 0 || int(p.Src) >= x.cfg.Nodes || p.Dst < 0 || int(p.Dst) >= x.cfg.Nodes {
 		panic(fmt.Sprintf("network: packet %d->%d outside %d nodes", p.Src, p.Dst, x.cfg.Nodes))
 	}
-	p.out = p.Dst
-	return x.enqueue(int(p.Src), &p)
-}
-
-// enqueue copies p, already routed to output p.out, into input port in.
-func (x *Crossbar) enqueue(in int, p *Packet) bool {
-	q := x.inputs[in]
-	if q == nil {
-		q = sim.NewQueue[Packet](x.cfg.InputQDepth)
-		x.inputs[in] = q
-	}
-	if !q.Push(*p) {
+	if x.inputFull(int(p.Src)) {
 		return false
 	}
-	x.held++
-	x.met.sent.Inc()
+	p.out = p.Dst
+	x.enqueue(int(p.Src), x.slab.put(&p))
 	return true
 }
 
-// HasArrival reports whether a delivered packet waits at node dst.
-func (x *Crossbar) HasArrival(dst int) bool {
-	out := x.outputs[dst]
-	return out != nil && !out.Empty()
+// enqueue appends the packet with handle h, already routed to output out, to
+// input port in, which the caller has found not full.
+func (x *Crossbar) enqueue(in int, h int32) {
+	q := x.inputs[in]
+	if q == nil {
+		q = sim.NewQueue[int32](x.cfg.InputQDepth)
+		x.inputs[in] = q
+	}
+	q.MustPush(h)
+	x.held++
+	x.met.sent.Inc()
 }
+
+// Arrivals returns the nodes at which a delivered packet waits (see Fabric).
+func (x *Crossbar) Arrivals() []uint64 { return x.arrivals }
 
 // Recv pops one delivered packet at node dst, if available.
 func (x *Crossbar) Recv(dst int) (Packet, bool) {
-	p := x.Peek(dst)
-	if p == nil {
+	h := x.head(dst)
+	if h == 0 {
 		return Packet{}, false
 	}
-	v := *p
-	x.drop(dst)
+	x.pop(dst)
+	v := *x.slab.at(h)
+	x.slab.release(h)
 	return v, true
 }
 
@@ -283,17 +293,30 @@ func (x *Crossbar) Recv(dst int) (Packet, bool) {
 // letting receivers inspect control traffic before committing buffer space.
 // Inside a multi-hop switch it is output port dst's head.
 func (x *Crossbar) Peek(dst int) *Packet {
-	out := x.outputs[dst]
-	if out == nil {
-		return nil
+	if h := x.head(dst); h != 0 {
+		return x.slab.at(h)
 	}
-	return out.Peek()
+	return nil
 }
 
-// drop discards output o's head packet, which the caller has read or copied
-// through Peek.
-func (x *Crossbar) drop(o int) {
-	x.outputs[o].Drop()
+// head returns the handle of output o's head packet, or 0.
+func (x *Crossbar) head(o int) int32 {
+	if out := x.outputs[o]; out != nil {
+		if h := out.Peek(); h != nil {
+			return *h
+		}
+	}
+	return 0
+}
+
+// pop removes output o's head packet from the crossbar; its slot is the
+// caller's to free or pass on.
+func (x *Crossbar) pop(o int) {
+	out := x.outputs[o]
+	out.Drop()
+	if out.Empty() {
+		x.arrivals[o>>6] &^= 1 << (o & 63)
+	}
 	x.held--
 }
 
@@ -320,12 +343,13 @@ func (x *Crossbar) step(now uint64) (moved bool) {
 		}
 		out := x.outputs[o]
 		for budget := x.cfg.WordsPerCyc; budget > 0 && !out.Full(); budget-- { // output port bandwidth
-			p := w.Peek(now)
-			if p == nil {
+			h := w.Peek(now)
+			if h == nil {
 				break
 			}
-			out.MustPush(*p)
+			out.MustPush(*h)
 			w.Drop()
+			x.arrivals[o>>6] |= 1 << (o & 63)
 			x.met.delivered.Inc()
 			moved = true
 		}
@@ -346,8 +370,8 @@ func (x *Crossbar) step(now uint64) (moved bool) {
 					if x.inputs[i] == nil {
 						return false
 					}
-					p := x.inputs[i].Peek()
-					return p != nil && int(p.out) == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
+					h := x.inputs[i].Peek()
+					return h != nil && int(x.slab.at(*h).out) == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
 				})
 				if in < 0 {
 					break
@@ -428,9 +452,10 @@ func (x *Crossbar) arbitrateFast(now uint64) {
 		if x.inputs[i] == nil {
 			continue
 		}
-		if p := x.inputs[i].Peek(); p != nil {
-			next[i] = head[p.out]
-			head[p.out] = i
+		if h := x.inputs[i].Peek(); h != nil {
+			o := x.slab.at(*h).out
+			next[i] = head[o]
+			head[o] = i
 		}
 	}
 	for o := 0; o < x.cfg.Nodes; o++ {
@@ -461,31 +486,34 @@ func (x *Crossbar) arbitrateFast(now uint64) {
 // first grant to o opens its wire and delivery queue.
 func (x *Crossbar) grantTo(o, in int, now uint64) {
 	q := x.inputs[in]
+	h := *q.Peek()
+	q.Drop()
 	x.met.grants.Inc()
 	if x.dropInj.Fire() {
 		// Injected wire fault: the packet vanishes (its bandwidth
 		// slot is still consumed). One draw per granted packet.
-		q.Drop()
+		x.slab.release(h)
 		x.held--
 		x.met.faultDrops.Inc()
 		return
 	}
 	w := x.wires[o]
 	if w == nil {
-		w = sim.NewDelay[Packet](x.cfg.Latency, x.wireDepth)
+		w = sim.NewDelay[int32](x.cfg.Latency, x.wireDepth)
 		x.wires[o] = w
-		x.outputs[o] = sim.NewQueue[Packet](x.cfg.OutputQDepth)
+		x.outputs[o] = sim.NewQueue[int32](x.cfg.OutputQDepth)
 	}
-	p := q.Peek()
-	w.Push(now, *p)
+	w.Push(now, h)
 	if x.dupInj.Fire() && !w.Full() {
 		// Injected duplication: the packet crosses twice. The
 		// receiver's sequence-number dedup makes replay idempotent.
-		w.Push(now, *p)
+		// The copy takes its own slot: inside a MultiHop it keeps the
+		// grant's hop sequence number after the original moves on and
+		// is admitted downstream under a new one.
+		w.Push(now, x.slab.put(x.slab.at(h)))
 		x.held++
 		x.met.faultDups.Inc()
 	}
-	q.Drop()
 	if x.tr != nil {
 		x.tr.SpanAsync(fmt.Sprintf("net.out[%d]", o),
 			fmt.Sprintf("pkt %d->%d", in, o),
@@ -500,12 +528,14 @@ func (x *Crossbar) NextEvent(now uint64) uint64 {
 	if x.held == 0 {
 		return sim.Never
 	}
+	for _, w := range x.arrivals {
+		if w != 0 {
+			return now
+		}
+	}
 	ev := sim.Never
 	for i := 0; i < x.cfg.Nodes; i++ {
 		if in := x.inputs[i]; in != nil && !in.Empty() {
-			return now
-		}
-		if x.HasArrival(i) {
 			return now
 		}
 		if w := x.wires[i]; w != nil {

@@ -22,6 +22,8 @@ import (
 // The buffer keeps its earliest deadline, so a Resend with nothing due and
 // NextDeadline cost O(1): the end-to-end link resends on every cycle of
 // every node, and the per-hop link on every cycle of every switch port.
+// Both layers hold packets under increasing sequence numbers, so the held
+// packets are in sequence order and Holds and Ack find one by binary search.
 type RetransmitBuffer struct {
 	held []unacked
 	next uint64 // earliest deadline in held; meaningless while held is empty
@@ -36,31 +38,53 @@ type unacked struct {
 }
 
 // Hold records p, just sent under sequence number seq, for resending unless
-// it is acknowledged before cycle deadline.
+// it is acknowledged before cycle deadline. seq must exceed every sequence
+// number the buffer holds.
 func (b *RetransmitBuffer) Hold(seq uint64, p Packet, deadline uint64) {
+	if n := len(b.held); n > 0 && seq <= b.held[n-1].seq {
+		panic(fmt.Sprintf("network: hold of seq=%d after seq=%d", seq, b.held[n-1].seq))
+	}
 	if len(b.held) == 0 || deadline < b.next {
 		b.next = deadline
 	}
 	b.held = append(b.held, unacked{p: p, seq: seq, deadline: deadline})
 }
 
+// find returns the index of the packet held under seq, or -1.
+func (b *RetransmitBuffer) find(seq uint64) int {
+	lo, hi := 0, len(b.held)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.held[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(b.held) && b.held[lo].seq == seq {
+		return lo
+	}
+	return -1
+}
+
+// Holds reports whether a packet is held under seq.
+func (b *RetransmitBuffer) Holds(seq uint64) bool { return b.find(seq) >= 0 }
+
 // Ack releases the packet held under seq and reports how many times it was
 // resent. An ack for a packet no longer held — a duplicated ack, or one
 // racing a resend — reports ok=false.
 func (b *RetransmitBuffer) Ack(seq uint64) (resends int, ok bool) {
-	for i := range b.held {
-		if b.held[i].seq != seq {
-			continue
-		}
-		resends = b.held[i].attempt
-		deadline := b.held[i].deadline
-		b.held = append(b.held[:i], b.held[i+1:]...)
-		if deadline == b.next {
-			b.next = b.earliest()
-		}
-		return resends, true
+	i := b.find(seq)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	resends = b.held[i].attempt
+	deadline := b.held[i].deadline
+	b.held = append(b.held[:i], b.held[i+1:]...)
+	if deadline == b.next {
+		b.next = b.earliest()
+	}
+	return resends, true
 }
 
 // Resend sends again, oldest first, every held packet whose deadline has

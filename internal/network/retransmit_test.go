@@ -63,6 +63,32 @@ func TestRetransmitBuffer(t *testing.T) {
 	b.Resend(170, &fc, accept)
 }
 
+// TestRetransmitBufferHolds: Holds finds exactly the sequence numbers held,
+// before and after acks at the ends and in the middle, and a hold whose
+// sequence number does not exceed every one held panics, naming both.
+func TestRetransmitBufferHolds(t *testing.T) {
+	var b RetransmitBuffer
+	for _, seq := range []uint64{3, 5, 8, 13, 21} {
+		b.Hold(seq, tagged(0, 1, int(seq)), 100)
+	}
+	for _, ack := range []uint64{8, 3, 21} {
+		if _, ok := b.Ack(ack); !ok {
+			t.Fatalf("Ack(%d) missed a held packet", ack)
+		}
+	}
+	for seq := uint64(0); seq <= 22; seq++ {
+		if want := seq == 5 || seq == 13; b.Holds(seq) != want {
+			t.Fatalf("Holds(%d) = %v, want %v", seq, b.Holds(seq), want)
+		}
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "hold of seq=13 after seq=13") {
+			t.Fatalf("panic %q, want the out-of-order hold named", msg)
+		}
+	}()
+	b.Hold(13, tagged(0, 1, 13), 100)
+}
+
 // refRetransmit is the brute-force reference for RetransmitBuffer: every
 // Resend walks every held packet and every deadline query scans them all.
 type refRetransmit struct{ held []unacked }
@@ -80,6 +106,15 @@ func (r *refRetransmit) ack(seq uint64) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+func (r *refRetransmit) holds(seq uint64) bool {
+	for _, h := range r.held {
+		if h.seq == seq {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *refRetransmit) resend(now uint64, fc *fault.Config, send func(Packet) bool) int {
@@ -138,8 +173,9 @@ func resendOutcome(resend func(send func(Packet) bool) int, budget int) (sent []
 // Properties, checked after every operation: the same packets are resent
 // in the same order with the same counts, acks report the same resends,
 // Len and NextDeadline equal the reference's (the minimum found by
-// scanning), and the MaxRetries panic fires at the same call with the same
-// message.
+// scanning), Holds agrees with the reference for the sequence number the
+// operation touched, and the MaxRetries panic fires at the same call with
+// the same message.
 func FuzzRetransmitBuffer(f *testing.F) {
 	f.Add([]byte{0x00, 0x04, 0x08, 0x0f, 0x0e, 0x03, 0x12, 0x05})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -157,6 +193,9 @@ func FuzzRetransmitBuffer(f *testing.F) {
 				ref.hold(seq, p, now+uint64(arg%16))
 			case 1: // ack a sequence number, held or not
 				s := uint64(arg) % (seq + 2)
+				if b.Holds(s) != ref.holds(s) {
+					t.Fatalf("op %d: Holds(%d) = %v; reference %v", i, s, b.Holds(s), ref.holds(s))
+				}
 				n, ok := b.Ack(s)
 				wn, wok := ref.ack(s)
 				if n != wn || ok != wok {
