@@ -13,7 +13,7 @@
 //
 // Telemetry (on by default, -telemetry=false turns it off entirely):
 //
-//	GET /metrics            Prometheus text exposition: stats registries +
+//	GET /metrics            Prometheus text exposition: service counters +
 //	                        per-endpoint RED metrics with stage histograms
 //	GET /debug/slowz        slowest -slow-traces request traces as Perfetto
 //	                        JSON (?gzip=1 compressed, ?format=json summaries)

@@ -74,7 +74,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates cache activity.
+// Stats counts the bank's events: the contention and occupancy events
+// behind the paper's hot-bank effect (§4.3, Figure 7). Each event is one
+// field increment; Metrics names the ones a snapshot carries.
 type Stats struct {
 	Hits       uint64
 	Misses     uint64 // demand misses that allocated an MSHR
@@ -84,11 +86,47 @@ type Stats struct {
 	SumBacks   uint64 // partial lines surfaced in CombineLocal mode
 	Stalls     uint64 // cycles the bank head request could not proceed
 
+	// ConflictCycles counts the cycles with more queued requests than the
+	// port width: the bank-conflict serialization of §4.3.
+	ConflictCycles uint64
+
 	WCBMerges    uint64 // writes absorbed by the write-combining buffer
 	WCBFullLines uint64 // fully written lines sent to DRAM without a fill
 	WCBSpills    uint64 // partial lines spilled via fetch-and-merge
 
 	PartialScrubs uint64 // evicted partial lines that needed a parity scrub
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.MergedMiss += o.MergedMiss
+	s.Evictions += o.Evictions
+	s.WriteBacks += o.WriteBacks
+	s.SumBacks += o.SumBacks
+	s.Stalls += o.Stalls
+	s.ConflictCycles += o.ConflictCycles
+	s.WCBMerges += o.WCBMerges
+	s.WCBFullLines += o.WCBFullLines
+	s.WCBSpills += o.WCBSpills
+	s.PartialScrubs += o.PartialScrubs
+}
+
+// Metrics is the bank's snapshot descriptor: the key, kind and source of
+// every counter a snapshot carries for one bank. write_backs counts every
+// line written to DRAM, evicted or sent whole from the write-combining
+// buffer. Call FlushStats before reading through it.
+var Metrics = []stats.Metric[Bank]{
+	stats.Count("bank_conflict_cycles", func(b *Bank) uint64 { return b.stats.ConflictCycles }),
+	stats.Hist("mshr_occupancy", func(b *Bank) *stats.Histogram { return &b.mshrOcc }),
+	stats.Hist("wcb_occupancy", func(b *Bank) *stats.Histogram { return &b.wcbOcc }),
+	stats.Count("hits", func(b *Bank) uint64 { return b.stats.Hits }),
+	stats.Count("misses", func(b *Bank) uint64 { return b.stats.Misses }),
+	stats.Count("evictions", func(b *Bank) uint64 { return b.stats.Evictions }),
+	stats.Count("write_backs", func(b *Bank) uint64 { return b.stats.WriteBacks + b.stats.WCBFullLines }),
+	stats.Count("stall_cycles", func(b *Bank) uint64 { return b.stats.Stalls }),
+	stats.Count("fault_partial_scrubs", func(b *Bank) uint64 { return b.stats.PartialScrubs }),
 }
 
 type line struct {
@@ -142,43 +180,6 @@ const wcbReplayID = uint64(1) << 63
 // before it may leave the bank as a sum-back.
 const partialScrubCycles = 16
 
-// metrics are the bank's performance counters: the contention and occupancy
-// events behind the paper's hot-bank effect (§4.3, Figure 7).
-type metrics struct {
-	group         *stats.Group
-	conflicts     *stats.Counter // cycles with more queued requests than the port width
-	mshrOccupancy stats.Level    // valid MSHRs, one sample per cycle
-	wcbOccupancy  stats.Level    // valid write-combining entries, one sample per cycle
-	hits          *stats.Counter
-	misses        *stats.Counter
-	evictions     *stats.Counter
-	writeBacks    *stats.Counter
-	stallCycles   *stats.Counter // cycles the head request could not proceed
-
-	// Fault counters (zero unless injection is configured).
-	faultScrubs *stats.Counter // evicted partial lines held for a parity scrub
-}
-
-func newMetrics(mshrs, wcbEntries int) metrics {
-	g := stats.NewGroup("cache")
-	if wcbEntries < 1 {
-		wcbEntries = 1
-	}
-	return metrics{
-		group:         g,
-		conflicts:     g.Counter("bank_conflict_cycles"),
-		mshrOccupancy: stats.OccupancyLevel(g.Histogram("mshr_occupancy", mshrs+1)),
-		wcbOccupancy:  stats.OccupancyLevel(g.Histogram("wcb_occupancy", wcbEntries+1)),
-		hits:          g.Counter("hits"),
-		misses:        g.Counter("misses"),
-		evictions:     g.Counter("evictions"),
-		writeBacks:    g.Counter("write_backs"),
-		stallCycles:   g.Counter("stall_cycles"),
-
-		faultScrubs: g.Counter("fault_partial_scrubs"),
-	}
-}
-
 // Bank is one slice of the stream cache.
 type Bank struct {
 	cfg   Config
@@ -199,7 +200,10 @@ type Bank struct {
 	wcb      []wcbEntry
 	wcbUsed  int // valid write-combining entries (occupancy)
 	stats    Stats
-	met      metrics
+	mshrOcc  stats.Histogram // valid MSHRs, one sample per cycle
+	wcbOcc   stats.Histogram // valid write-combining entries, one sample per cycle
+	mshrLvl  stats.Level     // counts mshrUsed into mshrOcc at its change points
+	wcbLvl   stats.Level     // counts wcbUsed into wcbOcc at its change points
 
 	// quiet caches noWork, refreshed wherever its inputs change: at the end
 	// of Tick, and in Accept, Fill and StartFlush.
@@ -255,10 +259,13 @@ func NewBank(cfg Config, index int, d *dram.DRAM, mode Mode) *Bank {
 		respQ:    sim.NewDelay[mem.Response](cfg.HitLatency, cfg.RespQDepth),
 		wbQ:      sim.NewQueue[dram.LineReq](cfg.WBQDepth),
 		evictQ:   sim.NewQueue[EvictedLine](cfg.WBQDepth),
-		met:      newMetrics(cfg.MSHRs, wcbEntries),
+		mshrOcc:  stats.NewHistogram(cfg.MSHRs + 1),
+		wcbOcc:   stats.NewHistogram(wcbEntries + 1),
 		zeroKind: mem.AddF64,
 		quiet:    true,
 	}
+	b.mshrLvl = stats.OccupancyLevel(&b.mshrOcc)
+	b.wcbLvl = stats.OccupancyLevel(&b.wcbOcc)
 	if cfg.WriteNoAllocate {
 		b.wcb = make([]wcbEntry, wcbEntries)
 	}
@@ -272,16 +279,12 @@ func (b *Bank) SetZeroKind(k mem.Kind) { b.zeroKind = k }
 // Stats returns a copy of the activity counters.
 func (b *Bank) Stats() Stats { return b.stats }
 
-// StatsGroup returns the bank's performance-counter group, for adoption into
-// a machine-level registry. Call FlushStats before reading it.
-func (b *Bank) StatsGroup() *stats.Group { return b.met.group }
-
 // FlushStats records the per-cycle MSHR and write-combining occupancy
 // samples of every cycle before now, which the bank counts at their change
 // points.
 func (b *Bank) FlushStats(now uint64) {
-	b.met.mshrOccupancy.Flush(now)
-	b.met.wcbOccupancy.Flush(now)
+	b.mshrLvl.Flush(now)
+	b.wcbLvl.Flush(now)
 }
 
 // SetWake installs the bank's entry in its owner's due set (an accepted
@@ -387,7 +390,6 @@ func (b *Bank) evict(now uint64, set, way int) bool {
 				// per evicted partial line.
 				b.scrubQ.Push(now, ev)
 				b.stats.PartialScrubs++
-				b.met.faultScrubs.Inc()
 			} else {
 				b.evictQ.MustPush(ev)
 			}
@@ -398,12 +400,10 @@ func (b *Bank) evict(now uint64, set, way int) bool {
 			}
 			b.wbQ.MustPush(dram.LineReq{Line: addr, Write: true, Data: *ln.data})
 			b.stats.WriteBacks++
-			b.met.writeBacks.Inc()
 		}
 	}
 	ln.valid = false
 	b.stats.Evictions++
-	b.met.evictions.Inc()
 	return true
 }
 
@@ -539,7 +539,7 @@ func (b *Bank) Fill(now uint64, a mem.Addr, data [mem.LineWords]mem.Word) {
 	}
 	// A fill lands after the bank's turn: what it changed is first seen,
 	// and first worked on, in the next cycle.
-	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
+	b.mshrLvl.Set(now+1, b.mshrUsed)
 	b.quiet = b.noWork()
 	b.wake.At(b.NextEvent(now + 1))
 }
@@ -603,7 +603,7 @@ func (b *Bank) Tick(now uint64) {
 	if b.inQ.Len() > b.cfg.PortWidth {
 		// More word requests queued than the bank port can serve this cycle:
 		// the bank-conflict serialization of §4.3.
-		b.met.conflicts.Inc()
+		b.stats.ConflictCycles++
 	}
 
 	// Every valid MSHR not waiting on DRAM has local work: a filled line
@@ -644,8 +644,8 @@ func (b *Bank) Tick(now uint64) {
 		}
 		b.wbQ.Pop()
 	}
-	b.met.mshrOccupancy.Set(now+1, b.mshrUsed)
-	b.met.wcbOccupancy.Set(now+1, b.wcbUsed)
+	b.mshrLvl.Set(now+1, b.mshrUsed)
+	b.wcbLvl.Set(now+1, b.wcbUsed)
 	b.quiet = b.noWork()
 }
 
@@ -762,7 +762,6 @@ func (b *Bank) spillWCB(now uint64, i int) bool {
 		}
 		b.wbQ.MustPush(dram.LineReq{Line: e.line, Write: true, Data: e.data})
 		b.stats.WCBFullLines++
-		b.met.writeBacks.Inc()
 		e.valid = false
 		b.wcbUsed--
 		return true
@@ -779,7 +778,6 @@ func (b *Bank) spillWCB(now uint64, i int) bool {
 			m.alloc = now
 		}
 		b.stats.Misses++
-		b.met.misses.Inc()
 	}
 	for w := 0; w < mem.LineWords; w++ {
 		if e.mask&(1<<w) != 0 {
@@ -801,7 +799,6 @@ func (b *Bank) wcbWrite(now uint64, r mem.Request) bool {
 		i = b.wcbVictim()
 		if b.wcb[i].valid && !b.spillWCB(now, i) {
 			b.stats.Stalls++
-			b.met.stallCycles.Inc()
 			return false
 		}
 		b.wcb[i] = wcbEntry{valid: true, line: line}
@@ -819,7 +816,6 @@ func (b *Bank) wcbWrite(now uint64, r mem.Request) bool {
 	if e.mask == fullMask && !b.wbQ.Full() {
 		b.wbQ.MustPush(dram.LineReq{Line: e.line, Write: true, Data: e.data})
 		b.stats.WCBFullLines++
-		b.met.writeBacks.Inc()
 		e.valid = false
 		b.wcbUsed--
 	}
@@ -837,7 +833,6 @@ func (b *Bank) processOne(now uint64) bool {
 	needsResp := r.Kind == mem.Read || r.Kind.IsFetch()
 	if needsResp && b.respQ.Full() {
 		b.stats.Stalls++
-		b.met.stallCycles.Inc()
 		return false
 	}
 	lineAddr := r.Addr.Line()
@@ -857,14 +852,12 @@ func (b *Bank) processOne(now uint64) bool {
 		if i := b.wcbFind(lineAddr); i >= 0 {
 			if !b.spillWCB(now, i) {
 				b.stats.Stalls++
-				b.met.stallCycles.Inc()
 				return false
 			}
 		}
 	}
 	if way := b.lookup(set, tag); way >= 0 {
 		b.stats.Hits++
-		b.met.hits.Inc()
 		b.apply(now, &b.sets[set][way], r)
 		b.inQ.Pop()
 		return true
@@ -880,12 +873,10 @@ func (b *Bank) processOne(now uint64) bool {
 		}
 		if !b.install(now, lineAddr, data, true) {
 			b.stats.Stalls++
-			b.met.stallCycles.Inc()
 			return false
 		}
 		way := b.lookup(set, tag)
 		b.stats.Misses++
-		b.met.misses.Inc()
 		b.apply(now, &b.sets[set][way], r)
 		b.inQ.Pop()
 		return true
@@ -902,7 +893,6 @@ func (b *Bank) processOne(now uint64) bool {
 	m := b.freeMSHR()
 	if m == nil {
 		b.stats.Stalls++
-		b.met.stallCycles.Inc()
 		return false
 	}
 	*m = mshr{valid: true, line: lineAddr, pending: []mem.Request{r}}
@@ -912,7 +902,6 @@ func (b *Bank) processOne(now uint64) bool {
 		b.tr.OpStage(r.Node, r.ID, span.StageDRAM, now)
 	}
 	b.stats.Misses++
-	b.met.misses.Inc()
 	b.inQ.Pop()
 	return true
 }
@@ -991,7 +980,7 @@ func (b *Bank) FlushFunctional(now uint64) {
 		e.valid = false
 		b.wcbUsed--
 	}
-	b.met.wcbOccupancy.Set(now, b.wcbUsed)
+	b.wcbLvl.Set(now, b.wcbUsed)
 }
 
 // ResidentPartialLines returns the partial lines still resident (testing and

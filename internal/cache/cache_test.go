@@ -35,24 +35,30 @@ type harness struct {
 	t       *testing.T
 	banks   []*Bank
 	d       *dram.DRAM
-	reg     *stats.Registry // the banks' counters
 	now     uint64
 	evicted []EvictedLine // partial lines popped during step()
 }
 
 func newHarness(t *testing.T, cfg Config, mode Mode) *harness {
 	d := dram.New(dram.DefaultConfig())
-	h := &harness{t: t, d: d, reg: stats.NewRegistry()}
+	h := &harness{t: t, d: d}
 	for i := 0; i < cfg.Banks; i++ {
 		var backing *dram.DRAM
 		if mode == Normal {
 			backing = d
 		}
-		b := NewBank(cfg, i, backing, mode)
-		h.reg.Adopt(fmt.Sprintf("cache[%d]", i), b.StatsGroup())
-		h.banks = append(h.banks, b)
+		h.banks = append(h.banks, NewBank(cfg, i, backing, mode))
 	}
 	return h
+}
+
+// snapshot returns the banks' counters.
+func (h *harness) snapshot() stats.Snapshot {
+	var es []stats.Entry
+	for i, b := range h.banks {
+		es = stats.Append(es, fmt.Sprintf("cache[%d]", i), Metrics, b)
+	}
+	return stats.NewSnapshot(es)
 }
 
 // quietState is what a quiet bank's Tick must leave as it was: the
@@ -68,7 +74,7 @@ type quietState struct {
 
 func (h *harness) quietState(b *Bank) quietState {
 	b.FlushStats(h.now)
-	return quietState{h.reg.Snapshot(), b.Stats(), b.met.mshrOccupancy, b.met.wcbOccupancy, b.NextEvent(h.now + 1), b.Quiet()}
+	return quietState{h.snapshot(), b.Stats(), b.mshrLvl, b.wcbLvl, b.NextEvent(h.now + 1), b.Quiet()}
 }
 
 // tickBank ticks b. A bank whose quiet check holds is ticked all the same

@@ -54,9 +54,8 @@ type quietState struct {
 }
 
 func quietStateOf(d *DRAM, now uint64) quietState {
-	reg := stats.NewRegistry()
-	reg.Adopt("dram", d.StatsGroup())
-	return quietState{reg.Snapshot(), d.Stats(), d.NextEvent(now + 1), d.quiet()}
+	snap := stats.NewSnapshot(stats.Append(nil, "dram", Metrics, d))
+	return quietState{snap, d.Stats(), d.NextEvent(now + 1), d.quiet()}
 }
 
 // checkedTick ticks d. A quiet DRAM's Tick returns at once; the channel

@@ -155,8 +155,7 @@ func (o Options) newSystem(cfg multinode.Config, kind mem.Kind) (*multinode.Syst
 // config's stepping mode and faults (the fields legacy and faults point at)
 // from the options, builds the simulation with newSim, and installs a fresh
 // span tracer on it when the options collect spans. Every simulation owns
-// its tracer, as it owns its counter registry, so concurrent points share
-// nothing.
+// its tracer, as it owns its counters, so concurrent points share nothing.
 func build[S simulator](o Options, legacy *bool, faults *fault.Config, newSim func() S) (S, *span.Tracer) {
 	*legacy, *faults = o.Legacy, o.Faults
 	s := newSim()

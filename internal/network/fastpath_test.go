@@ -66,10 +66,9 @@ func TestFastPathEquivalence(t *testing.T) {
 					faults, cycle, fast.Stats(), slow.Stats())
 			}
 		}
-		fastReg, slowReg := stats.NewRegistry(), stats.NewRegistry()
-		fastReg.Adopt("net", fast.StatsGroup())
-		slowReg.Adopt("net", slow.StatsGroup())
-		if f, s := fastReg.Snapshot().Format(""), slowReg.Snapshot().Format(""); f != s {
+		fastSnap := stats.NewSnapshot(stats.Append(nil, "net", CrossbarMetrics, fast))
+		slowSnap := stats.NewSnapshot(stats.Append(nil, "net", CrossbarMetrics, slow))
+		if f, s := fastSnap.Format(""), slowSnap.Format(""); f != s {
 			t.Fatalf("faults=%v: counter snapshots diverged\nfast:\n%s\nslow:\n%s", faults, f, s)
 		}
 	}

@@ -31,8 +31,8 @@ const (
 
 // WriteMetrics renders the full exposition: the observer's RED metrics
 // (skipped when o is nil — a telemetry-disabled server still exposes its
-// stats registries) followed by every entry of the internal/stats snapshot
-// as a scatteradd_stats_* metric.
+// counters) followed by every entry of the internal/stats snapshot as a
+// scatteradd_stats_* metric.
 func WriteMetrics(w io.Writer, o *Observer, snap stats.Snapshot) error {
 	var b strings.Builder
 	if o != nil {

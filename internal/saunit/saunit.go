@@ -66,17 +66,68 @@ func DefaultConfig() Config {
 	return Config{Entries: 8, FULatency: 4, FUIssueWidth: 1, InQDepth: 8, WBQDepth: 8, PortWidth: 1}
 }
 
-// Stats aggregates unit activity.
+// Stats counts the unit's events (§4.3's microarchitecture events:
+// combining-store behaviour, occupancy and FU utilization). Each event is
+// one field increment; Metrics names the ones a snapshot carries.
 type Stats struct {
-	SARequests uint64 // scatter-add requests accepted
-	Bypassed   uint64 // ordinary requests passed through
-	MemReads   uint64 // current-value reads issued downstream
-	MemWrites  uint64 // sum write-backs issued downstream
-	FUOps      uint64 // additions performed (each is one FP/int op)
-	FUOpsFP    uint64 // the subset of FUOps on floating-point kinds
-	Combined   uint64 // requests satisfied without their own memory read
-	StallFull  uint64 // cycles the head request stalled on a full store
-	EagerOps   uint64 // pre-combines performed in EagerCombine mode
+	SARequests  uint64 // scatter-add requests accepted
+	Bypassed    uint64 // ordinary requests passed through
+	MemReads    uint64 // current-value reads issued downstream
+	MemWrites   uint64 // sum write-backs issued downstream
+	FUOps       uint64 // additions performed (each is one FP/int op)
+	FUOpsFP     uint64 // the subset of FUOps on floating-point kinds
+	Combined    uint64 // requests combined into a live address, without their own memory read
+	CSMisses    uint64 // requests that allocated a fresh reader entry
+	CSEvictions uint64 // combining-store entries freed
+	StallFull   uint64 // cycles the head request stalled on a full store
+	EagerOps    uint64 // pre-combines performed in EagerCombine mode
+
+	// FUBusyCycles counts the cycles with at least one op in the FU
+	// pipeline, up to the last FlushStats.
+	FUBusyCycles uint64
+	WBQDepthMax  uint64 // write-back queue high-water mark
+
+	// Fault counters (zero unless injection is configured).
+	FaultFURetries uint64 // FU ops rejected by the residue check and reissued
+	FaultCSScrubs  uint64 // combining-store entries that needed a parity scrub
+}
+
+// Add accumulates o into s: counters sum, and the high-water mark takes the
+// larger of the two.
+func (s *Stats) Add(o Stats) {
+	s.SARequests += o.SARequests
+	s.Bypassed += o.Bypassed
+	s.MemReads += o.MemReads
+	s.MemWrites += o.MemWrites
+	s.FUOps += o.FUOps
+	s.FUOpsFP += o.FUOpsFP
+	s.Combined += o.Combined
+	s.CSMisses += o.CSMisses
+	s.CSEvictions += o.CSEvictions
+	s.StallFull += o.StallFull
+	s.EagerOps += o.EagerOps
+	s.FUBusyCycles += o.FUBusyCycles
+	s.WBQDepthMax = max(s.WBQDepthMax, o.WBQDepthMax)
+	s.FaultFURetries += o.FaultFURetries
+	s.FaultCSScrubs += o.FaultCSScrubs
+}
+
+// Metrics is the unit's snapshot descriptor: the key, kind and source of
+// every counter a snapshot carries for one unit. Call FlushStats before
+// reading through it.
+var Metrics = []stats.Metric[Unit]{
+	stats.Count("cs_hits", func(u *Unit) uint64 { return u.stats.Combined }),
+	stats.Count("cs_misses", func(u *Unit) uint64 { return u.stats.CSMisses }),
+	stats.Count("cs_evictions", func(u *Unit) uint64 { return u.stats.CSEvictions }),
+	stats.Hist("cs_occupancy", func(u *Unit) *stats.Histogram { return &u.csOcc }),
+	stats.Count("fu_busy_cycles", func(u *Unit) uint64 { return u.stats.FUBusyCycles }),
+	stats.Count("stall_full_cycles", func(u *Unit) uint64 { return u.stats.StallFull }),
+	stats.Count("mem_reads", func(u *Unit) uint64 { return u.stats.MemReads }),
+	stats.Count("mem_writes", func(u *Unit) uint64 { return u.stats.MemWrites }),
+	stats.Count("bypassed", func(u *Unit) uint64 { return u.stats.Bypassed }),
+	stats.HighWater("wbq_depth", func(u *Unit) uint64 { return u.stats.WBQDepthMax }),
+	stats.Count("fault_fu_retries", func(u *Unit) uint64 { return u.stats.FaultFURetries }),
+	stats.Count("fault_cs_scrubs", func(u *Unit) uint64 { return u.stats.FaultCSScrubs }),
 }
 
 // entry is one combining-store slot, holding a single buffered request.
@@ -115,47 +166,6 @@ type fuOp struct {
 	result   mem.Word // value after this add
 }
 
-// metrics are the unit's performance counters (§4.3's microarchitecture
-// events): combining-store behavior, occupancy, and FU utilization. They are
-// allocated once at construction and updated with plain increments.
-type metrics struct {
-	group       *stats.Group
-	csHits      *stats.Counter // requests combined into a live address
-	csMisses    *stats.Counter // requests that allocated a fresh reader
-	csEvictions *stats.Counter // combining-store entries freed
-	csOccupancy stats.Level    // valid entries, one sample per cycle
-	fuBusy      stats.Level    // cycles with >= 1 op in the FU pipeline
-	stallFull   *stats.Counter // cycles the head request stalled on a full store
-	memReads    *stats.Counter // current-value reads issued downstream
-	memWrites   *stats.Counter // sum write-backs issued downstream
-	bypassed    *stats.Counter // ordinary requests passed through
-	wbQDepth    *stats.Gauge   // write-back queue high-water mark
-
-	// Fault counters (zero unless injection is configured).
-	faultFURetry *stats.Counter // FU ops rejected by the residue check and reissued
-	faultCSScrub *stats.Counter // combining-store entries that needed a parity scrub
-}
-
-func newMetrics(entries int) metrics {
-	g := stats.NewGroup("saunit")
-	return metrics{
-		group:       g,
-		csHits:      g.Counter("cs_hits"),
-		csMisses:    g.Counter("cs_misses"),
-		csEvictions: g.Counter("cs_evictions"),
-		csOccupancy: stats.OccupancyLevel(g.Histogram("cs_occupancy", entries+1)),
-		fuBusy:      stats.BusyLevel(g.Counter("fu_busy_cycles")),
-		stallFull:   g.Counter("stall_full_cycles"),
-		memReads:    g.Counter("mem_reads"),
-		memWrites:   g.Counter("mem_writes"),
-		bypassed:    g.Counter("bypassed"),
-		wbQDepth:    g.Gauge("wbq_depth"),
-
-		faultFURetry: g.Counter("fault_fu_retries"),
-		faultCSScrub: g.Counter("fault_cs_scrubs"),
-	}
-}
-
 // Unit is one scatter-add unit.
 type Unit struct {
 	cfg    Config
@@ -181,7 +191,9 @@ type Unit struct {
 	active    []mem.Addr
 	nextSeq   uint64
 	stats     Stats
-	met       metrics
+	csOcc     stats.Histogram // valid entries, one sample per cycle
+	csLevel   stats.Level     // counts csUsed into csOcc at its change points
+	fuBusy    stats.Level     // counts an occupied FU pipe into stats.FUBusyCycles
 	tr        *span.Tracer
 	track     string
 	downStage span.Stage
@@ -207,7 +219,7 @@ func New(cfg Config, down port.Word) *Unit {
 	if cfg.OrderedChains && cfg.EagerCombine {
 		panic("saunit: OrderedChains is incompatible with EagerCombine")
 	}
-	return &Unit{
+	u := &Unit{
 		cfg:    cfg,
 		down:   down,
 		inQ:    sim.NewQueue[mem.Request](cfg.InQDepth),
@@ -217,22 +229,21 @@ func New(cfg Config, down port.Word) *Unit {
 		fu:     sim.NewDelay[fuOp](cfg.FULatency, cfg.FULatency*cfg.FUIssueWidth+1),
 		quiet:  true,
 		active: make([]mem.Addr, 0, cfg.Entries),
-		met:    newMetrics(cfg.Entries),
+		csOcc:  stats.NewHistogram(cfg.Entries + 1),
 	}
+	u.csLevel = stats.OccupancyLevel(&u.csOcc)
+	u.fuBusy = stats.BusyLevel(&u.stats.FUBusyCycles)
+	return u
 }
 
 // Stats returns a copy of the activity counters.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// StatsGroup returns the unit's performance-counter group, for adoption
-// into a machine-level stats.Registry. Call FlushStats before reading it.
-func (u *Unit) StatsGroup() *stats.Group { return u.met.group }
-
 // FlushStats records the per-cycle occupancy and FU-busy samples of every
 // cycle before now, which the unit counts at their change points.
 func (u *Unit) FlushStats(now uint64) {
-	u.met.csOccupancy.Flush(now)
-	u.met.fuBusy.Flush(now)
+	u.csLevel.Flush(now)
+	u.fuBusy.Flush(now)
 }
 
 // SetWake installs the unit's entry in its owner's due set: an accepted
@@ -424,8 +435,8 @@ func (u *Unit) Tick(now uint64) {
 	if u.cfg.EagerCombine && u.csUsed >= 2 {
 		u.eagerCombine(now)
 	}
-	u.met.csOccupancy.Set(now+1, u.csUsed)
-	u.met.fuBusy.Set(now+1, min(u.fu.Len(), 1))
+	u.csLevel.Set(now+1, u.csUsed)
+	u.fuBusy.Set(now+1, min(u.fu.Len(), 1))
 	u.quiet = u.noWork()
 }
 
@@ -472,7 +483,7 @@ func (u *Unit) completeFU(now uint64) {
 			// result and the addition reissues through the pipeline. The
 			// consumed entry stays latched (inFU), so the replay computes
 			// the identical sum. One draw per retired op.
-			u.met.faultFURetry.Inc()
+			u.stats.FaultFURetries++
 			if !u.fu.Push(now, op) {
 				panic("saunit: FU retry push failed after pop")
 			}
@@ -501,7 +512,7 @@ func (u *Unit) completeFU(now uint64) {
 		}
 		*e = entry{}
 		u.csUsed--
-		u.met.csEvictions.Inc()
+		u.stats.CSEvictions++
 		u.ready = append(u.ready, chain{addr: op.ch.addr, kind: op.ch.kind, val: op.result})
 	}
 }
@@ -529,8 +540,7 @@ func (u *Unit) issueFU(now uint64) {
 			// Chain drained: write the sum back to memory.
 			if u.wbQ.Push(mem.Request{ID: saIDTag, Kind: mem.Write, Addr: ch.addr, Val: ch.val}) {
 				u.stats.MemWrites++
-				u.met.memWrites.Inc()
-				u.met.wbQDepth.Set(int64(u.wbQ.Len()))
+				u.stats.WBQDepthMax = max(u.stats.WBQDepthMax, uint64(u.wbQ.Len()))
 				u.activeDel(ch.addr)
 			} else {
 				still = append(still, ch)
@@ -621,7 +631,6 @@ func (u *Unit) issueReads(now uint64) {
 				u.tr.OpStage(e.node, e.sid-1, span.StageDRAM, now)
 			}
 			u.stats.MemReads++
-			u.met.memReads.Inc()
 		}
 	}
 }
@@ -646,14 +655,12 @@ func (u *Unit) acceptInput(now uint64) {
 				u.tr.OpStage(r.Node, r.ID, u.downStage, now)
 			}
 			u.stats.Bypassed++
-			u.met.bypassed.Inc()
 			u.inQ.Pop()
 			continue
 		}
 		i := u.csFree()
 		if i < 0 {
 			u.stats.StallFull++
-			u.met.stallFull.Inc()
 			return
 		}
 		// CAM: is this address already covered by a buffered entry or a
@@ -667,7 +674,7 @@ func (u *Unit) acceptInput(now uint64) {
 			// Injected parity fault on the latch: scrub by re-latching from
 			// the input register. One draw per allocated entry.
 			e.scrubUntil = now + scrubCycles
-			u.met.faultCSScrub.Inc()
+			u.stats.FaultCSScrubs++
 		}
 		if u.tr != nil {
 			e.alloc = now
@@ -681,11 +688,10 @@ func (u *Unit) acceptInput(now uint64) {
 		}
 		if exists {
 			u.stats.Combined++
-			u.met.csHits.Inc()
 		} else {
 			e.reader = true
 			u.unsent++
-			u.met.csMisses.Inc()
+			u.stats.CSMisses++
 		}
 		u.stats.SARequests++
 		u.inQ.Pop()
@@ -732,7 +738,7 @@ func (u *Unit) eagerCombine(now uint64) {
 			}
 			*b = entry{}
 			u.csUsed--
-			u.met.csEvictions.Inc()
+			u.stats.CSEvictions++
 			u.stats.EagerOps++
 			u.stats.FUOps++
 			if a.kind.IsFP() {

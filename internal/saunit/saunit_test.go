@@ -19,7 +19,6 @@ var _ port.Word = (*Unit)(nil)
 type rig struct {
 	u     *Unit
 	m     *dram.Uniform
-	reg   *stats.Registry // the unit's counters
 	now   uint64
 	resps []mem.Response
 }
@@ -32,9 +31,7 @@ func newRig(cfg Config, latency, interval int) *rig {
 // accesses.
 func newRigDepth(cfg Config, latency, interval, depth int) *rig {
 	m := dram.NewUniform(latency, interval, depth)
-	r := &rig{u: New(cfg, m), m: m, reg: stats.NewRegistry()}
-	r.reg.Adopt("saunit", r.u.StatsGroup())
-	return r
+	return &rig{u: New(cfg, m), m: m}
 }
 
 func (r *rig) step() {
@@ -55,7 +52,8 @@ type quietState struct {
 
 func (r *rig) quietState() quietState {
 	r.u.FlushStats(r.now)
-	return quietState{r.reg.Snapshot(), r.u.Stats(), r.u.met.csOccupancy, r.u.met.fuBusy, r.u.NextEvent(r.now + 1), r.u.Quiet()}
+	snap := stats.NewSnapshot(stats.Append(nil, "saunit", Metrics, r.u))
+	return quietState{snap, r.u.Stats(), r.u.csLevel, r.u.fuBusy, r.u.NextEvent(r.now + 1), r.u.Quiet()}
 }
 
 // checkedStep is step, except that a unit whose quiet check holds is ticked

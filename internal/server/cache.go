@@ -18,21 +18,34 @@ import (
 // wait on its done channel and receive the same Table, and a later repeat is
 // served from the LRU without simulating at all.
 //
-// Locking: mu guards the maps, the LRU list, and the cache's stats group;
-// the compute itself always runs outside the lock. Snapshotting the stats
-// group from another goroutine must hold mu too (Server.snapshot does).
+// Locking: mu guards the maps, the LRU list, and the cache's counters; the
+// compute itself always runs outside the lock. Reading the counters from
+// another goroutine must hold mu too (Server.Snapshot does).
 type resultCache struct {
 	mu       sync.Mutex
 	max      int        // LRU capacity in entries; 0 disables the LRU (coalescing stays on)
 	ll       *list.List // front = most recently used
 	byKey    map[string]*list.Element
 	inflight map[string]*inflightCall
+	st       cacheStats
+}
 
-	hits      *stats.Counter
-	misses    *stats.Counter
-	coalesced *stats.Counter
-	evictions *stats.Counter
-	entries   *stats.Gauge
+// cacheStats counts the cache's outcomes.
+type cacheStats struct {
+	Hits       uint64
+	Misses     uint64
+	Coalesced  uint64
+	Evictions  uint64
+	EntriesMax uint64 // high-water mark of cached tables
+}
+
+// cacheMetrics is the snapshot descriptor of the cache group.
+var cacheMetrics = []stats.Metric[resultCache]{
+	stats.Count("hits", func(c *resultCache) uint64 { return c.st.Hits }),
+	stats.Count("misses", func(c *resultCache) uint64 { return c.st.Misses }),
+	stats.Count("coalesced", func(c *resultCache) uint64 { return c.st.Coalesced }),
+	stats.Count("evictions", func(c *resultCache) uint64 { return c.st.Evictions }),
+	stats.HighWater("entries", func(c *resultCache) uint64 { return c.st.EntriesMax }),
 }
 
 // cacheEntry is one completed table in the LRU.
@@ -48,9 +61,8 @@ type inflightCall struct {
 	err   error
 }
 
-// newResultCache builds a cache of at most max tables whose counters live in
-// the given stats group.
-func newResultCache(max int, g *stats.Group) *resultCache {
+// newResultCache builds a cache of at most max tables.
+func newResultCache(max int) *resultCache {
 	if max < 0 {
 		max = 0
 	}
@@ -59,12 +71,6 @@ func newResultCache(max int, g *stats.Group) *resultCache {
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
 		inflight: make(map[string]*inflightCall),
-
-		hits:      g.Counter("hits"),
-		misses:    g.Counter("misses"),
-		coalesced: g.Counter("coalesced"),
-		evictions: g.Counter("evictions"),
-		entries:   g.Gauge("entries"),
 	}
 }
 
@@ -86,19 +92,19 @@ func (c *resultCache) Do(key string, compute func() exp.Table) (exp.Table, strin
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		t := el.Value.(*cacheEntry).table
-		c.hits.Inc()
+		c.st.Hits++
 		c.mu.Unlock()
 		return t, CacheHit, nil
 	}
 	if call, ok := c.inflight[key]; ok {
-		c.coalesced.Inc()
+		c.st.Coalesced++
 		c.mu.Unlock()
 		<-call.done
 		return call.table, CacheCoalesced, call.err
 	}
 	call := &inflightCall{done: make(chan struct{})}
 	c.inflight[key] = call
-	c.misses.Inc()
+	c.st.Misses++
 	c.mu.Unlock()
 
 	call.table, call.err = computeSafe(compute)
@@ -140,9 +146,9 @@ func (c *resultCache) addLocked(key string, t exp.Table) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		c.evictions.Inc()
+		c.st.Evictions++
 	}
-	c.entries.Set(int64(c.ll.Len()))
+	c.st.EntriesMax = max(c.st.EntriesMax, uint64(c.ll.Len()))
 }
 
 // Len returns the number of cached tables.

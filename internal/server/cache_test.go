@@ -8,12 +8,11 @@ import (
 	"time"
 
 	"scatteradd/internal/exp"
-	"scatteradd/internal/stats"
 )
 
-// testCache builds a cache of max entries with a throwaway stats group.
+// testCache builds a cache of max entries.
 func testCache(max int) *resultCache {
-	return newResultCache(max, stats.NewGroup("cache"))
+	return newResultCache(max)
 }
 
 // tableFor fabricates a distinguishable table.
@@ -56,8 +55,8 @@ func TestCacheIdenticalSpecsCoalesceToOneSimulation(t *testing.T) {
 	if t1.String() != t2.String() {
 		t.Fatal("cache hit returned different table")
 	}
-	if c.hits.Value() != 1 || c.misses.Value() != 1 {
-		t.Fatalf("hit/miss counters %d/%d (want 1/1)", c.hits.Value(), c.misses.Value())
+	if c.st.Hits != 1 || c.st.Misses != 1 {
+		t.Fatalf("hit/miss counters %d/%d (want 1/1)", c.st.Hits, c.st.Misses)
 	}
 }
 
@@ -102,8 +101,8 @@ func TestCacheLRUEvictionBoundsMemory(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries (capacity 2)", c.Len())
 	}
-	if c.evictions.Value() != 1 {
-		t.Fatalf("evictions counter %d (want 1)", c.evictions.Value())
+	if c.st.Evictions != 1 {
+		t.Fatalf("evictions counter %d (want 1)", c.st.Evictions)
 	}
 	// key-0 was the oldest: it must have been evicted; key-1 and key-2 hit.
 	if _, st, _ := c.Do(mk(1), func() exp.Table { return tableFor("x") }); st != CacheHit {
@@ -170,7 +169,7 @@ func TestCacheConcurrentIdenticalRequests(t *testing.T) {
 			coalesced++
 		}
 	}
-	if got := c.coalesced.Value(); int(got) != coalesced {
+	if got := c.st.Coalesced; int(got) != coalesced {
 		t.Fatalf("coalesced counter %d but %d callers reported coalesced", got, coalesced)
 	}
 }
@@ -242,7 +241,7 @@ func waitCoalesced(t *testing.T, c *resultCache, n uint64) {
 	t.Helper()
 	for i := 0; i < 5000; i++ {
 		c.mu.Lock()
-		got := c.coalesced.Value()
+		got := c.st.Coalesced
 		c.mu.Unlock()
 		if got >= n {
 			return

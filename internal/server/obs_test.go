@@ -89,7 +89,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := s.Sum(obs.MetricStageDuration+"_count", map[string]string{"endpoint": "/v1/run", "stage": "run"}); got != 2 {
 		t.Fatalf("run-stage count = %v, want 2 (hits must not simulate)", got)
 	}
-	// The stats registries ride along with prometheus-clean names.
+	// The service counters ride along with prometheus-clean names.
 	if v, ok := s.Value("scatteradd_stats_cache_hits_total", nil); !ok || v != 1 {
 		t.Fatalf("stats cache hits = %v,%v, want 1", v, ok)
 	}
@@ -309,7 +309,7 @@ func TestTelemetryDisabledSurface(t *testing.T) {
 		t.Fatalf("disabled server minted X-Request-Id %q", got)
 	}
 
-	// /metrics still serves the stats registries, with no RED families.
+	// /metrics still serves the service counters, with no RED families.
 	mresp, mbody := get(t, base+"/metrics")
 	if mresp.StatusCode != 200 {
 		t.Fatalf("/metrics status %d", mresp.StatusCode)

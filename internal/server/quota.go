@@ -24,8 +24,14 @@ type quotas struct {
 	now     func() time.Time
 	buckets map[string]*bucket
 
-	rejected *stats.Counter
-	tenants  *stats.Gauge
+	rejected   uint64 // requests refused for want of a token
+	tenantsMax uint64 // high-water mark of tracked tenants
+}
+
+// quotaMetrics is the snapshot descriptor of the quota group.
+var quotaMetrics = []stats.Metric[quotas]{
+	stats.Count("rejected", func(q *quotas) uint64 { return q.rejected }),
+	stats.HighWater("tenants", func(q *quotas) uint64 { return q.tenantsMax }),
 }
 
 // maxTenants bounds the bucket map before pruning kicks in.
@@ -38,7 +44,7 @@ type bucket struct {
 
 // newQuotas builds the quota layer. rate <= 0 admits everything; burst < 1
 // is clamped to 1 (a tenant must be able to make at least one request).
-func newQuotas(rate float64, burst int, now func() time.Time, g *stats.Group) *quotas {
+func newQuotas(rate float64, burst int, now func() time.Time) *quotas {
 	if burst < 1 {
 		burst = 1
 	}
@@ -50,9 +56,6 @@ func newQuotas(rate float64, burst int, now func() time.Time, g *stats.Group) *q
 		burst:   float64(burst),
 		now:     now,
 		buckets: make(map[string]*bucket),
-
-		rejected: g.Counter("rejected"),
-		tenants:  g.Gauge("tenants"),
 	}
 }
 
@@ -72,7 +75,7 @@ func (q *quotas) allow(tenant string) (bool, time.Duration) {
 		}
 		b = &bucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
-		q.tenants.Set(int64(len(q.buckets)))
+		q.tenantsMax = max(q.tenantsMax, uint64(len(q.buckets)))
 	}
 	b.tokens = math.Min(q.burst, b.tokens+now.Sub(b.last).Seconds()*q.rate)
 	b.last = now
@@ -80,7 +83,7 @@ func (q *quotas) allow(tenant string) (bool, time.Duration) {
 		b.tokens--
 		return true, 0
 	}
-	q.rejected.Inc()
+	q.rejected++
 	wait := time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
 	return false, wait
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"scatteradd/internal/stats"
 )
 
 // fakeClock is an injectable time source for deterministic bucket tests.
@@ -15,7 +13,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func testQuotas(rate float64, burst int, c *fakeClock) *quotas {
-	return newQuotas(rate, burst, c.now, stats.NewGroup("quota"))
+	return newQuotas(rate, burst, c.now)
 }
 
 // TestQuotaBurstThenRefill: a tenant spends its burst immediately, is then
@@ -36,8 +34,8 @@ func TestQuotaBurstThenRefill(t *testing.T) {
 	if wait != 500*time.Millisecond {
 		t.Fatalf("Retry-After %v (want 500ms: one token at 2/sec)", wait)
 	}
-	if q.rejected.Value() != 1 {
-		t.Fatalf("rejected counter %d (want 1)", q.rejected.Value())
+	if q.rejected != 1 {
+		t.Fatalf("rejected counter %d (want 1)", q.rejected)
 	}
 	clock.advance(500 * time.Millisecond)
 	if ok, _ := q.allow("alice"); !ok {
@@ -68,8 +66,8 @@ func TestQuotaTenantsIsolated(t *testing.T) {
 	if ok, _ := q.allow("anonymous"); ok {
 		t.Fatal("anonymous callers do not share a bucket")
 	}
-	if q.tenants.Value() != 3 {
-		t.Fatalf("tenants gauge %d (want 3)", q.tenants.Value())
+	if q.tenantsMax != 3 {
+		t.Fatalf("tenants gauge %d (want 3)", q.tenantsMax)
 	}
 }
 

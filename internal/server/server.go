@@ -59,23 +59,39 @@ type Server struct {
 	cache *resultCache
 	quota *quotas
 
-	mu       sync.Mutex // guards draining, queued/running, and the "server" stats group
+	mu       sync.Mutex // guards draining, queued/running, and st
 	draining bool
 	queued   int
+	running  int
 	inflight sync.WaitGroup
 	sem      chan struct{} // one slot per simulation worker
+	st       serverStats
+}
 
-	reg         *stats.Registry
-	requests    *stats.Counter
-	responses2x *stats.Counter
-	responses4x *stats.Counter
-	responses5x *stats.Counter
-	busy429     *stats.Counter
-	drain503    *stats.Counter
-	streams     *stats.Counter
-	queuedG     *stats.Gauge
-	runningG    *stats.Gauge
-	running     int
+// serverStats counts the requests the server answered and refused.
+type serverStats struct {
+	Requests         uint64
+	Responses2xx     uint64
+	Responses4xx     uint64
+	Responses5xx     uint64
+	RejectedBusy     uint64 // 429s from admission control
+	RejectedDraining uint64 // 503s once Drain began
+	Streams          uint64 // NDJSON streams opened
+	QueuedMax        uint64 // high-water mark of requests waiting for a worker
+	RunningMax       uint64 // high-water mark of running simulations
+}
+
+// serverMetrics is the snapshot descriptor of the server group.
+var serverMetrics = []stats.Metric[Server]{
+	stats.Count("requests", func(s *Server) uint64 { return s.st.Requests }),
+	stats.Count("responses_2xx", func(s *Server) uint64 { return s.st.Responses2xx }),
+	stats.Count("responses_4xx", func(s *Server) uint64 { return s.st.Responses4xx }),
+	stats.Count("responses_5xx", func(s *Server) uint64 { return s.st.Responses5xx }),
+	stats.Count("rejected_busy", func(s *Server) uint64 { return s.st.RejectedBusy }),
+	stats.Count("rejected_draining", func(s *Server) uint64 { return s.st.RejectedDraining }),
+	stats.Count("streams", func(s *Server) uint64 { return s.st.Streams }),
+	stats.HighWater("queued", func(s *Server) uint64 { return s.st.QueuedMax }),
+	stats.HighWater("running", func(s *Server) uint64 { return s.st.RunningMax }),
 }
 
 // New builds a Server and, with CacheDir set, warms its result cache from
@@ -99,24 +115,12 @@ func New(cfg Config) *Server {
 	if cfg.RunJobs <= 0 {
 		cfg.RunJobs = 1
 	}
-	reg := stats.NewRegistry()
 	s := &Server{
 		cfg:   cfg,
-		cache: newResultCache(cfg.CacheEntries, reg.Group("cache")),
-		quota: newQuotas(cfg.QuotaRPS, cfg.QuotaBurst, cfg.Now, reg.Group("quota")),
+		cache: newResultCache(cfg.CacheEntries),
+		quota: newQuotas(cfg.QuotaRPS, cfg.QuotaBurst, cfg.Now),
 		sem:   make(chan struct{}, cfg.Workers),
-		reg:   reg,
 	}
-	g := reg.Group("server")
-	s.requests = g.Counter("requests")
-	s.responses2x = g.Counter("responses_2xx")
-	s.responses4x = g.Counter("responses_4xx")
-	s.responses5x = g.Counter("responses_5xx")
-	s.busy429 = g.Counter("rejected_busy")
-	s.drain503 = g.Counter("rejected_draining")
-	s.streams = g.Counter("streams")
-	s.queuedG = g.Gauge("queued")
-	s.runningG = g.Gauge("running")
 	if cfg.CacheDir != "" {
 		if loaded, _ := s.cache.loadIndex(s.indexPath()); loaded > 0 {
 			fmt.Fprintf(os.Stderr, "server: warmed result cache with %d persisted entries\n", loaded)
@@ -182,7 +186,7 @@ func (s *Server) flushCache() error {
 		s.cache.mu.Lock()
 		defer s.cache.mu.Unlock()
 		return fmt.Sprintf("hits=%d misses=%d coalesced=%d evictions=%d",
-			s.cache.hits.Value(), s.cache.misses.Value(), s.cache.coalesced.Value(), s.cache.evictions.Value())
+			s.cache.st.Hits, s.cache.st.Misses, s.cache.st.Coalesced, s.cache.st.Evictions)
 	}
 	if s.cfg.CacheDir == "" {
 		fmt.Fprintf(os.Stderr, "server: drained; cache %s (not persisted: no -cache-dir)\n", line())
@@ -205,7 +209,10 @@ func (s *Server) Snapshot() stats.Snapshot {
 	defer s.cache.mu.Unlock()
 	s.quota.mu.Lock()
 	defer s.quota.mu.Unlock()
-	return s.reg.Snapshot()
+	es := stats.Append(nil, "server", serverMetrics, s)
+	es = stats.Append(es, "cache", cacheMetrics, s.cache)
+	es = stats.Append(es, "quota", quotaMetrics, s.quota)
+	return stats.NewSnapshot(es)
 }
 
 // statusRecorder captures the response code for the per-class counters and
@@ -242,14 +249,14 @@ func (s *Server) counted(endpoint string, h func(http.ResponseWriter, *http.Requ
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
 		s.mu.Lock()
-		s.requests.Inc()
+		s.st.Requests++
 		switch {
 		case rec.code >= 500:
-			s.responses5x.Inc()
+			s.st.Responses5xx++
 		case rec.code >= 400:
-			s.responses4x.Inc()
+			s.st.Responses4xx++
 		default:
-			s.responses2x.Inc()
+			s.st.Responses2xx++
 		}
 		s.mu.Unlock()
 		tr.Finish(rec.code)
@@ -261,7 +268,7 @@ func (s *Server) counted(endpoint string, h func(http.ResponseWriter, *http.Requ
 func (s *Server) enter(w http.ResponseWriter) bool {
 	s.mu.Lock()
 	if s.draining {
-		s.drain503.Inc()
+		s.st.RejectedDraining++
 		s.mu.Unlock()
 		w.Header().Set("X-Draining", "1")
 		w.Header().Set("Retry-After", "1")
@@ -306,7 +313,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, tenant string
 	// Admission bound: Workers requests may run and Queue more may wait;
 	// anything beyond that is load the server would only sit on.
 	if s.queued+s.running >= s.cfg.Workers+s.cfg.Queue {
-		s.busy429.Inc()
+		s.st.RejectedBusy++
 		// Each queued request is roughly one simulation of backlog per worker.
 		retry := 1 + s.queued/s.cfg.Workers
 		s.mu.Unlock()
@@ -315,7 +322,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, tenant string
 		return nil, false
 	}
 	s.queued++
-	s.queuedG.Set(int64(s.queued))
+	s.st.QueuedMax = max(s.st.QueuedMax, uint64(s.queued))
 	s.mu.Unlock()
 
 	queueStart := tr.Now()
@@ -324,7 +331,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, tenant string
 	case <-ctx.Done():
 		s.mu.Lock()
 		s.queued--
-		s.queuedG.Set(int64(s.queued))
+		s.st.QueuedMax = max(s.st.QueuedMax, uint64(s.queued))
 		s.mu.Unlock()
 		tr.Stage(obs.StageQueue, queueStart)
 		return nil, false
@@ -333,14 +340,14 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, tenant string
 	s.mu.Lock()
 	s.queued--
 	s.running++
-	s.queuedG.Set(int64(s.queued))
-	s.runningG.Set(int64(s.running))
+	s.st.QueuedMax = max(s.st.QueuedMax, uint64(s.queued))
+	s.st.RunningMax = max(s.st.RunningMax, uint64(s.running))
 	s.mu.Unlock()
 	return func() {
 		<-s.sem
 		s.mu.Lock()
 		s.running--
-		s.runningG.Set(int64(s.running))
+		s.st.RunningMax = max(s.st.RunningMax, uint64(s.running))
 		s.mu.Unlock()
 	}, true
 }
@@ -474,7 +481,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.mu.Lock()
-	s.streams.Inc()
+	s.st.Streams++
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -544,9 +551,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(data, '\n'))
 }
 
-// handleMetrics serves the Prometheus text exposition: the server's stats
-// registries (server/cache/quota groups) plus, with telemetry enabled, the
-// RED metrics and stage histograms.
+// handleMetrics serves the Prometheus text exposition: the service's
+// counters (server/cache/quota groups) plus, with telemetry enabled, the RED
+// metrics and stage histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	obs.WriteMetrics(w, s.cfg.Obs, s.Snapshot())

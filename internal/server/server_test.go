@@ -161,8 +161,8 @@ func TestAdmissionControl(t *testing.T) {
 	if rec.Code != 429 || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("overload answer: %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 	}
-	if s.busy429.Value() != 1 {
-		t.Fatalf("rejected_busy %d (want 1)", s.busy429.Value())
+	if s.st.RejectedBusy != 1 {
+		t.Fatalf("rejected_busy %d (want 1)", s.st.RejectedBusy)
 	}
 	release()
 	release2, ok := s.admit(context.Background(), httptest.NewRecorder(), "b")

@@ -6,18 +6,15 @@ import (
 	"testing"
 )
 
-// sampleTimeline records two samples of a counter advancing 10 then 25.
+// sampleTimeline records two samples of a counter advancing 10 then 25,
+// beside a high-water mark of 2.
 func sampleTimeline() *Timeline {
-	r := NewRegistry()
-	c := r.Group("g").Counter("n")
-	ga := r.Group("g").Gauge("lvl")
+	p := newProbe(10, 2)
+	counterAndGauge := probeMetrics[:2]
 	tl := &Timeline{Interval: 100}
-	c.Add(10)
-	ga.Set(2)
-	tl.Record(100, r.Snapshot())
-	c.Add(15)
-	ga.Set(1)
-	tl.Record(200, r.Snapshot())
+	tl.Record(100, NewSnapshot(Append(nil, "g", counterAndGauge, p)))
+	p.n += 15
+	tl.Record(200, NewSnapshot(Append(nil, "g", counterAndGauge, p)))
 	return tl
 }
 
@@ -32,7 +29,7 @@ func TestTimelineDeltas(t *testing.T) {
 	if v, _ := d.Samples[1].Snap.Get("g/n"); v != 15 {
 		t.Fatalf("second delta = %d, want 15", v)
 	}
-	if v, _ := d.Samples[1].Snap.Get("g/lvl"); v != 2 {
+	if v, _ := d.Samples[1].Snap.Get("g/depth"); v != 2 {
 		t.Fatalf("gauge keeps high-water: %d, want 2", v)
 	}
 }
