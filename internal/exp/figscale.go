@@ -9,7 +9,7 @@ import (
 // This file adds the interconnect scale-out family (Figure 14): the paper
 // stops at 8 nodes on one crossbar, and this figure asks what the reduction
 // looks like when the machine keeps growing — 16 to 1024 nodes — on a flat
-// crossbar, a fat-tree of small switches, and a 2D mesh, with and without
+// crossbar, a k-ary tree of small switches, and a 2D mesh, with and without
 // Ultracomputer-style in-switch combining of same-address scatter-adds. The
 // workload is a deliberately hot histogram (a few bins per node), the
 // regime where the root of a reduction tree melts first and in-network
@@ -71,7 +71,7 @@ func fig14ConfigList(o Options) []string {
 
 // Fig14 is the interconnect scale-out family: hot-histogram scatter-add
 // bandwidth and fabric traffic from 16 to 1024 nodes, flat crossbar vs
-// fat-tree vs 2D mesh, in-switch combining on and off.
+// k-ary tree vs 2D mesh, in-switch combining on and off.
 func Fig14(o Options) Table { return o.checkpointed("fig14", fig14) }
 
 func fig14(o Options) Table {

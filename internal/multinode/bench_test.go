@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkFig13Tree1 replays one large Figure 13 style run on a fan-in-4
-// fat-tree with in-switch combining — 16 nodes so the tree has real depth,
+// tree with in-switch combining — 16 nodes so the tree has real depth,
 // high network bandwidth, direct remote scatter-add. One System per
 // iteration, like the experiment driver.
 func BenchmarkFig13Tree1(b *testing.B) {
@@ -33,7 +33,7 @@ func BenchmarkFig13Tree1(b *testing.B) {
 
 // BenchmarkFig14Tree1024 replays Fig 14's hot histogram at its -scale 64
 // size (4096 references over 256 bins, owned by the first 32 nodes) on 1024
-// of the figure's trimmed nodes under a fan-in-4 fat-tree with in-switch
+// of the figure's trimmed nodes under a fan-in-4 tree with in-switch
 // combining — the kilo-node path, where almost every node and switch sleeps
 // on almost every cycle. One System per iteration, like the Fig 14 runner
 // in internal/exp.
@@ -58,7 +58,7 @@ func BenchmarkFig14Tree1024(b *testing.B) {
 
 // BenchmarkFig14Tree256Legacy replays Fig 14's hot histogram (4096
 // references over 256 bins) on 256 of the figure's trimmed nodes under a
-// fan-in-4 fat-tree with in-switch combining, stepped per cycle under the
+// fan-in-4 tree with in-switch combining, stepped per cycle under the
 // default chaos faults: perfbench oracle's heaviest point at a CI-sized
 // length, where every unit, bank, DRAM channel and retransmit buffer of
 // every node is ticked on every cycle and most of them are idle. One System

@@ -26,7 +26,7 @@ const (
 	// partials at every hop. Requires cache combining and a power-of-two
 	// node count.
 	TopoHypercube
-	// TopoTree is a multi-hop fat-tree of small crossbar switches with
+	// TopoTree is a multi-hop k-ary tree of small crossbar switches with
 	// configurable fan-in.
 	TopoTree
 	// TopoMesh is a multi-hop 2D mesh of per-node switches with XY routing.
@@ -81,7 +81,7 @@ func FlatCombining() Topology { return Topology{Kind: TopoFlat, CombineCache: tr
 // implied — the hierarchy exists to route sum-backs).
 func Hypercube() Topology { return Topology{Kind: TopoHypercube, CombineCache: true} }
 
-// Tree returns a multi-hop fat-tree of the given fan-in (0 = 4), with
+// Tree returns a multi-hop k-ary tree of the given fan-in (0 = 4), with
 // in-switch combining on or off.
 func Tree(fanIn int, inSwitch bool) Topology {
 	return Topology{Kind: TopoTree, FanIn: fanIn, CombineSwitch: inSwitch}

@@ -261,7 +261,7 @@ var (
 	// HypercubeTopology routes sum-backs along logical hypercube
 	// dimensions, merging partial lines at every hop (§5 future work).
 	HypercubeTopology = multinode.Hypercube
-	// TreeTopology is a multi-hop fat-tree of small crossbar switches with
+	// TreeTopology is a multi-hop k-ary tree of small crossbar switches with
 	// the given fan-in (0 = 4), optionally combining same-address
 	// scatter-adds inside every switch.
 	TreeTopology = multinode.Tree
