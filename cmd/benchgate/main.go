@@ -1,6 +1,7 @@
 // Command benchgate parses `go test -bench` output, summarizes each
-// benchmark's median ns/op as JSON, and optionally gates a PR on a
-// regression bound against a baseline summary from the main branch.
+// benchmark's median ns/op (and, from -benchmem output, its median B/op and
+// allocs/op) as JSON, and optionally gates a PR on a regression bound
+// against a baseline summary from the main branch.
 //
 // Usage:
 //
@@ -149,13 +150,29 @@ type Result struct {
 	NProc   int       `json:"nproc"`         // runtime.NumCPU of the host benchgate runs on
 	CPU     string    `json:"cpu,omitempty"` // the input's last cpu: header line before the runs
 	Go      string    `json:"go"`            // the Go version benchgate was built with
+
+	// BytesPerOp and AllocsPerOp are the medians of the -benchmem columns
+	// (B/op, allocs/op) over the runs that print them; both are absent when
+	// no run does.
+	BytesPerOp  *float64 `json:"median_bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"median_allocs_per_op,omitempty"`
+
+	bytes, allocs []float64 // the -benchmem columns of the runs that print them
+}
+
+// run is one result line's measurements: ns/op, and B/op and allocs/op when
+// the line carries the -benchmem columns (mem).
+type run struct {
+	ns, bytes, allocs float64
+	mem               bool
 }
 
 // Summarize parses `go test -bench` output and reduces each benchmark to
-// its median ns/op. GOMAXPROCS suffixes ("-8") are stripped from the name
-// and kept as Procs; a benchmark that ran at two procs values is an error,
-// since their runs do not share a median. Non-benchmark lines other than
-// cpu: headers are ignored.
+// its median ns/op, and its median B/op and allocs/op where the runs print
+// them. GOMAXPROCS suffixes ("-8") are stripped from the name and kept as
+// Procs; a benchmark that ran at two procs values is an error, since their
+// runs do not share a median. Non-benchmark lines other than cpu: headers
+// are ignored.
 func Summarize(r io.Reader) (map[string]*Result, error) {
 	sum := make(map[string]*Result)
 	cpu := ""
@@ -166,7 +183,7 @@ func Summarize(r io.Reader) (map[string]*Result, error) {
 			cpu = strings.TrimSpace(c)
 			continue
 		}
-		name, procs, ns, ok := parseLine(line)
+		name, procs, r, ok := parseLine(line)
 		if !ok {
 			continue
 		}
@@ -179,27 +196,37 @@ func Summarize(r io.Reader) (map[string]*Result, error) {
 			return nil, fmt.Errorf("%s ran at procs %d and %d", name, res.Procs, procs)
 		}
 		res.Runs++
-		res.NsPerOp = append(res.NsPerOp, ns)
+		res.NsPerOp = append(res.NsPerOp, r.ns)
+		if r.mem {
+			res.bytes = append(res.bytes, r.bytes)
+			res.allocs = append(res.allocs, r.allocs)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	for _, res := range sum {
 		res.Median = median(res.NsPerOp)
+		if len(res.bytes) > 0 {
+			b, a := median(res.bytes), median(res.allocs)
+			res.BytesPerOp, res.AllocsPerOp = &b, &a
+		}
 	}
 	return sum, sc.Err()
 }
 
-// parseLine extracts (name, GOMAXPROCS, ns/op) from one benchmark result
-// line, e.g.
+// parseLine extracts the name, GOMAXPROCS and measurements from one
+// benchmark result line, e.g.
 //
 //	BenchmarkEngineTick-8   107334   2382 ns/op   16 B/op   1 allocs/op
 //
-// `go test` omits the suffix at GOMAXPROCS 1.
-func parseLine(line string) (string, int, float64, bool) {
+// `go test` omits the suffix at GOMAXPROCS 1, and the B/op and allocs/op
+// columns without -benchmem. A line without ns/op, or with a column that
+// does not parse, is rejected.
+func parseLine(line string) (string, int, run, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-		return "", 0, 0, false
+		return "", 0, run{}, false
 	}
 	name, procs := f[0], 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
@@ -207,16 +234,31 @@ func parseLine(line string) (string, int, float64, bool) {
 			name, procs = name[:i], n
 		}
 	}
+	var r run
+	var hasNs, hasBytes, hasAllocs bool
 	for i := 2; i+1 < len(f); i++ {
-		if f[i+1] == "ns/op" {
-			ns, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				return "", 0, 0, false
-			}
-			return name, procs, ns, true
+		var dst *float64
+		switch f[i+1] {
+		case "ns/op":
+			dst, hasNs = &r.ns, true
+		case "B/op":
+			dst, hasBytes = &r.bytes, true
+		case "allocs/op":
+			dst, hasAllocs = &r.allocs, true
+		default:
+			continue
 		}
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", 0, run{}, false
+		}
+		*dst = v
 	}
-	return "", 0, 0, false
+	if !hasNs {
+		return "", 0, run{}, false
+	}
+	r.mem = hasBytes && hasAllocs
+	return name, procs, r, true
 }
 
 func median(xs []float64) float64 {

@@ -45,6 +45,49 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeRecordsAllocations checks that the medians of the -benchmem
+// columns sit beside the ns/op median, taken over the runs that print them,
+// and that a benchmark none of whose runs prints them has neither field in
+// the -out JSON, while a measured 0 allocs/op is kept.
+func TestSummarizeRecordsAllocations(t *testing.T) {
+	in := `BenchmarkFig14Tree1024-2   	      69	  16584843 ns/op	 3220320 B/op	   22518 allocs/op
+BenchmarkFig14Tree1024-2   	      63	  16000732 ns/op	 3220400 B/op	   22520 allocs/op
+BenchmarkFig14Tree1024-2   	      73	  16303654 ns/op	 3220300 B/op	   22517 allocs/op
+BenchmarkEngineFastForward-2   	  100	     13695 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineTick-2   	  108000	      2300 ns/op
+BenchmarkEngineTick-2   	  107334	      2400 ns/op	      16 B/op	       1 allocs/op
+BenchmarkSAUnitTick 	 1013354	       209.1 ns/op
+`
+	sum, err := Summarize(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]map[string]any
+	if err := json.Unmarshal(js, &out); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][3]float64{
+		"BenchmarkFig14Tree1024":     {16303654, 3220320, 22518},
+		"BenchmarkEngineFastForward": {13695, 0, 0},
+		"BenchmarkEngineTick":        {2350, 16, 1},
+	} {
+		e := out[name]
+		got := [3]any{e["median_ns_per_op"], e["median_bytes_per_op"], e["median_allocs_per_op"]}
+		if got != [3]any{want[0], want[1], want[2]} {
+			t.Errorf("%s: ns, B, allocs per op = %v, want %v", name, got, want)
+		}
+	}
+	for _, k := range []string{"median_bytes_per_op", "median_allocs_per_op"} {
+		if _, ok := out["BenchmarkSAUnitTick"][k]; ok {
+			t.Errorf("BenchmarkSAUnitTick printed no -benchmem columns but has %s in %s", k, js)
+		}
+	}
+}
+
 // TestSummarizeRecordsHost checks that each entry keeps the GOMAXPROCS of
 // its name's suffix (1 without one), the cpu: header above its runs and
 // benchgate's Go version.

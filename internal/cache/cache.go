@@ -144,10 +144,13 @@ type line struct {
 }
 
 type mshr struct {
-	valid       bool
-	line        mem.Addr // line-aligned address
-	issued      bool     // fill request accepted by DRAM
-	filled      bool     // line is resident; pending drains as respQ allows
+	valid  bool
+	line   mem.Addr // line-aligned address
+	issued bool     // fill request accepted by DRAM
+	filled bool     // line is resident; pending drains as respQ allows
+	// pending holds the requests waiting on the line, in arrival order. Its
+	// backing array stays with the MSHR when it is freed, so a bank whose
+	// MSHRs have all been used allocates nothing per miss.
 	pending     []mem.Request
 	pendingFill *[mem.LineWords]mem.Word // fill data staged while eviction is blocked
 	alloc       uint64                   // allocation cycle, for miss spans
@@ -532,8 +535,10 @@ func (b *Bank) Fill(now uint64, a mem.Addr, data [mem.LineWords]mem.Word) {
 	b.mshrWait--
 	if !b.install(now, a, data, false) {
 		// Victim eviction blocked on a full write-back queue: stage the data
-		// in the MSHR's holding register and retry on the next Tick.
-		m.pendingFill = &data
+		// in the MSHR's holding register and retry on the next Tick. Only
+		// this path copies the data to the heap.
+		staged := data
+		m.pendingFill = &staged
 	} else {
 		b.completeMSHR(now, m)
 	}
@@ -554,6 +559,8 @@ func (b *Bank) completeMSHR(now uint64, m *mshr) {
 
 // drainMSHR services pending requests of a filled MSHR against the resident
 // line, respecting response-queue capacity, and frees the MSHR when empty.
+// Requests still waiting for response room move to the front of the pending
+// list; the freed MSHR keeps the list's backing array.
 func (b *Bank) drainMSHR(now uint64, m *mshr) {
 	set, tag := b.setTag(m.line)
 	way := b.lookup(set, tag)
@@ -561,19 +568,18 @@ func (b *Bank) drainMSHR(now uint64, m *mshr) {
 		panic(fmt.Sprintf("cache: filled MSHR for line %d but line not resident", m.line))
 	}
 	ln := &b.sets[set][way]
-	for len(m.pending) > 0 {
-		r := m.pending[0]
+	for i, r := range m.pending {
 		needsResp := r.Kind == mem.Read || r.Kind.IsFetch()
 		if needsResp && b.respQ.Full() {
+			m.pending = m.pending[:copy(m.pending, m.pending[i:])]
 			return
 		}
 		b.apply(now, ln, r)
-		m.pending = m.pending[1:]
 	}
 	if b.tr != nil {
 		b.tr.SpanAsync(b.track, fmt.Sprintf("miss line=%d", m.line), m.alloc, now)
 	}
-	*m = mshr{}
+	*m = mshr{pending: m.pending[:0]}
 	b.mshrUsed--
 }
 
@@ -772,7 +778,7 @@ func (b *Bank) spillWCB(now uint64, i int) bool {
 		if m == nil {
 			return false
 		}
-		*m = mshr{valid: true, line: e.line}
+		*m = mshr{valid: true, line: e.line, pending: m.pending[:0]}
 		b.mshrUsed++
 		if b.tr != nil {
 			m.alloc = now
@@ -895,7 +901,7 @@ func (b *Bank) processOne(now uint64) bool {
 		b.stats.Stalls++
 		return false
 	}
-	*m = mshr{valid: true, line: lineAddr, pending: []mem.Request{r}}
+	*m = mshr{valid: true, line: lineAddr, pending: append(m.pending[:0], r)}
 	b.mshrUsed++
 	if b.tr != nil {
 		m.alloc = now

@@ -513,3 +513,58 @@ func TestConfigValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestSteadyMissStreamDoesNotAllocate: once every MSHR, set and way of a
+// bank has been used, a stream of misses allocates nothing. Each round
+// misses on one new line per MSHR with three reads per line (the later two
+// merge into the first's MSHR), through a response pipe two deep, so that
+// filled MSHRs drain across cycles; every miss evicts a clean line. The
+// freed MSHRs keep their pending lists' backing arrays, and a fill's data
+// is copied to the heap only when eviction blocks it.
+func TestSteadyMissStreamDoesNotAllocate(t *testing.T) {
+	cfg := testConfig()
+	cfg.Banks = 1
+	cfg.TotalLines = 32 // 8 sets of 4 ways
+	cfg.RespQDepth = 2
+	const perLine = 3
+	d := dram.New(dram.DefaultConfig())
+	b := NewBank(cfg, 0, d, Normal)
+	var now uint64
+	var next mem.Addr // the first line of the next round
+	round := func() {
+		n := perLine * cfg.MSHRs
+		sent, got := 0, 0
+		for got < n {
+			for sent < n {
+				a := (next+mem.Addr(sent/perLine))*mem.LineWords + mem.Addr(sent%perLine)
+				if !b.Accept(now, mem.Request{ID: uint64(sent), Kind: mem.Read, Addr: a}) {
+					break
+				}
+				sent++
+			}
+			b.Tick(now)
+			d.Tick(now)
+			for r, ok := d.PopResponse(now); ok; r, ok = d.PopResponse(now) {
+				b.Fill(now, r.Line, r.Data)
+			}
+			for _, ok := b.PopResponse(now); ok; _, ok = b.PopResponse(now) {
+				got++
+			}
+			now++
+			if now > 1_000_000 {
+				t.Fatalf("round at line %d did not finish", next)
+			}
+		}
+		next += mem.Addr(cfg.MSHRs)
+	}
+	// Sixteen rounds install 64 lines into the bank's 32 ways.
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("a round of %d misses allocates %.1f times", cfg.MSHRs, allocs)
+	}
+	if st := b.Stats(); st.MergedMiss == 0 || st.Evictions == 0 {
+		t.Fatalf("the stream did not merge and evict: %+v", st)
+	}
+}

@@ -172,8 +172,11 @@ type Response struct {
 	Node int
 }
 
-// pageWords is the granularity of the sparse backing store.
-const pageWords = 4096
+// pageWords is the granularity of the sparse backing store: eight cache
+// lines, 512 bytes. A run that writes scattered lines (a cache flush after a
+// histogram over a wide range) opens one small page per line it writes, and
+// a range read still takes one map lookup per page.
+const pageWords = 64
 
 // Store is the functional backing state of a memory: a sparse, word-granular
 // image of the address space. It has no timing; timing models (DRAM, cache)

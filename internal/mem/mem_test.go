@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,32 @@ func TestStoreSparsePages(t *testing.T) {
 		if s.Load(a) != Word(i+1) {
 			t.Errorf("addr %d: got %d", a, s.Load(a))
 		}
+	}
+}
+
+// TestStoreScatteredLinesFootprint: a flush of scattered lines allocates in
+// proportion to the lines it writes, not to the range they span. 4,096
+// lines at random over 4M words (Fig 7's widest histogram) open at most
+// 4,096 pages of 512 bytes, about 2 MiB with the map; 4,096-word pages
+// allocated about 32 MiB.
+func TestStoreScatteredLinesFootprint(t *testing.T) {
+	const lines, span = 4096, 1 << 22
+	addrs := make([]Addr, lines)
+	x := uint64(0x5ca77e7)
+	for i := range addrs {
+		x = x*6364136223846793005 + 1442695040888963407
+		addrs[i] = Addr(x>>32) % span
+	}
+	var line [LineWords]Word
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	for _, a := range addrs {
+		s.StoreLine(a, &line)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("%d scattered StoreLine calls allocated %d bytes, want under 4 MiB", lines, got)
 	}
 }
 

@@ -25,24 +25,32 @@ func hotConfig(nodes int, span mem.Addr, topo Topology) Config {
 }
 
 // activityRun is everything a replay exposes: its Result, counters (with
-// every histogram bucket), span report, and final memory.
+// every histogram bucket), span report, final memory, and the nodes whose
+// memory side was built by the end of RunTrace.
 type activityRun struct {
-	res  Result
-	snap interface{}
-	rep  span.Report
-	mem  []mem.Word
+	res   Result
+	snap  interface{}
+	rep   span.Report
+	mem   []mem.Word
+	built []int
 }
 
-func replayHot(cfg Config, refs []Ref, rng int) activityRun {
+// replayHot replays refs on a new system, with every node's memory side
+// built up front when eager is set.
+func replayHot(cfg Config, refs []Ref, rng int, eager bool) activityRun {
 	s := New(cfg, mem.AddI64)
+	if eager {
+		s.buildAll()
+	}
 	tr := span.New(4)
 	s.SetSpanTracer(tr)
 	res := s.RunTrace(refs)
+	built := s.built()
 	addrs := make([]mem.Addr, rng)
 	for i := range addrs {
 		addrs[i] = mem.Addr(i)
 	}
-	return activityRun{res: res, snap: s.StatsSnapshot(), rep: span.Aggregate(tr.Ops()), mem: s.ReadResult(addrs)}
+	return activityRun{res: res, snap: s.StatsSnapshot(), rep: span.Aggregate(tr.Ops()), mem: s.ReadResult(addrs), built: built}
 }
 
 // TestActivityMatchesLegacy: fast-forward stepping must equal per-cycle
@@ -112,9 +120,9 @@ func TestActivityMatchesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			ff := replayHot(cfg, tc.refs, tc.rng)
+			ff := replayHot(cfg, tc.refs, tc.rng, false)
 			cfg.LegacyStepping = true
-			legacy := replayHot(cfg, tc.refs, tc.rng)
+			legacy := replayHot(cfg, tc.refs, tc.rng, false)
 			if ff.res != legacy.res {
 				t.Fatalf("FF result %+v != legacy %+v", ff.res, legacy.res)
 			}
@@ -223,7 +231,7 @@ func TestVerify(t *testing.T) {
 		t.Fatalf("clean replay failed verification: %v", err)
 	}
 	const bad = mem.Addr(200)
-	st := s.nodes[s.owner(bad)].dram.Store()
+	st := s.nodes[s.owner(bad)].mem.dram.Store()
 	st.StoreI64(bad, st.LoadI64(bad)+1)
 	err := s.Verify(refs)
 	if err == nil || !strings.Contains(err.Error(), "address 200") {
@@ -242,7 +250,7 @@ func TestVerify(t *testing.T) {
 		t.Fatalf("clean gapped replay failed verification: %v", err)
 	}
 	const hole = mem.Addr(131)
-	st = s.nodes[s.owner(hole)].dram.Store()
+	st = s.nodes[s.owner(hole)].mem.dram.Store()
 	st.StoreI64(hole, 7)
 	err = s.Verify(even)
 	if err == nil || !strings.Contains(err.Error(), "address 131 = 7, want 0") {
@@ -298,7 +306,7 @@ func TestVerifyFloatTolerance(t *testing.T) {
 	if err := s.Verify(refs); err != nil {
 		t.Fatalf("clean float replay failed verification: %v", err)
 	}
-	st := s.nodes[0].dram.Store()
+	st := s.nodes[0].mem.dram.Store()
 	st.StoreF64(3, st.LoadF64(3)*(1+1e-6))
 	if err := s.Verify(refs); err == nil {
 		t.Fatal("a 1e-6 relative error passed verification")

@@ -30,7 +30,6 @@
 package multinode
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -122,19 +121,17 @@ func DefaultConfig(nodes int, wordsPerCyc int, span mem.Addr) Config {
 
 // node is one participant.
 type node struct {
-	id    int
-	sas   []*saunit.Unit
-	banks []*cache.Bank
-	dram  *dram.DRAM
-	comb  []*cache.Bank    // CombineLocal banks (combining mode only)
-	cl    *cluster.Cluster // steps sas, banks, comb and dram
+	id int
+
+	// mem is the node's memory side, nil until the node first touches it
+	// (see System.touch). A node that only sends remote references never
+	// builds one.
+	mem *memory
 
 	// The node's share of the trace is refs[id+k*Nodes] for k < share, read
 	// in place from the replayed slice; issued counts the ones sent.
 	share  int
 	issued int
-	inbox  *sim.Queue[mem.Request] // staged network arrivals
-	outbox *sim.Queue[mem.Request] // sum-backs and remote requests awaiting the network
 
 	// Reliable link layer (active only with network faults injected; fault
 	// free, Seq stays zero and no acks exist): data packets carry a link
@@ -160,6 +157,19 @@ type node struct {
 
 // acksPending returns the acks queued and not yet sent.
 func (n *node) acksPending() int { return len(n.ackbox) - n.ackHead }
+
+// memory is a node's memory side: its scatter-add units, cache banks,
+// combining banks and DRAM, the cluster that steps them, and the queues
+// between them and the network.
+type memory struct {
+	sas    []*saunit.Unit
+	banks  []*cache.Bank
+	dram   *dram.DRAM
+	comb   []*cache.Bank           // CombineLocal banks (combining mode only)
+	cl     *cluster.Cluster        // steps sas, banks, comb and dram
+	inbox  *sim.Queue[mem.Request] // staged network arrivals
+	outbox *sim.Queue[mem.Request] // sum-backs and remote requests awaiting the network
+}
 
 // Result reports a trace replay.
 type Result struct {
@@ -238,7 +248,9 @@ type System struct {
 	retries   stats.Histogram // transmissions needed per acked frame (0 = first try)
 }
 
-// New constructs the system for traces of the given combine kind.
+// New constructs the system for traces of the given combine kind. It builds
+// the fabric and the nodes' link state; each node's memory side is built at
+// its first touch.
 func New(cfg Config, kind mem.Kind) *System {
 	if cfg.Nodes < 1 || cfg.OwnerSpan < 1 || cfg.IssueRate < 1 {
 		panic(fmt.Sprintf("multinode: invalid config %+v", cfg))
@@ -278,46 +290,77 @@ func New(cfg Config, kind mem.Kind) *System {
 		s.xbar.SetFaults(s.flt, "mn")
 		s.retries = stats.NewHistogram(s.flt.MaxRetries + 1)
 	}
-	for id := 0; id < cfg.Nodes; id++ {
-		n := &node{
-			id:     id,
-			dram:   dram.New(cfg.DRAM),
-			inbox:  sim.NewQueue[mem.Request](64),
-			outbox: sim.NewQueue[mem.Request](64),
-		}
-		if injecting {
-			n.dram.SetFaults(s.flt, fmt.Sprintf("n%d", id))
-		}
+	nodes := make([]node, cfg.Nodes)
+	s.nodes = make([]*node, cfg.Nodes)
+	for id := range nodes {
+		n := &nodes[id]
+		n.id = id
 		if s.reliable {
 			n.seen = make(map[uint64]struct{})
 		}
-		for b := 0; b < cfg.Cache.Banks; b++ {
-			bank := cache.NewBank(cfg.Cache, b, n.dram, cache.Normal)
-			n.banks = append(n.banks, bank)
-			n.sas = append(n.sas, saunit.New(cfg.SA, bank))
-			if injecting {
-				bank.SetFaults(s.flt, fmt.Sprintf("n%d.b%d", id, b))
-				n.sas[b].SetFaults(s.flt, fmt.Sprintf("n%d.b%d", id, b))
-			}
-			if topo.CombineCache {
-				cb := cache.NewBank(cfg.Cache, b, nil, cache.CombineLocal)
-				cb.SetZeroKind(kind)
-				if injecting {
-					cb.SetFaults(s.flt, fmt.Sprintf("n%d.c%d", id, b))
-				}
-				n.comb = append(n.comb, cb)
-			}
-		}
-		n.cl = cluster.New(n.sas, n.banks, n.comb, n.dram, nil, s.ff)
-		s.nodes = append(s.nodes, n)
+		s.nodes[id] = n
 	}
 	return s
+}
+
+// touch returns node n's memory side, building it at the node's first
+// touch: its first local reference, its first data packet received or its
+// first combining-bank use. Until then the node's memory is an idle one
+// that nothing has reached, and building it late is exact: its fault
+// streams are keyed by component name and event index, DRAM outage windows
+// are a stateless schedule of the cycle, a new stats.Level counts level-0
+// samples from cycle 0, and the idle Tick its cluster first runs changes
+// nothing.
+func (s *System) touch(n *node) *memory {
+	if n.mem == nil {
+		n.mem = s.newMemory(n.id)
+	}
+	return n.mem
+}
+
+// newMemory builds node id's memory side, with the fault injectors and the
+// span tracer the system has installed.
+func (s *System) newMemory(id int) *memory {
+	cfg := s.cfg
+	injecting := cfg.Faults.Enabled()
+	m := &memory{
+		dram:   dram.New(cfg.DRAM),
+		inbox:  sim.NewQueue[mem.Request](64),
+		outbox: sim.NewQueue[mem.Request](64),
+	}
+	if injecting {
+		m.dram.SetFaults(s.flt, fmt.Sprintf("n%d", id))
+	}
+	for b := 0; b < cfg.Cache.Banks; b++ {
+		bank := cache.NewBank(cfg.Cache, b, m.dram, cache.Normal)
+		m.banks = append(m.banks, bank)
+		m.sas = append(m.sas, saunit.New(cfg.SA, bank))
+		if injecting {
+			bank.SetFaults(s.flt, fmt.Sprintf("n%d.b%d", id, b))
+			m.sas[b].SetFaults(s.flt, fmt.Sprintf("n%d.b%d", id, b))
+		}
+		if s.topo.CombineCache {
+			cb := cache.NewBank(cfg.Cache, b, nil, cache.CombineLocal)
+			cb.SetZeroKind(s.kind)
+			if injecting {
+				cb.SetFaults(s.flt, fmt.Sprintf("n%d.c%d", id, b))
+			}
+			m.comb = append(m.comb, cb)
+		}
+	}
+	m.cl = cluster.New(m.sas, m.banks, m.comb, m.dram, nil, s.ff)
+	if s.tr != nil {
+		m.setSpanTracer(s.tr, id)
+	}
+	return m
 }
 
 // StatsSnapshot returns the current values of every performance counter in
 // the system: the link layer's under fault injection, the fabric's, and each
 // node's DRAM, cache, combining and scatter-add groups, read through their
-// types' descriptors under the instance names formatted here.
+// types' descriptors under the instance names formatted here. A node not yet
+// touched is built here, so it reads as the idle node it stands for: zero
+// counts, and one level-0 occupancy sample per cycle.
 func (s *System) StatsSnapshot() stats.Snapshot {
 	var es []stats.Entry
 	if s.cfg.Faults.Enabled() {
@@ -330,13 +373,14 @@ func (s *System) StatsSnapshot() stats.Snapshot {
 		es = stats.Append(es, "net", network.MultiHopMetrics, f)
 	}
 	for _, n := range s.nodes {
-		n.cl.FlushStats(s.now)
-		es = stats.Append(es, fmt.Sprintf("dram[%d]", n.id), dram.Metrics, n.dram)
-		for b := range n.banks {
-			es = stats.Append(es, fmt.Sprintf("cache[%d.%d]", n.id, b), cache.Metrics, n.banks[b])
-			es = stats.Append(es, fmt.Sprintf("saunit[%d.%d]", n.id, b), saunit.Metrics, n.sas[b])
+		m := s.touch(n)
+		m.cl.FlushStats(s.now)
+		es = stats.Append(es, fmt.Sprintf("dram[%d]", n.id), dram.Metrics, m.dram)
+		for b := range m.banks {
+			es = stats.Append(es, fmt.Sprintf("cache[%d.%d]", n.id, b), cache.Metrics, m.banks[b])
+			es = stats.Append(es, fmt.Sprintf("saunit[%d.%d]", n.id, b), saunit.Metrics, m.sas[b])
 		}
-		for b, cb := range n.comb {
+		for b, cb := range m.comb {
 			es = stats.Append(es, fmt.Sprintf("comb[%d.%d]", n.id, b), cache.Metrics, cb)
 		}
 	}
@@ -345,20 +389,28 @@ func (s *System) StatsSnapshot() stats.Snapshot {
 
 // SetSpanTracer installs a request-lifecycle tracer across the whole system:
 // the crossbar plus every node's DRAM, cache banks, scatter-add units, and
-// (in combining mode) combining banks, each on a node-qualified track. A nil
-// tracer disables tracing.
+// (in combining mode) combining banks, each on a node-qualified track. A
+// node's memory side built later gets the tracer at its build. A nil tracer
+// disables tracing.
 func (s *System) SetSpanTracer(tr *span.Tracer) {
 	s.tr = tr
 	s.xbar.SetSpanTracer(tr)
 	for _, n := range s.nodes {
-		n.dram.SetSpanTracer(tr, fmt.Sprintf("dram[%d]", n.id))
-		for b := range n.banks {
-			n.banks[b].SetSpanTracer(tr, fmt.Sprintf("cache[%d.%d]", n.id, b))
-			n.sas[b].SetSpanTracer(tr, fmt.Sprintf("saunit[%d.%d]", n.id, b))
+		if n.mem != nil {
+			n.mem.setSpanTracer(tr, n.id)
 		}
-		for b := range n.comb {
-			n.comb[b].SetSpanTracer(tr, fmt.Sprintf("comb[%d.%d]", n.id, b))
-		}
+	}
+}
+
+// setSpanTracer installs tr on node id's memory components.
+func (m *memory) setSpanTracer(tr *span.Tracer, id int) {
+	m.dram.SetSpanTracer(tr, fmt.Sprintf("dram[%d]", id))
+	for b := range m.banks {
+		m.banks[b].SetSpanTracer(tr, fmt.Sprintf("cache[%d.%d]", id, b))
+		m.sas[b].SetSpanTracer(tr, fmt.Sprintf("saunit[%d.%d]", id, b))
+	}
+	for b := range m.comb {
+		m.comb[b].SetSpanTracer(tr, fmt.Sprintf("comb[%d.%d]", id, b))
 	}
 }
 
@@ -374,17 +426,17 @@ func (s *System) owner(a mem.Addr) int {
 	return o
 }
 
-// localUnit returns node n's scatter-add unit for address a.
-func (n *node) localUnit(a mem.Addr) *saunit.Unit {
-	return n.sas[cache.BankOf(a.Line(), len(n.banks))]
+// localUnit returns the node's scatter-add unit for address a.
+func (m *memory) localUnit(a mem.Addr) *saunit.Unit {
+	return m.sas[cache.BankOf(a.Line(), len(m.banks))]
 }
 
 // hypercube reports whether sum-backs route along hypercube dimensions.
 func (s *System) hypercube() bool { return s.topo.Kind == TopoHypercube }
 
-// combBank returns node n's combining bank for address a.
-func (n *node) combBank(a mem.Addr) *cache.Bank {
-	return n.comb[cache.BankOf(a.Line(), len(n.comb))]
+// combBank returns the node's combining bank for address a.
+func (m *memory) combBank(a mem.Addr) *cache.Bank {
+	return m.comb[cache.BankOf(a.Line(), len(m.comb))]
 }
 
 // RunTrace partitions refs round-robin over the nodes, replays them, and
@@ -430,15 +482,21 @@ func (s *System) RunTrace(refs []Ref) Result {
 		if s.hypercube() {
 			rounds = log2(s.cfg.Nodes)
 		}
+		// An untouched node's combining banks hold nothing to flush.
 		for r := 0; r < rounds; r++ {
 			for _, n := range s.nodes {
-				n.cl.StartFlush(s.now)
+				if n.mem != nil {
+					n.mem.cl.StartFlush(s.now)
+				}
 			}
 			runPhase()
 		}
 		// Every partial sum must have reached its owner by now.
 		for _, n := range s.nodes {
-			for _, cb := range n.comb {
+			if n.mem == nil {
+				continue
+			}
+			for _, cb := range n.mem.comb {
 				if left := cb.ResidentPartialLines(); len(left) > 0 {
 					panic(fmt.Sprintf("multinode: node %d retains %d partial lines after %d flush rounds",
 						n.id, len(left), rounds))
@@ -453,10 +511,13 @@ func (s *System) RunTrace(refs []Ref) Result {
 		NetStats: s.xbar.Stats(),
 	}
 	for _, n := range s.nodes {
-		for _, u := range n.sas {
+		if n.mem == nil {
+			continue
+		}
+		for _, u := range n.mem.sas {
 			res.SAReads += u.Stats().MemReads
 		}
-		for _, cb := range n.comb {
+		for _, cb := range n.mem.comb {
 			res.SumBacks += cb.Stats().SumBacks
 		}
 		if n.degraded {
@@ -512,9 +573,11 @@ func (s *System) nodeMin() uint64 {
 // nodeNextEvent returns the earliest cycle at which one node can do work:
 // now while it has requests to issue, arrivals or sends staged, or evicted
 // lines to turn into sum-backs; otherwise its earliest resend deadline or
-// its cluster's earliest due component.
+// its cluster's earliest due component. An untouched node's memory has no
+// event.
 func (s *System) nodeNextEvent(n *node) uint64 {
-	if n.issued < n.share || !n.inbox.Empty() || !n.outbox.Empty() || n.cl.Evicting() {
+	m := n.mem
+	if n.issued < n.share || m != nil && (!m.inbox.Empty() || !m.outbox.Empty() || m.cl.Evicting()) {
 		return s.now
 	}
 	ev := sim.Never
@@ -525,7 +588,10 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 		// Unacked packets wake the system at their resend deadlines.
 		ev = n.unacked.NextDeadline()
 	}
-	return min(ev, n.cl.NextEvent(s.now))
+	if m != nil {
+		ev = min(ev, m.cl.NextEvent(s.now))
+	}
+	return ev
 }
 
 // skipTo jumps the clock to cycle h. An idle cycle changes no node, so the
@@ -639,9 +705,10 @@ func (s *System) stepNodeExchange(n *node) {
 	// data-plane back-pressure would deadlock the link (the sender resends
 	// into the congestion the unread acks would clear). Data packets wait
 	// for inbox room, which drains through the scatter-add pipeline
-	// independently of the network.
+	// independently of the network; the first one a node receives builds
+	// its memory side.
 	for {
-		if h := s.xbar.Peek(n.id); h == nil || !h.Ack && n.inbox.Full() {
+		if h := s.xbar.Peek(n.id); h == nil || !h.Ack && s.touch(n).inbox.Full() {
 			break
 		}
 		p, _ := s.xbar.Recv(n.id)
@@ -664,35 +731,37 @@ func (s *System) stepNodeExchange(n *node) {
 			}
 			n.seen[p.Seq] = struct{}{}
 		}
-		n.inbox.MustPush(p.Req)
+		n.mem.inbox.MustPush(p.Req)
 	}
 	// Inject staged arrivals: owned addresses go to the local scatter-add
 	// path; in hierarchical combining, in-transit partials for other owners
 	// merge into this hop's combining cache.
-	for {
-		p := n.inbox.Peek()
-		if p == nil {
-			break
-		}
-		r := *p
-		if s.owner(r.Addr) == n.id {
-			u := n.localUnit(r.Addr)
-			if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
+	if m := n.mem; m != nil {
+		for {
+			p := m.inbox.Peek()
+			if p == nil {
 				break
 			}
-			// Remote request reached its owner: back in a bank queue.
-			s.tr.OpStage(r.Node, r.ID, span.StageBankQ, s.now)
-		} else {
-			if !s.hypercube() {
-				panic(fmt.Sprintf("multinode: node %d received request for node %d without hierarchy",
-					n.id, s.owner(r.Addr)))
+			r := *p
+			if s.owner(r.Addr) == n.id {
+				u := m.localUnit(r.Addr)
+				if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
+					break
+				}
+				// Remote request reached its owner: back in a bank queue.
+				s.tr.OpStage(r.Node, r.ID, span.StageBankQ, s.now)
+			} else {
+				if !s.hypercube() {
+					panic(fmt.Sprintf("multinode: node %d received request for node %d without hierarchy",
+						n.id, s.owner(r.Addr)))
+				}
+				cb := m.combBank(r.Addr)
+				if !cb.CanAccept(s.now) || !cb.Accept(s.now, r) {
+					break
+				}
 			}
-			cb := n.combBank(r.Addr)
-			if !cb.CanAccept(s.now) || !cb.Accept(s.now, r) {
-				break
-			}
+			m.inbox.Pop()
 		}
-		n.inbox.Pop()
 	}
 	// Issue this node's trace share.
 	for k := 0; k < s.cfg.IssueRate && n.issued < n.share; k++ {
@@ -719,13 +788,15 @@ func (s *System) stepNodeExchange(n *node) {
 	}
 	// Convert evicted partial lines into sum-back requests (a whole line
 	// needs LineWords outbox slots).
-	for i := 0; i < len(n.comb) && n.cl.Evicting(); i++ {
-		for n.outbox.Cap()-n.outbox.Len() >= mem.LineWords {
-			ev, ok := n.cl.PopEvict(i, s.now)
-			if !ok {
-				break
+	if m := n.mem; m != nil {
+		for i := 0; i < len(m.comb) && m.cl.Evicting(); i++ {
+			for m.outbox.Cap()-m.outbox.Len() >= mem.LineWords {
+				ev, ok := m.cl.PopEvict(i, s.now)
+				if !ok {
+					break
+				}
+				s.queueSumBack(n, ev)
 			}
-			s.queueSumBack(n, ev)
 		}
 	}
 	// Reliable link maintenance: acks leave first (a starved ack path would
@@ -749,38 +820,45 @@ func (s *System) stepNodeExchange(n *node) {
 		s.link.Retransmits += uint64(n.unacked.Resend(s.now, &s.flt, s.xbar.Send))
 	}
 	// Drain the outbox into the network (or locally, for own addresses).
-	for {
-		p := n.outbox.Peek()
-		if p == nil {
-			break
-		}
-		r := *p
-		dst := s.sumBackDst(n.id, r.Addr)
-		if dst == n.id {
-			u := n.localUnit(r.Addr)
-			if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
+	if m := n.mem; m != nil {
+		for {
+			p := m.outbox.Peek()
+			if p == nil {
 				break
 			}
-		} else {
-			if !s.sendRemote(n, dst, r) {
-				break
+			r := *p
+			dst := s.sumBackDst(n.id, r.Addr)
+			if dst == n.id {
+				u := m.localUnit(r.Addr)
+				if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
+					break
+				}
+			} else {
+				if !s.sendRemote(n, dst, r) {
+					break
+				}
 			}
+			m.outbox.Pop()
 		}
-		n.outbox.Pop()
 	}
 }
 
 // stepNodeCompute is the node-local half of a node's cycle: ticking the
 // node's memory cluster (under fast-forward, only its due components) and
-// discarding unit responses, which a trace replay never waits for.
+// discarding unit responses, which a trace replay never waits for. An
+// untouched node's memory is idle, so its half is a no-op.
 func (s *System) stepNodeCompute(n *node) {
-	n.cl.Tick(s.now)
+	m := n.mem
+	if m == nil {
+		return
+	}
+	m.cl.Tick(s.now)
 	// The degradation check follows the combining banks' turn: a scrub that
 	// crosses the threshold happens in a combining bank's tick, which the
 	// DRAM's tick and the fills after it in the cluster neither read nor
 	// change, and the flush it starts steps from the next cycle on.
-	s.checkDegrade(n)
-	n.cl.PopResponses(s.now, discardResponse)
+	s.checkDegrade(n, m)
+	m.cl.PopResponses(s.now, discardResponse)
 }
 
 // discardResponse drops a unit response.
@@ -791,12 +869,12 @@ func discardResponse(mem.Response) {}
 func (s *System) routeRequest(n *node, req mem.Request) bool {
 	dst := s.owner(req.Addr)
 	if dst == n.id {
-		u := n.localUnit(req.Addr)
+		u := s.touch(n).localUnit(req.Addr)
 		return u.CanAccept(s.now) && u.Accept(s.now, req)
 	}
 	if s.topo.CombineCache && !n.degraded {
 		// Local phase: combine into the node's own cache.
-		cb := n.combBank(req.Addr)
+		cb := s.touch(n).combBank(req.Addr)
 		return cb.CanAccept(s.now) && cb.Accept(s.now, req)
 	}
 	return s.sendRemote(n, dst, req)
@@ -831,16 +909,17 @@ func (s *System) sendRemote(n *node, dst int, req mem.Request) bool {
 	return true
 }
 
-// checkDegrade falls a node back from combining to direct once its
-// combining banks have scrubbed DegradeThreshold parity faults — the store
-// is deemed unreliable: resident partials flush out to their owners and
-// every subsequent remote reference crosses the network directly.
-func (s *System) checkDegrade(n *node) {
-	if n.degraded || s.degradeAt == 0 || len(n.comb) == 0 {
+// checkDegrade falls node n, with memory side m, back from combining to
+// direct once its combining banks have scrubbed DegradeThreshold parity
+// faults — the store is deemed unreliable: resident partials flush out to
+// their owners and every subsequent remote reference crosses the network
+// directly.
+func (s *System) checkDegrade(n *node, m *memory) {
+	if n.degraded || s.degradeAt == 0 || len(m.comb) == 0 {
 		return
 	}
 	var faults uint64
-	for _, cb := range n.comb {
+	for _, cb := range m.comb {
 		faults += cb.FaultCount()
 	}
 	if faults < s.degradeAt {
@@ -848,7 +927,7 @@ func (s *System) checkDegrade(n *node) {
 	}
 	n.degraded = true
 	s.link.Degraded++
-	n.cl.StartFlush(s.now)
+	m.cl.StartFlush(s.now)
 }
 
 // queueSumBack turns an evicted partial line into per-word scatter-add
@@ -859,7 +938,7 @@ func (s *System) queueSumBack(n *node, ev cache.EvictedLine) {
 	for i := 0; i < mem.LineWords; i++ {
 		id := sumBackTag | s.sumBackSeq
 		s.sumBackSeq++
-		n.outbox.MustPush(mem.Request{
+		n.mem.outbox.MustPush(mem.Request{
 			ID: id, Kind: ev.Kind, Addr: ev.Line + mem.Addr(i), Val: ev.Data[i], Node: n.id,
 		})
 	}
@@ -904,15 +983,16 @@ func (s *System) done() bool {
 }
 
 // nodeBusy reports whether node n holds unfinished work of the current
-// phase.
+// phase. An untouched node's memory holds none.
 func (s *System) nodeBusy(n *node) bool {
-	if n.issued < n.share || !n.inbox.Empty() || !n.outbox.Empty() {
+	if n.issued < n.share {
 		return true
 	}
 	if s.reliable && (n.unacked.Len() > 0 || n.acksPending() > 0) {
 		return true
 	}
-	return n.cl.Busy()
+	m := n.mem
+	return m != nil && (!m.inbox.Empty() || !m.outbox.Empty() || m.cl.Busy())
 }
 
 // Verify checks the memory left by RunTrace(refs) against the sequential
@@ -924,18 +1004,33 @@ func (s *System) nodeBusy(n *node) bool {
 // only, and the memory is read back one page at a time, so a sparse trace
 // over a wide range costs memory in proportion to its length.
 func (s *System) Verify(refs []Ref) error {
-	// Fold the references into sorted (address, value) pairs; the stable
-	// sort keeps each address's references in trace order.
-	want := make([]Ref, len(refs))
-	copy(want, refs)
-	slices.SortStableFunc(want, func(a, b Ref) int { return cmp.Compare(a.Addr, b.Addr) })
+	// Fold the references into sorted (address, value) pairs. Sorting on
+	// (address, trace index) keeps each address's references in trace order,
+	// as a stable sort on the address would, at the cost of an unstable one.
+	type indexed struct {
+		Ref
+		i int
+	}
+	want := make([]indexed, len(refs))
+	for i, r := range refs {
+		want[i] = indexed{r, i}
+	}
+	slices.SortFunc(want, func(a, b indexed) int {
+		switch {
+		case a.Addr < b.Addr:
+			return -1
+		case a.Addr > b.Addr:
+			return 1
+		}
+		return a.i - b.i
+	})
 	n := 0
 	for i := 0; i < len(want); n++ {
 		acc := Ref{Addr: want[i].Addr}
 		for ; i < len(want) && want[i].Addr == acc.Addr; i++ {
 			acc.Val = mem.Combine(s.kind, acc.Val, want[i].Val)
 		}
-		want[n] = acc
+		want[n] = indexed{Ref: acc}
 	}
 	want = want[:n]
 	var span mem.Addr
@@ -992,23 +1087,31 @@ func (s *System) ReadResult(addrs []mem.Addr) []mem.Word {
 	return out
 }
 
-// flushResult writes every node's dirty cache lines to its memory
+// flushResult writes every touched node's dirty cache lines to its memory
 // functionally, so the stores hold the final values.
 func (s *System) flushResult() {
 	for _, n := range s.nodes {
-		for _, b := range n.banks {
+		if n.mem == nil {
+			continue
+		}
+		for _, b := range n.mem.banks {
 			b.FlushFunctional(s.now)
 		}
 	}
 }
 
 // readRange reads the consecutive addresses from a into dst from their
-// owners' stores, one LoadRange per owner block the range crosses.
+// owners' stores, one LoadRange per owner block the range crosses. An
+// untouched owner's store reads 0.
 func (s *System) readRange(a mem.Addr, dst []mem.Word) {
 	for len(dst) > 0 {
 		own := s.owner(a)
 		k := min(mem.Addr(len(dst)), mem.Addr(own+1)*s.cfg.OwnerSpan-a)
-		s.nodes[own].dram.Store().LoadRange(a, dst[:k])
+		if m := s.nodes[own].mem; m != nil {
+			m.dram.Store().LoadRange(a, dst[:k])
+		} else {
+			clear(dst[:k])
+		}
 		a, dst = a+k, dst[k:]
 	}
 }
