@@ -237,27 +237,31 @@ func TestStoreSlices(t *testing.T) {
 // page boundaries, over unwritten pages and for empty ranges.
 func TestStoreRangeReadsMatchLoad(t *testing.T) {
 	s := NewStore()
-	// Page 0 partly written, page 1 unwritten, page 2 fully written, page 3
-	// written only in its first word.
-	for a := Addr(10); a < 100; a++ {
+	// Page 0 written from word 10 to two words before its end, page 1
+	// unwritten, page 2 fully written, page 3 written only in its first word.
+	for a := Addr(10); a < pageWords-2; a++ {
 		s.StoreWord(a, Word(a)*3+1)
 	}
 	for a := Addr(2 * pageWords); a < 3*pageWords; a++ {
 		s.StoreWord(a, Word(a)^0xF0F0)
 	}
 	s.StoreF64(3*pageWords, -2.5)
+	if len(s.pages) != 3 {
+		t.Fatalf("layout opened %d pages, want 3 (page 1 unwritten)", len(s.pages))
+	}
 	cases := []struct {
 		name string
 		base Addr
 		n    int
 	}{
-		{"empty", 50, 0},
-		{"inside one page", 5, 120},
-		{"unwritten page", pageWords + 7, 300},
+		{"empty", pageWords / 2, 0},
+		{"inside one page", 5, pageWords - 20},
+		{"inside an unwritten page", pageWords + 7, pageWords / 2},
 		{"ends at a page boundary", 2*pageWords - 16, 16},
 		{"starts at a page boundary", 2 * pageWords, 9},
-		{"crosses written into unwritten", 90, pageWords},
+		{"crosses written into unwritten", pageWords - 10, 20},
 		{"crosses unwritten into written", 2*pageWords - 5, 10},
+		{"crosses an unwritten page", pageWords - 4, pageWords + 8},
 		{"spans four pages", 3, 3*pageWords + 2},
 	}
 	for _, tc := range cases {

@@ -26,7 +26,7 @@ func hotConfig(nodes int, span mem.Addr, topo Topology) Config {
 
 // activityRun is everything a replay exposes: its Result, counters (with
 // every histogram bucket), span report, final memory, and the nodes whose
-// memory side was built by the end of RunTrace.
+// memory side was built once all of those were read.
 type activityRun struct {
 	res   Result
 	snap  interface{}
@@ -45,12 +45,13 @@ func replayHot(cfg Config, refs []Ref, rng int, eager bool) activityRun {
 	tr := span.New(4)
 	s.SetSpanTracer(tr)
 	res := s.RunTrace(refs)
-	built := s.built()
 	addrs := make([]mem.Addr, rng)
 	for i := range addrs {
 		addrs[i] = mem.Addr(i)
 	}
-	return activityRun{res: res, snap: s.StatsSnapshot(), rep: span.Aggregate(tr.Ops()), mem: s.ReadResult(addrs), built: built}
+	run := activityRun{res: res, snap: s.StatsSnapshot(), rep: span.Aggregate(tr.Ops()), mem: s.ReadResult(addrs)}
+	run.built = s.built()
+	return run
 }
 
 // TestActivityMatchesLegacy: fast-forward stepping must equal per-cycle

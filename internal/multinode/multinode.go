@@ -30,6 +30,7 @@
 package multinode
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -187,7 +188,9 @@ type Result struct {
 	Degraded    int    // nodes that fell back from combining to direct
 }
 
-// AddsPerCycle returns achieved scatter-add throughput.
+// AddsPerCycle returns achieved scatter-add throughput. An empty replay
+// takes no cycles in any mode, so its throughput is undefined (NaN), as is
+// its GBps.
 func (r Result) AddsPerCycle() float64 { return float64(r.Adds) / float64(r.Cycles) }
 
 // GBps returns the paper's Figure 13 metric: 8-byte additions per 1 GHz
@@ -358,9 +361,10 @@ func (s *System) newMemory(id int) *memory {
 // StatsSnapshot returns the current values of every performance counter in
 // the system: the link layer's under fault injection, the fabric's, and each
 // node's DRAM, cache, combining and scatter-add groups, read through their
-// types' descriptors under the instance names formatted here. A node not yet
-// touched is built here, so it reads as the idle node it stands for: zero
-// counts, and one level-0 occupancy sample per cycle.
+// types' descriptors under the instance names formatted here. Every node not
+// yet touched prints one idle memory side built here and kept nowhere, so it
+// reads as the idle node it stands for: zero counts, and one level-0
+// occupancy sample per cycle.
 func (s *System) StatsSnapshot() stats.Snapshot {
 	var es []stats.Entry
 	if s.cfg.Faults.Enabled() {
@@ -372,9 +376,18 @@ func (s *System) StatsSnapshot() stats.Snapshot {
 	case *network.MultiHop:
 		es = stats.Append(es, "net", network.MultiHopMetrics, f)
 	}
+	var idle *memory // printed for every untouched node
 	for _, n := range s.nodes {
-		m := s.touch(n)
-		m.cl.FlushStats(s.now)
+		m := n.mem
+		if m == nil {
+			if idle == nil {
+				idle = s.newMemory(n.id)
+				idle.cl.FlushStats(s.now)
+			}
+			m = idle
+		} else {
+			m.cl.FlushStats(s.now)
+		}
 		es = stats.Append(es, fmt.Sprintf("dram[%d]", n.id), dram.Metrics, m.dram)
 		for b := range m.banks {
 			es = stats.Append(es, fmt.Sprintf("cache[%d.%d]", n.id, b), cache.Metrics, m.banks[b])
@@ -1016,13 +1029,7 @@ func (s *System) Verify(refs []Ref) error {
 		want[i] = indexed{r, i}
 	}
 	slices.SortFunc(want, func(a, b indexed) int {
-		switch {
-		case a.Addr < b.Addr:
-			return -1
-		case a.Addr > b.Addr:
-			return 1
-		}
-		return a.i - b.i
+		return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.i, b.i))
 	})
 	n := 0
 	for i := 0; i < len(want); n++ {

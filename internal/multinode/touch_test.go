@@ -18,7 +18,7 @@ import (
 // configuration (4,096 references over 256 bins on 1,024 trimmed nodes,
 // fan-in-4 tree with in-switch combining) exactly the 32 owner nodes build
 // memory, under fast-forward, under legacy stepping and under the default
-// chaos faults. On 256 nodes the end-to-end link layer of the flat crossbar
+// chaos faults, and the snapshot and readback build none. On 256 nodes the end-to-end link layer of the flat crossbar
 // acknowledges to senders that never build memory, and the combining modes
 // with a trace shorter than the node count leave nodes untouched through
 // the flush-with-sum-back rounds.
@@ -89,6 +89,33 @@ func TestFirstTouchMatchesEagerBuild(t *testing.T) {
 			}
 			if !reflect.DeepEqual(lazy.mem, eager.mem) {
 				t.Fatal("first-touch final memory diverges")
+			}
+		})
+	}
+}
+
+// TestEmptyTraceTakesNoCycles: an empty replay builds no node's memory and
+// takes no cycles in every mode, the combining modes' flush rounds
+// included, and its counter snapshot builds none either.
+func TestEmptyTraceTakesNoCycles(t *testing.T) {
+	for name, topo := range map[string]Topology{
+		"flat":       Flat(),
+		"flat+comb":  FlatCombining(),
+		"hypercube":  Hypercube(),
+		"tree4+comb": Tree(4, true),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(hotConfig(8, 64, topo), mem.AddI64)
+			res := s.RunTrace(nil)
+			if res.Cycles != 0 || res.Adds != 0 {
+				t.Fatalf("empty replay took %d cycles for %d adds, want 0 and 0", res.Cycles, res.Adds)
+			}
+			s.StatsSnapshot()
+			if err := s.Verify(nil); err != nil {
+				t.Fatal(err)
+			}
+			if b := s.built(); len(b) != 0 {
+				t.Fatalf("nodes %v built memory for an empty replay", b)
 			}
 		})
 	}
