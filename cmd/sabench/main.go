@@ -67,6 +67,10 @@ func main() {
 	spanRate := flag.Int("span-rate", 16, "sample 1 in N issued memory operations for -span-out")
 	profCfg := prof.Flags(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(*n, *rangeSize, *mol, *nodes, *topology, *fanin); err != nil {
+		fmt.Fprintf(os.Stderr, "sabench: %v\n", err)
+		os.Exit(2)
+	}
 
 	sess, err := prof.Start(*profCfg)
 	if err != nil {
@@ -98,6 +102,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sabench: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values that no run can use; main exits 2 on its
+// error. A multi-node topology must connect the node count.
+func checkFlags(n, rangeSize, mol, nodes int, topology string, fanin int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("-n %d invalid (want >= 0)", n)
+	case rangeSize < 1:
+		return fmt.Errorf("-range %d invalid (want >= 1)", rangeSize)
+	case mol < 1:
+		return fmt.Errorf("-mol %d invalid (want >= 1)", mol)
+	case nodes <= 1:
+		return nil
+	}
+	topo, err := multinode.ParseTopology(topology, fanin)
+	if err != nil {
+		return err
+	}
+	return multinode.CheckNodeCount(topo, nodes)
 }
 
 func run(app, variant string, n, rangeSize, batch, mol int, cutoff float64, seed uint64, traceOut string, sp spanOpts) error {

@@ -49,6 +49,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: satrace [flags] gen|summary|stats")
 		os.Exit(2)
 	}
+	if err := checkFlags(*n); err != nil {
+		fmt.Fprintf(os.Stderr, "satrace: %v\n", err)
+		os.Exit(2)
+	}
 	if *in != "" {
 		// The trace comes from the file; generation parameters are ignored.
 		flag.Visit(func(fl *flag.Flag) {
@@ -62,6 +66,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "satrace: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values that no run can use; main exits 2 on its
+// error.
+func checkFlags(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-n %d invalid (want >= 0)", n)
+	}
+	return nil
 }
 
 func run(cmd, wl string, n int, out, in string, gz bool, interval uint64, format string) error {

@@ -71,27 +71,9 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "scatteradd: -jobs %d invalid (want >= 1)\n", *jobs)
+	if err := checkFlags(*scale, *jobs, *spanRate, *faults, *fanin, *topology); err != nil {
+		fmt.Fprintf(os.Stderr, "scatteradd: %v\n", err)
 		os.Exit(2)
-	}
-	if *spanRate < 1 {
-		fmt.Fprintf(os.Stderr, "scatteradd: -span-rate %d invalid (want >= 1)\n", *spanRate)
-		os.Exit(2)
-	}
-	if !(*faults >= 0 && *faults <= 1) { // also rejects NaN
-		fmt.Fprintf(os.Stderr, "scatteradd: -faults %g invalid (want 0..1)\n", *faults)
-		os.Exit(2)
-	}
-	if *fanin != 0 && *fanin < 2 {
-		fmt.Fprintf(os.Stderr, "scatteradd: -fanin %d invalid (want 0 or >= 2)\n", *fanin)
-		os.Exit(2)
-	}
-	if *topology != "" {
-		if _, err := scatteradd.ParseTopology(*topology, *fanin); err != nil {
-			fmt.Fprintf(os.Stderr, "scatteradd: %v\n", err)
-			os.Exit(2)
-		}
 	}
 	var fc scatteradd.FaultConfig
 	if *faults > 0 {
@@ -126,6 +108,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scatteradd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values that no run can use; main exits 2 on its
+// error.
+func checkFlags(scale, jobs, spanRate int, faults float64, fanin int, topology string) error {
+	switch {
+	case scale < 1:
+		return fmt.Errorf("-scale %d invalid (want >= 1)", scale)
+	case jobs < 1:
+		return fmt.Errorf("-jobs %d invalid (want >= 1)", jobs)
+	case spanRate < 1:
+		return fmt.Errorf("-span-rate %d invalid (want >= 1)", spanRate)
+	case !(faults >= 0 && faults <= 1): // also rejects NaN
+		return fmt.Errorf("-faults %g invalid (want 0..1)", faults)
+	case fanin != 0 && fanin < 2:
+		return fmt.Errorf("-fanin %d invalid (want 0 or >= 2)", fanin)
+	}
+	if topology != "" {
+		if _, err := scatteradd.ParseTopology(topology, fanin); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func usage() {

@@ -707,7 +707,7 @@ func (b *Bank) tickMSHRs(now uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the bank can do work (see
-// sim.FastForwarder), in O(1). Queued input, pending write-backs, a flush
+// the sim package doc), in O(1). Queued input, pending write-backs, a flush
 // walk that can step, and any MSHR that still has local work (unissued
 // fetch, staged fill, or a filled line draining: every valid MSHR not
 // counted in mshrWait) are work in the current cycle. An MSHR waiting on

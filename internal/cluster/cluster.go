@@ -169,7 +169,7 @@ func (c *Cluster) fill(now uint64, r dram.LineResp) {
 }
 
 // NextEvent returns the earliest cycle >= now at which a component of the
-// cluster is due (see sim.FastForwarder): the minimum of the due set.
+// cluster is due (see the sim package doc): the minimum of the due set.
 func (c *Cluster) NextEvent(now uint64) uint64 {
 	ev := sim.Never
 	for _, d := range c.due {

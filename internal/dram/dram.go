@@ -470,7 +470,7 @@ func (d *DRAM) tickChannel(now uint64, ci int) {
 }
 
 // NextEvent reports the earliest cycle at which any channel can do work
-// (see sim.FastForwarder), in O(1): an undelivered response is work now;
+// (see the sim package doc), in O(1): an undelivered response is work now;
 // otherwise the minimum of the channels' cached next events, which Accept
 // and Tick keep current.
 func (d *DRAM) NextEvent(now uint64) uint64 {

@@ -127,7 +127,7 @@ func (u *Uniform) Tick(now uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the memory can do work (see
-// sim.FastForwarder): the next issue slot when a request is queued, else
+// the sim package doc): the next issue slot when a request is queued, else
 // Never. A pending read completes without a Tick: the scatter-add unit pops
 // it and reports its completion through NextResponse.
 func (u *Uniform) NextEvent(now uint64) uint64 {

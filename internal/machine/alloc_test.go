@@ -43,7 +43,7 @@ func TestTickSteadyStateAllocationFree(t *testing.T) {
 
 // TestRunOpSteadyStateAllocationFree pins the op-grain arena contract
 // (ROADMAP: "arena-allocate requests"): once the stream slab, the prebound
-// RunUntil predicates, and every component scratch buffer are warm, a whole
+// runUntil predicates, and every component scratch buffer are warm, a whole
 // synchronous scatter-add RunOp — thousands of requests through issue,
 // banks, DRAM, and drain — performs no per-stream or per-wait allocation.
 func TestRunOpSteadyStateAllocationFree(t *testing.T) {
@@ -60,5 +60,18 @@ func TestRunOpSteadyStateAllocationFree(t *testing.T) {
 	avg := testing.AllocsPerRun(32, func() { m.RunOp(op) })
 	if avg > 0.01 {
 		t.Fatalf("steady-state RunOp allocates %.3f allocs/op, want ~0", avg)
+	}
+}
+
+// TestJumpLoopAllocationFree pins the zero-allocation property of the
+// machine's jump loop: once warm, kernels and DRAM-missing gathers, mostly
+// crossed in jumps, allocate nothing.
+func TestJumpLoopAllocationFree(t *testing.T) {
+	step := deadStretches()
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(20, func() { step() }); avg != 0 {
+		t.Fatalf("jump loop allocates %.2f times per kernel and gather", avg)
 	}
 }

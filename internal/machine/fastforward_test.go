@@ -8,7 +8,7 @@ import (
 	"scatteradd/internal/stats"
 )
 
-// ffProgram is a mixed workload exercising every engine advance path: idle
+// ffProgram is a mixed workload exercising every clock advance path: idle
 // (kernels), AG-claim waits, sync completion waits, async overlap, and
 // fence drain.
 func ffProgram() []Op {
@@ -42,7 +42,7 @@ func ffProgram() []Op {
 }
 
 // ffTrace runs the program op by op on a fresh machine and records the
-// engine clock after every op plus the op results.
+// machine clock after every op plus the op results.
 func ffTrace(cfg Config) (*Machine, []uint64, []Result) {
 	m := New(cfg)
 	var nows []uint64
@@ -60,7 +60,7 @@ func ffTrace(cfg Config) (*Machine, []uint64, []Result) {
 // check: the same program on the same configuration must leave the clock at
 // the same cycle after every op, return identical per-op results, produce
 // identical memory contents, and identical performance counters whether the
-// engine fast-forwards dead stretches or ticks through them.
+// machine fast-forwards dead stretches or ticks through them.
 func TestMachineFastForwardMatchesLegacy(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -110,7 +110,7 @@ func TestMachineFastForwardMatchesLegacy(t *testing.T) {
 }
 
 // TestIdleFastForwardExactCycles checks the rewritten idle path (kernels
-// run through RunUntil) advances exactly the kernel's cycle cost on an
+// run through runUntil) advances exactly the kernel's cycle cost on an
 // otherwise-quiet machine, fast-forwarded or not.
 func TestIdleFastForwardExactCycles(t *testing.T) {
 	for _, legacy := range []bool{false, true} {

@@ -25,7 +25,6 @@ import (
 	"scatteradd/internal/fault"
 	"scatteradd/internal/mem"
 	"scatteradd/internal/saunit"
-	"scatteradd/internal/sim"
 	"scatteradd/internal/span"
 	"scatteradd/internal/stats"
 )
@@ -64,8 +63,8 @@ type Config struct {
 	// the sensitivity study has no fault hooks; its runs are unaffected.
 	Faults fault.Config
 
-	// LegacyStepping forces per-cycle engine stepping, disabling the
-	// quiescence fast-forward path. Results are cycle-exact either way (the
+	// LegacyStepping forces per-cycle stepping, disabling the quiescence
+	// fast-forward path. Results are cycle-exact either way (the
 	// differential harness in internal/differ enforces it); the flag exists
 	// for that comparison and as an escape hatch.
 	LegacyStepping bool
@@ -276,12 +275,14 @@ var machineMetrics = []stats.Metric[Machine]{
 	stats.Hist("ag_active", func(m *Machine) *stats.Histogram { return &m.agActive }),
 }
 
-// Machine is one simulated node. A sim.Engine drives its phases each
-// cycle: address generation, the memory cluster (scatter-add units, cache
-// banks, DRAM or uniform memory), response routing, stream retirement.
+// Machine is one simulated node. It owns its clock and steps four phases
+// each cycle: address generation, the memory cluster (scatter-add units,
+// cache banks, DRAM or uniform memory), response routing, stream
+// retirement.
 type Machine struct {
 	cfg      Config
-	eng      *sim.Engine
+	now      uint64 // cycles executed so far
+	ff       bool   // fast-forward over quiescent cycles (see runUntil)
 	dram     *dram.DRAM
 	uniform  *dram.Uniform
 	banks    []*cache.Bank
@@ -297,6 +298,11 @@ type Machine struct {
 
 	tr       *span.Tracer
 	laneBusy []bool // AG lane occupancy (span tracing only)
+
+	// The sampler fires after every cycle whose completed count is a
+	// multiple of sampleEvery; nil when none is installed.
+	sampleEvery uint64
+	sample      func(now uint64)
 
 	// Prebound closures and the stream slab keep RunOp allocation-free.
 	streamSlab []memStream // one entry per AG, recycled in place
@@ -350,7 +356,7 @@ func New(cfg Config) *Machine {
 	if cfg.Clusters < 1 || cfg.AGs < 1 || cfg.AGWidth < 1 || cfg.SRFWordsPerCycle <= 0 {
 		panic(fmt.Sprintf("machine: invalid config %+v", cfg))
 	}
-	m := &Machine{cfg: cfg, eng: sim.NewEngine(), agActive: stats.NewHistogram(cfg.AGs + 1)}
+	m := &Machine{cfg: cfg, ff: !cfg.LegacyStepping, agActive: stats.NewHistogram(cfg.AGs + 1)}
 	m.agLevel = stats.OccupancyLevel(&m.agActive)
 	injecting := cfg.Faults.Enabled()
 	flt := cfg.Faults
@@ -379,17 +385,8 @@ func New(cfg Config) *Machine {
 		}
 	}
 
-	// Engine order mirrors the machine pipeline: issue, memory cluster,
-	// response routing, stream retire. The machine's own phases are named
-	// types rather than closures so they can implement sim.FastForwarder
-	// alongside sim.Ticker (and so phase registration captures nothing per
-	// tick).
-	m.mem = cluster.New(m.sas, m.banks, nil, m.dram, m.uniform, !cfg.LegacyStepping)
-	m.eng.Add(issuePhase{m}, m.mem, responsePhase{m}, retirePhase{m})
-	if cfg.LegacyStepping {
-		m.eng.SetFastForward(false)
-	}
-	// Prebound predicates for the RunUntil calls on the op hot path.
+	m.mem = cluster.New(m.sas, m.banks, nil, m.dram, m.uniform, m.ff)
+	// Prebound predicates for the runUntil calls on the op hot path.
 	m.streamSlab = make([]memStream, cfg.AGs)
 	m.agFreeFn = func() bool { return len(m.active) < m.cfg.AGs }
 	m.drainedFn = m.drained
@@ -397,7 +394,7 @@ func New(cfg Config) *Machine {
 		s := m.curStream
 		return s.done() && (s.needResp || !m.mem.Busy())
 	}
-	m.respFn = func(r mem.Response) { m.route(m.eng.Now(), r) }
+	m.respFn = func(r mem.Response) { m.route(m.now, r) }
 	return m
 }
 
@@ -423,18 +420,18 @@ func (m *Machine) Store() *mem.Store {
 // (zero simulated time). Use it between a timed run and result readback.
 func (m *Machine) FlushCaches() {
 	for _, b := range m.banks {
-		b.FlushFunctional(m.eng.Now())
+		b.FlushFunctional(m.now)
 	}
 }
 
 // Now returns the machine's absolute cycle count.
-func (m *Machine) Now() uint64 { return m.eng.Now() }
+func (m *Machine) Now() uint64 { return m.now }
 
 // StatsSnapshot returns the current values of every performance counter:
 // the address generators', and each unit's, bank's and the DRAM's, read
 // through their types' descriptors under the instance names formatted here.
 func (m *Machine) StatsSnapshot() stats.Snapshot {
-	m.flushStats(m.eng.Now())
+	m.flushStats(m.now)
 	es := stats.Append(nil, "machine", machineMetrics, m)
 	for i, sa := range m.sas {
 		es = stats.Append(es, fmt.Sprintf("saunit[%d]", i), saunit.Metrics, sa)
@@ -461,29 +458,37 @@ func (m *Machine) flushStats(now uint64) {
 // StopTimeline is called.
 func (m *Machine) StartTimeline(interval uint64) *stats.Timeline {
 	tl := &stats.Timeline{Interval: interval}
-	m.eng.SetSampler(interval, func(now uint64) {
+	m.setSampler(interval, func(now uint64) {
 		tl.Record(now, m.StatsSnapshot())
 	})
 	return tl
 }
 
 // StopTimeline detaches the sampler installed by StartTimeline.
-func (m *Machine) StopTimeline() { m.eng.SetSampler(0, nil) }
+func (m *Machine) StopTimeline() { m.setSampler(0, nil) }
 
-// SetSampler installs a raw periodic callback on the machine's engine,
-// invoked every interval cycles (including across fast-forwarded stretches),
-// with the per-cycle samples recorded up to that cycle. It shares the
-// engine's single sampler slot with StartTimeline; interval 0 or a nil fn
-// detaches it.
+// SetSampler installs a raw periodic callback, invoked every interval
+// cycles (including across fast-forwarded stretches), with the per-cycle
+// samples recorded up to that cycle. It shares the machine's single sampler
+// slot with StartTimeline; interval 0 or a nil fn detaches it.
 func (m *Machine) SetSampler(interval uint64, fn func(now uint64)) {
 	if fn == nil {
-		m.eng.SetSampler(interval, nil)
+		m.setSampler(0, nil)
 		return
 	}
-	m.eng.SetSampler(interval, func(now uint64) {
+	m.setSampler(interval, func(now uint64) {
 		m.flushStats(now)
 		fn(now)
 	})
+}
+
+// setSampler fills the sampler slot; a zero interval or nil fn empties it,
+// and an empty slot costs the step a nil check.
+func (m *Machine) setSampler(every uint64, fn func(now uint64)) {
+	if every == 0 || fn == nil {
+		every, fn = 0, nil
+	}
+	m.sampleEvery, m.sample = every, fn
 }
 
 // unitIndex routes an address to its scatter-add unit index (one per cache
@@ -495,54 +500,78 @@ func (m *Machine) unitIndex(a mem.Addr) int {
 	return cache.BankOf(a.Line(), len(m.banks))
 }
 
-// tick advances the whole machine one cycle through the engine.
-func (m *Machine) tick() { m.eng.Step() }
-
-// issuePhase drives the address generators (see issueTick). Its quiescence
-// contract: a primed stream with requests left is work now; a stream still
-// priming wakes at its ready cycle; fully issued streams wait on the memory
-// cluster, which reports its own events.
-type issuePhase struct{ m *Machine }
-
-func (p issuePhase) Tick(now uint64) { p.m.issueTick(now) }
-
-func (p issuePhase) NextEvent(now uint64) uint64 {
-	ev := sim.Never
-	for _, s := range p.m.active {
-		if now < s.ready {
-			ev = min(ev, s.ready)
-			continue
-		}
-		if s.issued < s.n {
-			return now
-		}
-	}
-	return ev
+// tick advances the machine one cycle through its phases in pipeline order
+// (issue, memory cluster, response routing, stream retire), then fires the
+// sampler if the completed count is a multiple of its interval.
+func (m *Machine) tick() {
+	now := m.now
+	m.issueTick(now)
+	m.mem.Tick(now)
+	m.mem.PopResponses(now, m.respFn)
+	m.retireTick(now)
+	m.advance(now + 1)
 }
 
-// responsePhase routes scatter-add unit responses back to their streams. It
-// is purely reactive: a unit that queued a response was ticked that cycle,
-// so it never wakes the engine itself.
-type responsePhase struct{ m *Machine }
+// advance sets the clock to cycle t and fires the sampler if t is a
+// multiple of its interval.
+func (m *Machine) advance(t uint64) {
+	m.now = t
+	if m.sample != nil && t%m.sampleEvery == 0 {
+		m.sample(t)
+	}
+}
 
-func (p responsePhase) Tick(now uint64)             { p.m.responseTick(now) }
-func (p responsePhase) NextEvent(now uint64) uint64 { return sim.Never }
+// runUntil steps until done() reports true or the clock reaches limit, and
+// reports whether done() was satisfied.
+//
+// Under fast-forward, when nothing has work in the current cycle, it jumps
+// the clock to the horizon instead of ticking through the dead cycles. The
+// skipped cycles are idle for every phase, so nothing else changes, and a
+// jump never crosses a sampler multiple (the sampler fires at exactly the
+// cycles of per-cycle stepping) or overshoots limit. done() must depend
+// only on machine state, which cannot change during skipped cycles; it is
+// re-evaluated at every event cycle.
+func (m *Machine) runUntil(done func() bool, limit uint64) bool {
+	for m.now < limit {
+		if done() {
+			return true
+		}
+		if m.ff {
+			if h := m.horizon(limit); h > m.now {
+				m.advance(h)
+				continue
+			}
+		}
+		m.tick()
+	}
+	return done()
+}
 
-// retirePhase removes completed streams. A completed-but-unretired stream is
-// work now (retirement frees its address generator next cycle, exactly as
-// under per-cycle stepping); anything else waits on responses, which the
-// memory system reports.
-type retirePhase struct{ m *Machine }
-
-func (p retirePhase) Tick(now uint64) { p.m.retireTick(now) }
-
-func (p retirePhase) NextEvent(now uint64) uint64 {
-	for _, s := range p.m.active {
-		if s.done() {
+// horizon returns the earliest cycle at which any phase can do work, capped
+// at the next sampler multiple and at limit; m.now means work is due now.
+// A completed stream retires now, and a primed stream with requests left
+// issues now; a stream still priming wakes at its ready cycle; fully issued
+// streams wait on the memory cluster, which reports its own events.
+// Response routing never wakes the machine: a unit that queued a response
+// was ticked that cycle.
+func (m *Machine) horizon(limit uint64) uint64 {
+	now := m.now
+	h := limit
+	for _, s := range m.active {
+		switch {
+		case s.done():
+			return now
+		case now < s.ready:
+			h = min(h, s.ready)
+		case s.issued < s.n:
 			return now
 		}
 	}
-	return sim.Never
+	h = min(h, m.mem.NextEvent(now))
+	if m.sample != nil {
+		h = min(h, (now/m.sampleEvery+1)*m.sampleEvery)
+	}
+	return h
 }
 
 // issueTick: each active stream owns one address generator and may issue up
@@ -585,10 +614,6 @@ func (m *Machine) issueTick(now uint64) {
 		m.ag.StallCycles++
 	}
 }
-
-// responseTick routes scatter-add unit responses back to their streams by
-// ID tag.
-func (m *Machine) responseTick(now uint64) { m.mem.PopResponses(now, m.respFn) }
 
 // route delivers one unit response to the stream that issued it.
 func (m *Machine) route(now uint64, r mem.Response) {
@@ -637,23 +662,23 @@ func (m *Machine) streamByTag(tag uint64) *memStream {
 	return nil
 }
 
-// neverDone is the RunUntil predicate for fixed-length advances; a
+// neverDone is the runUntil predicate for fixed-length advances; a
 // package-level func keeps the idle hot path allocation-free.
 func neverDone() bool { return false }
 
 // idle advances cycles without starting new work (kernel execution time);
 // outstanding asynchronous streams keep issuing underneath. It runs through
-// the engine's RunUntil so dead stretches (no active streams, memory system
-// drained or waiting on a timer) fast-forward instead of ticking.
+// runUntil so dead stretches (no active streams, memory system drained or
+// waiting on a timer) fast-forward instead of ticking.
 func (m *Machine) idle(cycles uint64) {
-	m.eng.RunUntil(neverDone, m.eng.Now()+cycles)
+	m.runUntil(neverDone, m.now+cycles)
 }
 
 // RunOp executes one stream operation and returns its metrics. Memory
 // operations with Async set return as soon as an address generator is
 // claimed; everything else runs to completion.
 func (m *Machine) RunOp(op Op) Result {
-	start := m.eng.Now()
+	start := m.now
 	memRefsBefore := m.memRefs
 	saBefore := m.saStats()
 	switch op.Kind {
@@ -677,7 +702,7 @@ func (m *Machine) RunOp(op Op) Result {
 	}
 	saAfter := m.saStats()
 	return Result{
-		Cycles:  m.eng.Now() - start,
+		Cycles:  m.now - start,
 		FPOps:   uint64(op.Flops) + fpDelta(saBefore, saAfter),
 		MemRefs: m.memRefs - memRefsBefore,
 	}
@@ -687,8 +712,8 @@ func (m *Machine) RunOp(op Op) Result {
 // drained. The predicate reads only component state, which cannot change
 // across skipped cycles, so it is safe under fast-forward.
 func (m *Machine) fence() {
-	limit := m.eng.Now() + opDeadlockCycles
-	if _, ok := m.eng.RunUntil(m.drainedFn, limit); !ok {
+	limit := m.now + opDeadlockCycles
+	if !m.runUntil(m.drainedFn, limit) {
 		panic("machine: fence did not drain; likely deadlock")
 	}
 }
@@ -719,11 +744,11 @@ func (m *Machine) saStats() saunit.Stats {
 func (m *Machine) runMemOp(op Op) {
 	n := op.count()
 	m.memRefs += uint64(n)
-	opStart := m.eng.Now()
+	opStart := m.now
 	// Claim an address generator (Table 1: 2), waiting if all are busy.
 	if len(m.active) >= m.cfg.AGs {
-		if _, ok := m.eng.RunUntil(m.agFreeFn, opStart+opDeadlockCycles); !ok {
-			panic(fmt.Sprintf("machine: op %q waited %d cycles for an AG; likely deadlock", op.Name, m.eng.Now()-opStart))
+		if !m.runUntil(m.agFreeFn, opStart+opDeadlockCycles) {
+			panic(fmt.Sprintf("machine: op %q waited %d cycles for an AG; likely deadlock", op.Name, m.now-opStart))
 		}
 	}
 	m.nextTag++
@@ -732,10 +757,10 @@ func (m *Machine) runMemOp(op Op) {
 		inUse: true,
 		op:    op, tag: m.nextTag, n: n,
 		needResp: op.MemKind == mem.Read || op.MemKind.IsFetch(),
-		ready:    m.eng.Now() + uint64(m.cfg.MemOpStartup),
+		ready:    m.now + uint64(m.cfg.MemOpStartup),
 	}
 	if m.tr != nil {
-		s.start = m.eng.Now()
+		s.start = m.now
 		for i, busy := range m.laneBusy {
 			if !busy {
 				s.lane, m.laneBusy[i] = i, true
@@ -744,7 +769,7 @@ func (m *Machine) runMemOp(op Op) {
 		}
 	}
 	m.active = append(m.active, s)
-	m.agLevel.Set(m.eng.Now(), len(m.active))
+	m.agLevel.Set(m.now, len(m.active))
 	if op.Async {
 		return
 	}
@@ -752,8 +777,8 @@ func (m *Machine) runMemOp(op Op) {
 	// arrived; writes and scatter-adds additionally wait for the memory
 	// system to drain so their data is globally visible when RunOp returns.
 	m.curStream = s
-	if _, ok := m.eng.RunUntil(m.opDoneFn, opStart+opDeadlockCycles); !ok {
-		panic(fmt.Sprintf("machine: op %q has run %d cycles; likely deadlock", op.Name, m.eng.Now()-opStart))
+	if !m.runUntil(m.opDoneFn, opStart+opDeadlockCycles) {
+		panic(fmt.Sprintf("machine: op %q has run %d cycles; likely deadlock", op.Name, m.now-opStart))
 	}
 }
 
@@ -774,7 +799,7 @@ const opDeadlockCycles = uint64(500_000_000)
 
 // Run executes a program sequentially and returns aggregate metrics.
 func (m *Machine) Run(prog []Op) Result {
-	start := m.eng.Now()
+	start := m.now
 	memRefsBefore := m.memRefs
 	flopsBefore := m.kernelFlops
 	saBefore := m.saStats()
@@ -783,7 +808,7 @@ func (m *Machine) Run(prog []Op) Result {
 	}
 	sa, cs, ds := m.ComponentStats()
 	return Result{
-		Cycles:     m.eng.Now() - start,
+		Cycles:     m.now - start,
 		FPOps:      (m.kernelFlops - flopsBefore) + fpDelta(saBefore, sa),
 		MemRefs:    m.memRefs - memRefsBefore,
 		SAStats:    sa,
@@ -797,7 +822,7 @@ func (m *Machine) Run(prog []Op) Result {
 // through RunOp rather than Run), the units' level-counted FU busy cycles
 // included up to now.
 func (m *Machine) ComponentStats() (saunit.Stats, cache.Stats, dram.Stats) {
-	m.flushStats(m.eng.Now())
+	m.flushStats(m.now)
 	return m.saStats(), m.cacheStats(), m.dramStats()
 }
 

@@ -561,10 +561,9 @@ func (s *System) load(refs []Ref) {
 }
 
 // nextEvent returns the earliest cycle at which any part of the system can
-// do work (the multi-node analogue of sim.Engine's horizon; the System owns
-// its own clock rather than a sim.Engine): the earliest cached node event,
-// or the fabric's, whichever comes first. A packet waiting at a sleeping
-// node is fabric work now.
+// do work (the multi-node analogue of the single machine's horizon): the
+// earliest cached node event, or the fabric's, whichever comes first. A
+// packet waiting at a sleeping node is fabric work now.
 func (s *System) nextEvent() uint64 {
 	nodeMin := s.nodeMin()
 	if nodeMin <= s.now {

@@ -120,6 +120,16 @@ func ParseTopology(name string, fanIn int) (Topology, error) {
 	return Topology{}, fmt.Errorf("unknown topology %q (want flat, flat+comb, hypercube, tree, tree+comb, mesh, or mesh+comb)", name)
 }
 
+// CheckNodeCount reports whether topology t can connect the given number of
+// nodes: a hypercube needs a power of two. New panics on a count this
+// rejects; a command that takes the count as input checks it first.
+func CheckNodeCount(t Topology, nodes int) error {
+	if t.Kind == TopoHypercube && nodes&(nodes-1) != 0 {
+		return fmt.Errorf("hypercube topology requires a power-of-two node count, got %d", nodes)
+	}
+	return nil
+}
+
 // multiHop reports whether the topology is a switched multi-hop graph.
 func (t Topology) multiHop() bool { return t.Kind == TopoTree || t.Kind == TopoMesh }
 
@@ -154,8 +164,8 @@ func (t Topology) normalized(nodes int) Topology {
 			if !t.CombineCache {
 				panic("multinode: hypercube topology requires cache combining (the hierarchy routes sum-backs)")
 			}
-			if nodes&(nodes-1) != 0 {
-				panic(fmt.Sprintf("multinode: hypercube topology requires a power-of-two node count, got %d", nodes))
+			if err := CheckNodeCount(t, nodes); err != nil {
+				panic("multinode: " + err.Error())
 			}
 		}
 	case TopoTree:

@@ -874,9 +874,10 @@ func (m *MultiHop) ackHop(s *mhSwitch, in uint16, seq uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the fabric can make
-// progress (sim.FastForwarder): a delivered packet waiting at an endpoint or
-// a switch scheduled to run is work now; otherwise the earliest timed wake
-// of a sleeping switch. A switch asleep without one waits on a neighbour.
+// progress (see the sim package doc): a delivered packet waiting at an
+// endpoint or a switch scheduled to run is work now; otherwise the earliest
+// timed wake of a sleeping switch. A switch asleep without one waits on a
+// neighbour.
 func (m *MultiHop) NextEvent(now uint64) uint64 {
 	if m.waiting > 0 || m.holding > m.asleep {
 		return now

@@ -495,7 +495,7 @@ func (x *Crossbar) grantTo(o, in int, now uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the crossbar can do work
-// (see sim.FastForwarder): queued input or undelivered output is work now;
+// (see the sim package doc): queued input or undelivered output is work now;
 // otherwise the earliest wire-crossing completion.
 func (x *Crossbar) NextEvent(now uint64) uint64 {
 	if x.held == 0 {

@@ -1,34 +1,19 @@
 // Package sim provides the cycle-driven simulation primitives shared by all
-// hardware models in this repository: a clock/engine, bounded queues with
-// back-pressure, fixed-latency delay pipes, and a round-robin arbiter.
+// hardware models in this repository: bounded queues with back-pressure,
+// fixed-latency delay pipes, a round-robin arbiter, and the due-set
+// bookkeeping (Wake, Calendar) that lets an owner step only components with
+// work.
 //
 // The simulator is cycle driven rather than event driven: every hardware
-// component implements Ticker and is advanced once per cycle by an Engine.
-// Components communicate through bounded Queues; a full queue exerts
-// back-pressure by refusing Push, exactly like a full hardware FIFO.
-package sim
-
-import "fmt"
-
-// Ticker is a hardware component that advances by one clock cycle per call.
-type Ticker interface {
-	// Tick advances the component by one cycle. now is the cycle number
-	// about to be executed (starting at 0).
-	Tick(now uint64)
-}
-
-// TickFunc adapts a function to the Ticker interface.
-type TickFunc func(now uint64)
-
-// Tick calls f(now).
-func (f TickFunc) Tick(now uint64) { f(now) }
-
-// Never is the NextEvent answer of a component that is fully drained: no
-// future cycle exists at which it can do work on its own.
-const Never = ^uint64(0)
-
-// FastForwarder is the optional quiescence interface a Ticker may implement
-// to let the engine skip dead cycles. The contract:
+// component has a Tick(now) that advances it by one cycle, and its owner
+// (machine.Machine, multinode.System) calls it in a fixed order and keeps
+// the clock. Components communicate through bounded Queues; a full queue
+// exerts back-pressure by refusing Push, exactly like a full hardware FIFO.
+//
+// # The NextEvent contract
+//
+// Every component also answers NextEvent(now), which lets its owner skip
+// dead cycles:
 //
 //   - NextEvent(now) returns the earliest cycle >= now at which the
 //     component might do observable work (change state, move an item, touch
@@ -53,19 +38,22 @@ const Never = ^uint64(0)
 //     is a schedule independent of NextEvent: a wrong NextEvent, or a
 //     wrong quiet check, shows up as a difference between the two modes.
 //
-// The engine only jumps when every registered Ticker implements
-// FastForwarder and none reports an event at the current cycle.
-type FastForwarder interface {
-	NextEvent(now uint64) uint64
-}
+// An owner jumps its clock only when no component reports an event at the
+// current cycle, and then to the earliest answer.
+package sim
+
+import "fmt"
+
+// Never is the NextEvent answer of a component that is fully drained: no
+// future cycle exists at which it can do work on its own.
+const Never = ^uint64(0)
 
 // Wake is a component's entry in its owner's due set: the earliest cycle at
 // which the owner must tick it. The component lowers the entry when work
 // reaches it from outside its own Tick (an Accept, a fill), and lowers the
 // entry of the component that drains a queue it pushes into; the owner
 // raises it to the component's NextEvent after each Tick. The zero Wake does
-// nothing: a component stepped every cycle, or driven by an Engine, needs
-// none.
+// nothing: a component stepped every cycle needs none.
 type Wake struct{ due *uint64 }
 
 // NewWake returns a Wake that lowers *due.
@@ -75,134 +63,6 @@ func NewWake(due *uint64) Wake { return Wake{due: due} }
 func (w Wake) At(t uint64) {
 	if w.due != nil && t < *w.due {
 		*w.due = t
-	}
-}
-
-// Engine owns the simulated clock and the set of components it drives.
-// Components are ticked in registration order, which callers should arrange
-// from consumer to producer so that a value pushed in cycle t is visible to
-// its consumer no earlier than cycle t+1 (standard reverse-pipeline order).
-type Engine struct {
-	now     uint64
-	tickers []Ticker
-
-	// Fast-forward bookkeeping: ffs mirrors tickers for components that
-	// implement FastForwarder; allFF records whether every registered
-	// ticker does (jumping is sound only then), and ffOn is the runtime
-	// toggle (on by default, cleared for legacy per-cycle stepping).
-	ffs   []FastForwarder
-	allFF bool
-	ffOn  bool
-
-	sampleEvery uint64
-	sample      func(now uint64)
-}
-
-// NewEngine returns an Engine at cycle 0 with no components.
-func NewEngine() *Engine { return &Engine{allFF: true, ffOn: true} }
-
-// Add registers components to be ticked each cycle, in the given order.
-func (e *Engine) Add(ts ...Ticker) {
-	e.tickers = append(e.tickers, ts...)
-	for _, t := range ts {
-		if ff, ok := t.(FastForwarder); ok {
-			e.ffs = append(e.ffs, ff)
-		} else {
-			e.allFF = false
-		}
-	}
-}
-
-// SetFastForward enables or disables quiescence jumps in RunUntil. Jumps are
-// on by default; disabling forces per-cycle stepping (the legacy behaviour,
-// kept for differential testing). Jumps additionally require every
-// registered Ticker to implement FastForwarder.
-func (e *Engine) SetFastForward(on bool) { e.ffOn = on }
-
-// Now reports the number of cycles executed so far.
-func (e *Engine) Now() uint64 { return e.now }
-
-// SetSampler installs a hook invoked after every cycle whose completed count
-// is a multiple of every (cycles every, 2*every, ...). Runs use it to record
-// performance-counter snapshots at a fixed cycle interval. A zero interval
-// or nil fn removes the hook; with no hook installed Step pays only a nil
-// check.
-func (e *Engine) SetSampler(every uint64, fn func(now uint64)) {
-	if every == 0 || fn == nil {
-		e.sampleEvery, e.sample = 0, nil
-		return
-	}
-	e.sampleEvery, e.sample = every, fn
-}
-
-// Step advances the simulation by one cycle.
-func (e *Engine) Step() {
-	for _, t := range e.tickers {
-		t.Tick(e.now)
-	}
-	e.now++
-	if e.sample != nil && e.now%e.sampleEvery == 0 {
-		e.sample(e.now)
-	}
-}
-
-// RunUntil steps until done() reports true or limit cycles have elapsed. It
-// returns the cycle count at exit and whether done() was satisfied.
-//
-// When fast-forwarding is possible (see SetFastForward) and every component
-// reports its next event strictly in the future, RunUntil jumps the clock to
-// the earliest such event instead of ticking through the dead cycles. Jumps
-// never cross a sampler multiple (the sampler fires at exactly the same now
-// values as per-cycle stepping) and never overshoot limit. done() must
-// depend only on component state, which cannot change during skipped
-// cycles; it is re-evaluated at every event cycle.
-func (e *Engine) RunUntil(done func() bool, limit uint64) (uint64, bool) {
-	ff := e.ffOn && e.allFF && len(e.tickers) > 0
-	for e.now < limit {
-		if done() {
-			return e.now, true
-		}
-		if ff {
-			if h := e.horizon(limit); h > e.now {
-				e.jump(h)
-				continue
-			}
-		}
-		e.Step()
-	}
-	return e.now, done()
-}
-
-// horizon returns the earliest cycle at which any component can do work,
-// capped at the next sampler multiple and at limit. A return of e.now means
-// some component has work in the current cycle and no jump is possible.
-func (e *Engine) horizon(limit uint64) uint64 {
-	h := limit
-	for _, f := range e.ffs {
-		ev := f.NextEvent(e.now)
-		if ev <= e.now {
-			return e.now
-		}
-		if ev < h {
-			h = ev
-		}
-	}
-	if e.sample != nil {
-		if next := (e.now/e.sampleEvery + 1) * e.sampleEvery; next < h {
-			h = next
-		}
-	}
-	return h
-}
-
-// jump advances the clock straight to cycle h and fires the sampler if h is
-// a multiple of its interval (horizon guarantees no multiple lies strictly
-// inside the skipped range). The skipped cycles were idle for every
-// component, so nothing else changes.
-func (e *Engine) jump(h uint64) {
-	e.now = h
-	if e.sample != nil && e.now%e.sampleEvery == 0 {
-		e.sample(e.now)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"strconv"
 )
 
-// Timeline is a cycle-interval series of snapshots, recorded by the engine's
-// sample hook. Samples hold cumulative values; Deltas converts them to
-// per-interval activity.
+// Timeline is a cycle-interval series of snapshots, recorded by the
+// machine's sampler (machine.StartTimeline). Samples hold cumulative values;
+// Deltas converts them to per-interval activity.
 type Timeline struct {
 	Interval uint64
 	Samples  []Sample
