@@ -67,7 +67,7 @@ func main() {
 	spanRate := flag.Int("span-rate", 16, "sample 1 in N issued memory operations for -span-out")
 	profCfg := prof.Flags(flag.CommandLine)
 	flag.Parse()
-	if err := checkFlags(*n, *rangeSize, *mol, *nodes, *topology, *fanin); err != nil {
+	if err := checkFlags(*n, *rangeSize, *mol, *cutoff, *nodes, *topology, *fanin); err != nil {
 		fmt.Fprintf(os.Stderr, "sabench: %v\n", err)
 		os.Exit(2)
 	}
@@ -105,8 +105,9 @@ func main() {
 }
 
 // checkFlags rejects flag values that no run can use; main exits 2 on its
-// error. A multi-node topology must connect the node count.
-func checkFlags(n, rangeSize, mol, nodes int, topology string, fanin int) error {
+// error. A multi-node replay needs a reference, and its topology must
+// connect the node count.
+func checkFlags(n, rangeSize, mol int, cutoff float64, nodes int, topology string, fanin int) error {
 	switch {
 	case n < 0:
 		return fmt.Errorf("-n %d invalid (want >= 0)", n)
@@ -114,8 +115,14 @@ func checkFlags(n, rangeSize, mol, nodes int, topology string, fanin int) error 
 		return fmt.Errorf("-range %d invalid (want >= 1)", rangeSize)
 	case mol < 1:
 		return fmt.Errorf("-mol %d invalid (want >= 1)", mol)
-	case nodes <= 1:
+	case !(cutoff > 0):
+		return fmt.Errorf("-cutoff %v invalid (want > 0)", cutoff)
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d invalid (want >= 1)", nodes)
+	case nodes == 1:
 		return nil
+	case n == 0:
+		return fmt.Errorf("-n 0 invalid with -nodes %d (want >= 1)", nodes)
 	}
 	topo, err := multinode.ParseTopology(topology, fanin)
 	if err != nil {

@@ -49,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: satrace [flags] gen|summary|stats")
 		os.Exit(2)
 	}
-	if err := checkFlags(*n); err != nil {
+	if err := checkFlags(*n, *interval, *format); err != nil {
 		fmt.Fprintf(os.Stderr, "satrace: %v\n", err)
 		os.Exit(2)
 	}
@@ -70,9 +70,14 @@ func main() {
 
 // checkFlags rejects flag values that no run can use; main exits 2 on its
 // error.
-func checkFlags(n int) error {
-	if n < 0 {
+func checkFlags(n int, interval uint64, format string) error {
+	switch {
+	case n < 0:
 		return fmt.Errorf("-n %d invalid (want >= 0)", n)
+	case interval == 0:
+		return fmt.Errorf("-interval 0 invalid (want >= 1)")
+	case format != "csv" && format != "jsonl":
+		return fmt.Errorf("-format %q invalid (want csv or jsonl)", format)
 	}
 	return nil
 }
@@ -141,12 +146,6 @@ func writeOut(out string, gz bool, emit func(io.Writer) error) error {
 // Table 1 machine, sampling the hardware performance counters every
 // interval cycles, and exports the timeline.
 func runStats(recs []trace.Record, out string, gz bool, interval uint64, format string) error {
-	if format != "csv" && format != "jsonl" {
-		return fmt.Errorf("unknown -format %q (want csv or jsonl)", format)
-	}
-	if interval == 0 {
-		return fmt.Errorf("-interval must be positive")
-	}
 	if len(recs) == 0 {
 		return fmt.Errorf("empty trace")
 	}

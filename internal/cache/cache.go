@@ -674,7 +674,10 @@ func (b *Bank) noWork() bool {
 }
 
 // tickMSHRs drains filled MSHRs, retries fills blocked on eviction, then
-// issues the fetches that have not reached DRAM yet.
+// issues the fetches that have not reached DRAM yet. A fetch waits while
+// its line's write-back is still queued here: DRAM takes a write's data
+// when it accepts the write, so a read it accepted first would return the
+// line without the write.
 func (b *Bank) tickMSHRs(now uint64) {
 	for i := range b.mshrs {
 		m := &b.mshrs[i]
@@ -698,12 +701,22 @@ func (b *Bank) tickMSHRs(now uint64) {
 	for i := range b.mshrs {
 		m := &b.mshrs[i]
 		if m.valid && !m.issued && m.pendingFill == nil {
-			if b.dram.CanAccept(m.line) && b.dram.Accept(now, dram.LineReq{Line: m.line}) {
+			if b.dram.CanAccept(m.line) && !b.writingBack(m.line) && b.dram.Accept(now, dram.LineReq{Line: m.line}) {
 				m.issued = true
 				b.mshrWait++
 			}
 		}
 	}
+}
+
+// writingBack reports whether the write-back queue holds line a.
+func (b *Bank) writingBack(a mem.Addr) bool {
+	for i := 0; i < b.wbQ.Len(); i++ {
+		if b.wbQ.At(i).Line == a {
+			return true
+		}
+	}
+	return false
 }
 
 // NextEvent reports the earliest cycle at which the bank can do work (see

@@ -272,6 +272,64 @@ func TestMSHRMerging(t *testing.T) {
 	}
 }
 
+// TestFetchWaitsForQueuedWriteBack evicts a dirty line while DRAM's queue
+// is full, so its write-back waits in the bank, and then misses on the
+// line. The first slot DRAM frees must go to the write-back: a fetch that
+// took it would read the line without the write, and the fill would bring
+// the stale line back. DRAM here serves one bank in arrival order.
+func TestFetchWaitsForQueuedWriteBack(t *testing.T) {
+	cfg := testConfig()
+	cfg.Banks, cfg.TotalLines, cfg.Ways = 1, 8, 1 // direct-mapped, 8 sets
+	dcfg := dram.DefaultConfig()
+	dcfg.Channels, dcfg.BanksPerChannel, dcfg.RowLines = 1, 1, 1
+	d := dram.New(dcfg)
+	b := NewBank(cfg, 0, d, Normal)
+	h := &harness{t: t, banks: []*Bank{b}, d: d}
+	const lineA, lineB = 0, 8 * mem.LineWords // the same set
+	h.do(t, mem.Request{ID: 1, Kind: mem.Write, Addr: lineA, Val: 7})
+	h.drain(t)
+
+	// run steps until done holds, after each step filling DRAM's queue
+	// with writes to other lines when full is set, and collects responses.
+	junk, got := mem.Addr(1<<20), map[uint64]mem.Word{}
+	topUp := func() {
+		for d.CanAccept(junk) {
+			d.Accept(h.now, dram.LineReq{Line: junk, Write: true})
+			junk += mem.LineWords
+		}
+	}
+	run := func(full bool, done func() bool) {
+		for !done() {
+			h.step()
+			if full {
+				topUp()
+			}
+			for r, ok := b.PopResponse(h.now); ok; r, ok = b.PopResponse(h.now) {
+				got[r.ID] = r.Val
+			}
+			if h.now > 100_000 {
+				t.Fatal("timeout")
+			}
+		}
+	}
+	// The fill of b evicts a into the write-back queue; DRAM is full.
+	b.Accept(h.now, mem.Request{ID: 2, Kind: mem.Read, Addr: lineB})
+	run(false, func() bool { return b.writingBack(lineA) })
+	topUp()
+	b.Accept(h.now, mem.Request{ID: 3, Kind: mem.Read, Addr: lineA})
+	run(true, func() bool { return b.mshrFor(lineA) != nil })
+	// DRAM frees one slot, then stays full for long enough to serve every
+	// request it holds.
+	run(false, func() bool { return !b.writingBack(lineA) || b.mshrFor(lineA).issued })
+	topUp()
+	until := h.now + 4000
+	run(true, func() bool { return h.now >= until })
+	run(false, func() bool { _, ok := got[3]; return ok })
+	if got[3] != 7 {
+		t.Fatalf("read of the written-back line = %d, want 7", got[3])
+	}
+}
+
 func TestBankOfPartitioning(t *testing.T) {
 	// Successive lines map to successive banks.
 	for i := 0; i < 32; i++ {

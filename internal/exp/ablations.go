@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"scatteradd/internal/apps"
 	"scatteradd/internal/dram"
 	"scatteradd/internal/machine"
@@ -273,6 +275,9 @@ func ablationHierarchical(o Options) Table {
 		label := "linear"
 		if p.hier {
 			label = "hierarchical"
+		}
+		if err := s.Verify(refs); err != nil {
+			panic(fmt.Sprintf("exp: ablation hierarchical %s nodes=%d failed verification: %v", label, p.nodes, err))
 		}
 		return []string{label, d(uint64(p.nodes)), f(res.GBps())}
 	})

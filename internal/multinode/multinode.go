@@ -271,8 +271,6 @@ func New(cfg Config, kind mem.Kind) *System {
 			Kind:    topo.graphKind(),
 			Nodes:   cfg.Nodes,
 			FanIn:   topo.FanIn,
-			MeshX:   topo.MeshX,
-			MeshY:   topo.MeshY,
 			Combine: topo.CombineSwitch,
 			Link:    cfg.Net,
 

@@ -49,15 +49,13 @@ func (k TopologyKind) String() string {
 	return fmt.Sprintf("TopologyKind(%d)", int(k))
 }
 
-// Topology selects the interconnect and the combining placement.
+// Topology selects the interconnect and the combining placement. A mesh
+// lays the nodes on the most-square grid that holds them.
 type Topology struct {
 	Kind TopologyKind
 
 	// FanIn is the tree's children per switch (TopoTree only; 0 = 4).
 	FanIn int
-	// MeshX, MeshY are the mesh grid dimensions (TopoMesh only; both zero
-	// picks the most-square factorization of the node count).
-	MeshX, MeshY int
 
 	// CombineCache enables the paper's local-combining + sum-back mode:
 	// remote references merge into the sending node's own cache and evicted
@@ -157,8 +155,8 @@ func (t Topology) normalized(nodes int) Topology {
 		if t.CombineSwitch {
 			panic("multinode: in-switch combining requires a multi-hop topology (tree or mesh)")
 		}
-		if t.FanIn != 0 || t.MeshX != 0 || t.MeshY != 0 {
-			panic(fmt.Sprintf("multinode: fan-in/mesh dimensions are meaningless for a %v topology", t.Kind))
+		if t.FanIn != 0 {
+			panic(fmt.Sprintf("multinode: fan-in is meaningless for a %v topology", t.Kind))
 		}
 		if t.Kind == TopoHypercube {
 			if !t.CombineCache {
@@ -169,9 +167,6 @@ func (t Topology) normalized(nodes int) Topology {
 			}
 		}
 	case TopoTree:
-		if t.MeshX != 0 || t.MeshY != 0 {
-			panic("multinode: mesh dimensions are meaningless for a tree topology")
-		}
 		if t.FanIn == 0 {
 			t.FanIn = 4
 		}
@@ -181,12 +176,6 @@ func (t Topology) normalized(nodes int) Topology {
 	case TopoMesh:
 		if t.FanIn != 0 {
 			panic("multinode: fan-in is meaningless for a mesh topology")
-		}
-		if (t.MeshX == 0) != (t.MeshY == 0) {
-			panic("multinode: set both mesh dimensions or neither")
-		}
-		if t.MeshX != 0 && t.MeshX*t.MeshY != nodes {
-			panic(fmt.Sprintf("multinode: mesh %dx%d does not cover %d nodes", t.MeshX, t.MeshY, nodes))
 		}
 	default:
 		panic(fmt.Sprintf("multinode: unknown topology kind %v", t.Kind))

@@ -223,17 +223,8 @@ func TestTopologyConfigPanics(t *testing.T) {
 		"tree fan-in 1": func() {
 			New(topoConfig(4, 1, lineSpan(rng, 4), Tree(1, false)), mem.AddI64)
 		},
-		"tree with mesh dims": func() {
-			New(topoConfig(4, 1, lineSpan(rng, 4), Topology{Kind: TopoTree, MeshX: 2, MeshY: 2}), mem.AddI64)
-		},
 		"mesh with fan-in": func() {
 			New(topoConfig(4, 1, lineSpan(rng, 4), Topology{Kind: TopoMesh, FanIn: 2}), mem.AddI64)
-		},
-		"mesh half dims": func() {
-			New(topoConfig(4, 1, lineSpan(rng, 4), Topology{Kind: TopoMesh, MeshX: 2}), mem.AddI64)
-		},
-		"mesh dims mismatch": func() {
-			New(topoConfig(4, 1, lineSpan(rng, 4), Topology{Kind: TopoMesh, MeshX: 3, MeshY: 3}), mem.AddI64)
 		},
 	}
 	for name, fn := range cases {

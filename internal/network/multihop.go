@@ -82,17 +82,14 @@ func (k GraphKind) String() string {
 	return fmt.Sprintf("GraphKind(%d)", int(k))
 }
 
-// MultiHopConfig describes a switched multi-hop fabric.
+// MultiHopConfig describes a switched multi-hop fabric. A mesh lays the
+// nodes on the most-square grid that holds them.
 type MultiHopConfig struct {
 	Kind  GraphKind
 	Nodes int
 
 	// FanIn is the tree's children per switch (TreeGraph; >= 2, default 4).
 	FanIn int
-	// MeshX, MeshY are the mesh grid dimensions (MeshGraph; both zero picks
-	// the most-square factorization of Nodes; otherwise MeshX*MeshY must
-	// equal Nodes).
-	MeshX, MeshY int
 
 	// Combine enables the in-switch combining window at every hop.
 	Combine bool
@@ -348,16 +345,10 @@ func (m *MultiHop) buildTree() {
 	m.rootSw = level[0]
 }
 
-// buildMesh constructs the X×Y grid: one switch per endpoint, five ports
-// each (node, east, west, north, south), neighbours cross-linked.
+// buildMesh constructs the most-square X×Y grid: one switch per endpoint,
+// five ports each (node, east, west, north, south), neighbours cross-linked.
 func (m *MultiHop) buildMesh() {
-	x, y := m.cfg.MeshX, m.cfg.MeshY
-	if x == 0 && y == 0 {
-		x, y = squarest(m.cfg.Nodes)
-	}
-	if x < 1 || y < 1 || x*y != m.cfg.Nodes {
-		panic(fmt.Sprintf("network: mesh %dx%d does not cover %d nodes", x, y, m.cfg.Nodes))
-	}
+	x, y := squarest(m.cfg.Nodes)
 	m.meshX, m.meshCut = x, x/2
 	const pNode, pEast, pWest, pNorth, pSouth = 0, 1, 2, 3, 4
 	for n := 0; n < m.cfg.Nodes; n++ {

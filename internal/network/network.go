@@ -143,10 +143,10 @@ type Crossbar struct {
 	inputs   []*sim.Queue[int32]
 	wires    []*sim.Delay[int32] // per-output in-flight packets
 	outputs  []*sim.Queue[int32]
-	arrivals []uint64          // outputs holding a packet (see Fabric)
-	arb      []*sim.RoundRobin // per-output arbiter over inputs
-	held     int               // packets in inputs, wires and outputs
-	stats    Stats             // every field but Hops and RootPkts
+	arrivals []uint64 // outputs holding a packet (see Fabric)
+	rr       []int    // per output: the input its round-robin arbiter tries first
+	held     int      // packets in inputs, wires and outputs
+	stats    Stats    // every field but Hops and RootPkts
 	tr       *span.Tracer
 
 	// Fault injection (nil when disabled). Drops and duplications strike at
@@ -156,19 +156,13 @@ type Crossbar struct {
 	dupInj  *fault.Injector
 
 	// Per-Tick arbitration scratch, allocated once (the hot loop must not
-	// allocate): grants per output and sends per input this cycle.
-	granted  []int
+	// allocate): sends per input this cycle, and the candidate lists.
+	// candHead[o] is the first input in output o's list (-1: none) and
+	// candNext[i] the input after i in its list: the inputs whose head
+	// packet targets o and that have bandwidth left this cycle.
 	sentFrom []int
-
-	// Head-packet candidate lists for the WordsPerCyc==1 fast path:
-	// candHead[o] is the lowest input whose head targets output o,
-	// candNext[i] threads the remaining candidates in ascending order.
 	candHead []int
 	candNext []int
-
-	// noFastPath forces the general arbitration loop even at WordsPerCyc==1
-	// — a test hook for proving the fast path bit-equivalent.
-	noFastPath bool
 }
 
 // New returns a crossbar with the given configuration.
@@ -188,10 +182,7 @@ func newCrossbar(cfg Config, sl *slab) *Crossbar {
 	x.wires = make([]*sim.Delay[int32], cfg.Nodes)
 	x.outputs = make([]*sim.Queue[int32], cfg.Nodes)
 	x.arrivals = make([]uint64, (cfg.Nodes+63)/64)
-	for i := 0; i < cfg.Nodes; i++ {
-		x.arb = append(x.arb, sim.NewRoundRobin(cfg.Nodes))
-	}
-	x.granted = make([]int, cfg.Nodes)
+	x.rr = make([]int, cfg.Nodes)
 	x.sentFrom = make([]int, cfg.Nodes)
 	x.candHead = make([]int, cfg.Nodes)
 	x.candNext = make([]int, cfg.Nodes)
@@ -305,11 +296,18 @@ func (x *Crossbar) Tick(now uint64) { x.step(now) }
 // no state but the stall counter, which gains one per non-empty input; until
 // a packet leaves an output queue, another one would do exactly the same
 // unless a wire's head arrives (nextDelivery).
-func (x *Crossbar) step(now uint64) (moved bool) {
+func (x *Crossbar) step(now uint64) bool {
 	if x.held == 0 {
 		return false
 	}
-	// Deliver packets that finished crossing to output queues.
+	delivered := x.deliver(now)
+	x.arbitrate(now)
+	return x.countStalls() || delivered
+}
+
+// deliver moves packets that finished crossing from the wires to their
+// output queues, up to WordsPerCyc per output, and reports whether one moved.
+func (x *Crossbar) deliver(now uint64) (moved bool) {
 	for o, w := range x.wires {
 		if w == nil {
 			continue
@@ -327,36 +325,80 @@ func (x *Crossbar) step(now uint64) (moved bool) {
 			moved = true
 		}
 	}
-	// Input side: each input forwards up to WordsPerCyc head packets; each
-	// output accepts at most WordsPerCyc new packets per cycle, arbitrated
-	// round-robin over inputs.
-	granted, sentFrom := x.granted, x.sentFrom
-	for i := range granted {
-		granted[i], sentFrom[i] = 0, 0
+	return moved
+}
+
+// arbitrate grants input head packets to outputs. Each output, in port
+// order, makes up to WordsPerCyc grants while its wire has room; each goes
+// to the listed input closest at or after the output's round-robin pointer,
+// and the pointer moves past it. An input forwards up to WordsPerCyc
+// packets a cycle, so a granted input stays in the output's list only if
+// its new head targets the same output and it has bandwidth left; it joins
+// a later output's list when its new head targets one (an earlier output
+// has had its turn). Each input sits in at most one list, so a cycle costs
+// O(ports) plus one list scan per grant, where probing every input for
+// every grant would cost O(ports²): that is what makes the kilo-port flat
+// crossbar of the scale-out figure simulable.
+func (x *Crossbar) arbitrate(now uint64) {
+	n, bw := x.cfg.Nodes, x.cfg.WordsPerCyc
+	head, next, sent := x.candHead, x.candNext, x.sentFrom
+	for o := range head {
+		head[o] = -1
 	}
-	if x.cfg.WordsPerCyc == 1 && !x.noFastPath {
-		x.arbitrateFast(now)
-	} else {
-		for o := 0; o < x.cfg.Nodes; o++ {
-			for granted[o] < x.cfg.WordsPerCyc {
-				in := x.arb[o].Pick(func(i int) bool {
-					if x.inputs[i] == nil {
-						return false
-					}
-					h := x.inputs[i].Peek()
-					return h != nil && int(x.slab.at(*h).out) == o && sentFrom[i] < x.cfg.WordsPerCyc && !x.wireFull(o)
-				})
-				if in < 0 {
-					break
+	for i, q := range x.inputs {
+		sent[i] = 0
+		if q == nil {
+			continue
+		}
+		if h := q.Peek(); h != nil {
+			o := x.slab.at(*h).out
+			next[i] = head[o]
+			head[o] = i
+		}
+	}
+	for o := range head {
+		for g := 0; g < bw && head[o] >= 0 && !x.wireFull(o); g++ {
+			start := x.rr[o]
+			prev, in, inKey := -1, -1, n
+			for p, i := -1, head[o]; i >= 0; p, i = i, next[i] {
+				k := i - start
+				if k < 0 {
+					k += n
 				}
-				granted[o]++
-				sentFrom[in]++
-				x.grantTo(o, in, now)
+				if k < inKey {
+					prev, in, inKey = p, i, k
+				}
+			}
+			if x.rr[o] = in + 1; x.rr[o] == n {
+				x.rr[o] = 0
+			}
+			sent[in]++
+			x.grantTo(o, in, now)
+			to := -1
+			if h := x.inputs[in].Peek(); h != nil && sent[in] < bw {
+				to = int(x.slab.at(*h).out)
+			}
+			if to == o {
+				continue
+			}
+			if prev < 0 {
+				head[o] = next[in]
+			} else {
+				next[prev] = next[in]
+			}
+			if to > o {
+				next[in] = head[to]
+				head[to] = in
 			}
 		}
 	}
+}
+
+// countStalls counts a stall for every input that holds a packet but sent
+// none this cycle, and reports whether any input sent one.
+func (x *Crossbar) countStalls() (moved bool) {
 	for i, in := range x.inputs {
-		if sentFrom[i] > 0 {
+		if x.sentFrom[i] > 0 {
 			moved = true
 		} else if in != nil && !in.Empty() {
 			x.stats.Stalled++
@@ -404,59 +446,9 @@ func (x *Crossbar) wireFull(o int) bool {
 	return w != nil && w.Full()
 }
 
-// arbitrateFast is the WordsPerCyc==1 arbitration path. With one word of
-// bandwidth per port each input offers only its head packet and each output
-// grants at most once, so the per-output candidate sets built from the input
-// heads are disjoint and the sentFrom budget check of the general loop is
-// vacuously true: an input granted by some output cannot appear in a later
-// output's candidate list (its head targeted the granting output). One
-// arbiter step per active output therefore reproduces the general loop's
-// grants — and its round-robin pointer updates — bit-for-bit, while the
-// cycle's cost drops from O(ports²) predicate probes to O(ports). That is
-// what makes the kilo-port flat crossbar of the scale-out figure simulable.
-func (x *Crossbar) arbitrateFast(now uint64) {
-	head, next := x.candHead, x.candNext
-	for o := range head {
-		head[o] = -1
-	}
-	// Build ascending candidate lists by prepending from the highest input
-	// down.
-	for i := x.cfg.Nodes - 1; i >= 0; i-- {
-		if x.inputs[i] == nil {
-			continue
-		}
-		if h := x.inputs[i].Peek(); h != nil {
-			o := x.slab.at(*h).out
-			next[i] = head[o]
-			head[o] = i
-		}
-	}
-	for o := 0; o < x.cfg.Nodes; o++ {
-		if head[o] < 0 || x.wireFull(o) {
-			continue
-		}
-		// Grant the candidate the rotating priority pointer reaches first.
-		start := x.arb[o].Start()
-		best, bestKey := -1, x.cfg.Nodes
-		for i := head[o]; i >= 0; i = next[i] {
-			k := i - start
-			if k < 0 {
-				k += x.cfg.Nodes
-			}
-			if k < bestKey {
-				best, bestKey = i, k
-			}
-		}
-		x.arb[o].Grant(best)
-		x.granted[o]++
-		x.sentFrom[best]++
-		x.grantTo(o, best, now)
-	}
-}
-
 // grantTo pops input in's head packet onto output o's wire, applying fault
-// injection and tracing — the shared tail of both arbitration paths. The
-// first grant to o opens its wire and delivery queue.
+// injection and tracing. The first grant to o opens its wire and delivery
+// queue.
 func (x *Crossbar) grantTo(o, in int, now uint64) {
 	q := x.inputs[in]
 	h := *q.Peek()

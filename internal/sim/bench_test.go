@@ -21,11 +21,3 @@ func BenchmarkDelayPushPop(b *testing.B) {
 		now++
 	}
 }
-
-func BenchmarkRoundRobinPick(b *testing.B) {
-	rr := NewRoundRobin(8)
-	want := func(i int) bool { return i&1 == 0 }
-	for i := 0; i < b.N; i++ {
-		rr.Pick(want)
-	}
-}

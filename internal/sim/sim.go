@@ -1,8 +1,7 @@
 // Package sim provides the cycle-driven simulation primitives shared by all
 // hardware models in this repository: bounded queues with back-pressure,
-// fixed-latency delay pipes, a round-robin arbiter, and the due-set
-// bookkeeping (Wake, Calendar) that lets an owner step only components with
-// work.
+// fixed-latency delay pipes, and the due-set bookkeeping (Wake, Calendar)
+// that lets an owner step only components with work.
 //
 // The simulator is cycle driven rather than event driven: every hardware
 // component has a Tick(now) that advances it by one cycle, and its owner
@@ -236,49 +235,4 @@ func (d *Delay[T]) Pop(now uint64) (v T, ok bool) {
 	v = *p
 	d.q.Drop()
 	return v, true
-}
-
-// RoundRobin is a fair arbiter over n requesters.
-type RoundRobin struct {
-	n    int
-	next int
-}
-
-// NewRoundRobin returns an arbiter over n requesters.
-func NewRoundRobin(n int) *RoundRobin {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: round-robin size must be positive, got %d", n))
-	}
-	return &RoundRobin{n: n}
-}
-
-// Pick returns the first index at or after the rotating priority pointer for
-// which want(i) is true, advancing the pointer past the grant. It returns -1
-// when no requester is ready.
-func (r *RoundRobin) Pick(want func(i int) bool) int {
-	for k := 0; k < r.n; k++ {
-		i := (r.next + k) % r.n
-		if want(i) {
-			r.next = (i + 1) % r.n
-			return i
-		}
-	}
-	return -1
-}
-
-// Start returns the current priority pointer: the index Pick would test
-// first. Together with Grant it lets a caller that already knows the ready
-// set reproduce Pick's choice without probing every requester — the wide
-// crossbars use this to arbitrate in O(ready) instead of O(n).
-func (r *RoundRobin) Start() int { return r.next }
-
-// Grant advances the priority pointer past requester i, exactly as a
-// successful Pick of i would. A caller that selects from a known ready set
-// must call Grant for the arbiter to stay fair (and to match Pick's state
-// transitions bit-for-bit).
-func (r *RoundRobin) Grant(i int) {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("sim: round-robin grant %d outside %d requesters", i, r.n))
-	}
-	r.next = (i + 1) % r.n
 }

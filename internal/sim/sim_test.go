@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -203,113 +202,6 @@ func TestDelayBackpressure(t *testing.T) {
 	}
 }
 
-func TestRoundRobinFairness(t *testing.T) {
-	rr := NewRoundRobin(3)
-	all := func(int) bool { return true }
-	got := []int{rr.Pick(all), rr.Pick(all), rr.Pick(all), rr.Pick(all)}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pick sequence %v, want %v", got, want)
-		}
-	}
-}
-
-// TestRoundRobinStartGrant proves the Start/Grant pair tracks Pick exactly:
-// a caller selecting the cyclically-first ready index from Start and then
-// Granting it leaves the arbiter in the same state as Pick over the same
-// ready set — the contract the crossbar's fast arbitration path relies on.
-func TestRoundRobinStartGrant(t *testing.T) {
-	byPick, byGrant := NewRoundRobin(5), NewRoundRobin(5)
-	rng := uint64(1)
-	for step := 0; step < 200; step++ {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		ready := rng % 32 // bitmask of ready requesters
-		want := func(i int) bool { return ready&(1<<i) != 0 }
-		picked := byPick.Pick(want)
-
-		start := byGrant.Start()
-		best, bestKey := -1, 5
-		for i := 0; i < 5; i++ {
-			if !want(i) {
-				continue
-			}
-			k := i - start
-			if k < 0 {
-				k += 5
-			}
-			if k < bestKey {
-				best, bestKey = i, k
-			}
-		}
-		if best >= 0 {
-			byGrant.Grant(best)
-		}
-		if picked != best || byPick.Start() != byGrant.Start() {
-			t.Fatalf("step %d ready=%05b: Pick=%d Start/Grant=%d (pointers %d vs %d)",
-				step, ready, picked, best, byPick.Start(), byGrant.Start())
-		}
-	}
-}
-
-func TestRoundRobinGrantOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRoundRobin(3).Grant(3)
-}
-
-func TestRoundRobinSkipsIdle(t *testing.T) {
-	rr := NewRoundRobin(4)
-	only2 := func(i int) bool { return i == 2 }
-	for k := 0; k < 3; k++ {
-		if got := rr.Pick(only2); got != 2 {
-			t.Fatalf("pick = %d want 2", got)
-		}
-	}
-	none := func(int) bool { return false }
-	if got := rr.Pick(none); got != -1 {
-		t.Fatalf("pick with no requesters = %d want -1", got)
-	}
-}
-
-// TestRoundRobinFairnessAcrossFastForward checks that an owner may skip the
-// cycles in which no requester wants service: over sparse, interleaved want
-// sets, the grant sequence is the same whether those cycles call Pick (and
-// grant nothing) or are jumped over.
-func TestRoundRobinFairnessAcrossFastForward(t *testing.T) {
-	periods := []uint64{6, 10, 15}
-	run := func(skipIdle bool) []int {
-		rr := NewRoundRobin(len(periods))
-		var grants []int
-		for now := uint64(0); now < 300; now++ {
-			want := func(i int) bool { return now%periods[i] == 0 }
-			idle := true
-			for i := range periods {
-				idle = idle && !want(i)
-			}
-			if skipIdle && idle {
-				continue
-			}
-			if g := rr.Pick(want); g >= 0 {
-				grants = append(grants, g)
-			}
-		}
-		return grants
-	}
-	skipped, stepped := run(true), run(false)
-	if len(skipped) == 0 {
-		t.Fatal("no grants recorded")
-	}
-	if !reflect.DeepEqual(skipped, stepped) {
-		t.Fatalf("grant sequence differs:\nidle cycles skipped: %v\nidle cycles stepped: %v", skipped, stepped)
-	}
-}
-
 // TestDelayRingWraparound drives a small Delay far past its capacity so the
 // internal ring buffer wraps many times, checking order and exit timing of
 // every item. Delay is on the critical path of every FU, wire, and cache
@@ -365,83 +257,6 @@ func TestDelayRespectsLatencyAfterWrap(t *testing.T) {
 	}
 	if v, ok := d.Pop(now + 5); !ok || v != 99 {
 		t.Fatalf("final pop: got %d ok=%v", v, ok)
-	}
-}
-
-// TestRoundRobinSparseFairness checks grant distribution when requesters are
-// only intermittently ready: every ready requester must be granted before
-// any requester is granted twice (within one rotation), and long-run grant
-// counts must match each requester's duty cycle.
-func TestRoundRobinSparseFairness(t *testing.T) {
-	const n = 4
-	rr := NewRoundRobin(n)
-	grants := make([]int, n)
-	// Requester i is ready on cycles where cycle%(i+1) == 0: requester 0
-	// always, requester 3 a quarter of the time.
-	for cycle := 0; cycle < 1200; cycle++ {
-		ready := func(i int) bool { return cycle%(i+1) == 0 }
-		if g := rr.Pick(ready); g >= 0 {
-			grants[g]++
-			if !ready(g) {
-				t.Fatalf("cycle %d: granted idle requester %d", cycle, g)
-			}
-		}
-	}
-	// Requester 0 is always ready, so it must never starve; sparse
-	// requesters must still win a share when they are ready alongside it.
-	if grants[0] == 0 {
-		t.Fatal("always-ready requester starved")
-	}
-	for i := 1; i < n; i++ {
-		if grants[i] == 0 {
-			t.Fatalf("sparse requester %d starved entirely: grants %v", i, grants)
-		}
-	}
-	// The rotating pointer must prevent requester 0 from monopolizing
-	// cycles where others are ready: on multiples of 12 all four are ready,
-	// and round-robin hands those around — requester 0's share stays well
-	// below the all-to-one extreme.
-	total := 0
-	for _, g := range grants {
-		total += g
-	}
-	if grants[0] == total {
-		t.Fatalf("requester 0 monopolized all %d grants", total)
-	}
-}
-
-// TestRoundRobinRotationUnderContention verifies that with all requesters
-// always ready, 4k grants split exactly k/k/k/k — the strict fairness bound.
-func TestRoundRobinRotationUnderContention(t *testing.T) {
-	const n, rounds = 4, 25
-	rr := NewRoundRobin(n)
-	grants := make([]int, n)
-	for k := 0; k < n*rounds; k++ {
-		g := rr.Pick(func(int) bool { return true })
-		grants[g]++
-	}
-	for i, g := range grants {
-		if g != rounds {
-			t.Fatalf("requester %d got %d grants, want %d: %v", i, g, rounds, grants)
-		}
-	}
-}
-
-// TestRoundRobinPointerAdvancesPastGrant verifies the priority pointer moves
-// past the granted index, so a newly ready lower-priority requester is not
-// skipped on the next pick.
-func TestRoundRobinPointerAdvancesPastGrant(t *testing.T) {
-	rr := NewRoundRobin(3)
-	if g := rr.Pick(func(i int) bool { return i == 0 }); g != 0 {
-		t.Fatalf("first pick = %d", g)
-	}
-	// 0 and 1 both ready: pointer sits at 1, so 1 must win.
-	if g := rr.Pick(func(i int) bool { return i == 0 || i == 1 }); g != 1 {
-		t.Fatalf("second pick = %d, want 1 (pointer failed to advance)", g)
-	}
-	// 0 and 2 ready: pointer at 2, so 2 wins before wrapping to 0.
-	if g := rr.Pick(func(i int) bool { return i == 0 || i == 2 }); g != 2 {
-		t.Fatalf("third pick = %d, want 2", g)
 	}
 }
 

@@ -223,21 +223,6 @@ func (s Snapshot) Get(key string) (uint64, bool) {
 // Len returns the number of entries.
 func (s Snapshot) Len() int { return len(s.Entries) }
 
-// Sub returns s minus prev: counters subtract (a key missing from prev
-// counts as zero); gauges keep s's value. Keys only in prev are dropped.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	out := make([]Entry, len(s.Entries))
-	for i, e := range s.Entries {
-		if e.Kind == KindCounter {
-			if old, ok := prev.Get(e.Key); ok {
-				e.Val -= old
-			}
-		}
-		out[i] = e
-	}
-	return Snapshot{Entries: out}
-}
-
 // Merge returns the union of s and o: counters sum, gauges take the maximum.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
 	out := make([]Entry, 0, len(s.Entries)+len(o.Entries))

@@ -101,28 +101,6 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
-	p := newProbe(10, 4)
-	before := snapshotOf([]string{"g"}, p)
-	p.n += 5
-	p.depthMax = 9
-	after := snapshotOf([]string{"g"}, p)
-
-	d := after.Sub(before)
-	if v, _ := d.Get("g/n"); v != 5 {
-		t.Fatalf("counter delta = %d, want 5", v)
-	}
-	// Gauges keep the newer (cumulative high-water) value.
-	if v, _ := d.Get("g/depth"); v != 9 {
-		t.Fatalf("gauge after sub = %d, want 9", v)
-	}
-	// Keys missing from prev subtract nothing.
-	fresh := snapshotOf([]string{"h"}, newProbe(3, 0))
-	if v, _ := fresh.Sub(before).Get("h/n"); v != 3 {
-		t.Fatalf("fresh key delta = %d, want 3", v)
-	}
-}
-
 func TestSnapshotMerge(t *testing.T) {
 	a := snapshotOf([]string{"a", "only_a"}, newProbe(2, 3), newProbe(1, 0))
 	b := snapshotOf([]string{"a", "only_b"}, newProbe(5, 2), newProbe(4, 0))

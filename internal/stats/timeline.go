@@ -9,8 +9,9 @@ import (
 )
 
 // Timeline is a cycle-interval series of snapshots, recorded by the
-// machine's sampler (machine.StartTimeline). Samples hold cumulative values;
-// Deltas converts them to per-interval activity.
+// machine's sampler (machine.StartTimeline). Every sample holds the
+// cumulative value of each counter at its cycle, and every exporter writes
+// those values as sampled.
 type Timeline struct {
 	Interval uint64
 	Samples  []Sample
@@ -27,20 +28,6 @@ func (t *Timeline) Record(cycle uint64, s Snapshot) {
 	t.Samples = append(t.Samples, Sample{Cycle: cycle, Snap: s})
 }
 
-// Deltas returns a timeline whose counter values are per-interval increments
-// (sample i minus sample i-1); gauges keep their sampled high-water marks.
-func (t *Timeline) Deltas() *Timeline {
-	out := &Timeline{Interval: t.Interval, Samples: make([]Sample, len(t.Samples))}
-	for i, s := range t.Samples {
-		if i == 0 {
-			out.Samples[i] = s
-			continue
-		}
-		out.Samples[i] = Sample{Cycle: s.Cycle, Snap: s.Snap.Sub(t.Samples[i-1].Snap)}
-	}
-	return out
-}
-
 // Write emits the timeline in the named format: "csv" (WriteCSV) or
 // "jsonl" (WriteJSONL). It is the single dispatch point for every timeline
 // exporter, so format names stay consistent across CLIs.
@@ -55,8 +42,7 @@ func (t *Timeline) Write(w io.Writer, format string) error {
 }
 
 // WriteCSV emits the timeline in long form — one row per (cycle, metric) —
-// with a cycle,key,value header. Values are cumulative as sampled; use
-// Deltas first for per-interval activity.
+// with a cycle,key,value header. Values are cumulative, as sampled.
 func (t *Timeline) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"cycle", "key", "value"}); err != nil {
@@ -75,8 +61,8 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSONL emits one JSON object per sample: {"cycle": N, "counters":
-// {key: value, ...}}. Keys are serialized in sorted order, so the output is
-// deterministic.
+// {key: value, ...}}, values cumulative as sampled. Keys are serialized in
+// sorted order, so the output is deterministic.
 func (t *Timeline) WriteJSONL(w io.Writer) error {
 	for _, s := range t.Samples {
 		counters := make(map[string]uint64, len(s.Snap.Entries))

@@ -18,22 +18,6 @@ func sampleTimeline() *Timeline {
 	return tl
 }
 
-func TestTimelineDeltas(t *testing.T) {
-	d := sampleTimeline().Deltas()
-	if len(d.Samples) != 2 || d.Interval != 100 {
-		t.Fatalf("deltas shape: %+v", d)
-	}
-	if v, _ := d.Samples[0].Snap.Get("g/n"); v != 10 {
-		t.Fatalf("first delta = %d, want 10 (cumulative)", v)
-	}
-	if v, _ := d.Samples[1].Snap.Get("g/n"); v != 15 {
-		t.Fatalf("second delta = %d, want 15", v)
-	}
-	if v, _ := d.Samples[1].Snap.Get("g/depth"); v != 2 {
-		t.Fatalf("gauge keeps high-water: %d, want 2", v)
-	}
-}
-
 func TestTimelineWriteCSV(t *testing.T) {
 	var b strings.Builder
 	if err := sampleTimeline().WriteCSV(&b); err != nil {
